@@ -2,8 +2,7 @@
 
 Exact efficiency vectors and success probabilities for the globally optimal
 protocol, construction and optimization of online (sequential) measurement
-schedules, and seeded Monte Carlo simulation with a numba-accelerated
-kernel and a pure-numpy fallback (select with ``QCPD_BACKEND=numba|numpy``).
+schedules, and seeded Monte Carlo simulation with vectorised numpy kernels.
 """
 
 from .errors import (
@@ -14,18 +13,12 @@ from .errors import (
     SingularityError,
 )
 from .core import (
-    AliveState,
     DetectionProfile,
-    LocalMeasurement,
-    OutcomeDistribution,
     Overlap,
-    Particle,
     StrengthSchedule,
-    alive_step,
     check_strength,
     enumerate_strategy,
     evaluate_strategy,
-    outcome_distribution,
 )
 from .global_bound import (
     EfficiencyVector,
@@ -65,19 +58,15 @@ from .kernels import active_backend
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliveState",
     "DetectionProfile",
     "EfficiencyVector",
     "GramMatrix",
     "InvalidMeasurementError",
-    "LocalMeasurement",
     "Method",
     "NumericDomainError",
     "OnlineSolution",
     "OutOfValidityError",
-    "OutcomeDistribution",
     "Overlap",
-    "Particle",
     "QcpdError",
     "RationalCoefficients",
     "Regime",
@@ -87,7 +76,6 @@ __all__ = [
     "TrialResult",
     "ValidityReport",
     "active_backend",
-    "alive_step",
     "best_online",
     "build_gram",
     "check_strength",
@@ -104,7 +92,6 @@ __all__ = [
     "global_success",
     "optimal_global",
     "optimize_strengths",
-    "outcome_distribution",
     "primed_efficiencies",
     "primed_success",
     "recursive_strengths",
@@ -115,5 +102,4 @@ __all__ = [
     "sl_worst_case_gap",
     "total_saturation_point",
     "validate_unambiguous",
-    "__version__",
 ]

@@ -42,6 +42,9 @@ from .verification import run_all
 _TOL = 1e-12
 CSV_HEADER = "c,p_global,p_online,p_fl,p_sl"
 
+#: largest overlap grid ``curve`` evaluates; finer grids are rejected up front
+MAX_CURVE_ROWS = 100_000
+
 
 def _fmt(value: float) -> str:
     """12 significant digits; round-trips through ``float`` bit-stably."""
@@ -150,9 +153,11 @@ def build_curve(
         raise ValueError("--c-min must be below --c-max")
     if c_min < 0.0 or c_max > 1.0:
         raise ValueError("the overlap grid must stay inside [0, 1]")
+    span = (c_max - c_min) / step + 1e-9
+    if span >= MAX_CURVE_ROWS:
+        raise ValueError(f"{span + 1:.4g} grid rows exceed the cap of {MAX_CURVE_ROWS}")
     rows = []
-    count = int((c_max - c_min) / step + 1e-9) + 1
-    for i in range(count):
+    for i in range(int(span) + 1):
         c = round(c_min + i * step, 12)
         if c > c_max + 1e-12:
             break

@@ -27,8 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,25 +43,6 @@ REL_SLACK = 1e-12
 #: largest stream length enumerate_strategy accepts (2**(n-2) paths per
 #: hypothesis grows fast; the cap keeps the oracle honest and cheap)
 ENUMERATION_CAP = 12
-
-
-class Particle(Enum):
-    """Which state a measured particle is in."""
-
-    DEFAULT = "default"
-    CHANGED = "changed"
-
-
-class OutcomeDistribution(NamedTuple):
-    """Probabilities of the three outcomes of one local measurement."""
-
-    conclusive_default: float
-    conclusive_change: float
-    inconclusive: float
-
-
-def _overlap_value(c: "Overlap | float") -> float:
-    return c.c if isinstance(c, Overlap) else float(c)
 
 
 def check_strength(c: float, x: float, position: int | None = None) -> None:
@@ -98,16 +77,16 @@ class Overlap:
             raise ValueError(f"overlap must lie in [0, 1], got {self.c!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class LocalMeasurement:
-    """One unambiguous local measurement of strength ``x``."""
+def _overlap(c: Overlap | float) -> float:
+    """Validated overlap value of an :class:`Overlap` or a plain number."""
+    return c.c if isinstance(c, Overlap) else Overlap(float(c)).c
 
-    x: float
-    overlap: Overlap
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        check_strength(self.overlap.c, self.x)
+def _check_n(n: int, minimum: int = 2) -> int:
+    n = int(n)
+    if n < minimum:
+        raise ValueError(f"stream length must be at least {minimum}, got {n}")
+    return n
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,8 +104,7 @@ class StrengthSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "strengths", tuple(float(x) for x in self.strengths))
-        if self.n < 2:
-            raise ValueError(f"stream length must be at least 2, got {self.n}")
+        _check_n(self.n)
         if len(self.strengths) != self.n - 1:
             raise ValueError(
                 f"expected {self.n - 1} strengths for n={self.n}, got {len(self.strengths)}"
@@ -137,31 +115,6 @@ class StrengthSchedule:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.strengths, dtype=np.float64)
-
-
-@dataclass(frozen=True, slots=True)
-class AliveState:
-    """Conditional outcome distribution at the current position, given that
-    every particle so far was in the default state: probability that the
-    outcome just produced was conclusive-default (``p_default``) versus
-    inconclusive (``p_inconclusive``).  The two must sum to one — a changed
-    outcome is impossible on default particles."""
-
-    p_default: float
-    p_inconclusive: float
-
-    def __post_init__(self):
-        for name, p in (
-            ("p_default", self.p_default),
-            ("p_inconclusive", self.p_inconclusive),
-        ):
-            if not math.isfinite(p) or p < -EPSILON or p > 1.0 + EPSILON:
-                raise ValueError(f"{name} = {p!r} is not a probability")
-        if abs(self.p_default + self.p_inconclusive - 1.0) > EPSILON:
-            raise ValueError(
-                "p_default + p_inconclusive must equal 1, got "
-                f"{self.p_default + self.p_inconclusive!r}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,40 +145,6 @@ class DetectionProfile:
 
 def _mean(values) -> float:
     return float(np.mean(np.asarray(values, dtype=np.float64)))
-
-
-def outcome_distribution(
-    measurement: LocalMeasurement, state: Particle
-) -> OutcomeDistribution:
-    """Outcome probabilities of one local measurement on a known state.
-
-    The conclusive probability is computed first and its complement taken,
-    so the triple sums to one exactly (tiny negative round-off at the
-    interval endpoints is clamped to zero).
-    """
-    c = measurement.overlap.c
-    x = measurement.x
-    if state is Particle.DEFAULT:
-        conclusive = max(0.0, 1.0 - c * x)
-        return OutcomeDistribution(conclusive, 0.0, 1.0 - conclusive)
-    conclusive = max(0.0, 1.0 - c / x)
-    return OutcomeDistribution(0.0, conclusive, 1.0 - conclusive)
-
-
-def alive_step(state: AliveState, c: "Overlap | float", x_next: float) -> AliveState:
-    """Advance the conditional outcome distribution by one position.
-
-    The next position sees strength ``x_next`` after a conclusive-default
-    outcome and strength ``c`` after an inconclusive one, so on a default
-    particle the inconclusive probability becomes
-    ``p_default*(c*x_next) + p_inconclusive*c**2``.  The default-outcome
-    probability is stored as the exact complement, which conserves
-    ``p_default + p_inconclusive == 1`` with zero drift.
-    """
-    c = _overlap_value(c)
-    check_strength(c, x_next)
-    pi = state.p_default * (c * x_next) + state.p_inconclusive * (c * c)
-    return AliveState(p_default=1.0 - pi, p_inconclusive=pi)
 
 
 def evaluate_strategy(schedule: StrengthSchedule) -> DetectionProfile:

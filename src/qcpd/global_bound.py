@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Overlap
+from .core import Overlap, _check_n, _overlap
 from .errors import SingularityError
 from .numutil import bisect_root
 
@@ -53,17 +53,6 @@ class Regime(Enum):
 
     PLAIN = "plain"
     PRIMED = "primed"
-
-
-def _overlap(c: Overlap | float) -> float:
-    return c.c if isinstance(c, Overlap) else Overlap(float(c)).c
-
-
-def _check_n(n: int, minimum: int) -> int:
-    n = int(n)
-    if n < minimum:
-        raise ValueError(f"stream length must be at least {minimum}, got {n}")
-    return n
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,7 +106,7 @@ class ValidityReport:
 
 def build_gram(n: int, c: Overlap | float) -> GramMatrix:
     """Gram matrix ``G[k][l] = c^|k-l|`` (1-based hypothesis indices)."""
-    n = _check_n(n, 2)
+    n = _check_n(n)
     cv = _overlap(c)
     idx = np.arange(n)
     entries = np.power(cv, np.abs(idx[:, None] - idx[None, :]), dtype=np.float64)
@@ -130,7 +119,7 @@ def global_efficiencies_direct(n: int, c: Overlap | float) -> EfficiencyVector:
     Definitional form; :func:`global_efficiencies` computes the same values
     through the closed form, and the two agree to machine precision.
     """
-    n = _check_n(n, 2)
+    n = _check_n(n)
     cv = _overlap(c)
     idx = np.arange(n)
     terms = np.power(-cv, np.abs(idx[:, None] - idx[None, :]), dtype=np.float64)
@@ -145,7 +134,7 @@ def global_efficiencies(n: int, c: Overlap | float) -> EfficiencyVector:
     Closed form of the geometric tent sum:
     ``gamma_n(k) = (1 - c - (-c)^k - (-c)^{n-k+1}) / (1 + c)``.
     """
-    n = _check_n(n, 2)
+    n = _check_n(n)
     cv = _overlap(c)
     k = np.arange(1, n + 1)
     values = (1.0 - cv - np.power(-cv, k) - np.power(-cv, n - k + 1)) / (1.0 + cv)
@@ -157,7 +146,7 @@ def global_efficiencies(n: int, c: Overlap | float) -> EfficiencyVector:
 def global_success(n: int, c: Overlap | float) -> float:
     """Mean of :func:`global_efficiencies` in closed form:
     ``(1-c)/(1+c) + (2c/n) * (1-(-c)^n) / (1+c)^2``."""
-    n = _check_n(n, 2)
+    n = _check_n(n)
     cv = _overlap(c)
     return (1.0 - cv) / (1.0 + cv) + (2.0 * cv / n) * (1.0 - (-cv) ** n) / (
         1.0 + cv
@@ -243,7 +232,7 @@ def optimal_global(n: int, c: Overlap | float) -> tuple[EfficiencyVector, float]
     For n < 4 no crossing exists in the model's validity range and the
     plain form is used throughout.
     """
-    n = _check_n(n, 2)
+    n = _check_n(n)
     cv = _overlap(c)
     threshold = critical_overlap(n) if n >= 4 else None
     if threshold is None or cv <= threshold:

@@ -1,24 +1,16 @@
 """Numeric hot paths: detection-profile recursion and Monte Carlo trials.
 
-Two kernels live here, each in two interchangeable implementations:
-
-* a ``numba``-JIT-compiled version (the default when numba imports), and
-* a pure numpy/Python fallback.
-
-Select explicitly with the environment variable ``QCPD_BACKEND=numba`` or
-``QCPD_BACKEND=numpy`` (read once at import); otherwise numba is used when
-available.  Both backends produce *bit-identical* output: the Monte Carlo
-kernel draws every uniform from a counter-based generator keyed by
-``(seed, trial, position)``, so the vectorised fallback consumes exactly
-the same numbers as the compiled scalar loop, in any order.
+Both kernels are plain numpy.  The Monte Carlo kernel draws every uniform
+from a counter-based generator keyed by ``(seed, trial, position)``, so
+the vectorised kernel consumes exactly the same numbers as the scalar
+reference walk :func:`qcpd.montecarlo.simulate_trial`, in any order and
+for any chunking; pooled, the two agree count for count.
 
 The generator is the splitmix64 finalizer applied twice:
 ``u(seed, t, j) = finalize(finalize(root + t*GAMMA) + j*GAMMA)`` with
 ``root = finalize(seed + GAMMA)``, mapped to [0, 1) via the top 53 bits.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -31,15 +23,6 @@ GAMMA = np.uint64(_GAMMA_INT)
 _MIX1 = np.uint64(_MIX1_INT)
 _MIX2 = np.uint64(_MIX2_INT)
 _INV53 = 2.0**-53
-
-_ENV_FLAG = "QCPD_BACKEND"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via QCPD_BACKEND=numpy
-    HAVE_NUMBA = False
 
 
 def mix64_int(z: int) -> int:
@@ -68,9 +51,14 @@ def seed_root(seed: int) -> int:
 # kernel 1: detection profile (forward recursion over outcome probabilities)
 # ---------------------------------------------------------------------------
 
-def _detection_profile_impl(c, xs):
-    # xs[j-1] is the strength used at position j after a conclusive-0 run;
-    # after an inconclusive outcome the next strength is pinned to c.
+def detection_profile(c: float, xs: np.ndarray) -> np.ndarray:
+    """Per-position detection probabilities of the schedule ``xs``.
+
+    ``xs[j-1]`` is the strength used at position j after a conclusive-0
+    run; after an inconclusive outcome the next strength is pinned to c.
+    """
+    c = float(c)
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
     n = xs.shape[0] + 1
     prof = np.empty(n, dtype=np.float64)
     prof[0] = 1.0 - c / xs[0]
@@ -85,22 +73,6 @@ def _detection_profile_impl(c, xs):
         else:
             prof[k - 1] = p0
     return prof
-
-
-def detection_profile_numpy(c: float, xs: np.ndarray) -> np.ndarray:
-    """Pure-Python/numpy evaluation of the detection profile."""
-    return _detection_profile_impl(float(c), np.ascontiguousarray(xs, dtype=np.float64))
-
-
-if HAVE_NUMBA:
-    _detection_profile_jit = njit(cache=True)(_detection_profile_impl)
-
-    def detection_profile_numba(c: float, xs: np.ndarray) -> np.ndarray:
-        """JIT-compiled evaluation of the detection profile."""
-        return _detection_profile_jit(float(c), np.ascontiguousarray(xs, dtype=np.float64))
-
-else:  # pragma: no cover
-    detection_profile_numba = None
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +92,11 @@ else:  # pragma: no cover
 _CHUNK = 1 << 16
 
 
-def simulate_counts_numpy(
+def simulate_counts(
     c: float, xs: np.ndarray, trials: int, seed: int
 ) -> tuple[np.ndarray, int]:
-    """Vectorised fallback: processes trials in chunks, all positions masked."""
+    """Detections per position and the count of wrong verdicts over
+    ``trials`` trials, processed in chunks with all positions masked."""
     c = float(c)
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     n = xs.shape[0] + 1
@@ -155,83 +128,6 @@ def simulate_counts_numpy(
     return counts, wrong
 
 
-if HAVE_NUMBA:
-    _mix64_jit = njit(cache=True)(_mix64)
-
-    @njit(cache=True)
-    def _simulate_counts_jit(c, xs, trials, root):
-        n = xs.shape[0] + 1
-        counts = np.zeros(n, dtype=np.int64)
-        wrong = 0
-        for t in range(trials):
-            zt = _mix64_jit(root + np.uint64(t) * GAMMA)
-            u = np.float64(_mix64_jit(zt) >> np.uint64(11)) * _INV53
-            k = int(u * n)
-            if k > n - 1:
-                k = n - 1
-            k += 1
-            prev_zero = True
-            verdict = 0
-            for j in range(1, min(k, n)):
-                u = np.float64(_mix64_jit(zt + np.uint64(j) * GAMMA) >> np.uint64(11)) * _INV53
-                x = xs[j - 1] if prev_zero else c
-                prev_zero = u < 1.0 - c * x
-            if k < n:
-                u = np.float64(_mix64_jit(zt + np.uint64(k) * GAMMA) >> np.uint64(11)) * _INV53
-                x = xs[k - 1] if prev_zero else c
-                if prev_zero and x * (1.0 - u) > c:
-                    verdict = k
-            elif prev_zero:
-                verdict = n
-            if verdict > 0:
-                counts[verdict - 1] += 1
-                if verdict != k:
-                    wrong += 1
-        return counts, wrong
-
-    def simulate_counts_numba(
-        c: float, xs: np.ndarray, trials: int, seed: int
-    ) -> tuple[np.ndarray, int]:
-        """JIT-compiled scalar trial loop."""
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        counts, wrong = _simulate_counts_jit(
-            float(c), xs, int(trials), np.uint64(seed_root(seed))
-        )
-        return counts, int(wrong)
-
-else:  # pragma: no cover
-    simulate_counts_numba = None
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-def _select_backend() -> str:
-    choice = os.environ.get(_ENV_FLAG, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise ImportError(
-                f"{_ENV_FLAG}=numba requested but numba is not importable"
-            )
-        return "numba"
-    if choice:
-        raise ValueError(f"unrecognised {_ENV_FLAG}={choice!r} (use 'numba' or 'numpy')")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-BACKEND = _select_backend()
-
-if BACKEND == "numba":
-    detection_profile = detection_profile_numba
-    simulate_counts = simulate_counts_numba
-else:
-    detection_profile = detection_profile_numpy
-    simulate_counts = simulate_counts_numpy
-
-
 def active_backend() -> str:
-    """Name of the backend selected at import time."""
-    return BACKEND
+    """Name of the kernel implementation (always ``"numpy"``)."""
+    return "numpy"

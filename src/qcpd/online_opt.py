@@ -37,6 +37,8 @@ from .core import (
     DetectionProfile,
     Overlap,
     StrengthSchedule,
+    _check_n,
+    _overlap,
     check_strength,
     evaluate_strategy,
 )
@@ -111,17 +113,6 @@ class RationalCoefficients:
 
     def __call__(self, x: float) -> float:
         return self.alpha + self.beta * x + self.delta / x
-
-
-def _overlap(c: Overlap | float) -> float:
-    return c.c if isinstance(c, Overlap) else Overlap(float(c)).c
-
-
-def _check_n(n: int) -> int:
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"stream length must be at least 2, got {n}")
-    return n
 
 
 def _saturated(cv: float, xs) -> frozenset[int]:

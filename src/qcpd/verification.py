@@ -71,9 +71,12 @@ def _case(n: int, c: float, position: int | None) -> dict:
 def oracle_equivalence(
     n_max: int = 8, seed: int = 0, schedules_per_n: int = 25
 ) -> SuiteResult:
-    """Forward recursion vs. brute-force enumeration on random schedules."""
+    """Forward recursion vs. brute-force enumeration on random schedules,
+    for every ``n`` in ``2..n_max`` (rejected, not clamped, beyond the cap)."""
+    top = int(n_max)
+    if not 2 <= top <= ENUMERATION_CAP:
+        raise ValueError(f"n_max must lie in 2..{ENUMERATION_CAP}, got {n_max}")
     rng = np.random.default_rng(seed)
-    top = min(max(int(n_max), 2), ENUMERATION_CAP)
     worst = 0.0
     worst_case: dict | None = None
     cases = 0

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qcpd.cli import CSV_HEADER, build_curve, parse_curve_csv
+from qcpd.cli import CSV_HEADER, MAX_CURVE_ROWS, build_curve, parse_curve_csv
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -91,6 +91,13 @@ class TestCurve:
         result = run_cli("curve", *flags)
         assert result.returncode == 1
 
+    def test_oversized_grid_is_rejected_at_once(self):
+        # 1e12 rows would never finish; the cap applies before any row
+        result = run_cli("curve", "--step", "1e-12", timeout=30)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "rows" in result.stderr and str(MAX_CURVE_ROWS) in result.stderr
+
     def test_out_writes_the_file(self, tmp_path):
         target = tmp_path / "table.csv"
         result = run_cli(
@@ -164,6 +171,20 @@ class TestVerify:
         assert "central_equality" in result.stderr
         # the failing case is reported with its parameters
         assert "n=" in result.stderr and "c=" in result.stderr
+
+    @pytest.mark.parametrize("n_max", ["1", "40"])
+    def test_n_max_outside_the_oracle_range_is_exit_one(self, n_max):
+        result = run_cli("verify", "--n-max", n_max)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "2..12" in result.stderr
+
+    def test_n_max_at_the_cap_passes(self):
+        result = run_cli("verify", "--n-max", "12")
+        assert result.returncode == 0, result.stderr
+        oracle = json.loads(result.stdout)["suites"][0]
+        assert oracle["name"] == "oracle_equivalence"
+        assert oracle["cases"] == 11 * 25
 
 
 class TestSimulate:

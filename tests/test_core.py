@@ -1,85 +1,21 @@
-"""Measurement model, alive-state recursion, and the enumeration oracle."""
+"""Input validation, the forward profile recursion, and the enumeration oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from qcpd import (
-    AliveState,
     DetectionProfile,
     InvalidMeasurementError,
-    LocalMeasurement,
     Overlap,
-    Particle,
     StrengthSchedule,
-    alive_step,
     check_strength,
     enumerate_strategy,
     evaluate_strategy,
-    outcome_distribution,
 )
-from conftest import overlaps, schedules
-
-
-def _measure(c: float, x: float, state: Particle):
-    return outcome_distribution(LocalMeasurement(x=x, overlap=Overlap(c)), state)
-
-
-class TestOutcomeDistribution:
-    def test_balanced_measurement_splits_evenly(self):
-        d = _measure(0.5, 1.0, Particle.DEFAULT)
-        assert d.conclusive_default == pytest.approx(0.5)
-        assert d.conclusive_change == 0.0
-        assert d.inconclusive == pytest.approx(0.5)
-        d = _measure(0.5, 1.0, Particle.CHANGED)
-        assert d.conclusive_default == 0.0
-        assert d.conclusive_change == pytest.approx(0.5)
-        assert d.inconclusive == pytest.approx(0.5)
-
-    def test_floor_strength_only_sees_default(self):
-        c = 0.6
-        d = _measure(c, c, Particle.DEFAULT)
-        assert d.conclusive_default == pytest.approx(1 - c * c)
-        d = _measure(c, c, Particle.CHANGED)
-        assert d.conclusive_change == 0.0
-        assert d.inconclusive == 1.0
-
-    def test_ceiling_strength_only_sees_change(self):
-        c = 0.6
-        d = _measure(c, 1 / c, Particle.DEFAULT)
-        assert d.conclusive_default == 0.0
-        assert d.inconclusive == 1.0
-        d = _measure(c, 1 / c, Particle.CHANGED)
-        assert d.conclusive_change == pytest.approx(1 - c * c)
-
-    def test_cross_outcomes_are_impossible(self):
-        # the conclusive outcome for the state not present never fires
-        d = _measure(0.3, 1.7, Particle.DEFAULT)
-        assert d.conclusive_change == 0.0
-        d = _measure(0.3, 1.7, Particle.CHANGED)
-        assert d.conclusive_default == 0.0
-
-    @given(c=overlaps(0.01, 0.99), t=st.floats(0.0, 1.0))
-    def test_probabilities_sum_to_one_exactly(self, c, t):
-        x = c + t * (1.0 / c - c)
-        for state in Particle:
-            d = _measure(c, min(x, 1.0 / c), state)
-            assert d.conclusive_default + d.conclusive_change + d.inconclusive == 1.0
-            assert d.conclusive_default >= 0.0
-            assert d.conclusive_change >= 0.0
-            assert d.inconclusive >= 0.0
-
-    def test_stronger_bias_trades_the_two_states(self):
-        # raising x makes the default outcome rarer and the change outcome
-        # more likely
-        c = 0.4
-        grid = np.linspace(c, 1 / c, 9)
-        p_default = [_measure(c, x, Particle.DEFAULT).conclusive_default for x in grid]
-        p_change = [_measure(c, x, Particle.CHANGED).conclusive_change for x in grid]
-        assert all(a > b for a, b in zip(p_default, p_default[1:]))
-        assert all(a < b for a, b in zip(p_change, p_change[1:]))
+from conftest import schedules
 
 
 class TestValidation:
@@ -119,36 +55,6 @@ class TestValidation:
             DetectionProfile(n=2, per_position=(0.5, 0.5), average=0.9)
 
 
-class TestAliveState:
-    def test_conservation_has_zero_drift(self):
-        # complement storage keeps the two probabilities summing to one
-        # bit-exactly, far inside any 1e-14 budget
-        rng = np.random.default_rng(41)
-        c = 0.45
-        state = AliveState(p_default=1.0, p_inconclusive=0.0)
-        for _ in range(10_000):
-            x = rng.uniform(c, 1 / c)
-            state = alive_step(state, c, x)
-            assert state.p_default + state.p_inconclusive == 1.0
-
-    def test_constant_strength_matches_closed_form(self):
-        # iterating the recursion at fixed x has the closed-form solution
-        #   pi_k = c*x * (1 - (c^2 - c*x)^k) / (1 + c*x - c^2)
-        c, x = 0.35, 1.4
-        state = AliveState(p_default=1.0, p_inconclusive=0.0)
-        for k in range(1, 101):
-            state = alive_step(state, c, x)
-            q = c * c - c * x
-            expected = c * x * (1 - q**k) / (1 + c * x - c * c)
-            assert state.p_inconclusive == pytest.approx(expected, abs=1e-14)
-
-    def test_rejects_inconsistent_state(self):
-        with pytest.raises(ValueError):
-            AliveState(p_default=0.6, p_inconclusive=0.6)
-        with pytest.raises(InvalidMeasurementError):
-            alive_step(AliveState(1.0, 0.0), 0.5, 3.0)
-
-
 def _hand_profile_n4(c: float, xs: tuple[float, float, float]) -> list[float]:
     x1, x2, x3 = xs
     pi1 = c * x1
@@ -171,6 +77,19 @@ class TestEvaluateStrategy:
             got = evaluate_strategy(schedule).per_position
             want = _hand_profile_n4(c, xs)
             assert got == pytest.approx(want, abs=1e-14)
+
+    def test_constant_strength_matches_closed_form(self):
+        # at fixed x the inconclusive probability after k measurements has
+        # the closed form pi_k = c*x * (1 - q^k) / (1 + c*x - c^2), with
+        # q = c^2 - c*x; entry k < n is (1 - pi_{k-1}) * (1 - c/x) and the
+        # last entry is 1 - pi_{n-1}
+        c, x, n = 0.35, 1.4, 101
+        schedule = StrengthSchedule(n=n, strengths=(x,) * (n - 1), overlap=Overlap(c))
+        got = evaluate_strategy(schedule).per_position
+        q = c * c - c * x
+        alive = [1 - c * x * (1 - q**k) / (1 + c * x - c * c) for k in range(n)]
+        want = [a * (1 - c / x) for a in alive[:-1]] + [alive[-1]]
+        assert got == pytest.approx(want, abs=1e-14)
 
     def test_zero_overlap_detects_everywhere(self):
         schedule = StrengthSchedule(n=6, strengths=(1.0,) * 5, overlap=Overlap(0.0))
