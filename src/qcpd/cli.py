@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import QcpdError, SingularityError
 from .core import Overlap, StrengthSchedule, evaluate_strategy
-from .global_bound import optimal_global
+from .global_bound import _optimal_global, critical_overlap
 from .kernels import active_backend
 from .montecarlo import run_experiment
 from .online_opt import (
@@ -44,6 +45,9 @@ CSV_HEADER = "c,p_global,p_online,p_fl,p_sl"
 
 #: largest overlap grid ``curve`` evaluates; finer grids are rejected up front
 MAX_CURVE_ROWS = 100_000
+
+#: largest ``(n-1) * trials`` ``simulate`` runs (some 15 ns a step); more is rejected
+MAX_TRIAL_STEPS = 10**10
 
 
 def _fmt(value: float) -> str:
@@ -110,14 +114,16 @@ def parse_curve_csv(text: str, n: int = 0, mode: str = "exact") -> CurveTable:
     return CurveTable(n=n, mode=mode, rows=tuple(rows))
 
 
-def _exact_row(n: int, c: float) -> tuple[float, float, float, float, float]:
+def _exact_row(
+    n: int, c: float, threshold: float | None
+) -> tuple[float, float, float, float, float]:
     if c == 0.0:
         # Zero overlap makes every unambiguous measurement perfectly
         # conclusive, so each strategy succeeds with certainty (the
         # saturated family's 1/c prescription is vacuous here).
         return (0.0, 1.0, 1.0, 1.0, 1.0)
     try:
-        p_global = optimal_global(n, c)[1]
+        p_global = _optimal_global(n, c, threshold)[1]
     except SingularityError:
         # Only at c=1 with even n; identical states admit no conclusive
         # outcome, so the bound degenerates to zero.
@@ -147,6 +153,9 @@ def build_curve(
     include_endpoint: bool = False,
 ) -> CurveTable:
     """Evaluate the success columns on the overlap grid."""
+    for flag, value in (("--c-min", c_min), ("--c-max", c_max), ("--step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if step <= 0.0:
         raise ValueError("--step must be positive")
     if c_min >= c_max:
@@ -156,6 +165,7 @@ def build_curve(
     span = (c_max - c_min) / step + 1e-9
     if span >= MAX_CURVE_ROWS:
         raise ValueError(f"{span + 1:.4g} grid rows exceed the cap of {MAX_CURVE_ROWS}")
+    threshold = None if asymptotic or n < 4 else critical_overlap(n)
     rows = []
     for i in range(int(span) + 1):
         c = round(c_min + i * step, 12)
@@ -165,7 +175,7 @@ def build_curve(
             if not include_endpoint:
                 continue
             c = 1.0
-        rows.append(_asymptotic_row(c) if asymptotic else _exact_row(n, c))
+        rows.append(_asymptotic_row(c) if asymptotic else _exact_row(n, c, threshold))
     return CurveTable(
         n=n, mode="asymptotic" if asymptotic else "exact", rows=tuple(rows)
     )
@@ -300,6 +310,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     schedule = _select_strategy(args)
+    steps = (schedule.n - 1) * args.trials
+    if steps > MAX_TRIAL_STEPS:
+        raise ValueError(f"{steps} trial steps exceed the cap of {MAX_TRIAL_STEPS}")
     report = run_experiment(schedule, args.trials, args.seed)
     profile = evaluate_strategy(schedule)
 

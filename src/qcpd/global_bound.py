@@ -214,8 +214,7 @@ def critical_overlap(n: int, tol: float = 1e-12) -> float | None:
     # scan strictly inside (0, 1): even n have f(1) == 0 exactly, which is
     # not an interior root (n=4 touches zero only at the endpoint)
     grid = np.linspace(0.0, 1.0, 4097)[1:-1]
-    vals = np.array([f(g) for g in grid])
-    signs = np.sign(vals)
+    signs = np.sign(1.0 - grid - grid * grid - (-grid) ** (n - 1))
     crossings = np.nonzero(signs[:-1] * signs[1:] <= 0)[0]
     if len(crossings) == 0:
         return None
@@ -233,8 +232,13 @@ def optimal_global(n: int, c: Overlap | float) -> tuple[EfficiencyVector, float]
     plain form is used throughout.
     """
     n = _check_n(n)
-    cv = _overlap(c)
-    threshold = critical_overlap(n) if n >= 4 else None
+    return _optimal_global(n, _overlap(c), critical_overlap(n) if n >= 4 else None)
+
+
+def _optimal_global(
+    n: int, cv: float, threshold: float | None
+) -> tuple[EfficiencyVector, float]:
+    """:func:`optimal_global` given ``critical_overlap(n)``, found once per sweep."""
     if threshold is None or cv <= threshold:
         return global_efficiencies(n, cv), global_success(n, cv)
     return primed_efficiencies(n, cv), primed_success(n, cv)

@@ -12,11 +12,11 @@ Constructions:
   exceeds ``1/c``.  Its profile reproduces the collective optimum exactly.
 * :func:`recursive_strengths` — the same schedule obtained by forward
   substitution from the target efficiencies (independent derivation path).
-* :func:`optimize_strengths` — a single backward pass over subproblem
-  lengths, maximizing one strength at a time.  The one-variable restriction
-  of the success probability is exactly ``alpha + beta*x + delta/x``, so
-  each maximization is analytic (``x* = sqrt(delta/beta)``) followed by
-  clipping to ``[c, 1/c]``.  Works for every overlap.
+* :func:`optimize_strengths` — an exact O(n) backward pass.  The profile
+  entries from a position on sum to ``A + B*pi``, affine in the
+  inconclusive probability ``pi`` entering it, so a head strength enters
+  its subproblem's success as ``beta*x + delta/x``: maximized analytically
+  (``x* = sqrt(delta/beta)``) and clipped to ``[c, 1/c]``.  Any overlap.
 * :func:`fl_solution` / :func:`sl_solution` — the two simple benchmark
   families: constant strength ``1+c`` (asymptotically optimal below the
   critical overlap) and fully saturated strength ``1/c``.
@@ -103,8 +103,8 @@ class OnlineSolution:
 @dataclass(frozen=True, slots=True)
 class RationalCoefficients:
     """Coefficients of the one-strength restriction of the success
-    probability, ``P(x) = alpha + beta*x + delta/x``, plus the residual of
-    the fit at a fourth sample point (certifying the functional form)."""
+    probability, ``P(x) = alpha + beta*x + delta/x``, plus their residual
+    against a direct evaluation at a fourth point (certifying the form)."""
 
     alpha: float
     beta: float
@@ -217,32 +217,12 @@ def recursive_strengths(n: int, c: Overlap | float) -> OnlineSolution:
 # one-variable rational restriction and the backward optimizer
 # ---------------------------------------------------------------------------
 
-def _mean_success(cv: float, xs: np.ndarray) -> float:
-    return float(np.mean(kernels.detection_profile(cv, xs)))
-
-
-def _fit_rational(
-    cv: float, xs: np.ndarray, position: int, probes, check_at: float
-) -> RationalCoefficients:
-    """Fit ``alpha + beta*x + delta/x`` through three evaluations of the
-    mean success with ``xs[position-1]`` swept over ``probes``; the fourth
-    point ``check_at`` certifies the form."""
-    p1, p2, p3 = probes
-    if len({p1, p2, p3, check_at}) != 4:
-        raise ValueError(f"degenerate sample points {probes} / {check_at}")
-    work = xs.copy()
-    rows = np.empty((3, 3))
-    vals = np.empty(3)
-    for i, p in enumerate((p1, p2, p3)):
-        work[position - 1] = p
-        rows[i] = (1.0, p, 1.0 / p)
-        vals[i] = _mean_success(cv, work)
-    alpha, beta, delta = np.linalg.solve(rows, vals)
-    work[position - 1] = check_at
-    residual = abs(alpha + beta * check_at + delta / check_at - _mean_success(cv, work))
-    return RationalCoefficients(
-        alpha=float(alpha), beta=float(beta), delta=float(delta), residual=float(residual)
-    )
+def _push_head(cv: float, y: float, a: float, b: float) -> tuple[float, float]:
+    """Prepend strength ``y`` to a tail whose entries sum to ``a + b*pi``:
+    the head adds ``(1-pi)*w`` with ``w = 1 - c/y`` and hands the tail the
+    inconclusive probability ``c*y + pi*(c^2 - c*y)``."""
+    w = 1.0 - cv / y
+    return w + a + b * cv * y, -w + b * (cv * cv - cv * y)
 
 
 def coordinate_objective(
@@ -250,10 +230,11 @@ def coordinate_objective(
 ) -> RationalCoefficients:
     """Restriction of the success probability to one free strength.
 
-    The strength at ``position`` enters its own profile entry through a
-    single ``1/x`` factor and every later entry affinely, so the restricted
-    objective is exactly ``alpha + beta*x + delta/x``.  Sample points are
-    spread over the admissible interval; the fit is certified at a fourth.
+    A forward pass gives the inconclusive probability ``pi`` entering
+    ``position`` and the entries before it, a backward pass the tail sum
+    ``A + B*pi'`` behind it, with ``pi' = (1-pi)*c*x + pi*c^2``; so the
+    objective is exactly ``alpha + beta*x + delta/x``.  The residual is its
+    gap to one direct profile evaluation at a fourth strength.
     """
     n = _check_n(n)
     cv = _overlap(c)
@@ -261,24 +242,24 @@ def coordinate_objective(
         raise ValueError("schedule does not match the given n and overlap")
     if not 1 <= position <= n - 1:
         raise ValueError(f"position must be in 1..{n - 1}, got {position}")
-    if cv == 0.0:
-        probes, fourth = (0.5, 1.0, 2.0), 1.5
-    elif cv == 1.0:
-        raise ValueError(
-            "degenerate sample points: the admissible interval [c, 1/c] "
-            "collapses to a point at overlap 1"
-        )
-    else:
-        probes, fourth = (cv, 1.0, 1.0 / cv), 0.5 * (1.0 + 1.0 / cv)
-    return _fit_rational(cv, schedule.as_array(), position, probes, fourth)
-
-
-# fixed well-conditioned probe points for the optimizer's internal fits;
-# the restriction is a rational function, so evaluating it outside the
-# admissible interval is sound algebra even though the probe schedule is
-# not physical
-_OPT_PROBES = (0.5, 1.0, 2.0)
-_OPT_CHECK = 1.5
+    xs = schedule.strengths
+    head, pi = 0.0, 0.0
+    for x in xs[: position - 1]:
+        head += (1.0 - pi) * (1.0 - cv / x)
+        pi = (1.0 - pi) * (cv * x) + pi * (cv * cv)
+    a, b = 1.0, -1.0
+    for y in reversed(xs[position:]):
+        a, b = _push_head(cv, y, a, b)
+    alive = 1.0 - pi
+    alpha = (head + alive + a + b * cv * cv * pi) / n
+    beta = b * cv * alive / n
+    delta = -cv * alive / n
+    fourth = 1.5 if cv == 0.0 else 0.5 * (1.0 + 1.0 / cv)
+    probe = np.array(xs)
+    probe[position - 1] = fourth
+    direct = float(np.mean(kernels.detection_profile(cv, probe)))
+    residual = abs(alpha + beta * fourth + delta / fourth - direct)
+    return RationalCoefficients(alpha=alpha, beta=beta, delta=delta, residual=residual)
 
 
 def _argmax_rational(beta: float, delta: float, lo: float, hi: float) -> float:
@@ -295,14 +276,15 @@ def _argmax_rational(beta: float, delta: float, lo: float, hi: float) -> float:
 
 
 def optimize_strengths(n: int, c: Overlap | float) -> OnlineSolution:
-    """Backward coordinate pass valid for every overlap.
+    """Exact backward pass valid for every overlap, in O(n).
 
-    The optimal schedule has the shift property ``x_n(j) = x_{n-j+1}(1)``:
-    the strength ``j`` positions from the end solves the length-``n-j+1``
-    subproblem's first position.  The pass therefore grows subproblems from
-    length 2 to ``n``, each time maximizing the first strength analytically
-    with the already-fixed tail behind it and clipping to ``[c, 1/c]``.
-    Each strength is fixed once; no iteration.
+    Walking from position ``n-1`` down to 1 with the tail sum ``A + B*pi``
+    (from ``(1, -1)`` at the unmeasured last particle), the head strength
+    ``y`` of the length-``m`` subproblem enters its mean success as
+    ``beta*y + delta/y`` with ``beta = c*B/m`` and ``delta = -c/m``; it is
+    maximized analytically, clipped to ``[c, 1/c]`` and pushed onto the
+    tail.  Each strength is fixed once, which gives the shift property
+    ``x_n(j) = x_{n-j+1}(1)``.
 
     At overlap 1 the admissible interval collapses to {1}: the schedule is
     all-balanced and the success probability is 0 (identical states carry
@@ -313,12 +295,13 @@ def optimize_strengths(n: int, c: Overlap | float) -> OnlineSolution:
     if cv == 0.0 or cv == 1.0:
         return _solution(n, cv, np.ones(n - 1), Method.NUMERIC_BACKWARD)
     lo, hi = cv, 1.0 / cv
-    tail: list[float] = []
+    xs = np.empty(n - 1)
+    a, b = 1.0, -1.0
     for m in range(2, n + 1):
-        work = np.array([1.0] + tail, dtype=np.float64)
-        fit = _fit_rational(cv, work, 1, _OPT_PROBES, _OPT_CHECK)
-        tail.insert(0, _argmax_rational(fit.beta, fit.delta, lo, hi))
-    return _solution(n, cv, tail, Method.NUMERIC_BACKWARD)
+        y = _argmax_rational(cv * b / m, -cv / m, lo, hi)
+        xs[n - m] = y
+        a, b = _push_head(cv, y, a, b)
+    return _solution(n, cv, xs, Method.NUMERIC_BACKWARD)
 
 
 def total_saturation_point() -> float:

@@ -9,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from qcpd.cli import CSV_HEADER, MAX_CURVE_ROWS, build_curve, parse_curve_csv
+from qcpd.cli import (
+    CSV_HEADER,
+    MAX_CURVE_ROWS,
+    MAX_TRIAL_STEPS,
+    build_curve,
+    parse_curve_csv,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -90,6 +96,13 @@ class TestCurve:
     def test_bad_grid_is_a_usage_error(self, flags):
         result = run_cli("curve", *flags)
         assert result.returncode == 1
+
+    @pytest.mark.parametrize("flag", ["--c-min", "--c-max", "--step"])
+    def test_nan_grid_bound_names_the_flag(self, flag):
+        result = run_cli("curve", flag, "nan")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert f"{flag} must be finite" in result.stderr
 
     def test_oversized_grid_is_rejected_at_once(self):
         # 1e12 rows would never finish; the cap applies before any row
@@ -227,6 +240,16 @@ class TestSimulate:
         )
         assert result.returncode == 1
         assert "position 2" in result.stderr
+
+    def test_oversized_run_is_rejected_at_once(self):
+        # about 1e11 trial steps would run for hours; the cap applies first
+        result = run_cli(
+            "simulate", "--n", "100000", "--c", "0.4", "--trials", "1000000",
+            "--seed", "1", timeout=30,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert str(MAX_TRIAL_STEPS) in result.stderr
 
     def test_usage_errors(self):
         # missing required seed

@@ -19,6 +19,7 @@ from qcpd import (
     primed_success,
     validate_unambiguous,
 )
+from qcpd.numutil import bisect_root
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -113,6 +114,21 @@ class TestCriticalOverlap:
             else:
                 assert interior
                 assert got == pytest.approx(interior[0], abs=1e-9)
+
+    def test_vectorised_scan_matches_the_scalar_scan(self):
+        grid = np.linspace(0.0, 1.0, 4097)[1:-1]
+        for n in range(4, 401):
+
+            def f(cv, n=n):
+                return 1.0 - cv - cv * cv - (-cv) ** (n - 1)
+
+            signs = np.sign([f(float(g)) for g in grid])
+            crossings = np.nonzero(signs[:-1] * signs[1:] <= 0)[0]
+            want = None
+            if len(crossings):
+                i = int(crossings[0])
+                want = bisect_root(f, float(grid[i]), float(grid[i + 1]), tol=1e-12)
+            assert critical_overlap(n) == want
 
     def test_converges_to_the_golden_ratio(self):
         for n in (30, 31, 40, 61, 101):

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
+from scipy.optimize import minimize
 
 from qcpd import (
     Method,
     OutOfValidityError,
+    SingularityError,
     StrengthSchedule,
     Overlap,
     best_online,
@@ -20,6 +23,7 @@ from qcpd import (
     global_efficiencies,
     global_success,
     InvalidMeasurementError,
+    optimal_global,
     optimize_strengths,
     recursive_strengths,
     sl_solution,
@@ -27,6 +31,7 @@ from qcpd import (
     sl_worst_case_gap,
     total_saturation_point,
 )
+from qcpd.kernels import detection_profile
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 C_GRID = [0.05, 0.15, 0.25, 0.35, 0.45, 0.5]
@@ -123,6 +128,22 @@ class TestCoordinateObjective:
                 ).average
                 assert fit(x) == pytest.approx(success, abs=1e-11)
 
+    def test_long_schedule_matches_direct_evaluation(self):
+        rng = np.random.default_rng(23)
+        n, c = 500, 0.6
+        xs = rng.uniform(c, 1.0 / c, size=n - 1)
+        for position in (1, 2, 250, n - 1):
+            schedule = StrengthSchedule(n=n, strengths=tuple(xs), overlap=Overlap(c))
+            objective = coordinate_objective(n, c, schedule, position)
+            assert objective.residual <= 1e-12
+            for x in rng.uniform(c, 1.0 / c, size=4):
+                moved = xs.copy()
+                moved[position - 1] = x
+                success = evaluate_strategy(
+                    StrengthSchedule(n=n, strengths=tuple(moved), overlap=Overlap(c))
+                ).average
+                assert abs(objective(x) - success) <= 1e-12
+
     def test_mismatched_schedule_is_rejected(self):
         schedule = StrengthSchedule(n=3, strengths=(1.0, 1.0), overlap=Overlap(0.2))
         with pytest.raises(ValueError):
@@ -157,9 +178,16 @@ class TestOptimizer:
             b = optimize_strengths(n, c).schedule.as_array()
             assert np.max(np.abs(a - b)) <= 1e-9
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 31, 1000, 5000])
+    def test_matches_closed_form_to_the_last_bits(self, n):
+        for c in (1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.49, 0.5):
+            a = closed_form_strengths(n, c).schedule.as_array()
+            b = optimize_strengths(n, c).schedule.as_array()
+            assert np.max(np.abs(a - b)) <= 1e-15
+
     def test_first_strength_maximizes_its_coordinate(self):
         # cross-check the analytic one-dimensional maximizer against golden
-        # section search on the fitted objective
+        # section search on the exact one-strength objective
         for n, c in [(6, 0.55), (9, 0.62), (5, 0.8)]:
             solution = optimize_strengths(n, c)
             schedule = solution.schedule
@@ -311,3 +339,35 @@ class TestBestOnline:
             sl = sl_solution(n, c).success
             assert sl <= fl + 1e-9
             assert fl <= online + 1e-9
+
+
+def _negative_success(xs, c):
+    return -float(np.mean(detection_profile(c, xs)))
+
+
+class TestOptimalityCertificate:
+    """Above c = 1/2 no closed form exists; these checks certify the
+    backward pass by routes that share none of its algebra."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 10])
+    def test_multi_start_search_finds_nothing_better(self, n):
+        rng = np.random.default_rng(n)
+        for c in np.linspace(0.5, 0.95, 10):
+            c = float(c)
+            best = optimize_strengths(n, c).success
+            bounds = [(c, 1.0 / c)] * (n - 1)
+            for _ in range(30):
+                start = rng.uniform(c, 1.0 / c, size=n - 1)
+                found = minimize(
+                    _negative_success, start, args=(c,), method="L-BFGS-B", bounds=bounds
+                )
+                assert -found.fun <= best + 1e-12
+
+    @settings(deadline=None, max_examples=300)
+    @given(n=st.integers(2, 300), c=st.floats(0.0, 0.999, allow_nan=False))
+    def test_online_never_beats_the_collective_bound(self, n, c):
+        try:
+            bound = optimal_global(n, c)[1]
+        except SingularityError:
+            reject()
+        assert best_online(n, c).success <= bound + 1e-12
