@@ -264,8 +264,9 @@ def coordinate_objective(
 
 def _argmax_rational(beta: float, delta: float, lo: float, hi: float) -> float:
     """Maximize ``beta*x + delta/x`` over ``[lo, hi]``."""
-    if abs(beta) < 1e-15 and abs(delta) < 1e-15:
-        # flat objective (zero overlap): any strength works, prefer balanced
+    if beta == 0.0 and delta == 0.0:
+        # flat objective (zero overlap): any strength works, prefer balanced;
+        # only exact zeros count, since at tiny c every coefficient is tiny
         return min(max(1.0, lo), hi)
     if beta < 0.0 and delta < 0.0:
         return min(max(math.sqrt(delta / beta), lo), hi)

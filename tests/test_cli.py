@@ -201,6 +201,29 @@ class TestVerify:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize(
+        "golden, args",
+        [
+            ("simulate_online_n31.json", ("--c", "0.4")),
+            ("simulate_fl_n31.json", ("--strategy", "fl", "--c", "0.6")),
+            ("simulate_sl_n31.json", ("--strategy", "sl", "--c", "0.7")),
+        ],
+    )
+    def test_golden_report(self, golden, args):
+        result = run_cli(
+            "simulate", "--n", "31", *args, "--trials", "200000", "--seed", "3"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (GOLDEN_DIR / golden).read_text()
+
+    def test_golden_report_across_chunks(self):
+        # 70001 trials span several kernel chunks; n = 200 walks long chains
+        result = run_cli(
+            "simulate", "--n", "200", "--c", "0.3", "--trials", "70001", "--seed", "5"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (GOLDEN_DIR / "simulate_online_n200.json").read_text()
+
     def test_reports_are_byte_identical(self):
         args = (
             "simulate", "--n", "6", "--c", "0.4", "--strategy", "online",

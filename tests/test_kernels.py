@@ -1,11 +1,13 @@
 """Kernel checks: the splitmix64 mixers, detection-profile values, and
 bit-exact agreement of the Monte Carlo kernel with the scalar
-``simulate_trial`` walk, including across chunk boundaries."""
+``simulate_trial`` walk, including across chunk boundaries, for any chunk
+size, and at the edges of the admissible strengths."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcpd import Overlap, StrengthSchedule, active_backend, kernels, simulate_trial
 
@@ -17,6 +19,33 @@ def _random_case(rng, n_max=40):
     hi = min(1.0 / c, 3.0) if c > 0 else 3.0
     xs = rng.uniform(lo, hi, size=n - 1)
     return c, xs
+
+
+def _pooled_verdicts(schedule, seed, lo, hi):
+    """Detections per position and wrong verdicts of the scalar walk over
+    trial indices ``lo..hi-1``."""
+    pooled = np.zeros(schedule.n, dtype=np.int64)
+    wrong = 0
+    for t in range(lo, hi):
+        result = simulate_trial(schedule, seed, trial_index=t)
+        if result.detected_position is not None:
+            pooled[result.detected_position - 1] += 1
+            wrong += result.detected_position != result.true_change_point
+    return pooled, wrong
+
+
+@st.composite
+def _edge_schedules(draw):
+    """Schedules whose strengths are often exactly c or 1/c, where
+    ``1 - c*x`` is 1 - c**2 or rounds to 0 or a tiny negative value."""
+    n = draw(st.integers(2, 12))
+    c = draw(st.floats(0.0, 0.99, allow_subnormal=False))
+    if c == 0.0:
+        strength = st.floats(0.05, 3.0)
+    else:
+        strength = st.one_of(st.just(c), st.just(1.0 / c), st.floats(c, 1.0 / c))
+    xs = tuple(draw(strength) for _ in range(n - 1))
+    return StrengthSchedule(n=n, strengths=xs, overlap=Overlap(c))
 
 
 class TestMixer:
@@ -45,12 +74,13 @@ class TestProfileBackends:
 
 class TestSimulationBackends:
     @pytest.mark.parametrize(
-        "boundary", [1, kernels._CHUNK - 1, kernels._CHUNK, kernels._CHUNK + 1]
+        "boundary",
+        [1] + [m * kernels._CHUNK + d for m in (1, 2) for d in (-1, 0, 1)],
     )
     def test_chunk_boundary_matches_scalar_walk(self, boundary):
-        # the trials in [T - w, T + w) straddle a chunk edge in the kernel;
-        # their counts, as the difference of two runs, must equal the
-        # scalar walk's verdicts pooled over the same trial indices
+        # the trials in [T - w, T + w) straddle the first or second chunk
+        # edge in the kernel; their counts, as the difference of two runs,
+        # must equal the scalar walk's verdicts pooled over the same trials
         w = 64
         lo, hi = max(boundary - w, 0), boundary + w
         rng = np.random.default_rng(boundary)
@@ -62,19 +92,56 @@ class TestSimulationBackends:
         schedule = StrengthSchedule(
             n=len(xs) + 1, strengths=tuple(xs), overlap=Overlap(c)
         )
-        pooled = np.zeros(schedule.n, dtype=np.int64)
-        for t in range(lo, hi):
-            result = simulate_trial(schedule, seed, trial_index=t)
-            if result.detected_position is not None:
-                assert result.detected_position == result.true_change_point
-                pooled[result.detected_position - 1] += 1
+        pooled, wrong = _pooled_verdicts(schedule, seed, lo, hi)
+        assert wrong == 0
         assert np.array_equal(hi_counts - lo_counts, pooled)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        schedule=_edge_schedules(),
+        trials=st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_scalar_walk(self, schedule, trials, seed):
+        counts, wrong = kernels.simulate_counts(
+            schedule.overlap.c, schedule.as_array(), trials, seed
+        )
+        pooled, pooled_wrong = _pooled_verdicts(schedule, seed, 0, trials)
+        assert np.array_equal(counts, pooled)
+        assert wrong == pooled_wrong == 0
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_counts_do_not_depend_on_chunk_size(self, chunk, monkeypatch):
+        rng = np.random.default_rng(chunk)
+        c, xs = _random_case(rng, n_max=12)
+        expected, expected_wrong = kernels.simulate_counts(c, xs, 3000, seed=11)
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+        counts, wrong = kernels.simulate_counts(c, xs, 3000, seed=11)
+        assert np.array_equal(counts, expected)
+        assert wrong == expected_wrong
 
     def test_seed_changes_counts(self):
         xs = np.array([1.2, 1.1, 1.3])
         a, _ = kernels.simulate_counts(0.4, xs, 20_000, seed=1)
         b, _ = kernels.simulate_counts(0.4, xs, 20_000, seed=2)
         assert not np.array_equal(a, b)
+
+
+class TestIntegerThreshold:
+    def test_matches_the_float_comparison(self):
+        # u = m * 2**-53 for the 53-bit integer m; "u < t" must be "m < thr"
+        # for every m near the threshold, where an off-by-one would show.
+        # The kernel's t = 1 - c*x are multiples of 2**-53, where ceil and
+        # floor agree; cubed uniforms are not, so they tell the two apart.
+        rng = np.random.default_rng(21)
+        edges = [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0, -2.0**-53]
+        c = rng.uniform(0.0, 0.99, 300)
+        x = rng.uniform(c, 1.0 / c)
+        ts = np.concatenate([edges, rng.random(300) ** 3, 1.0 - c * x, 1.0 - c * c])
+        for t, thr in zip(ts.tolist(), kernels._int_threshold(ts).tolist()):
+            assert 0 <= thr <= 2**53
+            for m in range(max(thr - 2, 0), min(thr + 2, 2**53 - 1) + 1):
+                assert (m * 2.0**-53 < t) == (m < thr), (t, m, thr)
 
 
 def test_active_backend_is_numpy():
