@@ -122,6 +122,19 @@ class TestCurve:
 
 
 class TestStrengths:
+    @pytest.mark.parametrize(
+        "golden, args",
+        [
+            ("strengths_numeric_n50.json",
+             ("--n", "50", "--c", "0.6", "--method", "numeric", "--format", "json")),
+            ("strengths_closed_n10.txt", ("--n", "10", "--c", "0.3")),
+        ],
+    )
+    def test_golden_schedule(self, golden, args):
+        result = run_cli("strengths", *args)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (GOLDEN_DIR / golden).read_text()
+
     def test_four_positions_closed_form(self):
         result = run_cli("strengths", "--n", "4", "--c", "0.3", "--method", "closed")
         assert result.returncode == 0
