@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import QcpdError, SingularityError
-from .core import Overlap, StrengthSchedule, evaluate_strategy
+from .core import Overlap, StrengthSchedule, _check_n, evaluate_strategy
 from .global_bound import _optimal_global, critical_overlap
 from .kernels import active_backend
 from .montecarlo import run_experiment
@@ -46,7 +46,8 @@ CSV_HEADER = "c,p_global,p_online,p_fl,p_sl"
 #: largest overlap grid ``curve`` evaluates; finer grids are rejected up front
 MAX_CURVE_ROWS = 100_000
 
-#: largest ``(n-1) * trials`` ``simulate`` runs (some 15 ns a step); more is rejected
+#: largest ``(n-1) * trials`` ``simulate`` runs (about 4.4 ns per nominal step on
+#: a 2-core host, so some 45 s at the cap); more is rejected
 MAX_TRIAL_STEPS = 10**10
 
 
@@ -153,6 +154,7 @@ def build_curve(
     include_endpoint: bool = False,
 ) -> CurveTable:
     """Evaluate the success columns on the overlap grid."""
+    _check_n(n)
     for flag, value in (("--c-min", c_min), ("--c-max", c_max), ("--step", step)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
@@ -227,7 +229,7 @@ def _strengths_text(solution: OnlineSolution) -> str:
         f"method={solution.method.value} success={_fmt(solution.success)}",
         "  j  strength          saturated",
     ]
-    for j, x in enumerate(schedule.strengths, start=1):
+    for j, x in enumerate(schedule.strengths.tolist(), start=1):
         flag = "yes" if j in solution.saturated_positions else "no"
         lines.append(f"{j:>3}  {_fmt(x):<16}  {flag}")
     return "\n".join(lines) + "\n"
@@ -246,7 +248,7 @@ def cmd_strengths(args: argparse.Namespace) -> int:
             "c": schedule.overlap.c,
             "method": solution.method.value,
             "success": solution.success,
-            "strengths": list(schedule.strengths),
+            "strengths": schedule.strengths.tolist(),
             "saturated_positions": sorted(solution.saturated_positions),
         }
         _write(_dump_json(payload), args.out)
@@ -287,9 +289,7 @@ def _load_custom_schedule(path: str, n: int | None, c: float) -> StrengthSchedul
             f"--n {n} disagrees with the {len(values)} strengths in {path!r}"
             f" (which imply n={len(values) + 1})"
         )
-    return StrengthSchedule(
-        n=len(values) + 1, strengths=tuple(values), overlap=Overlap(c)
-    )
+    return StrengthSchedule(n=len(values) + 1, strengths=values, overlap=Overlap(c))
 
 
 def _select_strategy(args: argparse.Namespace) -> StrengthSchedule:
@@ -323,8 +323,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return (empirical - exact) / variance ** 0.5
 
     per_position = []
-    for k in range(1, schedule.n + 1):
-        exact = profile.per_position[k - 1] / schedule.n
+    for k, p in enumerate(profile.per_position.tolist(), start=1):
+        exact = p / schedule.n
         empirical = report.detections_per_position[k - 1] / report.trials
         per_position.append(
             {
@@ -338,7 +338,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     payload = {
         "strategy": args.strategy,
         "backend": active_backend(),
-        "strengths": list(schedule.strengths),
+        "strengths": schedule.strengths.tolist(),
         "report": report.to_dict(),
         "exact_success": profile.average,
         "z_success": z_score(report.empirical_success, profile.average, report.trials),

@@ -45,24 +45,31 @@ REL_SLACK = 1e-12
 ENUMERATION_CAP = 12
 
 
-def check_strength(c: float, x: float, position: int | None = None) -> None:
+def check_strength(c: float, x) -> None:
     """Raise :class:`InvalidMeasurementError` unless ``c <= x <= 1/c``
-    (``x > 0`` when ``c == 0``), with relative round-off slack."""
-    where = f"strength at position {position}" if position is not None else "strength"
-    if not math.isfinite(x):
-        raise InvalidMeasurementError(f"{where} = {x!r} is not finite")
+    (``x > 0`` when ``c == 0``), with relative round-off slack.
+
+    ``x`` is a scalar or a 1-D array of strengths; for an array the error
+    names the first offending 1-based position.
+    """
+    xs = np.asarray(x, dtype=np.float64)
     if c == 0.0:
-        if x <= 0.0:
-            raise InvalidMeasurementError(
-                f"{where} = {x!r} must be positive when the overlap is 0"
-            )
+        ok = np.isfinite(xs) & (xs > 0.0)
+    else:
+        # NaN and inf fail one of the two comparisons
+        ok = (xs >= c * (1.0 - REL_SLACK)) & (xs <= (1.0 / c) * (1.0 + REL_SLACK))
+    if ok.all():
         return
-    lo = c * (1.0 - REL_SLACK)
-    hi = (1.0 / c) * (1.0 + REL_SLACK)
-    if x < lo or x > hi:
-        raise InvalidMeasurementError(
-            f"{where} = {x!r} outside the admissible interval [{c!r}, {1.0 / c!r}]"
-        )
+    i = int(np.argmin(ok))
+    value = xs.flat[i].item()
+    where = f"strength at position {i + 1}" if xs.ndim else "strength"
+    if not math.isfinite(value):
+        problem = "is not finite"
+    elif c == 0.0:
+        problem = "must be positive when the overlap is 0"
+    else:
+        problem = f"outside the admissible interval [{c!r}, {1.0 / c!r}]"
+    raise InvalidMeasurementError(f"{where} = {value!r} {problem}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,62 +96,62 @@ def _check_n(n: int, minimum: int = 2) -> int:
     return n
 
 
-@dataclass(frozen=True, slots=True)
+def _frozen_vector(values) -> np.ndarray:
+    """A read-only 1-D float64 copy of ``values``."""
+    vec = np.array(values, dtype=np.float64)
+    if vec.ndim != 1:
+        raise ValueError(f"expected a 1-D vector, got {vec.ndim} dimensions")
+    vec.setflags(write=False)
+    return vec
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class StrengthSchedule:
     """Strengths used at positions 1..n-1 after conclusive-default runs.
 
     The strength-``c``-after-inconclusive behaviour is a rule of the model,
     not part of the stored schedule.  The last particle is never measured,
-    hence ``n - 1`` entries for a stream of length ``n``.
+    hence ``n - 1`` entries for a stream of length ``n``.  ``strengths`` is
+    a read-only float64 copy of the given values.
     """
 
     n: int
-    strengths: tuple[float, ...]
+    strengths: np.ndarray
     overlap: Overlap
 
     def __post_init__(self):
-        object.__setattr__(self, "strengths", tuple(float(x) for x in self.strengths))
+        object.__setattr__(self, "strengths", _frozen_vector(self.strengths))
         _check_n(self.n)
         if len(self.strengths) != self.n - 1:
             raise ValueError(
                 f"expected {self.n - 1} strengths for n={self.n}, got {len(self.strengths)}"
             )
-        c = self.overlap.c
-        for j, x in enumerate(self.strengths, start=1):
-            check_strength(c, x, position=j)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.strengths, dtype=np.float64)
+        check_strength(self.overlap.c, self.strengths)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class DetectionProfile:
-    """Per-hypothesis success probabilities of a strategy and their mean
-    (the overall success probability under the uniform prior)."""
+    """Per-hypothesis success probabilities of a strategy, as a read-only
+    float64 array; their mean is the overall success probability under the
+    uniform prior."""
 
-    n: int
-    per_position: tuple[float, ...]
-    average: float
+    per_position: np.ndarray
 
     def __post_init__(self):
-        if len(self.per_position) != self.n:
-            raise ValueError(
-                f"expected {self.n} entries, got {len(self.per_position)}"
-            )
-        for k, p in enumerate(self.per_position, start=1):
-            if not math.isfinite(p) or p < -EPSILON or p > 1.0 + EPSILON:
-                raise ValueError(f"entry {k} = {p!r} is not a probability")
-        if abs(self.average - _mean(self.per_position)) > EPSILON:
-            raise ValueError("average does not match the mean of per_position")
+        p = _frozen_vector(self.per_position)
+        bad = ~(np.isfinite(p) & (p >= -EPSILON) & (p <= 1.0 + EPSILON))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"entry {k + 1} = {p[k].item()!r} is not a probability")
+        object.__setattr__(self, "per_position", p)
 
-    @classmethod
-    def from_values(cls, values) -> "DetectionProfile":
-        vals = tuple(float(v) for v in values)
-        return cls(n=len(vals), per_position=vals, average=_mean(vals))
+    @property
+    def n(self) -> int:
+        return len(self.per_position)
 
-
-def _mean(values) -> float:
-    return float(np.mean(np.asarray(values, dtype=np.float64)))
+    @property
+    def average(self) -> float:
+        return float(np.mean(self.per_position))
 
 
 def evaluate_strategy(schedule: StrengthSchedule) -> DetectionProfile:
@@ -155,8 +162,8 @@ def evaluate_strategy(schedule: StrengthSchedule) -> DetectionProfile:
     conclusive-default/conclusive-change pair at ``k-1, k``, or — for
     ``k = n`` — a conclusive-default outcome at position ``n-1``.
     """
-    values = kernels.detection_profile(schedule.overlap.c, schedule.as_array())
-    return DetectionProfile.from_values(values)
+    c = schedule.overlap.c
+    return DetectionProfile(kernels.detection_profile(c, schedule.strengths))
 
 
 def enumerate_strategy(
@@ -174,7 +181,7 @@ def enumerate_strategy(
             f"enumeration is exponential; n={schedule.n} exceeds the cap of {cap}"
         )
     c = schedule.overlap.c
-    xs = schedule.strengths
+    xs = schedule.strengths.tolist()
     n = schedule.n
     values = []
     for k in range(1, n + 1):
@@ -200,4 +207,4 @@ def enumerate_strategy(
                 p *= 1.0 - c / xs[k - 1]
             total += p
         values.append(total)
-    return DetectionProfile.from_values(values)
+    return DetectionProfile(values)

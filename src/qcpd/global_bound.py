@@ -17,13 +17,12 @@ Gram matrix ``G[k][l] = c^|k-l|`` of the hypothesis states.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import Overlap, _check_n, _overlap
+from .core import Overlap, _check_n, _frozen_vector, _overlap
 from .errors import SingularityError
 from .numutil import bisect_root
 
@@ -55,27 +54,23 @@ class Regime(Enum):
     PRIMED = "primed"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class EfficiencyVector:
-    """Per-hypothesis efficiencies of a collective strategy."""
+    """Per-hypothesis efficiencies of a collective strategy, as a read-only
+    float64 array."""
 
-    n: int
-    values: tuple[float, ...]
+    values: np.ndarray
     overlap: Overlap
     regime: Regime
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.values) != self.n:
-            raise ValueError(f"expected {self.n} entries, got {len(self.values)}")
-        if not all(math.isfinite(v) for v in self.values):
+        object.__setattr__(self, "values", _frozen_vector(self.values))
+        if not np.isfinite(self.values).all():
             raise ValueError("efficiencies must be finite")
 
-    def mean(self) -> float:
-        return float(np.mean(np.asarray(self.values)))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
+    @property
+    def n(self) -> int:
+        return len(self.values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,7 +119,7 @@ def global_efficiencies_direct(n: int, c: Overlap | float) -> EfficiencyVector:
     idx = np.arange(n)
     terms = np.power(-cv, np.abs(idx[:, None] - idx[None, :]), dtype=np.float64)
     return EfficiencyVector(
-        n=n, values=tuple(terms.sum(axis=1)), overlap=Overlap(cv), regime=Regime.PLAIN
+        values=terms.sum(axis=1), overlap=Overlap(cv), regime=Regime.PLAIN
     )
 
 
@@ -138,9 +133,7 @@ def global_efficiencies(n: int, c: Overlap | float) -> EfficiencyVector:
     cv = _overlap(c)
     k = np.arange(1, n + 1)
     values = (1.0 - cv - np.power(-cv, k) - np.power(-cv, n - k + 1)) / (1.0 + cv)
-    return EfficiencyVector(
-        n=n, values=tuple(values), overlap=Overlap(cv), regime=Regime.PLAIN
-    )
+    return EfficiencyVector(values=values, overlap=Overlap(cv), regime=Regime.PLAIN)
 
 
 def global_success(n: int, c: Overlap | float) -> float:
@@ -172,7 +165,7 @@ def primed_efficiencies(n: int, c: Overlap | float) -> EfficiencyVector:
     n = _check_n(n, 4)
     cv = _overlap(c)
     den = _primed_denominator(n, cv)
-    plain = global_efficiencies(n, cv).as_array()
+    plain = global_efficiencies(n, cv).values
     gamma2 = plain[1]
     k = np.arange(1, n + 1)
     correction = (
@@ -181,10 +174,7 @@ def primed_efficiencies(n: int, c: Overlap | float) -> EfficiencyVector:
         / den
     )
     return EfficiencyVector(
-        n=n,
-        values=tuple(plain - correction),
-        overlap=Overlap(cv),
-        regime=Regime.PRIMED,
+        values=plain - correction, overlap=Overlap(cv), regime=Regime.PRIMED
     )
 
 
@@ -193,7 +183,7 @@ def primed_success(n: int, c: Overlap | float) -> float:
     n = _check_n(n, 4)
     cv = _overlap(c)
     den = _primed_denominator(n, cv)
-    gamma2 = global_efficiencies(n, cv).values[1]
+    gamma2 = float(global_efficiencies(n, cv).values[1])
     return global_success(n, cv) - (2.0 / n) * gamma2**2 / den
 
 
@@ -262,7 +252,7 @@ def validate_unambiguous(
     m = gram.entries
     if not np.array_equal(m, m.T):
         raise ValueError("Gram matrix must be symmetric")
-    values = efficiencies.as_array()
+    values = efficiencies.values
     shifted = m - np.diag(values)
     min_eig = float(np.linalg.eigvalsh(shifted)[0])
     range_ok = bool(np.all(values >= -tol) and np.all(values <= 1.0 + tol))

@@ -121,7 +121,7 @@ def simulate_trial(
     if trial_index < 0:
         raise ValueError("trial_index must be non-negative")
     c = schedule.overlap.c
-    xs = schedule.strengths
+    xs = schedule.strengths.tolist()
     n = schedule.n
     stream = mix64_int(seed_root(seed) + trial_index * _G)
 
@@ -163,7 +163,7 @@ def run_experiment(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     counts, wrong = kernels.simulate_counts(
-        schedule.overlap.c, schedule.as_array(), int(trials), int(seed)
+        schedule.overlap.c, schedule.strengths, int(trials), int(seed)
     )
     total = int(counts.sum())
     success = total / trials

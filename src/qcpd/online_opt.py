@@ -115,18 +115,16 @@ class RationalCoefficients:
         return self.alpha + self.beta * x + self.delta / x
 
 
-def _saturated(cv: float, xs) -> frozenset[int]:
+def _saturated(cv: float, xs: np.ndarray) -> frozenset[int]:
     if cv == 0.0:
         return frozenset()
     ceiling = 1.0 / cv
     slack = _SATURATION_SLACK * max(1.0, ceiling)
-    return frozenset(
-        j for j, x in enumerate(xs, start=1) if abs(x - ceiling) <= slack
-    )
+    return frozenset((np.flatnonzero(np.abs(xs - ceiling) <= slack) + 1).tolist())
 
 
 def _solution(n: int, cv: float, xs, method: Method) -> OnlineSolution:
-    schedule = StrengthSchedule(n=n, strengths=tuple(xs), overlap=Overlap(cv))
+    schedule = StrengthSchedule(n=n, strengths=xs, overlap=Overlap(cv))
     return OnlineSolution(
         schedule=schedule,
         profile=evaluate_strategy(schedule),
@@ -179,7 +177,7 @@ def recursive_strengths(n: int, c: Overlap | float) -> OnlineSolution:
         # the recursion's first step is 0/0 at zero overlap; its limit, like
         # the closed form, is the all-balanced schedule
         return _solution(n, cv, np.ones(n - 1), Method.RECURSIVE)
-    targets = global_efficiencies(n, cv).as_array()
+    targets = global_efficiencies(n, cv).values
     xs = np.empty(n - 1)
     first_den = 1.0 - targets[0]
     if first_den <= 0.0:
@@ -242,7 +240,7 @@ def coordinate_objective(
         raise ValueError("schedule does not match the given n and overlap")
     if not 1 <= position <= n - 1:
         raise ValueError(f"position must be in 1..{n - 1}, got {position}")
-    xs = schedule.strengths
+    xs = schedule.strengths.tolist()
     head, pi = 0.0, 0.0
     for x in xs[: position - 1]:
         head += (1.0 - pi) * (1.0 - cv / x)
@@ -333,7 +331,7 @@ def fl_solution(n: int, c: Overlap | float, x: float | None = None) -> OnlineSol
     n = _check_n(n)
     cv = _overlap(c)
     xv = 1.0 + cv if x is None else float(x)
-    return _solution(n, cv, (xv,) * (n - 2) + (1.0,), Method.FIXED_FL)
+    return _solution(n, cv, np.append(np.full(n - 2, xv), 1.0), Method.FIXED_FL)
 
 
 def fl_success_exact(n: int, c: Overlap | float, x: float | None = None) -> float:
@@ -386,7 +384,7 @@ def sl_solution(n: int, c: Overlap | float) -> OnlineSolution:
         raise ValueError(
             "the saturated strategy is undefined at overlap 0 (ceiling 1/c unbounded)"
         )
-    return _solution(n, cv, (1.0 / cv,) * (n - 2) + (1.0,), Method.SATURATED_SL)
+    return _solution(n, cv, np.append(np.full(n - 2, 1.0 / cv), 1.0), Method.SATURATED_SL)
 
 
 def sl_success_asymptotic(c: Overlap | float) -> float:

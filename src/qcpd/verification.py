@@ -86,11 +86,9 @@ def oracle_equivalence(
             lo = c if c > 0.0 else 0.05
             hi = min(1.0 / c, 3.0) if c > 0.0 else 3.0
             xs = rng.uniform(lo, hi, size=n - 1)
-            schedule = StrengthSchedule(
-                n=n, strengths=tuple(float(v) for v in xs), overlap=Overlap(c)
-            )
-            fast = np.asarray(evaluate_strategy(schedule).per_position)
-            slow = np.asarray(enumerate_strategy(schedule).per_position)
+            schedule = StrengthSchedule(n=n, strengths=xs, overlap=Overlap(c))
+            fast = evaluate_strategy(schedule).per_position
+            slow = enumerate_strategy(schedule).per_position
             gaps = np.abs(fast - slow)
             j = int(np.argmax(gaps))
             cases += 1
@@ -121,21 +119,19 @@ def central_equality(inject_fault: bool = False) -> SuiteResult:
         for c in np.arange(0.0, 0.5001, 0.05):
             c = float(round(c, 10))
             solution = closed_form_strengths(n, c)
-            xs = solution.schedule.as_array()
+            xs = solution.schedule.strengths
             if inject_fault:
                 # scale down: the first strength is always >= 1, so the
                 # faulted schedule stays admissible and the corruption is
                 # caught by the residual check, not by input validation
                 xs = xs.copy()
                 xs[0] /= _FAULT_FACTOR
-                schedule = StrengthSchedule(
-                    n=n, strengths=tuple(xs), overlap=Overlap(c)
-                )
+                schedule = StrengthSchedule(n=n, strengths=xs, overlap=Overlap(c))
                 profile = evaluate_strategy(schedule)
             else:
                 profile = solution.profile
             target = global_efficiencies(n, c)
-            gaps = np.abs(np.asarray(profile.per_position) - target.as_array())
+            gaps = np.abs(profile.per_position - target.values)
             mean_gap = abs(profile.average - global_success(n, c))
             j = int(np.argmax(gaps))
             local = max(float(gaps[j]), mean_gap)
@@ -161,8 +157,8 @@ def recursion_agreement() -> SuiteResult:
     for n in range(2, 26):
         for c in np.arange(0.0, 0.5001, 0.05):
             c = float(round(c, 10))
-            direct = closed_form_strengths(n, c).schedule.as_array()
-            rebuilt = recursive_strengths(n, c).schedule.as_array()
+            direct = closed_form_strengths(n, c).schedule.strengths
+            rebuilt = recursive_strengths(n, c).schedule.strengths
             gaps = np.abs(direct - rebuilt)
             j = int(np.argmax(gaps))
             cases += 1

@@ -104,6 +104,21 @@ class TestCurve:
         assert result.stdout == ""
         assert f"{flag} must be finite" in result.stderr
 
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            ("--c-min", "0", "--c-max", "0.005", "--step", "0.01"),
+            ("--asymptotic", "--format", "json"),
+        ],
+        ids=["exact", "asymptotic"],
+    )
+    @pytest.mark.parametrize("n", ["1", "-3"])
+    def test_stream_length_below_two_is_exit_one(self, n, mode):
+        result = run_cli("curve", "--n", n, *mode)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert f"got {n}" in result.stderr
+
     def test_oversized_grid_is_rejected_at_once(self):
         # 1e12 rows would never finish; the cap applies before any row
         result = run_cli("curve", "--step", "1e-12", timeout=30)

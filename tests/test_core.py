@@ -14,7 +14,10 @@ from qcpd import (
     check_strength,
     enumerate_strategy,
     evaluate_strategy,
+    global_efficiencies,
 )
+from qcpd.cli import main
+from qcpd.core import REL_SLACK
 from conftest import schedules
 
 
@@ -50,9 +53,64 @@ class TestValidation:
 
     def test_profile_rejects_out_of_range_entries(self):
         with pytest.raises(ValueError):
-            DetectionProfile.from_values([1.5, 0.5])
-        with pytest.raises(ValueError):
-            DetectionProfile(n=2, per_position=(0.5, 0.5), average=0.9)
+            DetectionProfile([1.5, 0.5])
+
+
+class TestArrayModel:
+    def test_stored_vectors_are_read_only(self):
+        schedule = StrengthSchedule(n=4, strengths=[1.0, 1.2, 1.0], overlap=Overlap(0.3))
+        profile = evaluate_strategy(schedule)
+        vec = global_efficiencies(4, 0.3)
+        for array in (schedule.strengths, profile.per_position, vec.values):
+            assert array.dtype == np.float64 and array.ndim == 1
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+
+    def test_construction_copies_the_source(self):
+        source = np.array([1.0, 1.2, 1.0])
+        schedule = StrengthSchedule(n=4, strengths=source, overlap=Overlap(0.3))
+        source[1] = 9.0
+        assert schedule.strengths.tolist() == [1.0, 1.2, 1.0]
+
+    def test_schedule_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            StrengthSchedule(n=3, strengths=[[1.0, 1.0]], overlap=Overlap(0.3))
+
+    @pytest.mark.parametrize(
+        "c, bad, message",
+        [
+            (0.0, float("nan"), "is not finite"),
+            (0.0, float("inf"), "is not finite"),
+            (0.0, float("-inf"), "is not finite"),
+            (0.0, 0.0, "must be positive"),
+            (0.0, -1.0, "must be positive"),
+            (0.5, float("nan"), "is not finite"),
+            (0.5, 2.0 * (1.0 + 3 * REL_SLACK), "outside the admissible interval"),
+            (0.5, 0.5 * (1.0 - 3 * REL_SLACK), "outside the admissible interval"),
+        ],
+    )
+    def test_inadmissible_strength_names_the_first_position(self, c, bad, message):
+        xs = [1.0, 1.0, bad, 1.0, bad]
+        with pytest.raises(InvalidMeasurementError, match=f"position 3 = .*{message}"):
+            StrengthSchedule(n=6, strengths=xs, overlap=Overlap(c))
+        with pytest.raises(InvalidMeasurementError, match=f"^strength = .*{message}"):
+            check_strength(c, bad)
+
+    def test_strengths_at_the_slack_edges_pass(self):
+        c = 0.5
+        edges = [c * (1.0 - REL_SLACK), (1.0 / c) * (1.0 + REL_SLACK)]
+        StrengthSchedule(n=3, strengths=edges, overlap=Overlap(c))
+
+    def test_nan_in_a_custom_schedule_file_is_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "schedule.txt"
+        bad.write_text("1.0 nan 1.0\n")
+        code = main([
+            "simulate", "--c", "0.4", "--strategy", "custom",
+            "--schedule", str(bad), "--trials", "10", "--seed", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "strength at position 2 = nan is not finite" in captured.err
 
 
 def _hand_profile_n4(c: float, xs: tuple[float, float, float]) -> list[float]:
@@ -94,7 +152,7 @@ class TestEvaluateStrategy:
     def test_zero_overlap_detects_everywhere(self):
         schedule = StrengthSchedule(n=6, strengths=(1.0,) * 5, overlap=Overlap(0.0))
         profile = evaluate_strategy(schedule)
-        assert profile.per_position == (1.0,) * 6
+        assert profile.per_position.tolist() == [1.0] * 6
         assert profile.average == 1.0
 
     def test_average_is_the_mean(self):

@@ -28,8 +28,8 @@ class TestEfficiencies:
     @settings(deadline=None, max_examples=80)
     @given(n=st.integers(2, 40), c=st.floats(0.0, 1.0, allow_nan=False))
     def test_closed_form_matches_direct_row_sums(self, n, c):
-        closed = global_efficiencies(n, c).as_array()
-        direct = global_efficiencies_direct(n, c).as_array()
+        closed = global_efficiencies(n, c).values
+        direct = global_efficiencies_direct(n, c).values
         assert np.max(np.abs(closed - direct)) <= 1e-12
 
     def test_four_positions_at_half_overlap(self):
@@ -39,32 +39,32 @@ class TestEfficiencies:
 
     def test_vector_is_palindromic(self):
         for n, c in [(5, 0.3), (8, 0.7), (11, 0.95)]:
-            vals = global_efficiencies(n, c).as_array()
+            vals = global_efficiencies(n, c).values
             assert np.allclose(vals, vals[::-1], atol=1e-15)
 
     def test_mean_matches_success_formula(self):
         for n in (2, 3, 7, 20, 31):
             for c in (0.0, 0.2, 0.5, 0.8, 1.0):
-                assert global_efficiencies(n, c).mean() == pytest.approx(
+                assert np.mean(global_efficiencies(n, c).values) == pytest.approx(
                     global_success(n, c), abs=1e-13
                 )
 
     def test_zero_overlap_is_perfect(self):
         vec = global_efficiencies(6, 0.0)
-        assert vec.values == (1.0,) * 6
+        assert vec.values.tolist() == [1.0] * 6
         assert global_success(6, 0.0) == 1.0
 
 
 class TestPrimedRegime:
     def test_position_two_and_mirror_vanish(self):
         for n, c in [(6, 0.8), (9, 0.7), (14, 0.95)]:
-            vals = primed_efficiencies(n, c).as_array()
+            vals = primed_efficiencies(n, c).values
             assert abs(vals[1]) <= 1e-12
             assert abs(vals[n - 2]) <= 1e-12
 
     def test_mean_matches_primed_success(self):
         for n, c in [(6, 0.8), (9, 0.7), (31, 0.9)]:
-            assert primed_efficiencies(n, c).mean() == pytest.approx(
+            assert np.mean(primed_efficiencies(n, c).values) == pytest.approx(
                 primed_success(n, c), abs=1e-13
             )
 

@@ -104,7 +104,7 @@ class TestSimulationBackends:
     )
     def test_matches_scalar_walk(self, schedule, trials, seed):
         counts, wrong = kernels.simulate_counts(
-            schedule.overlap.c, schedule.as_array(), trials, seed
+            schedule.overlap.c, schedule.strengths, trials, seed
         )
         pooled, pooled_wrong = _pooled_verdicts(schedule, seed, 0, trials)
         assert np.array_equal(counts, pooled)

@@ -48,7 +48,7 @@ class TestClosedForm:
         for n in (2, 5, 12, 25):
             for c in C_GRID:
                 solution = closed_form_strengths(n, c)
-                target = global_efficiencies(n, c).as_array()
+                target = global_efficiencies(n, c).values
                 got = np.asarray(solution.profile.per_position)
                 assert np.max(np.abs(got - target)) <= 1e-10
                 assert solution.success == pytest.approx(
@@ -56,7 +56,7 @@ class TestClosedForm:
                 )
 
     def test_zero_overlap_is_all_balanced(self):
-        assert closed_form_strengths(5, 0.0).schedule.strengths == (1.0,) * 4
+        assert closed_form_strengths(5, 0.0).schedule.strengths.tolist() == [1.0] * 4
 
     def test_rejects_high_overlap(self):
         with pytest.raises(OutOfValidityError):
@@ -72,8 +72,8 @@ class TestRecursive:
     def test_matches_closed_form(self):
         for n in (2, 3, 4, 7, 18):
             for c in C_GRID:
-                a = closed_form_strengths(n, c).schedule.as_array()
-                b = recursive_strengths(n, c).schedule.as_array()
+                a = closed_form_strengths(n, c).schedule.strengths
+                b = recursive_strengths(n, c).schedule.strengths
                 assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_four_positions_at_c_03(self):
@@ -174,8 +174,8 @@ def _golden_section_max(f, lo, hi, tol=1e-10):
 class TestOptimizer:
     def test_matches_closed_form_in_validity_range(self):
         for n, c in [(4, 0.1), (4, 0.3), (4, 0.49), (10, 0.4), (7, 0.25)]:
-            a = closed_form_strengths(n, c).schedule.as_array()
-            b = optimize_strengths(n, c).schedule.as_array()
+            a = closed_form_strengths(n, c).schedule.strengths
+            b = optimize_strengths(n, c).schedule.strengths
             assert np.max(np.abs(a - b)) <= 1e-9
 
     @pytest.mark.parametrize("n", [2, 3, 4, 31, 50, 1000, 2000, 5000])
@@ -185,8 +185,8 @@ class TestOptimizer:
         # back to the balanced strength 1
         tiny = (1e-300, 1e-200, 1e-16, 1e-14, 1e-12)
         for c in (*tiny, 1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.49, 0.5):
-            a = closed_form_strengths(n, c).schedule.as_array()
-            b = optimize_strengths(n, c).schedule.as_array()
+            a = closed_form_strengths(n, c).schedule.strengths
+            b = optimize_strengths(n, c).schedule.strengths
             assert np.max(np.abs(a - b)) <= 1e-15
 
     def test_first_strength_maximizes_its_coordinate(self):
@@ -245,9 +245,9 @@ class TestOptimizer:
                 assert success <= base + 1e-12
 
     def test_degenerate_overlaps(self):
-        assert optimize_strengths(5, 1.0).schedule.strengths == (1.0,) * 4
+        assert optimize_strengths(5, 1.0).schedule.strengths.tolist() == [1.0] * 4
         assert optimize_strengths(5, 1.0).success == pytest.approx(0.0, abs=1e-15)
-        assert optimize_strengths(5, 0.0).schedule.strengths == (1.0,) * 4
+        assert optimize_strengths(5, 0.0).schedule.strengths.tolist() == [1.0] * 4
         assert optimize_strengths(5, 0.0).success == 1.0
 
 
