@@ -21,14 +21,10 @@ from .core import (
     evaluate_strategy,
 )
 from .global_bound import (
-    EfficiencyVector,
-    GramMatrix,
-    Regime,
     ValidityReport,
     build_gram,
     critical_overlap,
     global_efficiencies,
-    global_efficiencies_direct,
     global_success,
     optimal_global,
     primed_efficiencies,
@@ -38,10 +34,8 @@ from .global_bound import (
 from .online_opt import (
     Method,
     OnlineSolution,
-    RationalCoefficients,
     best_online,
     closed_form_strengths,
-    coordinate_objective,
     fl_solution,
     fl_success_asymptotic,
     fl_success_exact,
@@ -59,8 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DetectionProfile",
-    "EfficiencyVector",
-    "GramMatrix",
     "InvalidMeasurementError",
     "Method",
     "NumericDomainError",
@@ -68,8 +60,6 @@ __all__ = [
     "OutOfValidityError",
     "Overlap",
     "QcpdError",
-    "RationalCoefficients",
-    "Regime",
     "SimulationReport",
     "SingularityError",
     "StrengthSchedule",
@@ -80,7 +70,6 @@ __all__ = [
     "build_gram",
     "check_strength",
     "closed_form_strengths",
-    "coordinate_objective",
     "critical_overlap",
     "enumerate_strategy",
     "evaluate_strategy",
@@ -88,7 +77,6 @@ __all__ = [
     "fl_success_asymptotic",
     "fl_success_exact",
     "global_efficiencies",
-    "global_efficiencies_direct",
     "global_success",
     "optimal_global",
     "optimize_strengths",

@@ -101,20 +101,6 @@ class CurveTable:
         }
 
 
-def parse_curve_csv(text: str, n: int = 0, mode: str = "exact") -> CurveTable:
-    """Inverse of :meth:`CurveTable.to_csv` (used for round-trip checks)."""
-    lines = [line for line in text.split("\n") if line]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("missing or unexpected CSV header")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"expected 5 columns, got {len(parts)}")
-        rows.append(tuple(float(p) for p in parts))
-    return CurveTable(n=n, mode=mode, rows=tuple(rows))
-
-
 def _exact_row(
     n: int, c: float, threshold: float | None
 ) -> tuple[float, float, float, float, float]:
@@ -130,7 +116,7 @@ def _exact_row(
         # outcome, so the bound degenerates to zero.
         p_global = 0.0
     p_online = best_online(n, c).success
-    p_fl = fl_solution(n, c, x=min(1.0 + c, 1.0 / c)).success
+    p_fl = fl_solution(n, c).success
     p_sl = sl_solution(n, c).success
     return (c, p_global, p_online, p_fl, p_sl)
 
@@ -139,7 +125,7 @@ def _asymptotic_row(c: float) -> tuple[float, float, float, float, float]:
     if c == 0.0:
         return (0.0, 1.0, 1.0, 1.0, 1.0)
     p_global = (1.0 - c) / (1.0 + c)
-    p_fl = fl_success_asymptotic(c, x=min(1.0 + c, 1.0 / c))
+    p_fl = fl_success_asymptotic(c)
     # The optimal bulk strength converges to the same clipped constant, so
     # the best online strategy shares the constant-strength limit.
     return (c, p_global, p_fl, p_fl, sl_success_asymptotic(c))
@@ -167,7 +153,7 @@ def build_curve(
     span = (c_max - c_min) / step + 1e-9
     if span >= MAX_CURVE_ROWS:
         raise ValueError(f"{span + 1:.4g} grid rows exceed the cap of {MAX_CURVE_ROWS}")
-    threshold = None if asymptotic or n < 4 else critical_overlap(n)
+    threshold = None if asymptotic else critical_overlap(n)
     rows = []
     for i in range(int(span) + 1):
         c = round(c_min + i * step, 12)
@@ -229,8 +215,9 @@ def _strengths_text(solution: OnlineSolution) -> str:
         f"method={solution.method.value} success={_fmt(solution.success)}",
         "  j  strength          saturated",
     ]
+    saturated = solution.saturated_positions
     for j, x in enumerate(schedule.strengths.tolist(), start=1):
-        flag = "yes" if j in solution.saturated_positions else "no"
+        flag = "yes" if j in saturated else "no"
         lines.append(f"{j:>3}  {_fmt(x):<16}  {flag}")
     return "\n".join(lines) + "\n"
 
@@ -302,7 +289,7 @@ def _select_strategy(args: argparse.Namespace) -> StrengthSchedule:
     if args.strategy == "online":
         return best_online(args.n, args.c).schedule
     if args.strategy == "fl":
-        return fl_solution(args.n, args.c, x=min(1.0 + args.c, 1.0 / args.c) if args.c > 0 else None).schedule
+        return fl_solution(args.n, args.c).schedule
     return sl_solution(args.n, args.c).schedule  # "sl"
 
 

@@ -18,75 +18,16 @@ Gram matrix ``G[k][l] = c^|k-l|`` of the hypothesis states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 from .core import Overlap, _check_n, _frozen_vector, _overlap
 from .errors import SingularityError
-from .numutil import bisect_root
-
-__all__ = [
-    "Regime",
-    "EfficiencyVector",
-    "GramMatrix",
-    "ValidityReport",
-    "global_efficiencies",
-    "global_efficiencies_direct",
-    "global_success",
-    "primed_efficiencies",
-    "primed_success",
-    "critical_overlap",
-    "optimal_global",
-    "build_gram",
-    "validate_unambiguous",
-]
 
 #: minimum-eigenvalue tolerance: optimal vectors sit exactly on the
 #: feasibility boundary, so a strictly-zero test would be meaningless
 PSD_TOL = 1e-9
-
-
-class Regime(Enum):
-    """Which closed form an efficiency vector came from."""
-
-    PLAIN = "plain"
-    PRIMED = "primed"
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class EfficiencyVector:
-    """Per-hypothesis efficiencies of a collective strategy, as a read-only
-    float64 array."""
-
-    values: np.ndarray
-    overlap: Overlap
-    regime: Regime
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_vector(self.values))
-        if not np.isfinite(self.values).all():
-            raise ValueError("efficiencies must be finite")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True, slots=True)
-class GramMatrix:
-    """Gram matrix of the n hypothesis states: entries ``c^|k-l|``."""
-
-    n: int
-    overlap: Overlap
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.entries.shape != (self.n, self.n):
-            raise ValueError(
-                f"expected a {self.n}x{self.n} matrix, got {self.entries.shape}"
-            )
-        self.entries.setflags(write=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,16 +40,18 @@ class ValidityReport:
     tol: float
 
 
-def build_gram(n: int, c: Overlap | float) -> GramMatrix:
-    """Gram matrix ``G[k][l] = c^|k-l|`` (1-based hypothesis indices)."""
+def build_gram(n: int, c: Overlap | float) -> np.ndarray:
+    """Gram matrix ``G[k][l] = c^|k-l|`` (1-based hypothesis indices), as a
+    read-only ``(n, n)`` float64 array."""
     n = _check_n(n)
     cv = _overlap(c)
     idx = np.arange(n)
-    entries = np.power(cv, np.abs(idx[:, None] - idx[None, :]), dtype=np.float64)
-    return GramMatrix(n=n, overlap=Overlap(cv), entries=entries)
+    gram = np.power(cv, np.abs(idx[:, None] - idx[None, :]), dtype=np.float64)
+    gram.setflags(write=False)
+    return gram
 
 
-def global_efficiencies_direct(n: int, c: Overlap | float) -> EfficiencyVector:
+def global_efficiencies_direct(n: int, c: Overlap | float) -> np.ndarray:
     """Efficiencies by the literal sum ``sum_j (-c)^|k-j|`` (O(n^2)).
 
     Definitional form; :func:`global_efficiencies` computes the same values
@@ -118,13 +61,12 @@ def global_efficiencies_direct(n: int, c: Overlap | float) -> EfficiencyVector:
     cv = _overlap(c)
     idx = np.arange(n)
     terms = np.power(-cv, np.abs(idx[:, None] - idx[None, :]), dtype=np.float64)
-    return EfficiencyVector(
-        values=terms.sum(axis=1), overlap=Overlap(cv), regime=Regime.PLAIN
-    )
+    return _frozen_vector(terms.sum(axis=1))
 
 
-def global_efficiencies(n: int, c: Overlap | float) -> EfficiencyVector:
-    """Optimal collective efficiencies below the critical overlap.
+def global_efficiencies(n: int, c: Overlap | float) -> np.ndarray:
+    """Optimal collective efficiencies below the critical overlap, as a
+    read-only float64 array.
 
     Closed form of the geometric tent sum:
     ``gamma_n(k) = (1 - c - (-c)^k - (-c)^{n-k+1}) / (1 + c)``.
@@ -133,7 +75,7 @@ def global_efficiencies(n: int, c: Overlap | float) -> EfficiencyVector:
     cv = _overlap(c)
     k = np.arange(1, n + 1)
     values = (1.0 - cv - np.power(-cv, k) - np.power(-cv, n - k + 1)) / (1.0 + cv)
-    return EfficiencyVector(values=values, overlap=Overlap(cv), regime=Regime.PLAIN)
+    return _frozen_vector(values)
 
 
 def global_success(n: int, c: Overlap | float) -> float:
@@ -156,8 +98,9 @@ def _primed_denominator(n: int, cv: float) -> float:
     return den
 
 
-def primed_efficiencies(n: int, c: Overlap | float) -> EfficiencyVector:
-    """Optimal efficiencies above the critical overlap.
+def primed_efficiencies(n: int, c: Overlap | float) -> np.ndarray:
+    """Optimal efficiencies above the critical overlap, as a read-only
+    float64 array.
 
     Subtracts from the plain vector the unique tent-shaped correction that
     zeroes positions 2 and n-1 (which the plain form would drive negative).
@@ -165,7 +108,7 @@ def primed_efficiencies(n: int, c: Overlap | float) -> EfficiencyVector:
     n = _check_n(n, 4)
     cv = _overlap(c)
     den = _primed_denominator(n, cv)
-    plain = global_efficiencies(n, cv).values
+    plain = global_efficiencies(n, cv)
     gamma2 = plain[1]
     k = np.arange(1, n + 1)
     correction = (
@@ -173,9 +116,7 @@ def primed_efficiencies(n: int, c: Overlap | float) -> EfficiencyVector:
         * (np.power(-cv, np.abs(k - 2)) + np.power(-cv, np.abs(n - k - 1)))
         / den
     )
-    return EfficiencyVector(
-        values=plain - correction, overlap=Overlap(cv), regime=Regime.PRIMED
-    )
+    return _frozen_vector(plain - correction)
 
 
 def primed_success(n: int, c: Overlap | float) -> float:
@@ -183,8 +124,42 @@ def primed_success(n: int, c: Overlap | float) -> float:
     n = _check_n(n, 4)
     cv = _overlap(c)
     den = _primed_denominator(n, cv)
-    gamma2 = float(global_efficiencies(n, cv).values[1])
+    gamma2 = float(global_efficiencies(n, cv)[1])
     return global_success(n, cv) - (2.0 / n) * gamma2**2 / den
+
+
+def _bisect_root(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    tol: float = 1e-12,
+    max_iter: int = 200,
+) -> float:
+    """Root of ``f`` on a bracketing interval by plain bisection.
+
+    Requires ``f(lo)`` and ``f(hi)`` to have opposite (or zero) sign and
+    narrows the bracket until its width is below ``tol`` (absolute).
+    """
+    flo = f(lo)
+    fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise ValueError(f"no sign change on [{lo!r}, {hi!r}]")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or mid == lo or mid == hi:
+            return mid
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def critical_overlap(n: int, tol: float = 1e-12) -> float | None:
@@ -193,10 +168,13 @@ def critical_overlap(n: int, tol: float = 1e-12) -> float | None:
     Root in (0, 1) of ``1 - c - c^2 - (-c)^{n-1} = 0``, located by a sign
     scan plus bisection.  Returns ``None`` when the polynomial has no root
     strictly inside (0, 1) (e.g. n=4, where it factors as (1-c)^2 (1+c)),
-    in which case the plain form applies for every overlap.  Approaches
-    ``(sqrt(5)-1)/2`` as n grows.
+    in which case the plain form applies for every overlap.  Also ``None``
+    for n < 4, which has no primed form (positions 2 and n-1 coincide or
+    do not exist).  Approaches ``(sqrt(5)-1)/2`` as n grows.
     """
-    n = _check_n(n, 4)
+    n = _check_n(n)
+    if n < 4:
+        return None
 
     def f(cv: float) -> float:
         return 1.0 - cv - cv * cv - (-cv) ** (n - 1)
@@ -209,25 +187,25 @@ def critical_overlap(n: int, tol: float = 1e-12) -> float | None:
     if len(crossings) == 0:
         return None
     i = int(crossings[0])
-    return bisect_root(f, float(grid[i]), float(grid[i + 1]), tol=tol)
+    return _bisect_root(f, float(grid[i]), float(grid[i + 1]), tol=tol)
 
 
-def optimal_global(n: int, c: Overlap | float) -> tuple[EfficiencyVector, float]:
+def optimal_global(n: int, c: Overlap | float) -> tuple[np.ndarray, float]:
     """Optimal collective efficiencies and success for any overlap.
 
     Uses the plain closed form up to the critical overlap and the corrected
     one beyond it; the two branches agree at the crossing because the
     correction is proportional to the vanishing position-2 efficiency.
-    For n < 4 no crossing exists in the model's validity range and the
-    plain form is used throughout.
+    Without a critical overlap (n = 4 and every n < 4) the plain form is
+    used throughout.
     """
     n = _check_n(n)
-    return _optimal_global(n, _overlap(c), critical_overlap(n) if n >= 4 else None)
+    return _optimal_global(n, _overlap(c), critical_overlap(n))
 
 
 def _optimal_global(
     n: int, cv: float, threshold: float | None
-) -> tuple[EfficiencyVector, float]:
+) -> tuple[np.ndarray, float]:
     """:func:`optimal_global` given ``critical_overlap(n)``, found once per sweep."""
     if threshold is None or cv <= threshold:
         return global_efficiencies(n, cv), global_success(n, cv)
@@ -235,27 +213,27 @@ def _optimal_global(
 
 
 def validate_unambiguous(
-    gram: GramMatrix, efficiencies: EfficiencyVector, tol: float = PSD_TOL
+    gram: np.ndarray, gammas: np.ndarray, tol: float = PSD_TOL
 ) -> ValidityReport:
-    """Zero-error feasibility of an efficiency vector.
+    """Zero-error feasibility of the efficiency array ``gammas`` against the
+    ``(n, n)`` Gram array.
 
     The leftover-operator positivity condition reduces to
     ``G - diag(gammas)`` being positive semidefinite; the minimum
     eigenvalue comes from a symmetric eigensolver.  ``feasible`` also
     requires every efficiency to be a probability within ``tol``.
     """
-    if gram.n != efficiencies.n:
+    n = len(gammas)
+    if gram.shape != (n, n):
         raise ValueError(
-            f"dimension mismatch: Gram is {gram.n}x{gram.n}, "
-            f"vector has {efficiencies.n} entries"
+            f"dimension mismatch: Gram has shape {gram.shape}, "
+            f"vector has {n} entries"
         )
-    m = gram.entries
-    if not np.array_equal(m, m.T):
+    if not np.array_equal(gram, gram.T):
         raise ValueError("Gram matrix must be symmetric")
-    values = efficiencies.values
-    shifted = m - np.diag(values)
+    shifted = gram - np.diag(gammas)
     min_eig = float(np.linalg.eigvalsh(shifted)[0])
-    range_ok = bool(np.all(values >= -tol) and np.all(values <= 1.0 + tol))
+    range_ok = bool(np.all(gammas >= -tol) and np.all(gammas <= 1.0 + tol))
     return ValidityReport(
         feasible=min_eig >= -tol and range_ok,
         min_eigenvalue=min_eig,

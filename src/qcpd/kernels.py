@@ -64,21 +64,16 @@ def detection_profile(c: float, xs: np.ndarray) -> np.ndarray:
     run; after an inconclusive outcome the next strength is pinned to c.
     """
     c = float(c)
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    n = xs.shape[0] + 1
-    prof = np.empty(n, dtype=np.float64)
-    prof[0] = 1.0 - c / xs[0]
+    # Python floats: the same IEEE arithmetic as numpy scalars, but cheaper
+    prof = []
     p0 = 1.0
     pi = 0.0
-    for k in range(2, n + 1):
-        x_prev = xs[k - 2]
-        pi = p0 * (c * x_prev) + pi * (c * c)
+    for x in np.asarray(xs, dtype=np.float64).tolist():
+        prof.append(p0 * (1.0 - c / x))
+        pi = p0 * (c * x) + pi * (c * c)
         p0 = 1.0 - pi
-        if k < n:
-            prof[k - 1] = p0 * (1.0 - c / xs[k - 1])
-        else:
-            prof[k - 1] = p0
-    return prof
+    prof.append(p0)
+    return np.array(prof)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels
 from .core import StrengthSchedule
 from .kernels import mix64_int, seed_root
@@ -83,15 +81,6 @@ class SimulationReport:
             raise ValueError("empirical_success does not match the counts")
         if self.mismatched_detections < 0:
             raise ValueError("mismatched_detections must be non-negative")
-
-    def per_position_rates(self) -> np.ndarray:
-        """Empirical detection rates scaled by ``n``.
-
-        Entry ``k-1`` estimates the conditional detection probability at
-        position ``k`` and is directly comparable to the exact profile.
-        """
-        counts = np.asarray(self.detections_per_position, dtype=np.float64)
-        return counts * (self.n / self.trials)
 
     def to_dict(self) -> dict:
         """JSON-ready representation."""

@@ -18,8 +18,8 @@ Constructions:
   its subproblem's success as ``beta*x + delta/x``: maximized analytically
   (``x* = sqrt(delta/beta)``) and clipped to ``[c, 1/c]``.  Any overlap.
 * :func:`fl_solution` / :func:`sl_solution` — the two simple benchmark
-  families: constant strength ``1+c`` (asymptotically optimal below the
-  critical overlap) and fully saturated strength ``1/c``.
+  families: constant strength ``min(1+c, 1/c)`` (asymptotically optimal
+  below the critical overlap) and fully saturated strength ``1/c``.
 
 Thresholds: :func:`total_saturation_point` is the overlap beyond which the
 backward pass clips every strength except the last.
@@ -43,26 +43,7 @@ from .core import (
     evaluate_strategy,
 )
 from .errors import NumericDomainError, OutOfValidityError
-from .global_bound import global_efficiencies
-from .numutil import bisect_root
-
-__all__ = [
-    "Method",
-    "OnlineSolution",
-    "RationalCoefficients",
-    "closed_form_strengths",
-    "recursive_strengths",
-    "coordinate_objective",
-    "optimize_strengths",
-    "total_saturation_point",
-    "fl_solution",
-    "fl_success_exact",
-    "fl_success_asymptotic",
-    "sl_solution",
-    "sl_success_asymptotic",
-    "sl_worst_case_gap",
-    "best_online",
-]
+from .global_bound import _bisect_root, global_efficiencies
 
 #: relative slack when flagging a strength as sitting at the ceiling 1/c
 _SATURATION_SLACK = 1e-9
@@ -80,16 +61,11 @@ class Method(Enum):
 
 @dataclass(frozen=True, slots=True)
 class OnlineSolution:
-    """A schedule together with its profile and construction metadata.
-
-    ``saturated_positions`` lists the 1-based positions whose strength sits
-    at the admissibility ceiling ``1/c`` (within round-off slack).
-    """
+    """A schedule together with its profile and construction metadata."""
 
     schedule: StrengthSchedule
     profile: DetectionProfile
     method: Method
-    saturated_positions: frozenset[int]
 
     @property
     def n(self) -> int:
@@ -98,6 +74,18 @@ class OnlineSolution:
     @property
     def success(self) -> float:
         return self.profile.average
+
+    @property
+    def saturated_positions(self) -> frozenset[int]:
+        """1-based positions whose strength sits at the admissibility
+        ceiling ``1/c`` (within round-off slack), computed on each access."""
+        cv = self.schedule.overlap.c
+        if cv == 0.0:
+            return frozenset()
+        ceiling = 1.0 / cv
+        slack = _SATURATION_SLACK * max(1.0, ceiling)
+        xs = self.schedule.strengths
+        return frozenset((np.flatnonzero(np.abs(xs - ceiling) <= slack) + 1).tolist())
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,21 +103,10 @@ class RationalCoefficients:
         return self.alpha + self.beta * x + self.delta / x
 
 
-def _saturated(cv: float, xs: np.ndarray) -> frozenset[int]:
-    if cv == 0.0:
-        return frozenset()
-    ceiling = 1.0 / cv
-    slack = _SATURATION_SLACK * max(1.0, ceiling)
-    return frozenset((np.flatnonzero(np.abs(xs - ceiling) <= slack) + 1).tolist())
-
-
 def _solution(n: int, cv: float, xs, method: Method) -> OnlineSolution:
     schedule = StrengthSchedule(n=n, strengths=xs, overlap=Overlap(cv))
     return OnlineSolution(
-        schedule=schedule,
-        profile=evaluate_strategy(schedule),
-        method=method,
-        saturated_positions=_saturated(cv, schedule.strengths),
+        schedule=schedule, profile=evaluate_strategy(schedule), method=method
     )
 
 
@@ -177,7 +154,7 @@ def recursive_strengths(n: int, c: Overlap | float) -> OnlineSolution:
         # the recursion's first step is 0/0 at zero overlap; its limit, like
         # the closed form, is the all-balanced schedule
         return _solution(n, cv, np.ones(n - 1), Method.RECURSIVE)
-    targets = global_efficiencies(n, cv).values
+    targets = global_efficiencies(n, cv)
     xs = np.empty(n - 1)
     first_den = 1.0 - targets[0]
     if first_den <= 0.0:
@@ -307,7 +284,7 @@ def total_saturation_point() -> float:
     """Overlap beyond which the backward pass clips every strength but the
     last: the root in (0, 1) of ``c*(2-c)*(1-c^2) = c^2``, equivalently
     ``c^3 - 2c^2 - 2c + 2 = 0``."""
-    return bisect_root(lambda cv: ((cv - 2.0) * cv - 2.0) * cv + 2.0, 0.0, 1.0)
+    return _bisect_root(lambda cv: ((cv - 2.0) * cv - 2.0) * cv + 2.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +300,20 @@ def _run_length_probability(cv: float, x: float, k) -> np.ndarray:
     return cv * x * (1.0 - np.power(q, k)) / den
 
 
+def _fl_strength(cv: float, x: float | None) -> float:
+    """``x``, or by default ``1+c`` clipped to the ceiling ``1/c``: the
+    clip binds beyond the golden-ratio overlap, where ``1+c > 1/c``."""
+    if x is not None:
+        return float(x)
+    return 1.0 + cv if cv == 0.0 else min(1.0 + cv, 1.0 / cv)
+
+
 def fl_solution(n: int, c: Overlap | float, x: float | None = None) -> OnlineSolution:
-    """Constant-strength benchmark: ``x`` everywhere (default ``1+c``),
-    balanced last position.  The default is admissible only while
-    ``1+c <= 1/c``, i.e. up to the golden-ratio overlap; beyond that an
-    explicit clipped ``x`` must be supplied."""
+    """Constant-strength benchmark: ``x`` everywhere (default
+    ``min(1+c, 1/c)``), balanced last position."""
     n = _check_n(n)
     cv = _overlap(c)
-    xv = 1.0 + cv if x is None else float(x)
+    xv = _fl_strength(cv, x)
     return _solution(n, cv, np.append(np.full(n - 2, xv), 1.0), Method.FIXED_FL)
 
 
@@ -344,7 +327,7 @@ def fl_success_exact(n: int, c: Overlap | float, x: float | None = None) -> floa
     """
     n = _check_n(n)
     cv = _overlap(c)
-    xv = 1.0 + cv if x is None else float(x)
+    xv = _fl_strength(cv, x)
     check_strength(cv, xv)
     total = 0.0
     if n >= 3:
@@ -368,9 +351,9 @@ def fl_success_exact(n: int, c: Overlap | float, x: float | None = None) -> floa
 def fl_success_asymptotic(c: Overlap | float, x: float | None = None) -> float:
     """Large-``n`` limit of the constant-strength success probability,
     ``(1-c^2)(1-c/x) / (1+c*x-c^2)``; maximized at ``x = 1+c`` where it
-    equals ``(1-c)/(1+c)``."""
+    equals ``(1-c)/(1+c)``; the default ``x`` is that of :func:`fl_solution`."""
     cv = _overlap(c)
-    xv = 1.0 + cv if x is None else float(x)
+    xv = _fl_strength(cv, x)
     check_strength(cv, xv)
     return (1.0 - cv * cv) * (1.0 - cv / xv) / (1.0 + cv * xv - cv * cv)
 
@@ -403,8 +386,8 @@ def sl_worst_case_gap() -> tuple[float, float]:
     best online value ``(1-c)/(1+c)``, and the overlap attaining it.
 
     Scanned over the saturated regime ``c >= (sqrt(5)-1)/2`` — the overlaps
-    where the constant-strength default is inadmissible and the saturated
-    chain is the simple fallback.  The gap vanishes at the regime's left
+    where the constant-strength default clips to ``1/c`` and so becomes the
+    saturated chain.  The gap vanishes at the regime's left
     edge and again at overlap 1.
     """
 

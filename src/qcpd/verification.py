@@ -131,7 +131,7 @@ def central_equality(inject_fault: bool = False) -> SuiteResult:
             else:
                 profile = solution.profile
             target = global_efficiencies(n, c)
-            gaps = np.abs(profile.per_position - target.values)
+            gaps = np.abs(profile.per_position - target)
             mean_gap = abs(profile.average - global_success(n, c))
             j = int(np.argmax(gaps))
             local = max(float(gaps[j]), mean_gap)

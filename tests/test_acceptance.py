@@ -46,7 +46,7 @@ def test_criterion_01_central_equality():
     for n in range(2, 26):
         for c in C_HALF_GRID:
             solution = closed_form_strengths(n, c)
-            target = global_efficiencies(n, c).values
+            target = global_efficiencies(n, c)
             got = np.asarray(solution.profile.per_position)
             worst = max(worst, float(np.max(np.abs(got - target))))
             worst = max(worst, abs(solution.success - global_success(n, c)))

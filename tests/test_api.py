@@ -1,0 +1,78 @@
+"""The public surface, and the names the benchmark in ``perfbench/`` reads.
+
+``perfbench``'s own tests run apart from this suite, so these checks make
+a rename that would break the benchmark fail here too.  Run from the
+repository root (``python -m pytest``), which puts ``perfbench`` on the
+import path.
+"""
+
+from __future__ import annotations
+
+import importlib
+
+import qcpd
+from qcpd import cli
+
+PUBLIC_NAMES = [
+    "DetectionProfile",
+    "InvalidMeasurementError",
+    "Method",
+    "NumericDomainError",
+    "OnlineSolution",
+    "OutOfValidityError",
+    "Overlap",
+    "QcpdError",
+    "SimulationReport",
+    "SingularityError",
+    "StrengthSchedule",
+    "TrialResult",
+    "ValidityReport",
+    "active_backend",
+    "best_online",
+    "build_gram",
+    "check_strength",
+    "closed_form_strengths",
+    "critical_overlap",
+    "enumerate_strategy",
+    "evaluate_strategy",
+    "fl_solution",
+    "fl_success_asymptotic",
+    "fl_success_exact",
+    "global_efficiencies",
+    "global_success",
+    "optimal_global",
+    "optimize_strengths",
+    "primed_efficiencies",
+    "primed_success",
+    "recursive_strengths",
+    "run_experiment",
+    "simulate_trial",
+    "sl_solution",
+    "sl_success_asymptotic",
+    "sl_worst_case_gap",
+    "total_saturation_point",
+    "validate_unambiguous",
+]
+
+
+def test_public_names():
+    assert sorted(qcpd.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(qcpd, name) is not None
+
+
+def test_benchmark_modules_import():
+    importlib.import_module("perfbench.gate")
+    importlib.import_module("perfbench.runner")
+
+
+def test_traced_layers_resolve():
+    tracing = importlib.import_module("perfbench.tracing")
+    for module, attr in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(f"qcpd.{module}"), attr))
+
+
+def test_names_the_runner_reads():
+    assert qcpd.active_backend() == "numpy"
+    assert isinstance(qcpd.__version__, str)
+    assert set(cli._METHODS) == {"closed", "recursive", "numeric"}

@@ -13,9 +13,10 @@ from qcpd.cli import (
     CSV_HEADER,
     MAX_CURVE_ROWS,
     MAX_TRIAL_STEPS,
+    CurveTable,
     build_curve,
-    parse_curve_csv,
 )
+from qcpd import global_success
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -58,7 +59,24 @@ class TestCurve:
     def test_csv_round_trip_is_stable(self):
         table = build_curve(n=9, c_min=0.0, c_max=0.8, step=0.2)
         text = table.to_csv()
-        assert parse_curve_csv(text, n=9).to_csv() == text
+        header, *lines = text.splitlines()
+        assert header == CSV_HEADER
+        rows = tuple(tuple(float(v) for v in line.split(",")) for line in lines)
+        assert CurveTable(n=9, mode="exact", rows=rows).to_csv() == text
+
+    def test_short_chains_use_the_plain_bound(self):
+        # no threshold below n = 4: p_global is the plain closed form on
+        # every row, also above c = 1/2 where gamma_3(2) turns negative
+        result = run_cli("curve", "--n", "2")
+        assert result.returncode == 0, result.stderr
+        for line in result.stdout.splitlines()[1:]:
+            c, p_global = line.split(",")[:2]
+            assert p_global == f"{global_success(2, float(c)):.12g}"
+        result = run_cli("curve", "--n", "3", "--format", "json")
+        assert result.returncode == 0, result.stderr
+        rows = json.loads(result.stdout)["rows"]
+        assert len(rows) == 100
+        assert all(row["p_global"] == global_success(3, row["c"]) for row in rows)
 
     def test_json_format_carries_the_same_values(self):
         result = run_cli(

@@ -61,7 +61,7 @@ class TestArrayModel:
         schedule = StrengthSchedule(n=4, strengths=[1.0, 1.2, 1.0], overlap=Overlap(0.3))
         profile = evaluate_strategy(schedule)
         vec = global_efficiencies(4, 0.3)
-        for array in (schedule.strengths, profile.per_position, vec.values):
+        for array in (schedule.strengths, profile.per_position, vec):
             assert array.dtype == np.float64 and array.ndim == 1
             with pytest.raises(ValueError):
                 array[0] = 0.5

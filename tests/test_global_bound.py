@@ -7,19 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcpd import (
-    Regime,
     SingularityError,
     build_gram,
     critical_overlap,
     global_efficiencies,
-    global_efficiencies_direct,
     global_success,
     optimal_global,
     primed_efficiencies,
     primed_success,
     validate_unambiguous,
 )
-from qcpd.numutil import bisect_root
+from qcpd.global_bound import _bisect_root, global_efficiencies_direct
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -28,43 +26,43 @@ class TestEfficiencies:
     @settings(deadline=None, max_examples=80)
     @given(n=st.integers(2, 40), c=st.floats(0.0, 1.0, allow_nan=False))
     def test_closed_form_matches_direct_row_sums(self, n, c):
-        closed = global_efficiencies(n, c).values
-        direct = global_efficiencies_direct(n, c).values
+        closed = global_efficiencies(n, c)
+        direct = global_efficiencies_direct(n, c)
         assert np.max(np.abs(closed - direct)) <= 1e-12
 
     def test_four_positions_at_half_overlap(self):
         vec = global_efficiencies(4, 0.5)
-        assert vec.values == pytest.approx((0.625, 0.25, 0.25, 0.625), abs=1e-15)
+        assert vec == pytest.approx((0.625, 0.25, 0.25, 0.625), abs=1e-15)
         assert global_success(4, 0.5) == pytest.approx(0.4375, abs=1e-15)
 
     def test_vector_is_palindromic(self):
         for n, c in [(5, 0.3), (8, 0.7), (11, 0.95)]:
-            vals = global_efficiencies(n, c).values
+            vals = global_efficiencies(n, c)
             assert np.allclose(vals, vals[::-1], atol=1e-15)
 
     def test_mean_matches_success_formula(self):
         for n in (2, 3, 7, 20, 31):
             for c in (0.0, 0.2, 0.5, 0.8, 1.0):
-                assert np.mean(global_efficiencies(n, c).values) == pytest.approx(
+                assert np.mean(global_efficiencies(n, c)) == pytest.approx(
                     global_success(n, c), abs=1e-13
                 )
 
     def test_zero_overlap_is_perfect(self):
         vec = global_efficiencies(6, 0.0)
-        assert vec.values.tolist() == [1.0] * 6
+        assert vec.tolist() == [1.0] * 6
         assert global_success(6, 0.0) == 1.0
 
 
 class TestPrimedRegime:
     def test_position_two_and_mirror_vanish(self):
         for n, c in [(6, 0.8), (9, 0.7), (14, 0.95)]:
-            vals = primed_efficiencies(n, c).values
+            vals = primed_efficiencies(n, c)
             assert abs(vals[1]) <= 1e-12
             assert abs(vals[n - 2]) <= 1e-12
 
     def test_mean_matches_primed_success(self):
         for n, c in [(6, 0.8), (9, 0.7), (31, 0.9)]:
-            assert np.mean(primed_efficiencies(n, c).values) == pytest.approx(
+            assert np.mean(primed_efficiencies(n, c)) == pytest.approx(
                 primed_success(n, c), abs=1e-13
             )
 
@@ -93,6 +91,11 @@ class TestPrimedRegime:
 class TestCriticalOverlap:
     def test_four_positions_have_no_interior_root(self):
         assert critical_overlap(4) is None
+
+    def test_chains_shorter_than_four_have_no_threshold(self):
+        # n = 3 has the root c = 1/2 of 1 - c - 2c^2, but no primed form
+        assert critical_overlap(2) is None
+        assert critical_overlap(3) is None
 
     def test_five_positions_pinned_value(self):
         assert critical_overlap(5) == pytest.approx(0.569840290998, abs=1e-9)
@@ -127,7 +130,7 @@ class TestCriticalOverlap:
             want = None
             if len(crossings):
                 i = int(crossings[0])
-                want = bisect_root(f, float(grid[i]), float(grid[i + 1]), tol=1e-12)
+                want = _bisect_root(f, float(grid[i]), float(grid[i + 1]), tol=1e-12)
             assert critical_overlap(n) == want
 
     def test_converges_to_the_golden_ratio(self):
@@ -142,16 +145,16 @@ class TestOptimalGlobal:
         cstar = critical_overlap(n)
         below, above = cstar - 0.05, cstar + 0.05
         vec, value = optimal_global(n, below)
-        assert vec.regime is Regime.PLAIN
+        assert np.array_equal(vec, global_efficiencies(n, below))
         assert value == pytest.approx(global_success(n, below), abs=1e-15)
         vec, value = optimal_global(n, above)
-        assert vec.regime is Regime.PRIMED
+        assert np.array_equal(vec, primed_efficiencies(n, above))
         assert value == pytest.approx(primed_success(n, above), abs=1e-15)
 
     def test_short_chains_stay_plain(self):
         for c in (0.1, 0.6, 0.9):
             vec, value = optimal_global(3, c)
-            assert vec.regime is Regime.PLAIN
+            assert np.array_equal(vec, global_efficiencies(3, c))
 
     def test_continuous_across_the_threshold(self):
         n = 31
@@ -172,7 +175,8 @@ class TestGramFeasibility:
                 [0.125, 0.25, 0.5, 1.0],
             ]
         )
-        assert np.array_equal(gram.entries, expected)
+        assert np.array_equal(gram, expected)
+        assert not gram.flags.writeable
 
     def test_two_positions_sit_on_the_boundary(self):
         # G - diag(gamma) has eigenvalues {0, 2c}: feasible with a zero mode

@@ -180,6 +180,7 @@ class TestStatistics:
     def test_per_position_rates_estimate_the_profile(self):
         schedule = _schedule(5, 0.35)
         report = run_experiment(schedule, 200_000, seed=8)
-        rates = report.per_position_rates()
+        counts = np.asarray(report.detections_per_position, dtype=np.float64)
+        rates = counts * (report.n / report.trials)
         exact = np.asarray(evaluate_strategy(schedule).per_position)
         assert np.max(np.abs(rates - exact)) < 0.02

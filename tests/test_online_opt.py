@@ -15,7 +15,6 @@ from qcpd import (
     Overlap,
     best_online,
     closed_form_strengths,
-    coordinate_objective,
     evaluate_strategy,
     fl_solution,
     fl_success_asymptotic,
@@ -32,6 +31,7 @@ from qcpd import (
     total_saturation_point,
 )
 from qcpd.kernels import detection_profile
+from qcpd.online_opt import coordinate_objective
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 C_GRID = [0.05, 0.15, 0.25, 0.35, 0.45, 0.5]
@@ -48,7 +48,7 @@ class TestClosedForm:
         for n in (2, 5, 12, 25):
             for c in C_GRID:
                 solution = closed_form_strengths(n, c)
-                target = global_efficiencies(n, c).values
+                target = global_efficiencies(n, c)
                 got = np.asarray(solution.profile.per_position)
                 assert np.max(np.abs(got - target)) <= 1e-10
                 assert solution.success == pytest.approx(
@@ -277,10 +277,14 @@ class TestConstantStrengthFamily:
         xs = fl_solution(6, 0.3).schedule.strengths
         assert xs == pytest.approx((1.3, 1.3, 1.3, 1.3, 1.0))
 
-    def test_default_inadmissible_beyond_golden_overlap(self):
+    def test_default_clips_beyond_golden_overlap(self):
+        c = 0.7
+        xs = fl_solution(6, c).schedule.strengths
+        assert xs.tolist() == [1 / c] * 4 + [1.0]
+        assert fl_success_exact(6, c) == fl_success_exact(6, c, x=1 / c)
+        assert fl_success_asymptotic(c) == fl_success_asymptotic(c, x=1 / c)
         with pytest.raises(InvalidMeasurementError):
-            fl_solution(6, 0.7)
-        fl_solution(6, 0.7, x=1 / 0.7)  # explicit clipped strength is fine
+            fl_solution(6, c, x=1.01 / c)  # an explicit strength is not clipped
 
     def test_asymptotic_value_at_the_optimum(self):
         for c in (0.1, 0.3, 0.5, GOLDEN):

@@ -43,10 +43,9 @@ def test_gram_feasibility_catches_scaled_efficiencies(monkeypatch):
     efficiencies = verification.global_efficiencies
 
     def scaled(n, c):
-        vec = efficiencies(n, c)
         # the optimal vector sits on the feasibility boundary, so any
         # increase leaves the positive semidefinite cone
-        return dataclasses.replace(vec, values=vec.values * 1.001)
+        return efficiencies(n, c) * 1.001
 
     monkeypatch.setattr(verification, "global_efficiencies", scaled)
     _assert_caught(verification.gram_feasibility())
