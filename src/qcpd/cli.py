@@ -24,11 +24,12 @@ from typing import Sequence
 
 from .errors import QcpdError, SingularityError
 from .core import Overlap, StrengthSchedule, _check_n, evaluate_strategy
-from .global_bound import _optimal_global, critical_overlap
+from .global_bound import _optimal_success, critical_overlap
 from .kernels import active_backend
 from .montecarlo import run_experiment
 from .online_opt import (
     OnlineSolution,
+    _table_success,
     best_online,
     closed_form_strengths,
     fl_solution,
@@ -101,24 +102,30 @@ class CurveTable:
         }
 
 
-def _exact_row(
-    n: int, c: float, threshold: float | None
-) -> tuple[float, float, float, float, float]:
-    if c == 0.0:
+def _exact_rows(
+    n: int, grid: list[float]
+) -> list[tuple[float, float, float, float, float]]:
+    """Exact rows at the increasing overlaps ``grid``: the collective bound
+    row by row in closed form, the three strategy columns as one table."""
+    rows = []
+    if grid and grid[0] == 0.0:
         # Zero overlap makes every unambiguous measurement perfectly
         # conclusive, so each strategy succeeds with certainty (the
         # saturated family's 1/c prescription is vacuous here).
-        return (0.0, 1.0, 1.0, 1.0, 1.0)
-    try:
-        p_global = _optimal_global(n, c, threshold)[1]
-    except SingularityError:
-        # Only at c=1 with even n; identical states admit no conclusive
-        # outcome, so the bound degenerates to zero.
-        p_global = 0.0
-    p_online = best_online(n, c).success
-    p_fl = fl_solution(n, c).success
-    p_sl = sl_solution(n, c).success
-    return (c, p_global, p_online, p_fl, p_sl)
+        rows.append((0.0, 1.0, 1.0, 1.0, 1.0))
+        grid = grid[1:]
+    threshold = critical_overlap(n)
+    p_global = []
+    for c in grid:
+        try:
+            p_global.append(_optimal_success(n, c, threshold))
+        except SingularityError:
+            # Only at c=1 with even n; identical states admit no conclusive
+            # outcome, so the bound degenerates to zero.
+            p_global.append(0.0)
+    p_online, p_fl, p_sl = _table_success(n, grid).tolist()
+    rows.extend(zip(grid, p_global, p_online, p_fl, p_sl))
+    return rows
 
 
 def _asymptotic_row(c: float) -> tuple[float, float, float, float, float]:
@@ -139,7 +146,15 @@ def build_curve(
     asymptotic: bool = False,
     include_endpoint: bool = False,
 ) -> CurveTable:
-    """Evaluate the success columns on the overlap grid."""
+    """Evaluate the success columns on the overlap grid.
+
+    In exact mode the whole grid's strategy columns come from one stacked
+    table evaluation in blocks of bounded size
+    (:func:`qcpd.online_opt._table_success`): closed-form rows up to
+    c = 1/2, above it the backward pass that ``optimize_strengths`` runs.
+    The values are bit-identical to ``best_online``, ``fl_solution`` and
+    ``sl_solution`` row by row.
+    """
     _check_n(n)
     for flag, value in (("--c-min", c_min), ("--c-max", c_max), ("--step", step)):
         if not math.isfinite(value):
@@ -153,8 +168,7 @@ def build_curve(
     span = (c_max - c_min) / step + 1e-9
     if span >= MAX_CURVE_ROWS:
         raise ValueError(f"{span + 1:.4g} grid rows exceed the cap of {MAX_CURVE_ROWS}")
-    threshold = None if asymptotic else critical_overlap(n)
-    rows = []
+    grid = []
     for i in range(int(span) + 1):
         c = round(c_min + i * step, 12)
         if c > c_max + 1e-12:
@@ -163,7 +177,8 @@ def build_curve(
             if not include_endpoint:
                 continue
             c = 1.0
-        rows.append(_asymptotic_row(c) if asymptotic else _exact_row(n, c, threshold))
+        grid.append(c)
+    rows = map(_asymptotic_row, grid) if asymptotic else _exact_rows(n, grid)
     return CurveTable(
         n=n, mode="asymptotic" if asymptotic else "exact", rows=tuple(rows)
     )

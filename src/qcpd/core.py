@@ -45,31 +45,49 @@ REL_SLACK = 1e-12
 ENUMERATION_CAP = 12
 
 
-def check_strength(c: float, x) -> None:
+def check_strength(c, x) -> None:
     """Raise :class:`InvalidMeasurementError` unless ``c <= x <= 1/c``
     (``x > 0`` when ``c == 0``), with relative round-off slack.
 
-    ``x`` is a scalar or a 1-D array of strengths; for an array the error
-    names the first offending 1-based position.
+    ``x`` is a scalar, a 1-D array of strengths, or a 2-D array holding one
+    schedule per row; ``c`` is one overlap or, for a 2-D ``x``, a column of
+    per-row overlaps.  For an array the error names the first offending
+    1-based position.
     """
     xs = np.asarray(x, dtype=np.float64)
-    if c == 0.0:
-        ok = np.isfinite(xs) & (xs > 0.0)
-    else:
-        # NaN and inf fail one of the two comparisons
-        ok = (xs >= c * (1.0 - REL_SLACK)) & (xs <= (1.0 / c) * (1.0 + REL_SLACK))
+    cs = np.asarray(c, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore"):
+        # inf at c == 0, where only x > 0 binds, and at subnormal c
+        ceiling = 1.0 / cs
+    # NaN fails every comparison; inf passes an infinite ceiling, hence the
+    # finiteness test
+    ok = (xs >= cs * (1.0 - REL_SLACK)) & (xs <= ceiling * (1.0 + REL_SLACK))
+    ok &= (xs > 0.0) & np.isfinite(xs)
     if ok.all():
         return
     i = int(np.argmin(ok))
     value = xs.flat[i].item()
-    where = f"strength at position {i + 1}" if xs.ndim else "strength"
+    cv = np.broadcast_to(cs, xs.shape).flat[i].item()
+    where = f"strength at position {i % xs.shape[-1] + 1}" if xs.ndim else "strength"
     if not math.isfinite(value):
         problem = "is not finite"
-    elif c == 0.0:
+    elif cv == 0.0:
         problem = "must be positive when the overlap is 0"
     else:
-        problem = f"outside the admissible interval [{c!r}, {1.0 / c!r}]"
+        problem = f"outside the admissible interval [{cv!r}, {1.0 / cv!r}]"
     raise InvalidMeasurementError(f"{where} = {value!r} {problem}")
+
+
+def _check_probabilities(p: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every entry of ``p`` is a probability
+    within :data:`EPSILON`; for a 2-D ``p`` (one profile per row) the error
+    names the 1-based position within the row."""
+    bad = ~(np.isfinite(p) & (p >= -EPSILON) & (p <= 1.0 + EPSILON))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"entry {k % p.shape[-1] + 1} = {p.flat[k].item()!r} is not a probability"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,10 +157,7 @@ class DetectionProfile:
 
     def __post_init__(self):
         p = _frozen_vector(self.per_position)
-        bad = ~(np.isfinite(p) & (p >= -EPSILON) & (p <= 1.0 + EPSILON))
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValueError(f"entry {k + 1} = {p[k].item()!r} is not a probability")
+        _check_probabilities(p)
         object.__setattr__(self, "per_position", p)
 
     @property

@@ -103,9 +103,10 @@ def primed_efficiencies(n: int, c: Overlap | float) -> np.ndarray:
     float64 array.
 
     Subtracts from the plain vector the unique tent-shaped correction that
-    zeroes positions 2 and n-1 (which the plain form would drive negative).
+    zeroes positions 2 and n-1 (which the plain form would drive negative);
+    at n = 3 the two positions coincide and the result is ``(1-c^2, 0, 1-c^2)``.
     """
-    n = _check_n(n, 4)
+    n = _check_n(n, 3)
     cv = _overlap(c)
     den = _primed_denominator(n, cv)
     plain = global_efficiencies(n, cv)
@@ -121,7 +122,7 @@ def primed_efficiencies(n: int, c: Overlap | float) -> np.ndarray:
 
 def primed_success(n: int, c: Overlap | float) -> float:
     """Mean of :func:`primed_efficiencies` in closed form."""
-    n = _check_n(n, 4)
+    n = _check_n(n, 3)
     cv = _overlap(c)
     den = _primed_denominator(n, cv)
     gamma2 = float(global_efficiencies(n, cv)[1])
@@ -165,29 +166,36 @@ def _bisect_root(
 def critical_overlap(n: int, tol: float = 1e-12) -> float | None:
     """Overlap at which the plain efficiency at position 2 crosses zero.
 
-    Root in (0, 1) of ``1 - c - c^2 - (-c)^{n-1} = 0``, located by a sign
-    scan plus bisection.  Returns ``None`` when the polynomial has no root
-    strictly inside (0, 1) (e.g. n=4, where it factors as (1-c)^2 (1+c)),
-    in which case the plain form applies for every overlap.  Also ``None``
-    for n < 4, which has no primed form (positions 2 and n-1 coincide or
-    do not exist).  Approaches ``(sqrt(5)-1)/2`` as n grows.
+    Root in (0, 1) of ``f(c) = 1 - c - c^2 - (-c)^{n-1}``: the first grid
+    point ``k/4096`` (``0 < k < 4096``) where ``f <= 0``, then bisection
+    between it and the point before.  ``f`` is positive on (0, 1/2] and,
+    past its one sign change, stays non-positive up to the last grid
+    point, so a binary search finds that point from 12 evaluations.  The
+    grid stays strictly inside (0, 1) because even n have ``f(1) == 0``
+    exactly, which is not an interior root.
+
+    Returns ``None`` when ``f`` has no root strictly inside (0, 1), in
+    which case the plain form applies for every overlap: n = 2, where
+    ``f = 1 - c^2``, and n = 4, where it factors as ``(1-c)^2 (1+c)``.
+    The root is exactly 1/2 for n = 3 (``f = (1-2c)(1+c)``) and approaches
+    ``(sqrt(5)-1)/2`` as n grows.
     """
     n = _check_n(n)
-    if n < 4:
-        return None
 
     def f(cv: float) -> float:
         return 1.0 - cv - cv * cv - (-cv) ** (n - 1)
 
-    # scan strictly inside (0, 1): even n have f(1) == 0 exactly, which is
-    # not an interior root (n=4 touches zero only at the endpoint)
-    grid = np.linspace(0.0, 1.0, 4097)[1:-1]
-    signs = np.sign(1.0 - grid - grid * grid - (-grid) ** (n - 1))
-    crossings = np.nonzero(signs[:-1] * signs[1:] <= 0)[0]
-    if len(crossings) == 0:
+    lo, hi = 1, 4096
+    while lo < hi:
+        mid = (lo + hi) // 2
+        g = np.array([mid / 4096])
+        if (1.0 - g - g * g - (-g) ** (n - 1))[0] > 0.0:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo == 4096:
         return None
-    i = int(crossings[0])
-    return _bisect_root(f, float(grid[i]), float(grid[i + 1]), tol=tol)
+    return _bisect_root(f, (lo - 1) / 4096, lo / 4096, tol=tol)
 
 
 def optimal_global(n: int, c: Overlap | float) -> tuple[np.ndarray, float]:
@@ -196,20 +204,23 @@ def optimal_global(n: int, c: Overlap | float) -> tuple[np.ndarray, float]:
     Uses the plain closed form up to the critical overlap and the corrected
     one beyond it; the two branches agree at the crossing because the
     correction is proportional to the vanishing position-2 efficiency.
-    Without a critical overlap (n = 4 and every n < 4) the plain form is
-    used throughout.
+    Without a critical overlap (n = 2 and n = 4) the plain form is used
+    throughout.
     """
     n = _check_n(n)
-    return _optimal_global(n, _overlap(c), critical_overlap(n))
-
-
-def _optimal_global(
-    n: int, cv: float, threshold: float | None
-) -> tuple[np.ndarray, float]:
-    """:func:`optimal_global` given ``critical_overlap(n)``, found once per sweep."""
+    cv = _overlap(c)
+    threshold = critical_overlap(n)
     if threshold is None or cv <= threshold:
         return global_efficiencies(n, cv), global_success(n, cv)
     return primed_efficiencies(n, cv), primed_success(n, cv)
+
+
+def _optimal_success(n: int, cv: float, threshold: float | None) -> float:
+    """Success of :func:`optimal_global` given ``critical_overlap(n)``,
+    found once per curve table, without building an efficiency vector."""
+    if threshold is None or cv <= threshold:
+        return global_success(n, cv)
+    return primed_success(n, cv)
 
 
 def validate_unambiguous(

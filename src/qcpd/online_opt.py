@@ -23,6 +23,10 @@ Constructions:
 
 Thresholds: :func:`total_saturation_point` is the overlap beyond which the
 backward pass clips every strength except the last.
+
+:func:`_table_success` evaluates ``best_online``, ``fl_solution`` and
+``sl_solution`` over a whole overlap grid as stacked arrays, for the curve
+table; its values equal theirs bit for bit.
 """
 from __future__ import annotations
 
@@ -38,6 +42,7 @@ from .core import (
     Overlap,
     StrengthSchedule,
     _check_n,
+    _check_probabilities,
     _overlap,
     check_strength,
     evaluate_strategy,
@@ -260,7 +265,8 @@ def optimize_strengths(n: int, c: Overlap | float) -> OnlineSolution:
     ``beta*y + delta/y`` with ``beta = c*B/m`` and ``delta = -c/m``; it is
     maximized analytically, clipped to ``[c, 1/c]`` and pushed onto the
     tail.  Each strength is fixed once, which gives the shift property
-    ``x_n(j) = x_{n-j+1}(1)``.
+    ``x_n(j) = x_{n-j+1}(1)``.  The curve table runs the same pass
+    (:func:`_backward_strengths`) for its rows above ``c = 1/2``.
 
     At overlap 1 the admissible interval collapses to {1}: the schedule is
     all-balanced and the success probability is 0 (identical states carry
@@ -270,14 +276,21 @@ def optimize_strengths(n: int, c: Overlap | float) -> OnlineSolution:
     cv = _overlap(c)
     if cv == 0.0 or cv == 1.0:
         return _solution(n, cv, np.ones(n - 1), Method.NUMERIC_BACKWARD)
+    return _solution(n, cv, _backward_strengths(n, cv), Method.NUMERIC_BACKWARD)
+
+
+def _backward_strengths(n: int, cv: float) -> list[float]:
+    """Strengths at positions 1..n-1 from the backward pass of
+    :func:`optimize_strengths`, for ``0 < c < 1``."""
     lo, hi = cv, 1.0 / cv
-    xs = np.empty(n - 1)
+    ys = []
     a, b = 1.0, -1.0
     for m in range(2, n + 1):
         y = _argmax_rational(cv * b / m, -cv / m, lo, hi)
-        xs[n - m] = y
+        ys.append(y)
         a, b = _push_head(cv, y, a, b)
-    return _solution(n, cv, xs, Method.NUMERIC_BACKWARD)
+    ys.reverse()
+    return ys
 
 
 def total_saturation_point() -> float:
@@ -411,3 +424,56 @@ def best_online(n: int, c: Overlap | float) -> OnlineSolution:
     if cv <= 0.5:
         return closed_form_strengths(n, cv)
     return optimize_strengths(n, cv)
+
+
+def _table_strengths(n: int, cs: np.ndarray) -> np.ndarray:
+    """The schedules of :func:`best_online`, :func:`fl_solution` and
+    :func:`sl_solution` for each of the increasing overlaps ``0 < cs <= 1``,
+    stacked as ``3 * len(cs)`` rows of ``n - 1`` strengths: the online
+    rows, then the fl rows, then the sl rows.
+
+    The closed-form rows (``c <= 1/2``) come from one 2-D expression, and
+    every row equals its constructor's strengths bit for bit.
+    """
+    rows = len(cs)
+    xs = np.empty((3 * rows, n - 1))
+    low = int(np.searchsorted(cs, 0.5, side="right"))
+    c_low = cs[:low, None]
+    xs[:low] = (1.0 + c_low) / (1.0 - np.power(-c_low, n - np.arange(1, n)))
+    for r, cv in enumerate(cs[low:].tolist(), start=low):
+        # overlap 1 admits only the balanced strength
+        xs[r] = 1.0 if cv == 1.0 else _backward_strengths(n, cv)
+    ceiling = 1.0 / cs
+    xs[rows : 2 * rows, :-1] = np.minimum(1.0 + cs, ceiling)[:, None]
+    xs[2 * rows :, :-1] = ceiling[:, None]
+    xs[rows:, -1] = 1.0
+    return xs
+
+
+#: most strengths one block of :func:`_table_success` holds; bounds the
+#: working memory of a fine curve grid
+_TABLE_BLOCK = 1 << 16
+
+
+def _table_success(n: int, cs) -> np.ndarray:
+    """Success probabilities of :func:`best_online`, :func:`fl_solution`
+    and :func:`sl_solution` at each of the increasing overlaps
+    ``0 < cs <= 1``, as a ``(3, len(cs))`` array bit-identical to their
+    ``success``.
+
+    Block by block of overlaps, the stacked schedules go through one
+    admissibility check and one 2-D profile recursion, and each row's
+    profile is checked and averaged as :class:`DetectionProfile` does.
+    """
+    cs = np.asarray(cs, dtype=np.float64)
+    per_block = max(1, _TABLE_BLOCK // (3 * (n - 1)))
+    out = np.empty((3, len(cs)))
+    for lo in range(0, len(cs), per_block):
+        block = cs[lo : lo + per_block]
+        xs = _table_strengths(n, block)
+        row_cs = np.tile(block, 3)
+        check_strength(row_cs[:, None], xs)
+        profiles = kernels._detection_profiles(row_cs, xs)
+        _check_probabilities(profiles)
+        out[:, lo : lo + per_block] = profiles.mean(axis=1).reshape(3, -1)
+    return out

@@ -7,16 +7,29 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qcpd import (
+    SingularityError,
+    best_online,
+    build_gram,
+    critical_overlap,
+    fl_solution,
+    global_success,
+    optimal_global,
+    sl_solution,
+    validate_unambiguous,
+)
+from qcpd import online_opt
 from qcpd.cli import (
     CSV_HEADER,
     MAX_CURVE_ROWS,
     MAX_TRIAL_STEPS,
     CurveTable,
+    _exact_rows,
     build_curve,
 )
-from qcpd import global_success
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -37,6 +50,15 @@ class TestCurve:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == (GOLDEN_DIR / "curve_n31_exact.csv").read_text()
+
+    def test_golden_exact_json_table(self):
+        # full precision: a 1-ulp move shows here, not in the 12-digit CSV
+        result = run_cli(
+            "curve", "--n", "301", "--c-min", "0.4", "--c-max", "0.8",
+            "--step", "0.01", "--format", "json",
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (GOLDEN_DIR / "curve_n301_exact.json").read_text()
 
     def test_golden_asymptotic_table(self):
         result = run_cli(
@@ -64,19 +86,28 @@ class TestCurve:
         rows = tuple(tuple(float(v) for v in line.split(",")) for line in lines)
         assert CurveTable(n=9, mode="exact", rows=rows).to_csv() == text
 
-    def test_short_chains_use_the_plain_bound(self):
-        # no threshold below n = 4: p_global is the plain closed form on
-        # every row, also above c = 1/2 where gamma_3(2) turns negative
+    def test_short_chains_report_a_feasible_bound_met_online(self):
+        # n = 2 has no threshold: p_global is the plain closed form on
+        # every row
         result = run_cli("curve", "--n", "2")
         assert result.returncode == 0, result.stderr
         for line in result.stdout.splitlines()[1:]:
             c, p_global = line.split(",")[:2]
             assert p_global == f"{global_success(2, float(c)):.12g}"
-        result = run_cli("curve", "--n", "3", "--format", "json")
+        # n = 3 switches to the primed form above c = 1/2, where the plain
+        # entry 2 turns negative; the online strategy attains it throughout
+        result = run_cli(
+            "curve", "--n", "3", "--c-max", "1", "--include-endpoint", "--format", "json"
+        )
         assert result.returncode == 0, result.stderr
         rows = json.loads(result.stdout)["rows"]
-        assert len(rows) == 100
-        assert all(row["p_global"] == global_success(3, row["c"]) for row in rows)
+        assert len(rows) == 101
+        for row in rows:
+            c = row["c"]
+            vec, value = optimal_global(3, c)
+            assert validate_unambiguous(build_gram(3, c), vec).feasible
+            assert row["p_global"] == (value if c else 1.0)
+            assert abs(row["p_online"] - row["p_global"]) <= 1e-12
 
     def test_json_format_carries_the_same_values(self):
         result = run_cli(
@@ -152,6 +183,58 @@ class TestCurve:
         )
         assert result.returncode == 0 and result.stdout == ""
         assert target.read_text().startswith(CSV_HEADER)
+
+
+def row_by_row(n, c):
+    """One exact curve row from the public per-overlap functions."""
+    if c == 0.0:
+        return (0.0, 1.0, 1.0, 1.0, 1.0)
+    try:
+        p_global = optimal_global(n, c)[1]
+    except SingularityError:
+        p_global = 0.0
+    return (
+        c,
+        p_global,
+        best_online(n, c).success,
+        fl_solution(n, c).success,
+        sl_solution(n, c).success,
+    )
+
+
+class TestExactTable:
+    """The stacked table against the row-by-row composition, with ``==``."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 31, 301])
+    def test_edge_overlaps_match_row_by_row(self, n):
+        below, above = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+        overlaps = {0.0, 1e-300, 0.05, 0.3, below, 0.5, above, 0.7, 0.95, 1.0}
+        cstar = critical_overlap(n)
+        if cstar is not None:
+            overlaps |= {np.nextafter(cstar, 0.0), cstar, np.nextafter(cstar, 1.0)}
+        grid = sorted(float(c) for c in overlaps)
+        assert _exact_rows(n, grid) == [row_by_row(n, c) for c in grid]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 31, 301])
+    def test_curve_with_endpoint_matches_row_by_row(self, n):
+        table = build_curve(n=n, c_min=0.0, c_max=1.0, step=0.05, include_endpoint=True)
+        assert table.rows == tuple(row_by_row(n, c) for c, *_ in table.rows)
+        assert table.rows[-1][0] == 1.0
+
+    def test_singular_endpoint_reports_a_zero_bound(self):
+        # c = 1 with even n: the primed denominator vanishes
+        with pytest.raises(SingularityError):
+            optimal_global(6, 1.0)
+        table = build_curve(n=6, c_min=0.9, c_max=1.0, step=0.05, include_endpoint=True)
+        assert table.rows[-1] == (1.0, 0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("strengths", [5, 2 * 90, 4 * 90])
+    def test_block_boundaries_leave_the_table_unchanged(self, monkeypatch, strengths):
+        # n = 31 has 90 strengths per overlap: blocks of 1, 2 and 4 overlaps
+        n = 31
+        grid = [round(0.05 * i, 12) for i in range(1, 20)]
+        monkeypatch.setattr(online_opt, "_TABLE_BLOCK", strengths)
+        assert _exact_rows(n, grid) == [row_by_row(n, c) for c in grid]
 
 
 class TestStrengths:

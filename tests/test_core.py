@@ -17,7 +17,7 @@ from qcpd import (
     global_efficiencies,
 )
 from qcpd.cli import main
-from qcpd.core import REL_SLACK
+from qcpd.core import REL_SLACK, _check_probabilities
 from conftest import schedules
 
 
@@ -40,6 +40,25 @@ class TestValidation:
         with pytest.raises(InvalidMeasurementError):
             check_strength(0.0, 0.0)
         check_strength(0.0, 100.0)  # no ceiling at zero overlap
+
+    def test_stacked_schedules_use_their_own_overlap(self):
+        cs = np.array([[0.5], [0.25], [0.0]])
+        xs = np.array([[0.5, 2.0], [0.25, 4.0], [9.0, 1e-3]])
+        check_strength(cs, xs)
+        xs[1, 1] = 4.5
+        with pytest.raises(
+            InvalidMeasurementError,
+            match=r"position 2 = 4\.5 outside the admissible interval \[0\.25, 4\.0\]",
+        ):
+            check_strength(cs, xs)
+        xs[1, 1], xs[2, 0] = 4.0, 0.0
+        with pytest.raises(InvalidMeasurementError, match="position 1 = 0.0 must be positive"):
+            check_strength(cs, xs)
+
+    def test_stacked_profiles_name_the_position(self):
+        _check_probabilities(np.array([[0.2, 0.8], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="entry 2 = 1.5 is not a probability"):
+            _check_probabilities(np.array([[0.2, 0.8], [0.1, 1.5]]))
 
     def test_schedule_names_offending_position(self):
         with pytest.raises(InvalidMeasurementError, match="position 2"):

@@ -92,10 +92,26 @@ class TestCriticalOverlap:
     def test_four_positions_have_no_interior_root(self):
         assert critical_overlap(4) is None
 
-    def test_chains_shorter_than_four_have_no_threshold(self):
-        # n = 3 has the root c = 1/2 of 1 - c - 2c^2, but no primed form
+    def test_two_positions_have_no_threshold_and_three_cross_at_half(self):
+        # n = 2: f = 1 - c^2 stays positive; n = 3: f = (1 - 2c)(1 + c)
         assert critical_overlap(2) is None
-        assert critical_overlap(3) is None
+        assert critical_overlap(3) == 0.5
+
+    def test_binary_search_matches_the_full_scan(self):
+        # the sign scan over every grid point, which the search replaced
+        grid = np.linspace(0.0, 1.0, 4097)[1:-1]
+        for n in range(2, 3001):
+
+            def f(cv, n=n):
+                return 1.0 - cv - cv * cv - (-cv) ** (n - 1)
+
+            signs = np.sign(1.0 - grid - grid * grid - (-grid) ** (n - 1))
+            crossings = np.nonzero(signs[:-1] * signs[1:] <= 0)[0]
+            want = None
+            if len(crossings):
+                i = int(crossings[0])
+                want = _bisect_root(f, float(grid[i]), float(grid[i + 1]), tol=1e-12)
+            assert critical_overlap(n) == want
 
     def test_five_positions_pinned_value(self):
         assert critical_overlap(5) == pytest.approx(0.569840290998, abs=1e-9)
@@ -151,10 +167,16 @@ class TestOptimalGlobal:
         assert np.array_equal(vec, primed_efficiencies(n, above))
         assert value == pytest.approx(primed_success(n, above), abs=1e-15)
 
-    def test_short_chains_stay_plain(self):
-        for c in (0.1, 0.6, 0.9):
+    def test_three_positions_switch_to_the_primed_form_above_half(self):
+        for c in (0.1, 0.5):
             vec, value = optimal_global(3, c)
             assert np.array_equal(vec, global_efficiencies(3, c))
+        for c in (0.55, 0.6, 0.75, 0.9, 0.999):
+            vec, value = optimal_global(3, c)
+            # the plain entry 2, 1 - 2c, would be negative here
+            assert vec.tolist() == pytest.approx([1 - c * c, 0.0, 1 - c * c], abs=1e-15)
+            assert value == pytest.approx(2.0 * (1 - c * c) / 3.0, abs=1e-15)
+            assert validate_unambiguous(build_gram(3, c), vec).feasible
 
     def test_continuous_across_the_threshold(self):
         n = 31
