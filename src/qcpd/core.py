@@ -59,10 +59,11 @@ def check_strength(c, x) -> None:
     with np.errstate(divide="ignore", over="ignore"):
         # inf at c == 0, where only x > 0 binds, and at subnormal c
         ceiling = 1.0 / cs
-    # NaN fails every comparison; inf passes an infinite ceiling, hence the
-    # finiteness test
+    # NaN fails both comparisons
     ok = (xs >= cs * (1.0 - REL_SLACK)) & (xs <= ceiling * (1.0 + REL_SLACK))
-    ok &= (xs > 0.0) & np.isfinite(xs)
+    if not np.isfinite(ceiling).all():
+        # an infinite ceiling passes x = inf, and the floor 0 passes x = 0
+        ok &= (xs > 0.0) & np.isfinite(xs)
     if ok.all():
         return
     i = int(np.argmin(ok))

@@ -1,12 +1,10 @@
 """Numeric hot paths: detection-profile recursion and Monte Carlo trials.
 
-Both kernels are plain numpy; the profile recursion also comes in a 2-D
-form that walks many schedules at once, one position at a time.  The
-Monte Carlo kernel draws every uniform from a counter-based generator
-keyed by ``(seed, trial, position)``, so the vectorised kernel consumes
-exactly the same numbers as the scalar reference walk
-:func:`qcpd.montecarlo.simulate_trial`, in any order and for any
-chunking; pooled, the two agree count for count.
+Both kernels are plain numpy.  The Monte Carlo kernel draws every uniform
+from a counter-based generator keyed by ``(seed, trial, position)``, so
+the vectorised kernel consumes exactly the same numbers as the scalar
+reference walk :func:`qcpd.montecarlo.simulate_trial`, in any order and
+for any chunking; pooled, the two agree count for count.
 
 The generator is the splitmix64 finalizer applied twice:
 ``u(seed, t, j) = finalize(finalize(root + t*GAMMA) + j*GAMMA)`` with
@@ -76,44 +74,6 @@ def detection_profile(c: float, xs: np.ndarray) -> np.ndarray:
         p0 = 1.0 - pi
     prof.append(p0)
     return np.array(prof)
-
-
-#: fewest rows :func:`_detection_profiles` walks together; below it, the
-#: 1-D kernel's Python-float loop per row costs less than a numpy call per
-#: operation and position (the two break even near 16 rows on a 2-core host)
-_STACK_MIN_ROWS = 16
-
-
-def _detection_profiles(cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """:func:`detection_profile` of every row of the 2-D schedule array
-    ``xs`` at its overlap ``cs[row]``, as an array of one profile per row.
-
-    One position at a time over all rows, with the 1-D kernel's operations
-    in the same order, so each row is bit-identical to that kernel's result.
-    """
-    rows, m = xs.shape
-    if rows < _STACK_MIN_ROWS:
-        prof = [detection_profile(c, x) for c, x in zip(cs.tolist(), xs)]
-        return np.array(prof).reshape(rows, m + 1)
-    c = cs[:, None]
-    prof = np.empty((rows, m + 1))
-    # the factors 1 - c/x, which the walk then scales by p0 column by column
-    hit = prof[:, :m]
-    np.divide(c, xs, out=hit)
-    np.subtract(1.0, hit, out=hit)
-    stay = c * xs
-    cc = cs * cs
-    p0 = np.ones(rows)
-    pi = np.zeros(rows)
-    for h, s in zip(hit.T, stay.T):
-        h *= p0
-        # pi = p0 * (c * x) + pi * (c * c)
-        p0 *= s
-        pi *= cc
-        pi += p0
-        np.subtract(1.0, pi, out=p0)
-    prof[:, m] = p0
-    return prof
 
 
 # ---------------------------------------------------------------------------

@@ -265,8 +265,8 @@ def optimize_strengths(n: int, c: Overlap | float) -> OnlineSolution:
     ``beta*y + delta/y`` with ``beta = c*B/m`` and ``delta = -c/m``; it is
     maximized analytically, clipped to ``[c, 1/c]`` and pushed onto the
     tail.  Each strength is fixed once, which gives the shift property
-    ``x_n(j) = x_{n-j+1}(1)``.  The curve table runs the same pass
-    (:func:`_backward_strengths`) for its rows above ``c = 1/2``.
+    ``x_n(j) = x_{n-j+1}(1)``.  The curve table takes its rows above
+    ``c = 1/2`` from this pass.
 
     At overlap 1 the admissible interval collapses to {1}: the schedule is
     all-balanced and the success probability is 0 (identical states carry
@@ -276,21 +276,14 @@ def optimize_strengths(n: int, c: Overlap | float) -> OnlineSolution:
     cv = _overlap(c)
     if cv == 0.0 or cv == 1.0:
         return _solution(n, cv, np.ones(n - 1), Method.NUMERIC_BACKWARD)
-    return _solution(n, cv, _backward_strengths(n, cv), Method.NUMERIC_BACKWARD)
-
-
-def _backward_strengths(n: int, cv: float) -> list[float]:
-    """Strengths at positions 1..n-1 from the backward pass of
-    :func:`optimize_strengths`, for ``0 < c < 1``."""
     lo, hi = cv, 1.0 / cv
-    ys = []
+    xs = np.empty(n - 1)
     a, b = 1.0, -1.0
     for m in range(2, n + 1):
         y = _argmax_rational(cv * b / m, -cv / m, lo, hi)
-        ys.append(y)
+        xs[n - m] = y
         a, b = _push_head(cv, y, a, b)
-    ys.reverse()
-    return ys
+    return _solution(n, cv, xs, Method.NUMERIC_BACKWARD)
 
 
 def total_saturation_point() -> float:
@@ -441,8 +434,7 @@ def _table_strengths(n: int, cs: np.ndarray) -> np.ndarray:
     c_low = cs[:low, None]
     xs[:low] = (1.0 + c_low) / (1.0 - np.power(-c_low, n - np.arange(1, n)))
     for r, cv in enumerate(cs[low:].tolist(), start=low):
-        # overlap 1 admits only the balanced strength
-        xs[r] = 1.0 if cv == 1.0 else _backward_strengths(n, cv)
+        xs[r] = optimize_strengths(n, cv).schedule.strengths
     ceiling = 1.0 / cs
     xs[rows : 2 * rows, :-1] = np.minimum(1.0 + cs, ceiling)[:, None]
     xs[2 * rows :, :-1] = ceiling[:, None]
@@ -462,8 +454,8 @@ def _table_success(n: int, cs) -> np.ndarray:
     ``success``.
 
     Block by block of overlaps, the stacked schedules go through one
-    admissibility check and one 2-D profile recursion, and each row's
-    profile is checked and averaged as :class:`DetectionProfile` does.
+    admissibility check, each row through the profile kernel, and the
+    profiles are checked and averaged as :class:`DetectionProfile` does.
     """
     cs = np.asarray(cs, dtype=np.float64)
     per_block = max(1, _TABLE_BLOCK // (3 * (n - 1)))
@@ -473,7 +465,9 @@ def _table_success(n: int, cs) -> np.ndarray:
         xs = _table_strengths(n, block)
         row_cs = np.tile(block, 3)
         check_strength(row_cs[:, None], xs)
-        profiles = kernels._detection_profiles(row_cs, xs)
+        profiles = np.empty((len(xs), n))
+        for p, cv, x in zip(profiles, row_cs.tolist(), xs):
+            p[:] = kernels.detection_profile(cv, x)
         _check_probabilities(profiles)
         out[:, lo : lo + per_block] = profiles.mean(axis=1).reshape(3, -1)
     return out

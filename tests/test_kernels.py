@@ -71,17 +71,6 @@ class TestProfileBackends:
             prof = kernels.detection_profile(c, xs)
             assert np.all(prof >= -1e-15) and np.all(prof <= 1.0 + 1e-15)
 
-    @pytest.mark.parametrize("rows", [3, kernels._STACK_MIN_ROWS, 40])
-    def test_stacked_rows_match_the_1d_kernel_bit_for_bit(self, rows):
-        rng = np.random.default_rng(13)
-        for n in (2, 3, 17, 40):
-            cs = rng.uniform(0.0, 0.98, size=rows)
-            cases = [(c, rng.uniform(c, min(1.0 / c, 3.0), size=n - 1)) for c in cs]
-            stacked = kernels._detection_profiles(cs, np.array([xs for _, xs in cases]))
-            single = [kernels.detection_profile(c, xs) for c, xs in cases]
-            assert np.array_equal(stacked, single)
-            assert np.array_equal(stacked.mean(axis=1), [np.mean(p) for p in single])
-
 
 class TestSimulationBackends:
     @pytest.mark.parametrize(
