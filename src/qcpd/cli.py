@@ -16,10 +16,12 @@ Exit codes: 0 success, 1 usage or domain error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Sequence
 
 from .errors import QcpdError, SingularityError
@@ -43,6 +45,10 @@ from .verification import run_all
 
 _TOL = 1e-12
 CSV_HEADER = "c,p_global,p_online,p_fl,p_sl"
+_CSV_ROW = ",".join(["%.12g"] * 5) + "\n"
+_STRENGTH_LINE = "%3d  %-16.12g  %s\n"
+#: lines per ``%`` call in :func:`_render_lines`
+_RENDER_BLOCK = 2048
 
 #: largest overlap grid ``curve`` evaluates; finer grids are rejected up front
 MAX_CURVE_ROWS = 100_000
@@ -55,6 +61,21 @@ MAX_TRIAL_STEPS = 10**10
 def _fmt(value: float) -> str:
     """12 significant digits; round-trips through ``float`` bit-stably."""
     return f"{value:.12g}"
+
+
+def _render_lines(line: str, rows) -> str:
+    """``line``, a one-line ``%`` template, filled in from each row in turn.
+
+    One ``%`` call renders a block of rows from a repeated template: the
+    cost stays in C, and the cell tuple and template of a block stay small
+    even for 1e5 lines.
+    """
+    fields = line.count("%")
+    rows = iter(rows)
+    parts = []
+    while cells := tuple(chain.from_iterable(islice(rows, _RENDER_BLOCK))):
+        parts.append((line * (len(cells) // fields)) % cells)
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +102,10 @@ class CurveTable:
                 )
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        lines.extend(",".join(_fmt(v) for v in row) for row in self.rows)
-        return "\n".join(lines) + "\n"
+        """The header and one ``%.12g`` line per row, byte-identical to
+        joining :func:`_fmt` of each value with commas, rendered in blocks
+        by :func:`_render_lines`."""
+        return f"{CSV_HEADER}\n" + _render_lines(_CSV_ROW, self.rows)
 
     def to_dict(self) -> dict:
         return {
@@ -196,8 +218,31 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, for a
+    non-empty dict with string keys.
+
+    ``indent`` forces the pure-Python encoder, so each top-level value is
+    encoded on its own. A non-empty flat list of ints and floats (a schedule
+    of 1e5 strengths) goes through the C encoder in one call whose item
+    separator is the indented line break. Any other value goes through
+    ``json.dumps(value, indent=2)``, re-indented one level; JSON escapes
+    newlines inside strings, so every newline there is indentation.
+    """
+    parts = ["{"]
+    for key, value in payload.items():
+        parts.append(f"\n  {json.dumps(key)}: ")
+        if type(value) is list and value and set(map(type, value)) <= _NUMBER_TYPES:
+            body = json.dumps(value, separators=(",\n    ", ": "))
+            parts += ["[\n    ", body[1:-1], "\n  ]"]
+        else:
+            parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+        parts.append(",")
+    parts[-1] = "\n}\n"
+    return "".join(parts)
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
@@ -224,17 +269,19 @@ _METHODS = {
 
 
 def _strengths_text(solution: OnlineSolution) -> str:
+    """A header and one line per position, ``f"{j:>3}  {_fmt(x):<16}  {flag}"``
+    byte for byte, rendered in blocks by :func:`_render_lines`."""
     schedule = solution.schedule
-    lines = [
+    strengths = schedule.strengths.tolist()
+    m = len(strengths)
+    flags = ["no"] * m
+    for j in solution.saturated_positions:
+        flags[j - 1] = "yes"
+    return (
         f"n={schedule.n} c={_fmt(schedule.overlap.c)} "
-        f"method={solution.method.value} success={_fmt(solution.success)}",
-        "  j  strength          saturated",
-    ]
-    saturated = solution.saturated_positions
-    for j, x in enumerate(schedule.strengths.tolist(), start=1):
-        flag = "yes" if j in saturated else "no"
-        lines.append(f"{j:>3}  {_fmt(x):<16}  {flag}")
-    return "\n".join(lines) + "\n"
+        f"method={solution.method.value} success={_fmt(solution.success)}\n"
+        "  j  strength          saturated\n"
+    ) + _render_lines(_STRENGTH_LINE, zip(range(1, m + 1), strengths, flags))
 
 
 def cmd_strengths(args: argparse.Namespace) -> int:
@@ -362,7 +409,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qcpd`` parser, built once per process: parsing keeps no state
+    in it, so every :func:`main` call reuses the same one."""
     parser = _Parser(
         prog="qcpd",
         description=(

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcpd import (
     SingularityError,
@@ -21,14 +23,21 @@ from qcpd import (
     sl_solution,
     validate_unambiguous,
 )
-from qcpd import online_opt
+from qcpd import cli, online_opt, optimize_strengths
 from qcpd.cli import (
+    _CSV_ROW,
+    _STRENGTH_LINE,
     CSV_HEADER,
     MAX_CURVE_ROWS,
     MAX_TRIAL_STEPS,
     CurveTable,
+    _dump_json,
     _exact_rows,
+    _fmt,
+    _strengths_text,
     build_curve,
+    build_parser,
+    main,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -244,6 +253,11 @@ class TestStrengths:
             ("strengths_numeric_n50.json",
              ("--n", "50", "--c", "0.6", "--method", "numeric", "--format", "json")),
             ("strengths_closed_n10.txt", ("--n", "10", "--c", "0.3")),
+            # four-digit positions and ``yes`` flags
+            ("strengths_numeric_n1200.txt",
+             ("--n", "1200", "--c", "0.7", "--method", "numeric")),
+            # one strength, no saturated position
+            ("strengths_closed_n2.json", ("--n", "2", "--c", "0.3", "--format", "json")),
         ],
     )
     def test_golden_schedule(self, golden, args):
@@ -431,3 +445,113 @@ class TestTopLevel:
         assert result.returncode == 0
         for name in ("curve", "strengths", "verify", "simulate"):
             assert name in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# bulk formatters against the per-value formatting they replace
+# ---------------------------------------------------------------------------
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.1e-308]),
+)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, st.text(max_size=8))
+_FLAT_DICTS = st.dictionaries(st.text(max_size=6), _SCALARS, max_size=5)
+_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(st.one_of(st.integers(), _FLOATS), max_size=12),
+    st.lists(st.booleans(), max_size=6),
+    st.lists(_SCALARS, max_size=6),
+    st.lists(_FLAT_DICTS, max_size=4),
+    # like verify's ``worst_case``: scalars and one nested level
+    st.dictionaries(st.text(max_size=6), st.one_of(_SCALARS, _FLAT_DICTS), max_size=5),
+)
+
+
+class TestBulkFormatters:
+    @settings(deadline=None, max_examples=300)
+    @given(payload=st.dictionaries(st.text(max_size=8), _VALUES, min_size=1, max_size=8))
+    def test_dump_json_matches_the_indenting_encoder(self, payload):
+        assert _dump_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("curve", "--n", "9", "--c-max", "0.7", "--step", "0.1", "--format", "json"),
+            ("strengths", "--n", "40", "--c", "0.6", "--method", "numeric", "--format", "json"),
+            ("strengths", "--n", "2", "--c", "0.0", "--format", "json"),
+            ("verify", "--n-max", "5"),
+            ("verify", "--n-max", "5", "--self-test"),
+            ("simulate", "--n", "12", "--c", "0.4", "--trials", "100", "--seed", "3"),
+        ],
+    )
+    def test_dump_json_on_each_subcommand_payload(self, argv, monkeypatch, capsys):
+        payloads = []
+        monkeypatch.setattr(cli, "_dump_json", lambda p: payloads.append(p) or "")
+        main(list(argv))
+        assert len(payloads) == 1
+        assert _dump_json(payloads[0]) == json.dumps(payloads[0], indent=2) + "\n"
+
+    @settings(deadline=None, max_examples=300)
+    @given(j=st.integers(1, 10**6), x=_FLOATS, flag=st.sampled_from(["yes", "no"]))
+    def test_strength_line_template(self, j, x, flag):
+        assert _STRENGTH_LINE % (j, x, flag) == f"{j:>3}  {_fmt(x):<16}  {flag}\n"
+
+    @settings(deadline=None, max_examples=300)
+    @given(row=st.tuples(*[st.one_of(_FLOATS, st.integers())] * 5))
+    def test_csv_row_template(self, row):
+        assert _CSV_ROW % row == ",".join(_fmt(v) for v in row) + "\n"
+
+    @pytest.mark.parametrize("block", [1, 4, 2048])
+    @pytest.mark.parametrize(
+        "solution",
+        [best_online(7, 0.3), optimize_strengths(30, 0.8), sl_solution(5, 0.6)],
+        ids=["closed", "numeric-saturated", "sl"],
+    )
+    def test_strengths_text_line_by_line(self, solution, block, monkeypatch):
+        monkeypatch.setattr(cli, "_RENDER_BLOCK", block)
+        saturated = solution.saturated_positions
+        lines = [
+            f"{j:>3}  {_fmt(x):<16}  {'yes' if j in saturated else 'no'}"
+            for j, x in enumerate(solution.schedule.strengths.tolist(), start=1)
+        ]
+        assert _strengths_text(solution).split("\n")[2:] == lines + [""]
+
+    @pytest.mark.parametrize("block", [1, 7, 2048])
+    def test_to_csv_line_by_line(self, block, monkeypatch):
+        monkeypatch.setattr(cli, "_RENDER_BLOCK", block)
+        table = build_curve(31, 0.0, 0.99, 0.01, include_endpoint=True)
+        lines = [CSV_HEADER] + [",".join(_fmt(v) for v in row) for row in table.rows]
+        assert table.to_csv() == "\n".join(lines) + "\n"
+
+
+class TestInProcess:
+    def test_one_parser_serves_a_mixed_sequence(self, monkeypatch, capsys):
+        # help text wraps to the terminal width; pin it for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        curve = ("curve", "--n", "9", "--c-max", "0.7", "--step", "0.1")
+        sequence = [
+            curve,
+            ("strengths", "--n", "12", "--c", "0.7", "--method", "numeric"),
+            ("strengths", "--n", "12", "--c", "0.3", "--format", "json"),
+            ("simulate", "--n", "12", "--c", "0.4", "--trials", "100", "--seed", "3"),
+            ("verify", "--n-max", "5"),
+            ("strengths", "--n", "12"),  # missing --c: usage error
+            ("--help",),
+            curve,
+        ]
+        build_parser.cache_clear()
+        codes = []
+        for argv in sequence:
+            try:
+                rc = main(list(argv))
+            except SystemExit as exc:
+                rc = exc.code
+            codes.append(rc)
+            out, err = capsys.readouterr()
+            expected = run_cli(*argv)
+            assert (rc, out, err) == (
+                expected.returncode, expected.stdout, expected.stderr
+            ), argv
+        assert codes == [0, 0, 0, 0, 0, 1, 0, 0]
+        assert build_parser.cache_info().misses == 1

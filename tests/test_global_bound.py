@@ -17,7 +17,7 @@ from qcpd import (
     primed_success,
     validate_unambiguous,
 )
-from qcpd.global_bound import _bisect_root, global_efficiencies_direct
+from qcpd.global_bound import _bisect_root, _gamma_two, global_efficiencies_direct
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -65,6 +65,17 @@ class TestPrimedRegime:
             assert np.mean(primed_efficiencies(n, c)) == pytest.approx(
                 primed_success(n, c), abs=1e-13
             )
+
+    def test_gamma_two_is_bit_equal_to_the_plain_vector(self):
+        # primed_success reads gamma_2 from a 2-element np.power, not from
+        # the whole vector; the pinned cases are ones where scalar powers
+        # differ from the vector in the last bit
+        rng = np.random.default_rng(20261018)
+        cases = list(zip(range(3, 3001), rng.random(2998).tolist()))
+        cases += [(652, 0.5101796874998467), (92, 0.7039120891401701),
+                  (2316, 0.6582804299109531), (5, 0.8394614196935628)]
+        for n, c in cases:
+            assert _gamma_two(n, c) == global_efficiencies(n, c)[1], (n, c)
 
     def test_correction_never_helps(self):
         for n, c in [(6, 0.8), (9, 0.75), (31, 0.95)]:
