@@ -32,7 +32,6 @@ from .global_bound import (
     validate_unambiguous,
 )
 from .online_opt import (
-    Method,
     OnlineSolution,
     best_online,
     closed_form_strengths,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DetectionProfile",
     "InvalidMeasurementError",
-    "Method",
     "NumericDomainError",
     "OnlineSolution",
     "OutOfValidityError",

@@ -20,11 +20,11 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, islice
 from typing import Sequence
 
-from .errors import QcpdError, SingularityError
+from .errors import SingularityError
 from .core import Overlap, StrengthSchedule, _check_n, evaluate_strategy
 from .global_bound import _optimal_success, critical_overlap
 from .kernels import active_backend
@@ -56,6 +56,19 @@ MAX_CURVE_ROWS = 100_000
 #: largest ``(n-1) * trials`` ``simulate`` runs (about 4.4 ns per nominal step on
 #: a 2-core host, so some 45 s at the cap); more is rejected
 MAX_TRIAL_STEPS = 10**10
+
+#: most strength positions one request may hold: ``n - 1`` for ``strengths``
+#: and ``simulate``, ``rows * (n - 1)`` for an exact ``curve``; a grid of
+#: ``MAX_CURVE_ROWS`` rows at the default ``n = 31`` just fits.  Larger
+#: requests are rejected before any schedule is built.
+MAX_POSITIONS = MAX_CURVE_ROWS * 30
+
+
+def _check_positions(positions: int) -> None:
+    if positions > MAX_POSITIONS:
+        raise ValueError(
+            f"{positions} strength positions exceed the cap of {MAX_POSITIONS}"
+        )
 
 
 def _fmt(value: float) -> str:
@@ -190,6 +203,8 @@ def build_curve(
     span = (c_max - c_min) / step + 1e-9
     if span >= MAX_CURVE_ROWS:
         raise ValueError(f"{span + 1:.4g} grid rows exceed the cap of {MAX_CURVE_ROWS}")
+    if not asymptotic:
+        _check_positions((int(span) + 1) * (n - 1))
     grid = []
     for i in range(int(span) + 1):
         c = round(c_min + i * step, 12)
@@ -279,7 +294,7 @@ def _strengths_text(solution: OnlineSolution) -> str:
         flags[j - 1] = "yes"
     return (
         f"n={schedule.n} c={_fmt(schedule.overlap.c)} "
-        f"method={solution.method.value} success={_fmt(solution.success)}\n"
+        f"method={solution.method} success={_fmt(solution.success)}\n"
         "  j  strength          saturated\n"
     ) + _render_lines(_STRENGTH_LINE, zip(range(1, m + 1), strengths, flags))
 
@@ -289,13 +304,14 @@ def cmd_strengths(args: argparse.Namespace) -> int:
         raise ValueError(
             f"schedule construction needs overlap in [0, 1), got {args.c}"
         )
+    _check_positions(args.n - 1)
     solution = _METHODS[args.method](args.n, args.c)
     if args.format == "json":
         schedule = solution.schedule
         payload = {
             "n": schedule.n,
             "c": schedule.overlap.c,
-            "method": solution.method.value,
+            "method": solution.method,
             "success": solution.success,
             "strengths": schedule.strengths.tolist(),
             "saturated_positions": sorted(solution.saturated_positions),
@@ -311,7 +327,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = {
         "passed": all(r.passed for r in results),
         "self_test": args.self_test,
-        "suites": [r.to_dict() for r in results],
+        "suites": [asdict(r) for r in results],
     }
     _write(_dump_json(payload), args.out)
     if payload["passed"]:
@@ -328,7 +344,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 2
 
 
-def _load_custom_schedule(path: str, n: int | None, c: float) -> StrengthSchedule:
+def _check_run(n: int, trials: int) -> None:
+    """Reject a ``simulate`` run over ``n`` particles before its schedule
+    is built."""
+    _check_positions(n - 1)
+    steps = (n - 1) * trials
+    if steps > MAX_TRIAL_STEPS:
+        raise ValueError(f"{steps} trial steps exceed the cap of {MAX_TRIAL_STEPS}")
+
+
+def _load_custom_schedule(
+    path: str, n: int | None, c: float, trials: int
+) -> StrengthSchedule:
     with open(path, "r", encoding="utf-8") as handle:
         values = [float(token) for token in handle.read().split()]
     if len(values) < 1:
@@ -338,6 +365,7 @@ def _load_custom_schedule(path: str, n: int | None, c: float) -> StrengthSchedul
             f"--n {n} disagrees with the {len(values)} strengths in {path!r}"
             f" (which imply n={len(values) + 1})"
         )
+    _check_run(len(values) + 1, trials)
     return StrengthSchedule(n=len(values) + 1, strengths=values, overlap=Overlap(c))
 
 
@@ -345,9 +373,10 @@ def _select_strategy(args: argparse.Namespace) -> StrengthSchedule:
     if args.strategy == "custom":
         if args.schedule is None:
             raise ValueError("--strategy custom needs --schedule FILE")
-        return _load_custom_schedule(args.schedule, args.n, args.c)
+        return _load_custom_schedule(args.schedule, args.n, args.c, args.trials)
     if args.n is None:
         raise ValueError("--n is required unless a schedule file is given")
+    _check_run(args.n, args.trials)
     if args.strategy == "online":
         return best_online(args.n, args.c).schedule
     if args.strategy == "fl":
@@ -359,9 +388,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     schedule = _select_strategy(args)
-    steps = (schedule.n - 1) * args.trials
-    if steps > MAX_TRIAL_STEPS:
-        raise ValueError(f"{steps} trial steps exceed the cap of {MAX_TRIAL_STEPS}")
     report = run_experiment(schedule, args.trials, args.seed)
     profile = evaluate_strategy(schedule)
 
@@ -503,9 +529,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QcpdError as exc:
-        sys.stderr.write(f"qcpd: error: {exc}\n")
-        return 1
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"qcpd: error: {exc}\n")
         return 1

@@ -182,19 +182,19 @@ def evaluate_strategy(schedule: StrengthSchedule) -> DetectionProfile:
     return DetectionProfile(kernels.detection_profile(c, schedule.strengths))
 
 
-def enumerate_strategy(
-    schedule: StrengthSchedule, cap: int = ENUMERATION_CAP
-) -> DetectionProfile:
+def enumerate_strategy(schedule: StrengthSchedule) -> DetectionProfile:
     """Detection profile by explicit enumeration of outcome paths.
 
     Walks every conclusive-default/inconclusive string the positions before
     the change can produce and sums the path probabilities ending in the
     naming pattern.  Exponential in ``n`` — refuses streams longer than
-    ``cap``.  Exists as an independent cross-check of the recursion.
+    :data:`ENUMERATION_CAP`.  Exists as an independent cross-check of the
+    recursion.
     """
-    if schedule.n > cap:
+    if schedule.n > ENUMERATION_CAP:
         raise ValueError(
-            f"enumeration is exponential; n={schedule.n} exceeds the cap of {cap}"
+            f"enumeration is exponential; n={schedule.n} exceeds the cap of "
+            f"{ENUMERATION_CAP}"
         )
     c = schedule.overlap.c
     xs = schedule.strengths.tolist()

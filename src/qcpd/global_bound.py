@@ -29,6 +29,11 @@ from .errors import SingularityError
 #: feasibility boundary, so a strictly-zero test would be meaningless
 PSD_TOL = 1e-9
 
+#: absolute bracket width at which :func:`_bisect_root` stops, and its
+#: iteration budget
+_ROOT_TOL = 1e-12
+_ROOT_MAX_ITER = 200
+
 
 @dataclass(frozen=True, slots=True)
 class ValidityReport:
@@ -37,7 +42,6 @@ class ValidityReport:
     feasible: bool
     min_eigenvalue: float
     gamma_range_ok: bool
-    tol: float
 
 
 def build_gram(n: int, c: Overlap | float) -> np.ndarray:
@@ -137,17 +141,11 @@ def _gamma_two(n: int, cv: float) -> float:
     return float((1.0 - cv - p[0] - p[1]) / (1.0 + cv))
 
 
-def _bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
+def _bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of ``f`` on a bracketing interval by plain bisection.
 
     Requires ``f(lo)`` and ``f(hi)`` to have opposite (or zero) sign and
-    narrows the bracket until its width is below ``tol`` (absolute).
+    narrows the bracket until its width is below ``_ROOT_TOL`` (absolute).
     """
     flo = f(lo)
     fhi = f(hi)
@@ -157,9 +155,9 @@ def _bisect_root(
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"no sign change on [{lo!r}, {hi!r}]")
-    for _ in range(max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid == lo or mid == hi:
+        if hi - lo <= _ROOT_TOL or mid == lo or mid == hi:
             return mid
         fmid = f(mid)
         if fmid == 0.0:
@@ -171,7 +169,7 @@ def _bisect_root(
     return 0.5 * (lo + hi)
 
 
-def critical_overlap(n: int, tol: float = 1e-12) -> float | None:
+def critical_overlap(n: int) -> float | None:
     """Overlap at which the plain efficiency at position 2 crosses zero.
 
     Root in (0, 1) of ``f(c) = 1 - c - c^2 - (-c)^{n-1}``: the first grid
@@ -203,7 +201,7 @@ def critical_overlap(n: int, tol: float = 1e-12) -> float | None:
             hi = mid
     if lo == 4096:
         return None
-    return _bisect_root(f, (lo - 1) / 4096, lo / 4096, tol=tol)
+    return _bisect_root(f, (lo - 1) / 4096, lo / 4096)
 
 
 def optimal_global(n: int, c: Overlap | float) -> tuple[np.ndarray, float]:
@@ -218,29 +216,30 @@ def optimal_global(n: int, c: Overlap | float) -> tuple[np.ndarray, float]:
     n = _check_n(n)
     cv = _overlap(c)
     threshold = critical_overlap(n)
-    if threshold is None or cv <= threshold:
-        return global_efficiencies(n, cv), global_success(n, cv)
-    return primed_efficiencies(n, cv), primed_success(n, cv)
+    vector = primed_efficiencies if _is_primed(cv, threshold) else global_efficiencies
+    return vector(n, cv), _optimal_success(n, cv, threshold)
+
+
+def _is_primed(cv: float, threshold: float | None) -> bool:
+    """Whether the corrected form applies at ``cv``, given
+    ``critical_overlap(n)``: strictly above a threshold that exists."""
+    return threshold is not None and cv > threshold
 
 
 def _optimal_success(n: int, cv: float, threshold: float | None) -> float:
     """Success of :func:`optimal_global` given ``critical_overlap(n)``,
     found once per curve table, without building an efficiency vector."""
-    if threshold is None or cv <= threshold:
-        return global_success(n, cv)
-    return primed_success(n, cv)
+    return primed_success(n, cv) if _is_primed(cv, threshold) else global_success(n, cv)
 
 
-def validate_unambiguous(
-    gram: np.ndarray, gammas: np.ndarray, tol: float = PSD_TOL
-) -> ValidityReport:
+def validate_unambiguous(gram: np.ndarray, gammas: np.ndarray) -> ValidityReport:
     """Zero-error feasibility of the efficiency array ``gammas`` against the
     ``(n, n)`` Gram array.
 
     The leftover-operator positivity condition reduces to
     ``G - diag(gammas)`` being positive semidefinite; the minimum
     eigenvalue comes from a symmetric eigensolver.  ``feasible`` also
-    requires every efficiency to be a probability within ``tol``.
+    requires every efficiency to be a probability within :data:`PSD_TOL`.
     """
     n = len(gammas)
     if gram.shape != (n, n):
@@ -252,10 +251,9 @@ def validate_unambiguous(
         raise ValueError("Gram matrix must be symmetric")
     shifted = gram - np.diag(gammas)
     min_eig = float(np.linalg.eigvalsh(shifted)[0])
-    range_ok = bool(np.all(gammas >= -tol) and np.all(gammas <= 1.0 + tol))
+    range_ok = bool(np.all(gammas >= -PSD_TOL) and np.all(gammas <= 1.0 + PSD_TOL))
     return ValidityReport(
-        feasible=min_eig >= -tol and range_ok,
+        feasible=min_eig >= -PSD_TOL and range_ok,
         min_eigenvalue=min_eig,
         gamma_range_ok=range_ok,
-        tol=tol,
     )

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -54,23 +53,15 @@ from .global_bound import _bisect_root, global_efficiencies
 _SATURATION_SLACK = 1e-9
 
 
-class Method(Enum):
-    """How an :class:`OnlineSolution`'s schedule was constructed."""
-
-    CLOSED_FORM = "closed-form"
-    RECURSIVE = "recursive"
-    NUMERIC_BACKWARD = "numeric-backward"
-    FIXED_FL = "fixed-fl"
-    SATURATED_SL = "saturated-sl"
-
-
 @dataclass(frozen=True, slots=True)
 class OnlineSolution:
-    """A schedule together with its profile and construction metadata."""
+    """A schedule together with its profile and the name of its
+    construction: ``"closed-form"``, ``"recursive"``,
+    ``"numeric-backward"``, ``"fixed-fl"`` or ``"saturated-sl"``."""
 
     schedule: StrengthSchedule
     profile: DetectionProfile
-    method: Method
+    method: str
 
     @property
     def n(self) -> int:
@@ -108,7 +99,7 @@ class RationalCoefficients:
         return self.alpha + self.beta * x + self.delta / x
 
 
-def _solution(n: int, cv: float, xs, method: Method) -> OnlineSolution:
+def _solution(n: int, cv: float, xs, method: str) -> OnlineSolution:
     schedule = StrengthSchedule(n=n, strengths=xs, overlap=Overlap(cv))
     return OnlineSolution(
         schedule=schedule, profile=evaluate_strategy(schedule), method=method
@@ -140,7 +131,7 @@ def closed_form_strengths(n: int, c: Overlap | float) -> OnlineSolution:
     _check_closed_form_range(cv)
     j = np.arange(1, n)
     xs = (1.0 + cv) / (1.0 - np.power(-cv, n - j))
-    return _solution(n, cv, xs, Method.CLOSED_FORM)
+    return _solution(n, cv, xs, "closed-form")
 
 
 def recursive_strengths(n: int, c: Overlap | float) -> OnlineSolution:
@@ -158,7 +149,7 @@ def recursive_strengths(n: int, c: Overlap | float) -> OnlineSolution:
     if cv == 0.0:
         # the recursion's first step is 0/0 at zero overlap; its limit, like
         # the closed form, is the all-balanced schedule
-        return _solution(n, cv, np.ones(n - 1), Method.RECURSIVE)
+        return _solution(n, cv, np.ones(n - 1), "recursive")
     targets = global_efficiencies(n, cv)
     xs = np.empty(n - 1)
     first_den = 1.0 - targets[0]
@@ -190,7 +181,7 @@ def recursive_strengths(n: int, c: Overlap | float) -> OnlineSolution:
                 position=k + 1,
             )
         xs[k] = cv / frac
-    return _solution(n, cv, xs, Method.RECURSIVE)
+    return _solution(n, cv, xs, "recursive")
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +266,7 @@ def optimize_strengths(n: int, c: Overlap | float) -> OnlineSolution:
     n = _check_n(n)
     cv = _overlap(c)
     if cv == 0.0 or cv == 1.0:
-        return _solution(n, cv, np.ones(n - 1), Method.NUMERIC_BACKWARD)
+        return _solution(n, cv, np.ones(n - 1), "numeric-backward")
     lo, hi = cv, 1.0 / cv
     xs = np.empty(n - 1)
     a, b = 1.0, -1.0
@@ -283,7 +274,7 @@ def optimize_strengths(n: int, c: Overlap | float) -> OnlineSolution:
         y = _argmax_rational(cv * b / m, -cv / m, lo, hi)
         xs[n - m] = y
         a, b = _push_head(cv, y, a, b)
-    return _solution(n, cv, xs, Method.NUMERIC_BACKWARD)
+    return _solution(n, cv, xs, "numeric-backward")
 
 
 def total_saturation_point() -> float:
@@ -320,7 +311,7 @@ def fl_solution(n: int, c: Overlap | float, x: float | None = None) -> OnlineSol
     n = _check_n(n)
     cv = _overlap(c)
     xv = _fl_strength(cv, x)
-    return _solution(n, cv, np.append(np.full(n - 2, xv), 1.0), Method.FIXED_FL)
+    return _solution(n, cv, np.append(np.full(n - 2, xv), 1.0), "fixed-fl")
 
 
 def fl_success_exact(n: int, c: Overlap | float, x: float | None = None) -> float:
@@ -373,7 +364,7 @@ def sl_solution(n: int, c: Overlap | float) -> OnlineSolution:
         raise ValueError(
             "the saturated strategy is undefined at overlap 0 (ceiling 1/c unbounded)"
         )
-    return _solution(n, cv, np.append(np.full(n - 2, 1.0 / cv), 1.0), Method.SATURATED_SL)
+    return _solution(n, cv, np.append(np.full(n - 2, 1.0 / cv), 1.0), "saturated-sl")
 
 
 def sl_success_asymptotic(c: Overlap | float) -> float:

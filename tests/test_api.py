@@ -16,7 +16,6 @@ from qcpd import cli
 PUBLIC_NAMES = [
     "DetectionProfile",
     "InvalidMeasurementError",
-    "Method",
     "NumericDomainError",
     "OnlineSolution",
     "OutOfValidityError",
@@ -76,3 +75,26 @@ def test_names_the_runner_reads():
     assert qcpd.active_backend() == "numpy"
     assert isinstance(qcpd.__version__, str)
     assert set(cli._METHODS) == {"closed", "recursive", "numeric"}
+
+
+def test_benchmark_gate_passes_a_short_list():
+    """The gate's kernel oracle, and four requests of each workload through
+    the runner's gated pass: a changed signature that the benchmark calls
+    fails here."""
+    gate = importlib.import_module("perfbench.gate")
+    runner = importlib.import_module("perfbench.runner")
+    workloads = importlib.import_module("perfbench.workloads")
+    assert gate.kernel_oracles(1) is None
+    for workload in workloads.WORKLOADS:
+        requests = workloads.build(workload, 1)
+        # up to two requests the gate checks by a route of its own (the
+        # golden table, verify, a re-run against the scalar walk)
+        special = [
+            r for r in requests
+            if r.kind == "verify" or r.params.get("golden") or r.params.get("exact")
+        ]
+        picked = (special[:2] + [r for r in requests if r not in special])[:4]
+        problems = []
+        result = runner.run_pass(picked, None, problems=problems)
+        assert result.failures == [] and problems == [], problems
+        assert len(result.digests) == 4

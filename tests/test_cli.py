@@ -29,6 +29,7 @@ from qcpd.cli import (
     _STRENGTH_LINE,
     CSV_HEADER,
     MAX_CURVE_ROWS,
+    MAX_POSITIONS,
     MAX_TRIAL_STEPS,
     CurveTable,
     _dump_json,
@@ -301,6 +302,18 @@ class TestStrengths:
 
 
 class TestVerify:
+    @pytest.mark.parametrize(
+        "golden, args, code",
+        [
+            ("verify_n5_seed7.json", ("--n-max", "5", "--seed", "7"), 0),
+            ("verify_self_test.json", ("--self-test",), 2),
+        ],
+    )
+    def test_golden_report(self, golden, args, code):
+        result = run_cli("verify", *args)
+        assert result.returncode == code, result.stderr
+        assert result.stdout == (GOLDEN_DIR / golden).read_text()
+
     def test_default_run_passes(self):
         result = run_cli("verify")
         assert result.returncode == 0, result.stderr
@@ -434,6 +447,78 @@ class TestSimulate:
             "simulate", "--c", "0.4", "--strategy", "custom",
             "--trials", "10", "--seed", "1",
         ).returncode == 1
+
+
+class TestPositionCap:
+    """At most ``MAX_POSITIONS`` strength positions per request: ``n - 1``
+    for ``strengths`` and ``simulate``, ``rows * (n - 1)`` for an exact
+    ``curve``, checked before any schedule is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("strengths", "--n", "1000000000", "--c", "0.3"),
+            ("curve", "--n", "1000000"),
+            ("simulate", "--n", "10000000000", "--c", "0.4", "--trials", "1", "--seed", "1"),
+        ],
+        ids=["strengths", "curve", "simulate"],
+    )
+    def test_oversized_n_is_rejected_at_once(self, argv):
+        result = run_cli(*argv, timeout=30)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "strength positions" in result.stderr
+        assert str(MAX_POSITIONS) in result.stderr
+
+    @pytest.mark.parametrize(
+        "argv, accepted",
+        [
+            (("strengths", "--n", "13", "--c", "0.3"), True),
+            (("strengths", "--n", "14", "--c", "0.3"), False),
+            (("curve", "--n", "5", "--c-max", "0.2", "--step", "0.1"), True),
+            (("curve", "--n", "6", "--c-max", "0.2", "--step", "0.1"), False),
+            (("curve", "--n", "6", "--c-max", "0.2", "--step", "0.1", "--asymptotic"), True),
+            (("simulate", "--n", "13", "--c", "0.4", "--trials", "10", "--seed", "1"), True),
+            (("simulate", "--n", "14", "--c", "0.4", "--trials", "10", "--seed", "1"), False),
+        ],
+    )
+    def test_cap_boundary(self, argv, accepted, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_POSITIONS", 12)
+        rc = main(list(argv))
+        out, err = capsys.readouterr()
+        if accepted:
+            assert rc == 0 and out, err
+        else:
+            assert rc == 1 and out == ""
+            assert "strength positions exceed the cap of 12" in err
+
+    def test_custom_schedule_is_capped(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_POSITIONS", 12)
+        schedule = tmp_path / "schedule.txt"
+        schedule.write_text("1.0 " * 13)
+        argv = ["simulate", "--c", "0.4", "--strategy", "custom",
+                "--schedule", str(schedule), "--trials", "10", "--seed", "1"]
+        assert main(argv) == 1
+        assert "13 strength positions" in capsys.readouterr().err
+
+    def test_trial_steps_are_checked_before_the_schedule(self, monkeypatch, capsys):
+        # 3e6 particles are within the position cap, but 1e4 trials of them
+        # exceed the step cap; no schedule may be built for the run
+        def unreachable(*args):
+            raise AssertionError("a schedule was built")
+
+        monkeypatch.setattr(cli, "best_online", unreachable)
+        argv = ["simulate", "--n", "3000000", "--c", "0.4", "--trials", "10000", "--seed", "1"]
+        assert main(argv) == 1
+        assert str(MAX_TRIAL_STEPS) in capsys.readouterr().err
+
+    def test_full_size_grid_at_the_default_length_fits(self, monkeypatch):
+        # the largest grid the row cap allows (1e5 rows), at n = 31, is
+        # exactly at the position cap
+        monkeypatch.setattr(cli, "_exact_rows", lambda n, grid: [])
+        build_curve(31, 0.0, 0.999999, 1e-5)
+        with pytest.raises(ValueError, match="strength positions"):
+            build_curve(32, 0.0, 0.999999, 1e-5)
 
 
 class TestTopLevel:

@@ -121,7 +121,7 @@ class TestCriticalOverlap:
             want = None
             if len(crossings):
                 i = int(crossings[0])
-                want = _bisect_root(f, float(grid[i]), float(grid[i + 1]), tol=1e-12)
+                want = _bisect_root(f, float(grid[i]), float(grid[i + 1]))
             assert critical_overlap(n) == want
 
     def test_five_positions_pinned_value(self):
@@ -157,7 +157,7 @@ class TestCriticalOverlap:
             want = None
             if len(crossings):
                 i = int(crossings[0])
-                want = _bisect_root(f, float(grid[i]), float(grid[i + 1]), tol=1e-12)
+                want = _bisect_root(f, float(grid[i]), float(grid[i + 1]))
             assert critical_overlap(n) == want
 
     def test_converges_to_the_golden_ratio(self):

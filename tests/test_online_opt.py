@@ -8,7 +8,6 @@ from hypothesis import given, reject, settings, strategies as st
 from scipy.optimize import minimize
 
 from qcpd import (
-    Method,
     OutOfValidityError,
     SingularityError,
     StrengthSchedule,
@@ -324,8 +323,8 @@ class TestSaturatedFamily:
 
 class TestBestOnline:
     def test_uses_closed_form_below_half(self):
-        assert best_online(7, 0.4).method is Method.CLOSED_FORM
-        assert best_online(7, 0.6).method is Method.NUMERIC_BACKWARD
+        assert best_online(7, 0.4).method == "closed-form"
+        assert best_online(7, 0.6).method == "numeric-backward"
 
     def test_matches_global_bound_below_half(self):
         for n, c in [(6, 0.3), (31, 0.4), (12, 0.5)]:

@@ -1,9 +1,11 @@
-"""Negative controls: each consistency suite fails when one of its inputs
-is perturbed by a small factor."""
+"""The suite harness, and negative controls: each consistency suite fails
+when one of its inputs is perturbed by a small factor."""
 
 from __future__ import annotations
 
 import dataclasses
+
+import pytest
 
 from qcpd import verification
 from qcpd.core import DetectionProfile, StrengthSchedule
@@ -14,17 +16,16 @@ def _assert_caught(result):
     assert result.max_residual > result.threshold
 
 
-def test_oracle_equivalence_catches_a_scaled_profile(monkeypatch):
+def _scale_profiles(monkeypatch):
     evaluate = verification.evaluate_strategy
 
     def scaled(schedule):
         return DetectionProfile(evaluate(schedule).per_position * (1.0 - 1e-6))
 
     monkeypatch.setattr(verification, "evaluate_strategy", scaled)
-    _assert_caught(verification.oracle_equivalence(n_max=4))
 
 
-def test_recursion_agreement_catches_a_scaled_schedule(monkeypatch):
+def _scale_recursive_schedules(monkeypatch):
     recursive = verification.recursive_strengths
 
     def scaled(n, c):
@@ -36,10 +37,9 @@ def test_recursion_agreement_catches_a_scaled_schedule(monkeypatch):
         return dataclasses.replace(solution, schedule=schedule)
 
     monkeypatch.setattr(verification, "recursive_strengths", scaled)
-    _assert_caught(verification.recursion_agreement())
 
 
-def test_gram_feasibility_catches_scaled_efficiencies(monkeypatch):
+def _scale_efficiencies(monkeypatch):
     efficiencies = verification.global_efficiencies
 
     def scaled(n, c):
@@ -48,4 +48,81 @@ def test_gram_feasibility_catches_scaled_efficiencies(monkeypatch):
         return efficiencies(n, c) * 1.001
 
     monkeypatch.setattr(verification, "global_efficiencies", scaled)
+
+
+def _negative_efficiency(monkeypatch):
+    efficiencies = verification.global_efficiencies
+
+    def lowered(n, c):
+        # lowering an efficiency only raises the diagonal of G - diag(gamma),
+        # so the eigenvalue check still passes and only the range check fails
+        vec = efficiencies(n, c).copy()
+        vec[n // 2] = -1e-6
+        return vec
+
+    monkeypatch.setattr(verification, "global_efficiencies", lowered)
+
+
+def test_oracle_equivalence_catches_a_scaled_profile(monkeypatch):
+    _scale_profiles(monkeypatch)
+    _assert_caught(verification.oracle_equivalence(n_max=4))
+
+
+def test_recursion_agreement_catches_a_scaled_schedule(monkeypatch):
+    _scale_recursive_schedules(monkeypatch)
+    _assert_caught(verification.recursion_agreement())
+
+
+def test_gram_feasibility_catches_scaled_efficiencies(monkeypatch):
+    _scale_efficiencies(monkeypatch)
     _assert_caught(verification.gram_feasibility())
+
+
+def test_gram_feasibility_catches_a_range_only_fault(monkeypatch):
+    _negative_efficiency(monkeypatch)
+    result = verification.gram_feasibility()
+    _assert_caught(result)
+    # a range failure reads 1.0, and the suite stops at the first case
+    assert result.max_residual == 1.0
+    assert result.cases == 1
+    assert result.worst_case == {"n": 5, "c": 0.05, "position": None}
+
+
+NEGATIVE_CONTROLS = {
+    "scaled_profiles": _scale_profiles,
+    "scaled_recursive_schedules": _scale_recursive_schedules,
+    "scaled_efficiencies": _scale_efficiencies,
+    "negative_efficiency": _negative_efficiency,
+}
+
+
+@pytest.mark.parametrize(
+    "control, inject_fault",
+    [(None, False), (None, True), *((name, False) for name in NEGATIVE_CONTROLS)],
+)
+def test_passed_means_residual_within_threshold(control, inject_fault, monkeypatch):
+    # clean, under the CLI's self-test fault, and under each control above
+    if control is not None:
+        NEGATIVE_CONTROLS[control](monkeypatch)
+    results = verification.run_all(n_max=4, inject_fault=inject_fault)
+    assert len(results) == 4
+    for result in results:
+        assert result.passed == (result.max_residual <= result.threshold), result
+
+
+class TestSuiteHarness:
+    def test_every_pair_counts_and_the_earlier_tie_is_kept(self):
+        pairs = [(0.0, "a"), (2.0, "b"), (1.0, "c"), (2.0, "d")]
+        result = verification._suite("demo", 2.0, iter(pairs))
+        assert (result.name, result.cases) == ("demo", 4)
+        assert (result.max_residual, result.worst_case) == (2.0, "b")
+        assert result.passed is True
+
+    def test_a_residual_above_the_threshold_fails(self):
+        result = verification._suite("demo", 1.0, [(1.5, "a")])
+        assert (result.passed, result.max_residual, result.worst_case) == (False, 1.5, "a")
+
+    def test_no_pairs_pass_with_no_worst_case(self):
+        result = verification._suite("demo", 1e-9, [])
+        assert (result.passed, result.max_residual, result.cases) == (True, 0.0, 0)
+        assert result.worst_case is None
