@@ -5,23 +5,17 @@ protocol, construction and optimization of online (sequential) measurement
 schedules, and seeded Monte Carlo simulation with vectorised numpy kernels.
 """
 
-from .errors import (
-    InvalidMeasurementError,
-    NumericDomainError,
-    OutOfValidityError,
-    QcpdError,
-    SingularityError,
-)
 from .core import (
-    DetectionProfile,
+    InvalidMeasurementError,
+    OutOfValidityError,
     Overlap,
+    SingularityError,
     StrengthSchedule,
     check_strength,
     enumerate_strategy,
     evaluate_strategy,
 )
 from .global_bound import (
-    ValidityReport,
     build_gram,
     critical_overlap,
     global_efficiencies,
@@ -32,7 +26,6 @@ from .global_bound import (
     validate_unambiguous,
 )
 from .online_opt import (
-    OnlineSolution,
     best_online,
     closed_form_strengths,
     fl_solution,
@@ -42,27 +35,18 @@ from .online_opt import (
     recursive_strengths,
     sl_solution,
     sl_success_asymptotic,
-    sl_worst_case_gap,
-    total_saturation_point,
 )
-from .montecarlo import SimulationReport, TrialResult, run_experiment, simulate_trial
+from .montecarlo import run_experiment, simulate_trial
 from .kernels import active_backend
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DetectionProfile",
     "InvalidMeasurementError",
-    "NumericDomainError",
-    "OnlineSolution",
     "OutOfValidityError",
     "Overlap",
-    "QcpdError",
-    "SimulationReport",
     "SingularityError",
     "StrengthSchedule",
-    "TrialResult",
-    "ValidityReport",
     "active_backend",
     "best_online",
     "build_gram",
@@ -85,7 +69,5 @@ __all__ = [
     "simulate_trial",
     "sl_solution",
     "sl_success_asymptotic",
-    "sl_worst_case_gap",
-    "total_saturation_point",
     "validate_unambiguous",
 ]

@@ -24,8 +24,7 @@ from dataclasses import asdict, dataclass
 from itertools import chain, islice
 from typing import Sequence
 
-from .errors import SingularityError
-from .core import Overlap, StrengthSchedule, _check_n, evaluate_strategy
+from .core import Overlap, SingularityError, StrengthSchedule, _check_n, evaluate_strategy
 from .global_bound import _optimal_success, critical_overlap
 from .kernels import active_backend
 from .montecarlo import run_experiment
@@ -104,11 +103,7 @@ class CurveTable:
     rows: tuple[tuple[float, float, float, float, float], ...]
 
     def __post_init__(self) -> None:
-        previous = None
         for c, p_global, p_online, _, _ in self.rows:
-            if previous is not None and c <= previous:
-                raise ValueError("grid overlaps must be strictly increasing")
-            previous = c
             if p_online > p_global + _TOL:
                 raise ValueError(
                     f"online column exceeds the global bound at c={c!r}"
@@ -214,6 +209,11 @@ def build_curve(
             if not include_endpoint:
                 continue
             c = 1.0
+        if grid and c <= grid[-1]:
+            raise ValueError(
+                f"--step {step!r} is below the grid's 12-digit rounding: "
+                "grid overlaps must be strictly increasing"
+            )
         grid.append(c)
     rows = map(_asymptotic_row, grid) if asymptotic else _exact_rows(n, grid)
     return CurveTable(

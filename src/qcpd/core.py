@@ -21,6 +21,9 @@ The change point is named by the first conclusive-change outcome when it
 occurs at position 1 or right after a conclusive-default outcome (positions
 j-1, j bracket the change), or by a conclusive-default outcome at position
 n-1 (the last particle is never measured; the change can only be at n).
+
+The package's errors are the three ``ValueError`` subclasses defined here,
+so one ``except ValueError`` catches them all.
 """
 from __future__ import annotations
 
@@ -31,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InvalidMeasurementError
 
 #: default absolute tolerance for exact-identity comparisons
 EPSILON = 1e-12
@@ -43,6 +45,18 @@ REL_SLACK = 1e-12
 #: largest stream length enumerate_strategy accepts (2**(n-2) paths per
 #: hypothesis grows fast; the cap keeps the oracle honest and cheap)
 ENUMERATION_CAP = 12
+
+
+class InvalidMeasurementError(ValueError):
+    """A measurement strength lies outside the admissible interval [c, 1/c]."""
+
+
+class OutOfValidityError(ValueError):
+    """A closed form or recursion was asked for outside its validity range."""
+
+
+class SingularityError(ValueError):
+    """A formula hits a removable-pole/zero-denominator configuration."""
 
 
 def check_strength(c, x) -> None:
@@ -160,10 +174,6 @@ class DetectionProfile:
         p = _frozen_vector(self.per_position)
         _check_probabilities(p)
         object.__setattr__(self, "per_position", p)
-
-    @property
-    def n(self) -> int:
-        return len(self.per_position)
 
     @property
     def average(self) -> float:

@@ -22,8 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Overlap, _check_n, _frozen_vector, _overlap
-from .errors import SingularityError
+from .core import Overlap, SingularityError, _check_n, _frozen_vector, _overlap
 
 #: minimum-eigenvalue tolerance: optimal vectors sit exactly on the
 #: feasibility boundary, so a strictly-zero test would be meaningless
@@ -53,19 +52,6 @@ def build_gram(n: int, c: Overlap | float) -> np.ndarray:
     gram = np.power(cv, np.abs(idx[:, None] - idx[None, :]), dtype=np.float64)
     gram.setflags(write=False)
     return gram
-
-
-def global_efficiencies_direct(n: int, c: Overlap | float) -> np.ndarray:
-    """Efficiencies by the literal sum ``sum_j (-c)^|k-j|`` (O(n^2)).
-
-    Definitional form; :func:`global_efficiencies` computes the same values
-    through the closed form, and the two agree to machine precision.
-    """
-    n = _check_n(n)
-    cv = _overlap(c)
-    idx = np.arange(n)
-    terms = np.power(-cv, np.abs(idx[:, None] - idx[None, :]), dtype=np.float64)
-    return _frozen_vector(terms.sum(axis=1))
 
 
 def global_efficiencies(n: int, c: Overlap | float) -> np.ndarray:

@@ -21,15 +21,12 @@ from dataclasses import dataclass
 
 from . import kernels
 from .core import StrengthSchedule
-from .kernels import mix64_int, seed_root
-
-_G = int(kernels.GAMMA)
-_INV53 = 2.0 ** -53
+from .kernels import _GAMMA_INT, _INV53, mix64_int, seed_root
 
 
 def _uniform(stream: int, counter: int) -> float:
     """Uniform in [0, 1) from the given substream at the given counter."""
-    return float(mix64_int(stream + counter * _G) >> 11) * _INV53
+    return float(mix64_int(stream + counter * _GAMMA_INT) >> 11) * _INV53
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,10 +45,6 @@ class TrialResult:
             raise ValueError("true_change_point must be a 1-based position")
         if self.detected_position is not None and self.detected_position < 1:
             raise ValueError("detected_position must be a 1-based position")
-
-    @property
-    def conclusive(self) -> bool:
-        return self.detected_position is not None
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,7 +105,7 @@ def simulate_trial(
     c = schedule.overlap.c
     xs = schedule.strengths.tolist()
     n = schedule.n
-    stream = mix64_int(seed_root(seed) + trial_index * _G)
+    stream = mix64_int(seed_root(seed) + trial_index * _GAMMA_INT)
 
     u = _uniform(stream, 0)
     k = int(u * n)

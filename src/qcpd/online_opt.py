@@ -21,8 +21,8 @@ Constructions:
   families: constant strength ``min(1+c, 1/c)`` (asymptotically optimal
   below the critical overlap) and fully saturated strength ``1/c``.
 
-Thresholds: :func:`total_saturation_point` is the overlap beyond which the
-backward pass clips every strength except the last.
+The one-strength objective the backward pass maximizes and the paper's
+saturation constants are test oracles, in ``tests/oracles.py``.
 
 :func:`_table_success` evaluates ``best_online``, ``fl_solution`` and
 ``sl_solution`` over a whole overlap grid as stacked arrays, for the curve
@@ -38,6 +38,7 @@ import numpy as np
 from . import kernels
 from .core import (
     DetectionProfile,
+    OutOfValidityError,
     Overlap,
     StrengthSchedule,
     _check_n,
@@ -46,8 +47,7 @@ from .core import (
     check_strength,
     evaluate_strategy,
 )
-from .errors import NumericDomainError, OutOfValidityError
-from .global_bound import _bisect_root, global_efficiencies
+from .global_bound import global_efficiencies
 
 #: relative slack when flagging a strength as sitting at the ceiling 1/c
 _SATURATION_SLACK = 1e-9
@@ -64,10 +64,6 @@ class OnlineSolution:
     method: str
 
     @property
-    def n(self) -> int:
-        return self.schedule.n
-
-    @property
     def success(self) -> float:
         return self.profile.average
 
@@ -82,21 +78,6 @@ class OnlineSolution:
         slack = _SATURATION_SLACK * max(1.0, ceiling)
         xs = self.schedule.strengths
         return frozenset((np.flatnonzero(np.abs(xs - ceiling) <= slack) + 1).tolist())
-
-
-@dataclass(frozen=True, slots=True)
-class RationalCoefficients:
-    """Coefficients of the one-strength restriction of the success
-    probability, ``P(x) = alpha + beta*x + delta/x``, plus their residual
-    against a direct evaluation at a fourth point (certifying the form)."""
-
-    alpha: float
-    beta: float
-    delta: float
-    residual: float
-
-    def __call__(self, x: float) -> float:
-        return self.alpha + self.beta * x + self.delta / x
 
 
 def _solution(n: int, cv: float, xs, method: str) -> OnlineSolution:
@@ -142,6 +123,9 @@ def recursive_strengths(n: int, c: Overlap | float) -> OnlineSolution:
     ``x(k+1) = c / (1 - g(k+1)/((1-c^2) - c*g(k)*x(k)))`` where ``g`` are
     the collective efficiencies.  Independent of the closed form, hence a
     useful cross-check; both must agree.
+
+    ``1 - g(1)`` cancels as ``c`` shrinks: below about 1e-6 the strengths
+    drift from the closed form, and near 1e-16 it raises :class:`OutOfValidityError`.
     """
     n = _check_n(n)
     cv = _overlap(c)
@@ -150,15 +134,13 @@ def recursive_strengths(n: int, c: Overlap | float) -> OnlineSolution:
         # the recursion's first step is 0/0 at zero overlap; its limit, like
         # the closed form, is the all-balanced schedule
         return _solution(n, cv, np.ones(n - 1), "recursive")
-    targets = global_efficiencies(n, cv)
-    xs = np.empty(n - 1)
+    targets = global_efficiencies(n, cv).tolist()
     first_den = 1.0 - targets[0]
     if first_den <= 0.0:
-        raise NumericDomainError(
-            f"cannot solve for the first strength: 1 - target = {first_den!r}",
-            position=1,
+        raise OutOfValidityError(
+            f"cannot solve for the first strength: 1 - target = {first_den!r}"
         )
-    xs[0] = cv / first_den
+    xs = [cv / first_den]
     for k in range(1, n - 1):
         run_prob = (1.0 - cv * cv) - cv * targets[k - 1] * xs[k - 1]
         if run_prob == 0.0:
@@ -167,25 +149,23 @@ def recursive_strengths(n: int, c: Overlap | float) -> OnlineSolution:
             # the constraint becomes vacuous (0 == 0) and the limit of the
             # recursion is the balanced strength
             if abs(targets[k]) <= 1e-15:
-                xs[k] = 1.0
+                xs.append(1.0)
                 continue
-            raise NumericDomainError(
-                "conclusive-run probability vanished during the recursion",
-                position=k + 1,
+            raise OutOfValidityError(
+                "conclusive-run probability vanished during the recursion"
             )
         frac = 1.0 - targets[k] / run_prob
         if frac <= 0.0:
-            raise NumericDomainError(
+            raise OutOfValidityError(
                 f"no admissible strength solves position {k + 1} "
-                f"(denominator {frac!r})",
-                position=k + 1,
+                f"(denominator {frac!r})"
             )
-        xs[k] = cv / frac
+        xs.append(cv / frac)
     return _solution(n, cv, xs, "recursive")
 
 
 # ---------------------------------------------------------------------------
-# one-variable rational restriction and the backward optimizer
+# the backward optimizer
 # ---------------------------------------------------------------------------
 
 def _push_head(cv: float, y: float, a: float, b: float) -> tuple[float, float]:
@@ -194,43 +174,6 @@ def _push_head(cv: float, y: float, a: float, b: float) -> tuple[float, float]:
     inconclusive probability ``c*y + pi*(c^2 - c*y)``."""
     w = 1.0 - cv / y
     return w + a + b * cv * y, -w + b * (cv * cv - cv * y)
-
-
-def coordinate_objective(
-    n: int, c: Overlap | float, schedule: StrengthSchedule, position: int
-) -> RationalCoefficients:
-    """Restriction of the success probability to one free strength.
-
-    A forward pass gives the inconclusive probability ``pi`` entering
-    ``position`` and the entries before it, a backward pass the tail sum
-    ``A + B*pi'`` behind it, with ``pi' = (1-pi)*c*x + pi*c^2``; so the
-    objective is exactly ``alpha + beta*x + delta/x``.  The residual is its
-    gap to one direct profile evaluation at a fourth strength.
-    """
-    n = _check_n(n)
-    cv = _overlap(c)
-    if schedule.n != n or schedule.overlap.c != cv:
-        raise ValueError("schedule does not match the given n and overlap")
-    if not 1 <= position <= n - 1:
-        raise ValueError(f"position must be in 1..{n - 1}, got {position}")
-    xs = schedule.strengths.tolist()
-    head, pi = 0.0, 0.0
-    for x in xs[: position - 1]:
-        head += (1.0 - pi) * (1.0 - cv / x)
-        pi = (1.0 - pi) * (cv * x) + pi * (cv * cv)
-    a, b = 1.0, -1.0
-    for y in reversed(xs[position:]):
-        a, b = _push_head(cv, y, a, b)
-    alive = 1.0 - pi
-    alpha = (head + alive + a + b * cv * cv * pi) / n
-    beta = b * cv * alive / n
-    delta = -cv * alive / n
-    fourth = 1.5 if cv == 0.0 else 0.5 * (1.0 + 1.0 / cv)
-    probe = np.array(xs)
-    probe[position - 1] = fourth
-    direct = float(np.mean(kernels.detection_profile(cv, probe)))
-    residual = abs(alpha + beta * fourth + delta / fourth - direct)
-    return RationalCoefficients(alpha=alpha, beta=beta, delta=delta, residual=residual)
 
 
 def _argmax_rational(beta: float, delta: float, lo: float, hi: float) -> float:
@@ -275,13 +218,6 @@ def optimize_strengths(n: int, c: Overlap | float) -> OnlineSolution:
         xs[n - m] = y
         a, b = _push_head(cv, y, a, b)
     return _solution(n, cv, xs, "numeric-backward")
-
-
-def total_saturation_point() -> float:
-    """Overlap beyond which the backward pass clips every strength but the
-    last: the root in (0, 1) of ``c*(2-c)*(1-c^2) = c^2``, equivalently
-    ``c^3 - 2c^2 - 2c + 2 = 0``."""
-    return _bisect_root(lambda cv: ((cv - 2.0) * cv - 2.0) * cv + 2.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -376,28 +312,6 @@ def sl_success_asymptotic(c: Overlap | float) -> float:
             "the saturated strategy is undefined at overlap 0 (ceiling 1/c unbounded)"
         )
     return (1.0 - cv * cv) ** 2 / (2.0 - cv * cv)
-
-
-def sl_worst_case_gap() -> tuple[float, float]:
-    """Largest asymptotic shortfall of the saturated strategy against the
-    best online value ``(1-c)/(1+c)``, and the overlap attaining it.
-
-    Scanned over the saturated regime ``c >= (sqrt(5)-1)/2`` — the overlaps
-    where the constant-strength default clips to ``1/c`` and so becomes the
-    saturated chain.  The gap vanishes at the regime's left
-    edge and again at overlap 1.
-    """
-
-    def gap(cs: np.ndarray) -> np.ndarray:
-        return (1.0 - cs) / (1.0 + cs) - (1.0 - cs * cs) ** 2 / (2.0 - cs * cs)
-
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    coarse = np.linspace(golden, 1.0 - 1e-4, 10_001)
-    c0 = coarse[int(np.argmax(gap(coarse)))]
-    fine = np.linspace(c0 - 2e-4, c0 + 2e-4, 40_001)
-    vals = gap(fine)
-    i = int(np.argmax(vals))
-    return float(vals[i]), float(fine[i])
 
 
 def best_online(n: int, c: Overlap | float) -> OnlineSolution:

@@ -108,6 +108,8 @@ def oracle_equivalence(n_max: int = 8, seed: int = 0) -> SuiteResult:
     top = int(n_max)
     if not 2 <= top <= ENUMERATION_CAP:
         raise ValueError(f"n_max must lie in 2..{ENUMERATION_CAP}, got {n_max}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
 
     def results() -> Iterator[_Pair]:

@@ -30,10 +30,9 @@ from qcpd import (
     optimize_strengths,
     run_experiment,
     sl_solution,
-    sl_worst_case_gap,
-    total_saturation_point,
     validate_unambiguous,
 )
+from oracles import sl_worst_case_gap, total_saturation_point
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 C_HALF_GRID = [round(0.05 * i, 2) for i in range(11)]  # 0, 0.05, .., 0.5

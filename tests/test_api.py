@@ -14,18 +14,11 @@ import qcpd
 from qcpd import cli
 
 PUBLIC_NAMES = [
-    "DetectionProfile",
     "InvalidMeasurementError",
-    "NumericDomainError",
-    "OnlineSolution",
     "OutOfValidityError",
     "Overlap",
-    "QcpdError",
-    "SimulationReport",
     "SingularityError",
     "StrengthSchedule",
-    "TrialResult",
-    "ValidityReport",
     "active_backend",
     "best_online",
     "build_gram",
@@ -48,8 +41,6 @@ PUBLIC_NAMES = [
     "simulate_trial",
     "sl_solution",
     "sl_success_asymptotic",
-    "sl_worst_case_gap",
-    "total_saturation_point",
     "validate_unambiguous",
 ]
 
@@ -58,6 +49,16 @@ def test_public_names():
     assert sorted(qcpd.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(qcpd, name) is not None
+
+
+def test_every_error_is_a_value_error():
+    """One ``except ValueError`` catches every error the package raises."""
+    for error in (
+        qcpd.InvalidMeasurementError,
+        qcpd.OutOfValidityError,
+        qcpd.SingularityError,
+    ):
+        assert error.__bases__ == (ValueError,)
 
 
 def test_benchmark_modules_import():

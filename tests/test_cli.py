@@ -185,6 +185,15 @@ class TestCurve:
         assert result.stdout == ""
         assert "rows" in result.stderr and str(MAX_CURVE_ROWS) in result.stderr
 
+    @pytest.mark.parametrize("mode", [(), ("--asymptotic",)], ids=["exact", "asymptotic"])
+    def test_step_below_the_grid_rounding_is_rejected(self, mode, capsys):
+        # rounded to 12 digits, the grid 0, 4e-13, 8e-13, .. reads 0, 0, 1e-12, ..
+        argv = ["curve", "--n", "5", "--c-min", "0", "--c-max", "2e-12", "--step", "4e-13"]
+        code = main([*argv, *mode])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert "strictly increasing" in err and "--step 4e-13" in err
+
     def test_out_writes_the_file(self, tmp_path):
         target = tmp_path / "table.csv"
         result = run_cli(
@@ -295,6 +304,13 @@ class TestStrengths:
             assert result.returncode == 1
             assert "error" in result.stderr
 
+    def test_recursion_floor_prints_a_plain_float(self, capsys):
+        # 1 - g(1) cancels to 0 once 1 + c rounds to 1
+        code = main(["strengths", "--n", "5", "--c", "1e-16", "--method", "recursive"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == "qcpd: error: cannot solve for the first strength: 1 - target = 0.0\n"
+
     def test_domain_errors_are_exit_one(self):
         assert run_cli("strengths", "--n", "4", "--c", "1.0").returncode == 1
         assert run_cli("strengths", "--n", "1", "--c", "0.3").returncode == 1
@@ -347,6 +363,12 @@ class TestVerify:
         assert result.returncode == 1
         assert result.stdout == ""
         assert "2..12" in result.stderr
+
+    def test_negative_seed_is_named(self, capsys):
+        code = main(["verify", "--seed", "-1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == "qcpd: error: seed must be non-negative, got -1\n"
 
     def test_n_max_at_the_cap_passes(self):
         result = run_cli("verify", "--n-max", "12")

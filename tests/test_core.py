@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 
 from qcpd import (
-    DetectionProfile,
     InvalidMeasurementError,
     Overlap,
     StrengthSchedule,
@@ -17,7 +16,7 @@ from qcpd import (
     global_efficiencies,
 )
 from qcpd.cli import main
-from qcpd.core import REL_SLACK, _check_probabilities
+from qcpd.core import REL_SLACK, DetectionProfile, _check_probabilities
 from conftest import schedules
 
 

@@ -17,7 +17,8 @@ from qcpd import (
     primed_success,
     validate_unambiguous,
 )
-from qcpd.global_bound import _bisect_root, _gamma_two, global_efficiencies_direct
+from qcpd.global_bound import _bisect_root, _gamma_two
+from oracles import global_efficiencies_direct
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 

@@ -10,14 +10,13 @@ from scipy import stats
 
 from qcpd import (
     Overlap,
-    SimulationReport,
     StrengthSchedule,
-    TrialResult,
     best_online,
     evaluate_strategy,
     run_experiment,
     simulate_trial,
 )
+from qcpd.montecarlo import SimulationReport, TrialResult
 
 
 def _schedule(n, c, xs=None):
@@ -123,7 +122,7 @@ class TestZeroError:
         schedule = _schedule(7, 0.6)
         for t in range(3_000):
             result = simulate_trial(schedule, 99, t)
-            if result.conclusive:
+            if result.detected_position is not None:
                 assert result.detected_position == result.true_change_point
 
     def test_zero_overlap_always_identifies(self):

@@ -26,11 +26,10 @@ from qcpd import (
     recursive_strengths,
     sl_solution,
     sl_success_asymptotic,
-    sl_worst_case_gap,
-    total_saturation_point,
 )
+from qcpd import online_opt
 from qcpd.kernels import detection_profile
-from qcpd.online_opt import coordinate_objective
+from oracles import coordinate_objective, sl_worst_case_gap, total_saturation_point
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 C_GRID = [0.05, 0.15, 0.25, 0.35, 0.45, 0.5]
@@ -93,6 +92,17 @@ class TestRecursive:
     def test_rejects_high_overlap(self):
         with pytest.raises(OutOfValidityError):
             recursive_strengths(5, 0.51)
+
+    def test_guards_raise_out_of_validity_with_plain_floats(self, monkeypatch):
+        with pytest.raises(OutOfValidityError, match=r"1 - target = 0\.0$"):
+            recursive_strengths(5, 1e-16)
+        # targets no admissible schedule meets: position 2 asks for more
+        # than the conclusive run leaves
+        monkeypatch.setattr(
+            online_opt, "global_efficiencies", lambda n, c: np.array([0.5, 2.0, 0.5, 0.5, 0.5])
+        )
+        with pytest.raises(OutOfValidityError, match=r"position 2 \(denominator -1\.43\d*\)$"):
+            recursive_strengths(5, 0.3)
 
 
 class TestCoordinateObjective:
