@@ -22,8 +22,7 @@ occurs at position 1 or right after a conclusive-default outcome (positions
 j-1, j bracket the change), or by a conclusive-default outcome at position
 n-1 (the last particle is never measured; the change can only be at n).
 
-The package's errors are the three ``ValueError`` subclasses defined here,
-so one ``except ValueError`` catches them all.
+The package's errors are the three ``ValueError`` subclasses below.
 """
 from __future__ import annotations
 

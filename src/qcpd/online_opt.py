@@ -134,22 +134,23 @@ def recursive_strengths(n: int, c: Overlap | float) -> OnlineSolution:
         # the recursion's first step is 0/0 at zero overlap; its limit, like
         # the closed form, is the all-balanced schedule
         return _solution(n, cv, np.ones(n - 1), "recursive")
-    targets = global_efficiencies(n, cv).tolist()
+    targets = memoryview(global_efficiencies(n, cv))  # indexes to Python floats
     first_den = 1.0 - targets[0]
     if first_den <= 0.0:
         raise OutOfValidityError(
             f"cannot solve for the first strength: 1 - target = {first_den!r}"
         )
-    xs = [cv / first_den]
+    xs = np.empty(n - 1)
+    xs[0] = x = cv / first_den
     for k in range(1, n - 1):
-        run_prob = (1.0 - cv * cv) - cv * targets[k - 1] * xs[k - 1]
+        run_prob = (1.0 - cv * cv) - cv * targets[k - 1] * x
         if run_prob == 0.0:
             # reachable only at (n=3, c=1/2), where the first strength
             # saturates at 1/c and its target efficiency vanishes with it:
             # the constraint becomes vacuous (0 == 0) and the limit of the
             # recursion is the balanced strength
             if abs(targets[k]) <= 1e-15:
-                xs.append(1.0)
+                xs[k] = x = 1.0
                 continue
             raise OutOfValidityError(
                 "conclusive-run probability vanished during the recursion"
@@ -160,7 +161,7 @@ def recursive_strengths(n: int, c: Overlap | float) -> OnlineSolution:
                 f"no admissible strength solves position {k + 1} "
                 f"(denominator {frac!r})"
             )
-        xs.append(cv / frac)
+        xs[k] = x = cv / frac
     return _solution(n, cv, xs, "recursive")
 
 
