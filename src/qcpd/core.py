@@ -41,8 +41,9 @@ EPSILON = 1e-12
 #: as exactly c or 1/c in floating point are not rejected by round-off
 REL_SLACK = 1e-12
 
-#: largest stream length enumerate_strategy accepts (2**(n-2) paths per
-#: hypothesis grows fast; the cap keeps the oracle honest and cheap)
+#: largest stream length enumerate_strategy accepts: it builds 2**(n-1)
+#: path probabilities once, sharing prefixes, and folds each hypothesis
+#: total in product order; the cap keeps the oracle honest and cheap
 ENUMERATION_CAP = 12
 
 
@@ -196,9 +197,14 @@ def enumerate_strategy(schedule: StrengthSchedule) -> DetectionProfile:
 
     Walks every conclusive-default/inconclusive string the positions before
     the change can produce and sums the path probabilities ending in the
-    naming pattern.  Exponential in ``n`` — refuses streams longer than
-    :data:`ENUMERATION_CAP`.  Exists as an independent cross-check of the
-    recursion.
+    naming pattern.  Paths share prefixes: level ``j`` holds the
+    probabilities of all ``2**j`` strings of positions ``1..j`` in
+    ``itertools.product((True, False), repeat=j)`` order (True is a
+    conclusive default), each child the parent times one outcome factor, so
+    the ``2**(n-1)`` path probabilities are built once.  Each hypothesis
+    total is a left-to-right fold in that order.  Exponential in ``n`` —
+    refuses streams longer than :data:`ENUMERATION_CAP`.  Exists as an
+    independent cross-check of the recursion.
     """
     if schedule.n > ENUMERATION_CAP:
         raise ValueError(
@@ -208,28 +214,30 @@ def enumerate_strategy(schedule: StrengthSchedule) -> DetectionProfile:
     c = schedule.overlap.c
     xs = schedule.strengths.tolist()
     n = schedule.n
-    values = []
-    for k in range(1, n + 1):
-        if k == 1:
-            values.append(1.0 - c / xs[0])
-            continue
-        prefix_len = k - 2 if k < n else n - 2
+    # (conclusive-default, inconclusive) factors at strength c, the one
+    # pinned after an inconclusive outcome
+    after_inconclusive = (1.0 - c * c, c * c)
+    values = [1.0 - c / xs[0]]
+    level = [1.0]
+    for j, x in enumerate(xs, start=1):
+        # even entries end in a conclusive default (level 0's empty string
+        # counts as one) and measure position j at x; odd entries, at c
+        cx = c * x
+        steps = itertools.cycle(((1.0 - cx, cx), after_inconclusive))
         total = 0.0
-        for outcomes in itertools.product((True, False), repeat=prefix_len):
-            # True = conclusive-default, False = inconclusive
-            p = 1.0
-            prev_zero = True
-            for j, conclusive in enumerate(outcomes, start=1):
-                x = xs[j - 1] if prev_zero else c
-                p *= (1.0 - c * x) if conclusive else c * x
-                prev_zero = conclusive
-            # conclusive-default at the position before the change (k < n)
-            # or at position n-1 (k == n)
-            x = xs[prefix_len] if prev_zero else c
-            p *= 1.0 - c * x
-            if k < n:
-                # conclusive-change right after a conclusive-default outcome
-                p *= 1.0 - c / xs[k - 1]
-            total += p
+        if j < n - 1:
+            # change at j + 1: a conclusive default at j, then a
+            # conclusive-change outcome at j + 1
+            change = 1.0 - c / xs[j]
+            children = []
+            for p, (default, inconclusive) in zip(level, steps):
+                p_default = p * default
+                total += p_default * change
+                children += (p_default, p * inconclusive)
+            level = children
+        else:
+            # change at n: a conclusive default at position n - 1
+            for p, (default, _) in zip(level, steps):
+                total += p * default
         values.append(total)
     return DetectionProfile(values)

@@ -115,6 +115,14 @@ def closed_form_strengths(n: int, c: Overlap | float) -> OnlineSolution:
     return _solution(n, cv, xs, "closed-form")
 
 
+#: smallest nonzero overlap :func:`recursive_strengths` accepts.  Its drift
+#: from the closed form grows as c shrinks, up to about ``n*eps/c``.  Over
+#: n = 2..200 on a log grid of c it still exceeds
+#: ``verification.RECURSION_TOL`` (1e-10) at c = 3.2e-4 (1.4e-10, n = 200);
+#: from 1e-3 to 1/2 it stays below 4.2e-11.
+RECURSION_FLOOR = 1e-3
+
+
 def recursive_strengths(n: int, c: Overlap | float) -> OnlineSolution:
     """The same optimal schedule by forward substitution.
 
@@ -124,8 +132,10 @@ def recursive_strengths(n: int, c: Overlap | float) -> OnlineSolution:
     the collective efficiencies.  Independent of the closed form, hence a
     useful cross-check; both must agree.
 
-    ``1 - g(1)`` cancels as ``c`` shrinks: below about 1e-6 the strengths
-    drift from the closed form, and near 1e-16 it raises :class:`OutOfValidityError`.
+    Rounding errors grow as ``c`` shrinks (``1 - g(1)`` cancels, and the
+    drift grows along the chain), so a nonzero overlap below
+    :data:`RECURSION_FLOOR` raises :class:`OutOfValidityError`; ``c = 0``
+    returns the limit, the all-balanced schedule.
     """
     n = _check_n(n)
     cv = _overlap(c)
@@ -134,6 +144,11 @@ def recursive_strengths(n: int, c: Overlap | float) -> OnlineSolution:
         # the recursion's first step is 0/0 at zero overlap; its limit, like
         # the closed form, is the all-balanced schedule
         return _solution(n, cv, np.ones(n - 1), "recursive")
+    if cv < RECURSION_FLOOR:
+        raise OutOfValidityError(
+            f"the recursion drifts from the closed form below overlap "
+            f"{RECURSION_FLOOR!r} (got {cv!r}); use the closed form instead"
+        )
     targets = memoryview(global_efficiencies(n, cv))  # indexes to Python floats
     first_den = 1.0 - targets[0]
     if first_den <= 0.0:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .global_bound import (
     global_success,
     validate_unambiguous,
 )
-from .online_opt import closed_form_strengths, recursive_strengths
+from .online_opt import OnlineSolution, closed_form_strengths, recursive_strengths
 
 ORACLE_TOL = 1e-12
 CENTRAL_TOL = 1e-10
@@ -96,10 +96,11 @@ def _worst_entry(n: int, c: float, gaps: np.ndarray) -> _Pair:
     return float(gaps[j]), _case(n, c, j + 1)
 
 
-def _canonical_grid() -> Iterator[tuple[int, float]]:
-    """``n in 2..25`` by ``c in {0, 0.05, .., 0.5}``, n-major."""
+def _canonical_solutions() -> list[OnlineSolution]:
+    """Closed-form solutions on the canonical grid: ``n in 2..25`` by
+    ``c in {0, 0.05, .., 0.5}``, n-major (264 cases)."""
     cs = [float(round(c, 10)) for c in np.arange(0.0, 0.5001, 0.05)]
-    return itertools.product(range(2, 26), cs)
+    return [closed_form_strengths(n, c) for n, c in itertools.product(range(2, 26), cs)]
 
 
 def oracle_equivalence(n_max: int = 8, seed: int = 0) -> SuiteResult:
@@ -127,17 +128,21 @@ def oracle_equivalence(n_max: int = 8, seed: int = 0) -> SuiteResult:
     return _suite("oracle_equivalence", ORACLE_TOL, results())
 
 
-def central_equality(inject_fault: bool = False) -> SuiteResult:
+def central_equality(
+    solutions: Sequence[OnlineSolution], inject_fault: bool = False
+) -> SuiteResult:
     """Analytic schedule's profile vs. the closed-form efficiency vector.
 
-    Runs the canonical grid ``n in 2..25``, ``c in {0, 0.05, .., 0.5}``.
-    With ``inject_fault`` the first strength of every schedule is scaled by
-    a factor of 1.001, which must push the residual far past the threshold.
+    ``solutions`` are the closed-form solutions of the canonical grid
+    ``n in 2..25``, ``c in {0, 0.05, .., 0.5}``, as :func:`run_all` builds
+    them.  With ``inject_fault`` the first strength of every schedule is
+    scaled by a factor of 1.001, which must push the residual far past the
+    threshold.
     """
 
     def results() -> Iterator[_Pair]:
-        for n, c in _canonical_grid():
-            solution = closed_form_strengths(n, c)
+        for solution in solutions:
+            n, c = solution.schedule.n, solution.schedule.overlap.c
             profile = solution.profile
             if inject_fault:
                 # scale down: the first strength is always >= 1, so the
@@ -156,12 +161,14 @@ def central_equality(inject_fault: bool = False) -> SuiteResult:
     return _suite("central_equality", CENTRAL_TOL, results())
 
 
-def recursion_agreement() -> SuiteResult:
-    """Forward-substitution schedule vs. the closed form on ``c <= 1/2``."""
+def recursion_agreement(solutions: Sequence[OnlineSolution]) -> SuiteResult:
+    """Forward-substitution schedule vs. the closed-form ``solutions`` of
+    the canonical grid, as for :func:`central_equality`."""
 
     def results() -> Iterator[_Pair]:
-        for n, c in _canonical_grid():
-            direct = closed_form_strengths(n, c).schedule.strengths
+        for solution in solutions:
+            n, c = solution.schedule.n, solution.schedule.overlap.c
+            direct = solution.schedule.strengths
             rebuilt = recursive_strengths(n, c).schedule.strengths
             yield _worst_entry(n, c, np.abs(direct - rebuilt))
 
@@ -204,10 +211,17 @@ def gram_feasibility() -> SuiteResult:
 def run_all(
     n_max: int = 8, seed: int = 0, inject_fault: bool = False
 ) -> list[SuiteResult]:
-    """Run every suite; ``inject_fault`` sabotages the central-equality one."""
+    """Run every suite; ``inject_fault`` sabotages the central-equality one.
+
+    The canonical closed-form solutions are built once here, shared by the
+    two suites that check them and dropped on return, so every call
+    recomputes everything it checks.
+    """
+    oracle = oracle_equivalence(n_max=n_max, seed=seed)
+    solutions = _canonical_solutions()
     return [
-        oracle_equivalence(n_max=n_max, seed=seed),
-        central_equality(inject_fault=inject_fault),
-        recursion_agreement(),
+        oracle,
+        central_equality(solutions, inject_fault=inject_fault),
+        recursion_agreement(solutions),
         gram_feasibility(),
     ]

@@ -9,6 +9,9 @@ from outside it:
   the form the backward optimizer maximizes;
 * :func:`global_efficiencies_direct` sums the collective efficiencies term
   by term;
+* :func:`enumerate_strategy_nested` enumerates outcome paths one string at
+  a time, multiplying out each path probability on its own, the route
+  ``enumerate_strategy`` must match bit for bit;
 * :func:`total_saturation_point` and :func:`sl_worst_case_gap` give the
   paper's saturation overlap (about 0.6889) and the saturated strategy's
   largest asymptotic shortfall (about 0.022 near c = 0.89).
@@ -18,13 +21,22 @@ Import them as ``from oracles import ...``, like the ``conftest`` helpers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from qcpd import kernels
-from qcpd.core import Overlap, StrengthSchedule, _check_n, _frozen_vector, _overlap
+from qcpd.core import (
+    ENUMERATION_CAP,
+    DetectionProfile,
+    Overlap,
+    StrengthSchedule,
+    _check_n,
+    _frozen_vector,
+    _overlap,
+)
 from qcpd.global_bound import _bisect_root
 from qcpd.online_opt import _push_head
 
@@ -121,3 +133,46 @@ def global_efficiencies_direct(n: int, c: Overlap | float) -> np.ndarray:
     idx = np.arange(n)
     terms = np.power(-cv, np.abs(idx[:, None] - idx[None, :]), dtype=np.float64)
     return _frozen_vector(terms.sum(axis=1))
+
+
+def enumerate_strategy_nested(schedule: StrengthSchedule) -> DetectionProfile:
+    """Detection profile by explicit enumeration of outcome paths.
+
+    Walks every conclusive-default/inconclusive string the positions before
+    the change can produce, multiplies out each path probability on its
+    own, and sums those ending in the naming pattern.  O(n^2 * 2^n) —
+    refuses streams longer than :data:`ENUMERATION_CAP`.
+    """
+    if schedule.n > ENUMERATION_CAP:
+        raise ValueError(
+            f"enumeration is exponential; n={schedule.n} exceeds the cap of "
+            f"{ENUMERATION_CAP}"
+        )
+    c = schedule.overlap.c
+    xs = schedule.strengths.tolist()
+    n = schedule.n
+    values = []
+    for k in range(1, n + 1):
+        if k == 1:
+            values.append(1.0 - c / xs[0])
+            continue
+        prefix_len = k - 2 if k < n else n - 2
+        total = 0.0
+        for outcomes in itertools.product((True, False), repeat=prefix_len):
+            # True = conclusive-default, False = inconclusive
+            p = 1.0
+            prev_zero = True
+            for j, conclusive in enumerate(outcomes, start=1):
+                x = xs[j - 1] if prev_zero else c
+                p *= (1.0 - c * x) if conclusive else c * x
+                prev_zero = conclusive
+            # conclusive-default at the position before the change (k < n)
+            # or at position n-1 (k == n)
+            x = xs[prefix_len] if prev_zero else c
+            p *= 1.0 - c * x
+            if k < n:
+                # conclusive-change right after a conclusive-default outcome
+                p *= 1.0 - c / xs[k - 1]
+            total += p
+        values.append(total)
+    return DetectionProfile(values)

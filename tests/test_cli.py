@@ -304,12 +304,29 @@ class TestStrengths:
             assert result.returncode == 1
             assert "error" in result.stderr
 
-    def test_recursion_floor_prints_a_plain_float(self, capsys):
-        # 1 - g(1) cancels to 0 once 1 + c rounds to 1
-        code = main(["strengths", "--n", "5", "--c", "1e-16", "--method", "recursive"])
+    def test_recursion_floor_prints_a_plain_float(self, capsys, monkeypatch):
+        # a first target of 1 stands in for 1 - g(1) cancelling to 0, which
+        # RECURSION_FLOOR now keeps real overlaps from reaching
+        monkeypatch.setattr(
+            online_opt, "global_efficiencies", lambda n, c: np.array([1.0, 0.5, 0.5, 0.5, 0.5])
+        )
+        code = main(["strengths", "--n", "5", "--c", "0.3", "--method", "recursive"])
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
         assert err == "qcpd: error: cannot solve for the first strength: 1 - target = 0.0\n"
+
+    @pytest.mark.parametrize("c, code", [("0.001", 0), ("0.000999", 1), ("1e-12", 1), ("0", 0)])
+    def test_recursion_floor(self, c, code, capsys):
+        assert main(["strengths", "--n", "6", "--c", c, "--method", "recursive"]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == ""
+            assert err == (
+                "qcpd: error: the recursion drifts from the closed form below overlap "
+                f"0.001 (got {float(c)!r}); use the closed form instead\n"
+            )
+        else:
+            assert out.startswith(f"n=6 c={c} method=recursive")
 
     def test_domain_errors_are_exit_one(self):
         assert run_cli("strengths", "--n", "4", "--c", "1.0").returncode == 1
@@ -323,6 +340,8 @@ class TestVerify:
         [
             ("verify_n5_seed7.json", ("--n-max", "5", "--seed", "7"), 0),
             ("verify_self_test.json", ("--self-test",), 2),
+            # the enumeration cap: pins the n = 9..12 path sums byte for byte
+            ("verify_n12_seed64331.json", ("--n-max", "12", "--seed", "64331"), 0),
         ],
     )
     def test_golden_report(self, golden, args, code):

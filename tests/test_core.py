@@ -16,8 +16,9 @@ from qcpd import (
     global_efficiencies,
 )
 from qcpd.cli import main
-from qcpd.core import REL_SLACK, DetectionProfile, _check_probabilities
+from qcpd.core import ENUMERATION_CAP, REL_SLACK, DetectionProfile, _check_probabilities
 from conftest import schedules
+from oracles import enumerate_strategy_nested
 
 
 class TestValidation:
@@ -191,3 +192,26 @@ class TestEvaluateStrategy:
         schedule = StrengthSchedule(n=13, strengths=(1.0,) * 12, overlap=Overlap(0.3))
         with pytest.raises(ValueError):
             enumerate_strategy(schedule)
+
+
+def _enumeration_cases(n: int, rng: np.random.Generator):
+    """Zero overlap, overlap 1, strengths exactly at c and 1/c, and random
+    admissible schedules, all of length ``n``."""
+    yield Overlap(0.0), rng.uniform(0.05, 3.0, size=n - 1)
+    yield Overlap(1.0), np.ones(n - 1)
+    for _ in range(4):
+        c = float(rng.uniform(0.01, 0.99))
+        yield Overlap(c), rng.choice([c, 1.0 / c], size=n - 1)
+    for _ in range(20):
+        c = float(rng.uniform(0.0, 0.99))
+        yield Overlap(c), rng.uniform(max(c, 0.05), min(1.0 / c, 3.0) if c else 3.0, size=n - 1)
+
+
+@pytest.mark.parametrize("n", range(2, ENUMERATION_CAP + 1))
+def test_enumeration_is_bit_identical_to_the_nested_loop(n):
+    rng = np.random.default_rng(64331 + n)
+    for overlap, xs in _enumeration_cases(n, rng):
+        schedule = StrengthSchedule(n=n, strengths=xs, overlap=overlap)
+        shared = enumerate_strategy(schedule).per_position
+        nested = enumerate_strategy_nested(schedule).per_position
+        assert shared.tobytes() == nested.tobytes(), (overlap, xs)

@@ -27,7 +27,7 @@ from qcpd import (
     sl_solution,
     sl_success_asymptotic,
 )
-from qcpd import online_opt
+from qcpd import online_opt, verification
 from qcpd.kernels import detection_profile
 from oracles import coordinate_objective, sl_worst_case_gap, total_saturation_point
 
@@ -94,8 +94,13 @@ class TestRecursive:
             recursive_strengths(5, 0.51)
 
     def test_guards_raise_out_of_validity_with_plain_floats(self, monkeypatch):
+        # RECURSION_FLOOR rejects the small overlaps where 1 - g(1) cancels
+        # to 0, so a first target of 1 stands in for that cancellation
+        monkeypatch.setattr(
+            online_opt, "global_efficiencies", lambda n, c: np.array([1.0, 0.5, 0.5, 0.5, 0.5])
+        )
         with pytest.raises(OutOfValidityError, match=r"1 - target = 0\.0$"):
-            recursive_strengths(5, 1e-16)
+            recursive_strengths(5, 0.3)
         # targets no admissible schedule meets: position 2 asks for more
         # than the conclusive run leaves
         monkeypatch.setattr(
@@ -103,6 +108,18 @@ class TestRecursive:
         )
         with pytest.raises(OutOfValidityError, match=r"position 2 \(denominator -1\.43\d*\)$"):
             recursive_strengths(5, 0.3)
+
+    def test_floor_is_the_edge_of_the_accurate_range(self):
+        floor = online_opt.RECURSION_FLOOR
+        for n in (2, 3, 25, 200):
+            a = closed_form_strengths(n, floor).schedule.strengths
+            b = recursive_strengths(n, floor).schedule.strengths
+            assert np.max(np.abs(a - b)) <= verification.RECURSION_TOL
+        below = float(np.nextafter(floor, 0.0))
+        for c in (below, 1e-12, 5e-324):
+            with pytest.raises(OutOfValidityError, match=r"below overlap 0\.001 \(got "):
+                recursive_strengths(6, c)
+        assert recursive_strengths(6, 0.0).schedule.strengths.tolist() == [1.0] * 5
 
 
 class TestCoordinateObjective:

@@ -25,6 +25,15 @@ def _scale_profiles(monkeypatch):
     monkeypatch.setattr(verification, "evaluate_strategy", scaled)
 
 
+def _scale_enumerations(monkeypatch):
+    enumerate_paths = verification.enumerate_strategy
+
+    def scaled(schedule):
+        return DetectionProfile(enumerate_paths(schedule).per_position * (1.0 - 1e-6))
+
+    monkeypatch.setattr(verification, "enumerate_strategy", scaled)
+
+
 def _scale_recursive_schedules(monkeypatch):
     recursive = verification.recursive_strengths
 
@@ -68,9 +77,14 @@ def test_oracle_equivalence_catches_a_scaled_profile(monkeypatch):
     _assert_caught(verification.oracle_equivalence(n_max=4))
 
 
+def test_oracle_equivalence_catches_a_scaled_enumeration(monkeypatch):
+    _scale_enumerations(monkeypatch)
+    _assert_caught(verification.oracle_equivalence(n_max=12))
+
+
 def test_recursion_agreement_catches_a_scaled_schedule(monkeypatch):
     _scale_recursive_schedules(monkeypatch)
-    _assert_caught(verification.recursion_agreement())
+    _assert_caught(verification.recursion_agreement(verification._canonical_solutions()))
 
 
 def test_gram_feasibility_catches_scaled_efficiencies(monkeypatch):
@@ -90,6 +104,7 @@ def test_gram_feasibility_catches_a_range_only_fault(monkeypatch):
 
 NEGATIVE_CONTROLS = {
     "scaled_profiles": _scale_profiles,
+    "scaled_enumerations": _scale_enumerations,
     "scaled_recursive_schedules": _scale_recursive_schedules,
     "scaled_efficiencies": _scale_efficiencies,
     "negative_efficiency": _negative_efficiency,
@@ -108,6 +123,23 @@ def test_passed_means_residual_within_threshold(control, inject_fault, monkeypat
     assert len(results) == 4
     for result in results:
         assert result.passed == (result.max_residual <= result.threshold), result
+
+
+def test_run_all_builds_each_closed_form_once_per_call(monkeypatch):
+    closed_form = verification.closed_form_strengths
+    calls = []
+
+    def counted(n, c):
+        calls.append((n, c))
+        return closed_form(n, c)
+
+    monkeypatch.setattr(verification, "closed_form_strengths", counted)
+    cases = [(n, c / 20) for n in range(2, 26) for c in range(11)]
+    for _ in range(2):
+        # a second call recomputes every case: nothing outlives a call
+        calls.clear()
+        verification.run_all(n_max=2)
+        assert calls == cases
 
 
 class TestSuiteHarness:
