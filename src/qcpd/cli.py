@@ -24,6 +24,8 @@ from dataclasses import asdict, dataclass
 from itertools import chain, islice
 from typing import Sequence
 
+import numpy as np
+
 from .core import Overlap, SingularityError, StrengthSchedule, _check_n, evaluate_strategy
 from .global_bound import _optimal_success, critical_overlap
 from .kernels import active_backend
@@ -236,28 +238,69 @@ def _write(text: str, out: str | None) -> None:
 _NUMBER_TYPES = frozenset((int, float))
 
 
+def _dict_rows(value) -> tuple[tuple[str, ...], list[tuple]] | None:
+    """The keys and the value rows of ``value`` if it is a non-empty list of
+    dicts with the same non-empty string keys in the same order, none
+    holding a ``%``, and values that are all exact ints or finite floats;
+    None for anything else."""
+    if type(value) is not list or not value or set(map(type, value)) != {dict}:
+        return None
+    keys = tuple(value[0])
+    if not keys or any(type(key) is not str or "%" in key for key in keys):
+        return None
+    if set(map(tuple, value)) != {keys}:
+        return None
+    rows = [tuple(item.values()) for item in value]
+    cells = list(chain.from_iterable(rows))
+    if not set(map(type, cells)) <= _NUMBER_TYPES:
+        return None
+    try:
+        if not all(map(math.isfinite, cells)):
+            return None
+    except OverflowError:  # an int beyond the float range
+        return None
+    return keys, rows
+
+
+def _json_value(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` with every line after the first
+    indented by ``pad``: the value as it appears nested at that depth.
+
+    ``indent`` forces the pure-Python encoder, so three kinds of value are
+    rendered in bulk instead:
+
+    * a non-empty flat list of ints and floats (a schedule of 1e5
+      strengths) goes through the C encoder in one call whose item
+      separator is the indented line break;
+    * a non-empty dict with string keys is rendered key by key;
+    * a list of flat dicts that :func:`_dict_rows` accepts (simulate's
+      ``per_position``, curve's ``rows``) is filled into one ``%r``
+      template per dict by :func:`_render_lines`: ``repr`` is how the
+      encoder writes ints and finite floats.
+
+    Any other value goes through ``json.dumps(value, indent=2)``,
+    re-indented; JSON escapes newlines inside strings, so every newline
+    there is indentation.
+    """
+    inner = pad + "  "
+    if type(value) is list and value and set(map(type, value)) <= _NUMBER_TYPES:
+        body = json.dumps(value, separators=(",\n" + inner, ": "))
+        return f"[\n{inner}{body[1:-1]}\n{pad}]"
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        items = (f"\n{inner}{json.dumps(k)}: {_json_value(v, inner)}" for k, v in value.items())
+        return "{" + ",".join(items) + f"\n{pad}}}"
+    if table := _dict_rows(value):
+        keys, rows = table
+        fields = ",\n".join(f"{inner}  {json.dumps(name)}: %r" for name in keys)
+        body = _render_lines(f"{inner}{{\n{fields}\n{inner}}},\n", rows)
+        return f"[\n{body[:-2]}\n{pad}]"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
 def _dump_json(payload: dict) -> str:
     """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, for a
-    non-empty dict with string keys.
-
-    ``indent`` forces the pure-Python encoder, so each top-level value is
-    encoded on its own. A non-empty flat list of ints and floats (a schedule
-    of 1e5 strengths) goes through the C encoder in one call whose item
-    separator is the indented line break. Any other value goes through
-    ``json.dumps(value, indent=2)``, re-indented one level; JSON escapes
-    newlines inside strings, so every newline there is indentation.
-    """
-    parts = ["{"]
-    for key, value in payload.items():
-        parts.append(f"\n  {json.dumps(key)}: ")
-        if type(value) is list and value and set(map(type, value)) <= _NUMBER_TYPES:
-            body = json.dumps(value, separators=(",\n    ", ": "))
-            parts += ["[\n    ", body[1:-1], "\n  ]"]
-        else:
-            parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
-        parts.append(",")
-    parts[-1] = "\n}\n"
-    return "".join(parts)
+    non-empty dict with string keys, rendered by :func:`_json_value`."""
+    return _json_value(payload, "") + "\n"
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
@@ -384,40 +427,52 @@ def _select_strategy(args: argparse.Namespace) -> StrengthSchedule:
     return sl_solution(args.n, args.c).schedule  # "sl"
 
 
+def _z_scores(empirical: np.ndarray, exact: np.ndarray, trials: int) -> list[float]:
+    """``(empirical - exact) / sqrt(exact*(1 - exact)/trials)`` entry by
+    entry, 0.0 where that variance vanishes.
+
+    The differences and variances are array operations; the square root is
+    Python's ``** 0.5`` on each float, because numpy's ``sqrt`` and
+    ``power`` differ from it in the last bit on some inputs.
+    """
+    variance = exact * (1.0 - exact) / trials
+    gaps = empirical - exact
+    return [
+        0.0 if v <= 0.0 else gap / v**0.5
+        for gap, v in zip(gaps.tolist(), variance.tolist())
+    ]
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     schedule = _select_strategy(args)
     report = run_experiment(schedule, args.trials, args.seed)
     profile = evaluate_strategy(schedule)
-
-    def z_score(empirical: float, exact: float, trials: int) -> float:
-        variance = exact * (1.0 - exact) / trials
-        if variance <= 0.0:
-            return 0.0
-        return (empirical - exact) / variance ** 0.5
-
-    per_position = []
-    for k, p in enumerate(profile.per_position.tolist(), start=1):
-        exact = p / schedule.n
-        empirical = report.detections_per_position[k - 1] / report.trials
-        per_position.append(
-            {
-                "position": k,
-                "count": report.detections_per_position[k - 1],
-                "empirical": empirical,
-                "exact": exact,
-                "z": z_score(empirical, exact, report.trials),
-            }
-        )
+    counts = report.detections_per_position
+    exact = profile.per_position / schedule.n
+    empirical = np.array(counts) / report.trials
+    columns = (
+        range(1, schedule.n + 1),
+        counts,
+        empirical.tolist(),
+        exact.tolist(),
+        _z_scores(empirical, exact, report.trials),
+    )
+    (z_success,) = _z_scores(
+        np.array([report.empirical_success]), np.array([profile.average]), report.trials
+    )
     payload = {
         "strategy": args.strategy,
         "backend": active_backend(),
         "strengths": schedule.strengths.tolist(),
         "report": report.to_dict(),
         "exact_success": profile.average,
-        "z_success": z_score(report.empirical_success, profile.average, report.trials),
-        "per_position": per_position,
+        "z_success": z_success,
+        "per_position": [
+            {"position": k, "count": count, "empirical": e, "exact": x, "z": z}
+            for k, count, e, x, z in zip(*columns)
+        ],
     }
     _write(_dump_json(payload), args.out)
     return 0

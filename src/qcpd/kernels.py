@@ -29,6 +29,7 @@ GAMMA = np.uint64(_GAMMA_INT)
 _MIX1 = np.uint64(_MIX1_INT)
 _MIX2 = np.uint64(_MIX2_INT)
 _INV53 = 2.0**-53
+_R30, _R27, _R31, _R11 = (np.uint64(r) for r in (30, 27, 31, 11))
 
 
 def mix64_int(z: int) -> int:
@@ -40,12 +41,24 @@ def mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64(z):
-    """splitmix64 finalizer on uint64 numpy arrays (wraparound is silent
-    for arrays; scalars must go through :func:`mix64_int` instead)."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z, out=None, scratch=None):
+    """splitmix64 finalizer on uint64 numpy arrays, written to ``out`` (which
+    may be ``z``; a new array if None), with ``scratch`` as a work array of
+    the same shape.  Wraparound is silent for arrays; scalars must go through
+    :func:`mix64_int` instead."""
+    if out is None:
+        out = np.empty_like(z)
+    if scratch is None:
+        scratch = np.empty_like(z)
+    np.right_shift(z, _R30, out=scratch)
+    np.bitwise_xor(z, scratch, out=out)
+    out *= _MIX1
+    np.right_shift(out, _R27, out=scratch)
+    out ^= scratch
+    out *= _MIX2
+    np.right_shift(out, _R31, out=scratch)
+    out ^= scratch
+    return out
 
 
 def seed_root(seed: int) -> int:
@@ -81,29 +94,41 @@ def detection_profile(c: float, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # Per trial t: counter 0 draws the change position k (uniform on 1..n);
-# counter j in 1..n-1 drives the measurement at position j.  The walk
+# counter j in 1..n-1 drives the measurement at position j.  The protocol
 # follows the adaptive rule (scheduled strength after a conclusive 0,
 # strength c after an inconclusive outcome).  Verdicts: a conclusive
-# change-outcome at position 1, or immediately after a conclusive 0,
-# names that position; a conclusive 0 at position n-1 names position n;
-# anything else is inconclusive.  Only the first change-outcome matters:
-# after an inconclusive result on a changed particle the strength is
-# pinned to c, which can never again produce a conclusive outcome.
+# change-outcome at position k < n names k if it follows a conclusive 0
+# (or k = 1); a conclusive 0 at position n-1 names n; anything else is
+# inconclusive.  No position other than k is ever named.
 #
-# So a trial is live only up to its own k.  Each chunk is reordered by k,
-# descending, and ge[j] counts the trials with k >= j: step j hashes the
-# live prefix [:ge[j]], tests verdicts on its k == j segment
-# [ge[j+1]:ge[j]] and carries the one bit of memory, prev_zero, on
-# [:ge[j+1]].  The walk stops where the prefix empties.
+# So a verdict needs the draw at k (for k < n) and one bit of memory, b_k:
+# "the outcome at k-1 was a conclusive 0", with b_1 = 1.  The integer draw
+# m at an unchanged position j acts on that bit as a map.  With
+# a = m < thr(1 - c*x_j), the next bit if the bit is 1, and
+# b = m < thr(1 - c^2), the next bit if it is 0:
 #
-# The step "u < 1 - c*x" compares the 53-bit integer m = z >> 11 behind
-# u = m * 2**-53 with an integer threshold (see _int_threshold) for each
-# position, so it needs no float conversion yet decides exactly as the
-# float test.  The verdict test x*(1 - u) > c stays in floats.
+#   (a, b) = (1, 1) sets the bit to 1,    (0, 0) sets it to 0,
+#            (0, 1) flips it,             (1, 0) keeps it.
 #
-# The chunk size does not change any count (every uniform is keyed by
-# trial and position); 2**15 keeps the sort's index and reordered copies
-# below the peak memory of the unsorted 2**16 chunks.
+# "Keep" needs x_j < c, which an admissible schedule reaches only inside
+# REL_SLACK.  Position 1 always acts as a set map, "set to a", because the
+# bit entering it is 1.  So b_k is the value of the last set map before k,
+# flipped once for every flip map after it.
+#
+# The kernel therefore walks back from k.  It draws at k first and keeps
+# only the trials whose verdict test x_k*(1 - u) > c passes; the k = n
+# trials pass, as they need only the bit.  Then every kept trial steps back
+# one position at a time, each at its own position, until a set map
+# resolves its bit.  A step resolves with chance 1 - c*(x_j - c), so online
+# and fl walks are one or two steps long, but sl flips with chance 1 - c^2
+# and at small c walks nearly back to position 1.
+#
+# Every uniform keeps its (seed, trial, position) key and every comparison
+# its integer threshold, so the counts equal the forward walk's
+# (simulate_trial) bit for bit, for any chunk size.  The step compares the
+# 53-bit integer m = z >> 11 behind u = m * 2**-53 with exact integer
+# thresholds (see _int_threshold); the verdict test x*(1 - u) > c stays in
+# floats.
 
 _CHUNK = 1 << 15
 
@@ -120,74 +145,120 @@ def _int_threshold(t) -> np.ndarray:
     return np.clip(scaled, 0.0, 2.0**53).astype(np.uint64)
 
 
+def _bits_at_change(
+    w: np.ndarray, j: np.ndarray, thr_sched: np.ndarray, thr_pinned: np.uint64
+) -> np.ndarray:
+    """The memory bit entering each walker's change point.
+
+    ``w`` holds each walker's counter value ``zt + k*GAMMA`` at its change
+    point k, and ``j = k - 1 >= 1``, non-decreasing; both arrays are
+    consumed.  ``thr_sched[j]`` is position j's threshold after a
+    conclusive 0 and ``thr_pinned`` the one after an inconclusive outcome.
+    Each step draws every held walker at its own position.  A set map
+    resolves a walker to the map's value XOR the parity of the flips after
+    it.  The walkers at position 1, a prefix, resolve there and are cut
+    off; others that resolve are masked out and dropped once they fill a
+    quarter of the arrays.
+    """
+    size = w.size
+    bits = np.empty(size, dtype=np.bool_)
+    walker = np.arange(size)
+    parity = np.zeros(size, dtype=np.bool_)
+    live = np.ones(size, dtype=np.bool_)
+    res = np.empty(size, dtype=np.bool_)
+    m_buf, s_buf = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    a_buf, b_buf, d_buf = (np.empty(size, dtype=np.bool_) for _ in range(3))
+    left = size
+    while left:
+        held = w.size
+        m, s = m_buf[:held], s_buf[:held]
+        a, b, done = a_buf[:held], b_buf[:held], d_buf[:held]
+        w -= GAMMA
+        _mix64(w, m, s)
+        m >>= _R11
+        # every held walker is at a position in 1..n-1, so "clip" changes no
+        # index; it only skips the bounds check
+        np.take(thr_sched, j, out=s, mode="clip")
+        np.less(m, s, out=a)
+        np.less(m, thr_pinned, out=b)
+        np.equal(a, b, out=done)
+        # the walkers at position 1
+        cut = int(np.searchsorted(j, 1, side="right"))
+        done[:cut] = True
+        done &= live
+        resolved = np.count_nonzero(done)
+        if resolved:
+            a ^= parity
+            np.copyto(res, a, where=done)
+            live ^= done
+            left -= resolved
+        parity ^= b
+        j -= 1
+        if cut:
+            bits[walker[:cut]] = res[:cut]
+            w, j, parity, walker, res, live = (
+                v[cut:] for v in (w, j, parity, walker, res, live)
+            )
+        if 4 * left <= 3 * (held - cut):
+            # a resolved walker's last write is its own bit
+            bits[walker] = res
+            keep = np.flatnonzero(live)
+            w, j, parity, walker, res = w[keep], j[keep], parity[keep], walker[keep], res[keep]
+            live = np.ones(left, dtype=np.bool_)
+    return bits
+
+
 def simulate_counts(
     c: float, xs: np.ndarray, trials: int, seed: int
 ) -> tuple[np.ndarray, int]:
     """Detections per position and the count of wrong verdicts over
-    ``trials`` trials, processed in chunks that walk only live trials."""
+    ``trials`` trials, in chunks whose trials each walk back from their
+    change point.  The walk names only the change point, so the count of
+    wrong verdicts is 0 by construction."""
     c = float(c)
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     n = xs.shape[0] + 1
     root = np.uint64(seed_root(seed))
-    # counter offsets j*GAMMA, built as an array op: scalar uint64 products
-    # would warn on the intended modular wrap-around
-    offsets = np.arange(n, dtype=np.uint64) * GAMMA
-    # stay threshold after an inconclusive outcome (x = c), and how far the
-    # scheduled strength xs[j-1] after a conclusive 0 lowers it; uint64
-    # arithmetic is modular, so thr_pinned - thr_drop is exact for any xs
-    thr_pinned = _int_threshold(1.0 - c * c)
-    thr_drop = thr_pinned - _int_threshold(1.0 - c * xs)
-    r30, r27, r31, r11 = (np.uint64(s) for s in (30, 27, 31, 11))
-    size = min(trials, _CHUNK)
-    z = np.empty(size, dtype=np.uint64)
-    tmp = np.empty(size, dtype=np.uint64)
+    # the strength at change point k, at index k - 1; at k = n the infinite
+    # strength passes the verdict test, so the bit alone decides
+    verdict_x = np.append(xs, np.inf)
+    # position j's threshold after a conclusive 0, at index j
+    thr_sched = np.append(np.uint64(0), _int_threshold(1.0 - c * xs))
+    thr_pinned = _int_threshold(1.0 - c * c)[()]
+    s_buf = np.empty(min(trials, _CHUNK), dtype=np.uint64)
     counts = np.zeros(n, dtype=np.int64)
-    wrong = 0
+    key = np.min_scalar_type(n)
     for lo in range(0, trials, _CHUNK):
         hi = min(lo + _CHUNK, trials)
-        t = np.arange(lo, hi, dtype=np.uint64)
-        zt = _mix64(root + t * GAMMA)
-        u = (_mix64(zt) >> r11).astype(np.float64) * _INV53
+        s = s_buf[: hi - lo]
+        zt = np.arange(lo, hi, dtype=np.uint64)
+        zt *= GAMMA
+        zt += root
+        _mix64(zt, zt, s)
+        m = _mix64(zt, None, s)
+        m >>= _R11
+        u = m.astype(np.float64) * _INV53
         k = (u * n).astype(np.int64)
         np.minimum(k, n - 1, out=k)
         k += 1
-        # a stable sort on the smallest dtype that holds n - k is a radix
-        # sort for n < 2**16
-        order = np.argsort((n - k).astype(np.min_scalar_type(n)), kind="stable")
-        zt, k = zt[order], k[order]
-        del t, u, order  # the draw temporaries are not live during the walk
-        # ge[j] = number of trials with k >= j, for j in 0..n+1
-        ge = np.bincount(k, minlength=n + 2)[::-1].cumsum()[::-1].tolist()
-        prev_zero = np.ones(hi - lo, dtype=np.bool_)
-        det = np.zeros(hi - lo, dtype=np.int64)
-        for j in range(1, n):
-            live, carry = ge[j], ge[j + 1]
-            if live == 0:
-                break
-            m, scratch = z[:live], tmp[:live]
-            np.add(zt[:live], offsets[j], out=m)
-            np.right_shift(m, r30, out=scratch)
-            m ^= scratch
-            m *= _MIX1
-            np.right_shift(m, r27, out=scratch)
-            m ^= scratch
-            m *= _MIX2
-            np.right_shift(m, r31, out=scratch)
-            m ^= scratch
-            m >>= r11
-            # verdicts of the trials whose change point is j
-            u = m[carry:].astype(np.float64) * _INV53
-            hit = prev_zero[carry:live] & (xs[j - 1] * (1.0 - u) > c)
-            det[carry:live][hit] = j
-            # the rest stay live: u < 1 - c*x, with x set by prev_zero
-            pz, thr = prev_zero[:carry], scratch[:carry]
-            np.multiply(pz, thr_drop[j - 1], out=thr)
-            np.subtract(thr_pinned, thr, out=thr)
-            np.less(m[:carry], thr, out=pz)
-        det[: ge[n]][prev_zero[: ge[n]]] = n
-        counts += np.bincount(det, minlength=n + 1)[1:]
-        wrong += int(np.count_nonzero((det > 0) & (det != k)))
-    return counts, wrong
+        # the counter value at the change point, its draw and verdict test
+        np.multiply(k.view(np.uint64), GAMMA, out=m)
+        m += zt
+        _mix64(m, zt, s)
+        zt >>= _R11
+        np.multiply(zt, _INV53, out=u)
+        np.subtract(1.0, u, out=u)
+        u *= verdict_x[k - 1]
+        hit = u > c
+        del zt, u
+        walk = np.flatnonzero(hit & (k > 1))
+        # by change point: a stable sort on a narrow dtype is a radix sort
+        # for n < 2**16
+        walk = walk[np.argsort(k[walk].astype(key), kind="stable")]
+        hit[walk] = _bits_at_change(m[walk], k[walk] - 1, thr_sched, thr_pinned)
+        k *= hit
+        counts += np.bincount(k, minlength=n + 1)[1:]
+    return counts, 0
 
 
 def active_backend() -> str:

@@ -140,15 +140,21 @@ def recursive_strengths(n: int, c: Overlap | float) -> OnlineSolution:
     n = _check_n(n)
     cv = _overlap(c)
     _check_closed_form_range(cv)
-    if cv == 0.0:
-        # the recursion's first step is 0/0 at zero overlap; its limit, like
-        # the closed form, is the all-balanced schedule
-        return _solution(n, cv, np.ones(n - 1), "recursive")
-    if cv < RECURSION_FLOOR:
+    if 0.0 < cv < RECURSION_FLOOR:
         raise OutOfValidityError(
             f"the recursion drifts from the closed form below overlap "
             f"{RECURSION_FLOOR!r} (got {cv!r}); use the closed form instead"
         )
+    return _solution(n, cv, _recursive_xs(n, cv), "recursive")
+
+
+def _recursive_xs(n: int, cv: float) -> np.ndarray:
+    """The strengths of :func:`recursive_strengths` for a checked ``n`` and
+    overlap ``cv``, with no schedule or profile built around them."""
+    if cv == 0.0:
+        # the recursion's first step is 0/0 at zero overlap; its limit, like
+        # the closed form, is the all-balanced schedule
+        return np.ones(n - 1)
     targets = memoryview(global_efficiencies(n, cv))  # indexes to Python floats
     first_den = 1.0 - targets[0]
     if first_den <= 0.0:
@@ -177,7 +183,7 @@ def recursive_strengths(n: int, c: Overlap | float) -> OnlineSolution:
                 f"(denominator {frac!r})"
             )
         xs[k] = x = cv / frac
-    return _solution(n, cv, xs, "recursive")
+    return xs
 
 
 # ---------------------------------------------------------------------------

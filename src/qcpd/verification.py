@@ -36,7 +36,7 @@ from .global_bound import (
     global_success,
     validate_unambiguous,
 )
-from .online_opt import OnlineSolution, closed_form_strengths, recursive_strengths
+from .online_opt import OnlineSolution, _recursive_xs, closed_form_strengths
 
 ORACLE_TOL = 1e-12
 CENTRAL_TOL = 1e-10
@@ -162,14 +162,15 @@ def central_equality(
 
 
 def recursion_agreement(solutions: Sequence[OnlineSolution]) -> SuiteResult:
-    """Forward-substitution schedule vs. the closed-form ``solutions`` of
+    """Forward-substitution strengths (those of ``recursive_strengths``,
+    without its schedule and profile) vs. the closed-form ``solutions`` of
     the canonical grid, as for :func:`central_equality`."""
 
     def results() -> Iterator[_Pair]:
         for solution in solutions:
             n, c = solution.schedule.n, solution.schedule.overlap.c
             direct = solution.schedule.strengths
-            rebuilt = recursive_strengths(n, c).schedule.strengths
+            rebuilt = _recursive_xs(n, c)
             yield _worst_entry(n, c, np.abs(direct - rebuilt))
 
     return _suite("recursion_agreement", RECURSION_TOL, results())

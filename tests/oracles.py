@@ -12,6 +12,9 @@ from outside it:
 * :func:`enumerate_strategy_nested` enumerates outcome paths one string at
   a time, multiplying out each path probability on its own, the route
   ``enumerate_strategy`` must match bit for bit;
+* :func:`simulate_counts_forward` is the Monte Carlo kernel as a forward
+  walk over every position before the change point, which the backward
+  walk of ``kernels.simulate_counts`` must match count for count;
 * :func:`total_saturation_point` and :func:`sl_worst_case_gap` give the
   paper's saturation overlap (about 0.6889) and the saturated strategy's
   largest asymptotic shortfall (about 0.022 near c = 0.89).
@@ -28,6 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from qcpd import kernels
+from qcpd.kernels import (
+    _CHUNK,
+    _INV53,
+    _MIX1,
+    _MIX2,
+    GAMMA,
+    _int_threshold,
+    _mix64,
+    seed_root,
+)
 from qcpd.core import (
     ENUMERATION_CAP,
     DetectionProfile,
@@ -176,3 +189,83 @@ def enumerate_strategy_nested(schedule: StrengthSchedule) -> DetectionProfile:
             total += p
         values.append(total)
     return DetectionProfile(values)
+
+
+def simulate_counts_forward(
+    c: float, xs: np.ndarray, trials: int, seed: int
+) -> tuple[np.ndarray, int]:
+    """Detections per position and the count of wrong verdicts over
+    ``trials`` trials, each walked forward from position 1 to its change
+    point.
+
+    Each chunk is sorted by k, descending, and step j hashes the live
+    prefix of trials with k >= j, tests the verdicts of its k == j segment
+    and carries the one bit of memory, ``prev_zero``, on the rest.  The
+    step ``u < 1 - c*x`` runs on the 53-bit integers behind ``u`` against
+    exact integer thresholds.  It draws the same ``(seed, trial,
+    position)`` uniforms as ``kernels.simulate_counts``, which walks back
+    from the change point instead, so the two must agree byte for byte.
+    """
+    c = float(c)
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    n = xs.shape[0] + 1
+    root = np.uint64(seed_root(seed))
+    # counter offsets j*GAMMA, built as an array op: scalar uint64 products
+    # would warn on the intended modular wrap-around
+    offsets = np.arange(n, dtype=np.uint64) * GAMMA
+    # stay threshold after an inconclusive outcome (x = c), and how far the
+    # scheduled strength xs[j-1] after a conclusive 0 lowers it; uint64
+    # arithmetic is modular, so thr_pinned - thr_drop is exact for any xs
+    thr_pinned = _int_threshold(1.0 - c * c)
+    thr_drop = thr_pinned - _int_threshold(1.0 - c * xs)
+    r30, r27, r31, r11 = (np.uint64(s) for s in (30, 27, 31, 11))
+    size = min(trials, _CHUNK)
+    z = np.empty(size, dtype=np.uint64)
+    tmp = np.empty(size, dtype=np.uint64)
+    counts = np.zeros(n, dtype=np.int64)
+    wrong = 0
+    for lo in range(0, trials, _CHUNK):
+        hi = min(lo + _CHUNK, trials)
+        t = np.arange(lo, hi, dtype=np.uint64)
+        zt = _mix64(root + t * GAMMA)
+        u = (_mix64(zt) >> r11).astype(np.float64) * _INV53
+        k = (u * n).astype(np.int64)
+        np.minimum(k, n - 1, out=k)
+        k += 1
+        # a stable sort on the smallest dtype that holds n - k is a radix
+        # sort for n < 2**16
+        order = np.argsort((n - k).astype(np.min_scalar_type(n)), kind="stable")
+        zt, k = zt[order], k[order]
+        del t, u, order  # the draw temporaries are not live during the walk
+        # ge[j] = number of trials with k >= j, for j in 0..n+1
+        ge = np.bincount(k, minlength=n + 2)[::-1].cumsum()[::-1].tolist()
+        prev_zero = np.ones(hi - lo, dtype=np.bool_)
+        det = np.zeros(hi - lo, dtype=np.int64)
+        for j in range(1, n):
+            live, carry = ge[j], ge[j + 1]
+            if live == 0:
+                break
+            m, scratch = z[:live], tmp[:live]
+            np.add(zt[:live], offsets[j], out=m)
+            np.right_shift(m, r30, out=scratch)
+            m ^= scratch
+            m *= _MIX1
+            np.right_shift(m, r27, out=scratch)
+            m ^= scratch
+            m *= _MIX2
+            np.right_shift(m, r31, out=scratch)
+            m ^= scratch
+            m >>= r11
+            # verdicts of the trials whose change point is j
+            u = m[carry:].astype(np.float64) * _INV53
+            hit = prev_zero[carry:live] & (xs[j - 1] * (1.0 - u) > c)
+            det[carry:live][hit] = j
+            # the rest stay live: u < 1 - c*x, with x set by prev_zero
+            pz, thr = prev_zero[:carry], scratch[:carry]
+            np.multiply(pz, thr_drop[j - 1], out=thr)
+            np.subtract(thr_pinned, thr, out=thr)
+            np.less(m[:carry], thr, out=pz)
+        det[: ge[n]][prev_zero[: ge[n]]] = n
+        counts += np.bincount(det, minlength=n + 1)[1:]
+        wrong += int(np.count_nonzero((det > 0) & (det != k)))
+    return counts, wrong

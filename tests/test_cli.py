@@ -32,10 +32,12 @@ from qcpd.cli import (
     MAX_POSITIONS,
     MAX_TRIAL_STEPS,
     CurveTable,
+    _dict_rows,
     _dump_json,
     _exact_rows,
     _fmt,
     _strengths_text,
+    _z_scores,
     build_curve,
     build_parser,
     main,
@@ -594,7 +596,97 @@ _VALUES = st.one_of(
 )
 
 
+_SIMULATE_KEYS = ("position", "count", "empirical", "exact", "z")
+# ints and finite floats, with the values a report holds at its edges: zero
+# counts, z = 0.0 where the variance vanishes, and exact in {0, 1}
+_CELLS = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0, 0.0, -0.0, 1.0, 5e-324, 1e16, 1e-7]),
+)
+# cells the dict-row path must refuse, which the general path still renders
+_ODD_CELLS = st.sampled_from([math.nan, math.inf, -math.inf, True, None, "x", 10**400])
+
+
+@st.composite
+def _row_reports(draw):
+    """Reports whose last value is a list of flat dicts with the same keys,
+    sometimes with one odd cell or one dict whose keys differ."""
+    keys = draw(
+        st.one_of(
+            st.just(_SIMULATE_KEYS),
+            st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True).map(tuple),
+        )
+    )
+    rows = draw(st.lists(st.tuples(*[_CELLS] * len(keys)), min_size=1, max_size=8))
+    table = [dict(zip(keys, row)) for row in rows]
+    fault = draw(st.sampled_from(["none", "none", "cell", "keys"]))
+    i = draw(st.integers(0, len(table) - 1))
+    if fault == "cell":
+        table[i][keys[draw(st.integers(0, len(keys) - 1))]] = draw(_ODD_CELLS)
+    elif fault == "keys":
+        table[i] = dict(reversed(table[i].items())) if len(keys) > 1 else {}
+    return {"strategy": "online", "z_success": 0.0, "per_position": table}
+
+
+def _z_score(empirical: float, exact: float, trials: int) -> float:
+    """The per-value z-score that ``_z_scores`` computes in bulk."""
+    variance = exact * (1.0 - exact) / trials
+    if variance <= 0.0:
+        return 0.0
+    return (empirical - exact) / variance ** 0.5
+
+
 class TestBulkFormatters:
+    @settings(deadline=None, max_examples=300)
+    @given(payload=_row_reports())
+    def test_dump_json_renders_dict_rows_like_the_encoder(self, payload):
+        assert _dump_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "golden, key",
+        [
+            ("simulate_online_n31.json", "per_position"),
+            ("simulate_fl_n31.json", "per_position"),
+            ("simulate_sl_n31.json", "per_position"),
+            ("simulate_online_n200.json", "per_position"),
+            ("curve_n301_exact.json", "rows"),
+        ],
+    )
+    def test_dump_json_on_golden_reports(self, golden, key):
+        text = (GOLDEN_DIR / golden).read_text()
+        payload = json.loads(text)
+        # the table goes through the dict-row template, not the encoder
+        assert _dict_rows(payload[key]) is not None
+        assert _dump_json(payload) == text == json.dumps(payload, indent=2) + "\n"
+
+    def test_simulate_report_with_vanishing_variance(self, capsys):
+        # at overlap 1 no outcome is conclusive: every count is 0, every
+        # exact value 0.0 and every z-score the 0.0 of a vanishing variance
+        argv = ["simulate", "--n", "5", "--c", "1", "--strategy", "fl", "--trials", "50", "--seed", "2"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        payload = json.loads(text)
+        assert {(row["count"], row["exact"], row["z"]) for row in payload["per_position"]} == {(0, 0.0, 0.0)}
+        assert text == json.dumps(payload, indent=2) + "\n"
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 10**6), st.floats(0.0, 1.0)), min_size=1, max_size=20
+        ),
+        trials=st.integers(1, 10**6),
+    )
+    def test_z_scores_match_the_per_value_formula(self, pairs, trials):
+        counts = [min(count, trials) for count, _ in pairs]
+        empirical = np.array(counts) / trials
+        exact = np.array([p for _, p in pairs] + [0.0, 1.0])
+        empirical = np.append(empirical, [0.0, 1.0])
+        expected = [_z_score(e, x, trials) for e, x in zip(empirical.tolist(), exact.tolist())]
+        got = _z_scores(empirical, exact, trials)
+        assert list(map(float.hex, got)) == list(map(float.hex, expected))
+        assert expected[-2:] == [0.0, 0.0]
+
     @settings(deadline=None, max_examples=300)
     @given(payload=st.dictionaries(st.text(max_size=8), _VALUES, min_size=1, max_size=8))
     def test_dump_json_matches_the_indenting_encoder(self, payload):

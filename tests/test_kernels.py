@@ -1,15 +1,29 @@
 """Kernel checks: the splitmix64 mixers, detection-profile values, and
 bit-exact agreement of the Monte Carlo kernel with the scalar
 ``simulate_trial`` walk, including across chunk boundaries, for any chunk
-size, and at the edges of the admissible strengths."""
+size, and at the edges of the admissible strengths; and with the forward
+kernel in ``tests/oracles.py`` at sizes the scalar walk cannot reach."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import simulate_counts_forward
 
-from qcpd import Overlap, StrengthSchedule, active_backend, kernels, simulate_trial
+from qcpd import (
+    Overlap,
+    StrengthSchedule,
+    active_backend,
+    best_online,
+    fl_solution,
+    kernels,
+    simulate_trial,
+    sl_solution,
+)
+from qcpd.core import REL_SLACK
 
 
 def _random_case(rng, n_max=40):
@@ -36,14 +50,22 @@ def _pooled_verdicts(schedule, seed, lo, hi):
 
 @st.composite
 def _edge_schedules(draw):
-    """Schedules whose strengths are often exactly c or 1/c, where
-    ``1 - c*x`` is 1 - c**2 or rounds to 0 or a tiny negative value."""
-    n = draw(st.integers(2, 12))
+    """Schedules whose strengths are often exactly c or 1/c, or just past
+    them by the admissibility slack, where ``1 - c*x`` is 1 - c**2, a hair
+    above it, or rounds to 0 or a tiny negative value.  n = 2 has no draw
+    before the verdict."""
+    n = draw(st.one_of(st.just(2), st.integers(2, 12)))
     c = draw(st.floats(0.0, 0.99, allow_subnormal=False))
     if c == 0.0:
         strength = st.floats(0.05, 3.0)
     else:
-        strength = st.one_of(st.just(c), st.just(1.0 / c), st.floats(c, 1.0 / c))
+        strength = st.one_of(
+            st.just(c),
+            st.just(1.0 / c),
+            st.just(c * (1.0 - REL_SLACK)),
+            st.just((1.0 / c) * (1.0 + REL_SLACK)),
+            st.floats(c, 1.0 / c),
+        )
     xs = tuple(draw(strength) for _ in range(n - 1))
     return StrengthSchedule(n=n, strengths=xs, overlap=Overlap(c))
 
@@ -125,6 +147,57 @@ class TestSimulationBackends:
         a, _ = kernels.simulate_counts(0.4, xs, 20_000, seed=1)
         b, _ = kernels.simulate_counts(0.4, xs, 20_000, seed=2)
         assert not np.array_equal(a, b)
+
+
+_ORACLE_OVERLAPS = (0.0, 1e-3, 0.3, 0.5, (math.sqrt(5.0) - 1.0) / 2.0, 0.95, 1.0)
+_STRATEGIES = {"online": best_online, "fl": fl_solution, "sl": sl_solution}
+
+
+def _assert_forward_counts(c, xs, trials, seed):
+    counts, wrong = kernels.simulate_counts(c, xs, trials, seed)
+    expected, expected_wrong = simulate_counts_forward(c, xs, trials, seed)
+    assert counts.dtype == expected.dtype
+    assert counts.tobytes() == expected.tobytes()
+    assert wrong == expected_wrong == 0
+
+
+class TestForwardOracle:
+    """The backward walk against the forward kernel, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "strategy, c",
+        [
+            (strategy, c)
+            for strategy in _STRATEGIES
+            for c in _ORACLE_OVERLAPS
+            # the saturated strategy's ceiling 1/c is unbounded at c = 0
+            if (strategy, c) != ("sl", 0.0)
+        ],
+    )
+    def test_strategies_at_scale(self, strategy, c):
+        # a long chain across one chunk edge, and many trials across three
+        for seed, (n, trials) in enumerate(((2000, kernels._CHUNK + 1000), (50, 100_000))):
+            xs = _STRATEGIES[strategy](n, c).schedule.strengths
+            _assert_forward_counts(c, xs, trials, seed)
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_random_schedules(self, case):
+        rng = np.random.default_rng(7000 + case)
+        n = int(rng.integers(2, 2001))
+        c = float(rng.uniform(0.0, 1.0))
+        hi = min(1.0 / c, 50.0) if c > 0.0 else 50.0
+        xs = rng.uniform(max(c, 1e-3), hi, size=n - 1)
+        trials = int(rng.integers(1, min(100_000, 20_000_000 // n) + 1))
+        _assert_forward_counts(c, xs, trials, int(rng.integers(-(2**63), 2**63)))
+
+    @pytest.mark.parametrize("c", [0.3, 0.6, 0.9, 1.0])
+    def test_raw_strengths_below_the_overlap(self, c):
+        # x = c/2 is inadmissible, and the kernel takes it unvalidated: then
+        # 1 - c*x > 1 - c**2 and a draw between the two thresholds keeps the
+        # bit, with chance c**2/2, a map admissible strengths reach only
+        # inside REL_SLACK
+        xs = np.full(299, c / 2.0)
+        _assert_forward_counts(c, xs, 50_000, 17)
 
 
 class TestIntegerThreshold:

@@ -3,12 +3,10 @@ when one of its inputs is perturbed by a small factor."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from qcpd import verification
-from qcpd.core import DetectionProfile, StrengthSchedule
+from qcpd.core import DetectionProfile
 
 
 def _assert_caught(result):
@@ -35,17 +33,14 @@ def _scale_enumerations(monkeypatch):
 
 
 def _scale_recursive_schedules(monkeypatch):
-    recursive = verification.recursive_strengths
+    recursive = verification._recursive_xs
 
     def scaled(n, c):
-        solution = recursive(n, c)
-        # every optimal strength is >= 1 > c, so the scaled schedule stays
-        # admissible and only the residual can catch it
-        xs = solution.schedule.strengths / 1.001
-        schedule = StrengthSchedule(n=n, strengths=xs, overlap=solution.schedule.overlap)
-        return dataclasses.replace(solution, schedule=schedule)
+        # the suite compares bare strengths, so only the residual can
+        # catch the scaling
+        return recursive(n, c) / 1.001
 
-    monkeypatch.setattr(verification, "recursive_strengths", scaled)
+    monkeypatch.setattr(verification, "_recursive_xs", scaled)
 
 
 def _scale_efficiencies(monkeypatch):
