@@ -145,42 +145,65 @@ def _int_threshold(t) -> np.ndarray:
     return np.clip(scaled, 0.0, 2.0**53).astype(np.uint64)
 
 
+def _draw_back(w, j, thr_sched, thr_pinned, m, s, a, b) -> None:
+    """Step every walker back one position and draw there: ``w`` moves to
+    the counter value of position ``j``; ``a`` and ``b`` get the next bit
+    after a bit of 1 and of 0.  ``m`` and ``s`` are work arrays."""
+    w -= GAMMA
+    _mix64(w, m, s)
+    m >>= _R11
+    # every walker is at a position in 1..n-1, so "clip" changes no index;
+    # it only skips the bounds check
+    np.take(thr_sched, j, out=s, mode="clip")
+    np.less(m, s, out=a)
+    np.less(m, thr_pinned, out=b)
+
+
 def _bits_at_change(
-    w: np.ndarray, j: np.ndarray, thr_sched: np.ndarray, thr_pinned: np.uint64
+    w: np.ndarray,
+    j: np.ndarray,
+    thr_sched: np.ndarray,
+    thr_pinned: np.uint64,
+    s_buf: np.ndarray,
 ) -> np.ndarray:
     """The memory bit entering each walker's change point.
 
     ``w`` holds each walker's counter value ``zt + k*GAMMA`` at its change
-    point k, and ``j = k - 1 >= 1``, non-decreasing; both arrays are
-    consumed.  ``thr_sched[j]`` is position j's threshold after a
-    conclusive 0 and ``thr_pinned`` the one after an inconclusive outcome.
-    Each step draws every held walker at its own position.  A set map
-    resolves a walker to the map's value XOR the parity of the flips after
-    it.  The walkers at position 1, a prefix, resolve there and are cut
-    off; others that resolve are masked out and dropped once they fill a
-    quarter of the arrays.
+    point k, and ``j = k - 1 >= 1``.  ``thr_sched[j]`` is position j's
+    threshold after a conclusive 0 and ``thr_pinned`` the one after an
+    inconclusive outcome; ``s_buf`` is a uint64 work array at least as
+    long as ``w``.  Each step draws every held walker at its own position.  A set map resolves a walker to the map's value XOR the
+    parity of the flips after it.
+
+    The first step resolves most walkers unless flips are likely.  The
+    rest are sorted by position, so the walkers that reach position 1 form
+    a prefix, which resolves there and is cut off; others that resolve are
+    masked out and dropped once they fill a quarter of the arrays.
     """
     size = w.size
-    bits = np.empty(size, dtype=np.bool_)
-    walker = np.arange(size)
-    parity = np.zeros(size, dtype=np.bool_)
-    live = np.ones(size, dtype=np.bool_)
-    res = np.empty(size, dtype=np.bool_)
-    m_buf, s_buf = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    m_buf, s_buf = np.empty(size, dtype=np.uint64), s_buf[:size]
     a_buf, b_buf, d_buf = (np.empty(size, dtype=np.bool_) for _ in range(3))
-    left = size
+    # the first step: a set map, or position 1, which sees a bit of 1,
+    # leaves the bit a
+    _draw_back(w, j, thr_sched, thr_pinned, m_buf, s_buf, a_buf, b_buf)
+    bits = a_buf.copy()
+    going = np.flatnonzero((a_buf != b_buf) & (j > 1))
+    # a stable sort on a narrow dtype is a radix sort for n < 2**16
+    walker = going[np.argsort(j[going].astype(np.min_scalar_type(len(thr_sched))), kind="stable")]
+    del going
+    # reorder in place ("raise" buffers take when out overlaps its input)
+    w = np.take(w, walker, out=w[: walker.size])
+    j = np.take(j, walker, out=j[: walker.size])
+    j -= 1
+    parity = b_buf[walker]
+    res = np.empty(walker.size, dtype=np.bool_)
+    live = np.ones(walker.size, dtype=np.bool_)
+    left = walker.size
     while left:
         held = w.size
         m, s = m_buf[:held], s_buf[:held]
         a, b, done = a_buf[:held], b_buf[:held], d_buf[:held]
-        w -= GAMMA
-        _mix64(w, m, s)
-        m >>= _R11
-        # every held walker is at a position in 1..n-1, so "clip" changes no
-        # index; it only skips the bounds check
-        np.take(thr_sched, j, out=s, mode="clip")
-        np.less(m, s, out=a)
-        np.less(m, thr_pinned, out=b)
+        _draw_back(w, j, thr_sched, thr_pinned, m, s, a, b)
         np.equal(a, b, out=done)
         # the walkers at position 1
         cut = int(np.searchsorted(j, 1, side="right"))
@@ -227,7 +250,6 @@ def simulate_counts(
     thr_pinned = _int_threshold(1.0 - c * c)[()]
     s_buf = np.empty(min(trials, _CHUNK), dtype=np.uint64)
     counts = np.zeros(n, dtype=np.int64)
-    key = np.min_scalar_type(n)
     for lo in range(0, trials, _CHUNK):
         hi = min(lo + _CHUNK, trials)
         s = s_buf[: hi - lo]
@@ -252,10 +274,10 @@ def simulate_counts(
         hit = u > c
         del zt, u
         walk = np.flatnonzero(hit & (k > 1))
-        # by change point: a stable sort on a narrow dtype is a radix sort
-        # for n < 2**16
-        walk = walk[np.argsort(k[walk].astype(key), kind="stable")]
-        hit[walk] = _bits_at_change(m[walk], k[walk] - 1, thr_sched, thr_pinned)
+        w, j = m[walk], k[walk] - 1
+        del m
+        hit[walk] = _bits_at_change(w, j, thr_sched, thr_pinned, s)
+        del w, j
         k *= hit
         counts += np.bincount(k, minlength=n + 1)[1:]
     return counts, 0
