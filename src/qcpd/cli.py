@@ -54,8 +54,13 @@ _RENDER_BLOCK = 2048
 #: largest overlap grid ``curve`` evaluates; finer grids are rejected up front
 MAX_CURVE_ROWS = 100_000
 
-#: largest ``(n-1) * trials`` ``simulate`` runs (about 4.4 ns per nominal step on
-#: a 2-core host, so some 45 s at the cap); more is rejected
+#: largest ``(n-1) * trials`` ``simulate`` runs; more is rejected.  The Monte
+#: Carlo kernel's cost per nominal step, measured on a 2-core host at 1e8
+#: steps (1/100 of the cap) and extrapolated to the cap: 0.09 ns for online at
+#: n = 1001, c = 0.4 (about 1 s); 5.0 ns for sl at n = 1001, c = 0.02, whose
+#: walks run back to position 1 (about 50 s).  Each trial also costs about
+#: 50 ns on its own, so at n = 2 the cap admits some 500 s (measured at 1e7
+#: trials).
 MAX_TRIAL_STEPS = 10**10
 
 #: most strength positions one request may hold: ``n - 1`` for ``strengths``

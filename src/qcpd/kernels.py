@@ -10,11 +10,19 @@ The generator is the splitmix64 finalizer applied twice:
 ``u(seed, t, j) = finalize(finalize(root + t*GAMMA) + j*GAMMA)`` with
 ``root = finalize(seed + GAMMA)``, mapped to [0, 1) via the top 53 bits.
 
-A trial's verdict is settled at its change position k, so the Monte Carlo
-kernel walks only live trials: each chunk is sorted by k, descending, and
-step j works on the prefix of trials with k >= j.  The per-step test
-``u < 1 - c*x`` runs on the 53-bit integers behind ``u`` against exact
-integer thresholds, so no step converts the live prefix to floats.
+The Monte Carlo kernel walks each trial backward from its change point k.
+A verdict needs the draw at k and the protocol's one bit of memory
+entering k: whether the outcome at k-1 was a conclusive 0.  Each draw at
+an unchanged position acts on that bit as one of four maps (set to 1, set
+to 0, flip, keep), so the bit is the value of the last set map before k,
+flipped once for every flip map after it.  The kernel draws at k first,
+walks back only the trials whose verdict test passes, and stops each one
+at its first set map: about ``1/(1 - c*(x - c))`` draws per trial instead
+of the ``(n-1)/2`` of a forward walk.  The saturated strategy at small c
+is the exception: its draws flip the bit with chance ``1 - c^2``, so its
+walks run nearly back to position 1, with more work per draw than a
+forward walk.  Each step compares the 53-bit integers behind ``u`` with
+exact integer thresholds, which decide exactly as the float tests do.
 """
 from __future__ import annotations
 
@@ -172,7 +180,8 @@ def _bits_at_change(
     point k, and ``j = k - 1 >= 1``.  ``thr_sched[j]`` is position j's
     threshold after a conclusive 0 and ``thr_pinned`` the one after an
     inconclusive outcome; ``s_buf`` is a uint64 work array at least as
-    long as ``w``.  Each step draws every held walker at its own position.  A set map resolves a walker to the map's value XOR the
+    long as ``w``.  Each step draws every held walker at its own
+    position.  A set map resolves a walker to the map's value XOR the
     parity of the flips after it.
 
     The first step resolves most walkers unless flips are likely.  The

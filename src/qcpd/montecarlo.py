@@ -5,8 +5,9 @@ chain measuring one particle per position under the adaptive rule (the
 scheduled strength after a conclusive default outcome, strength ``c`` after
 an inconclusive one) and records which position, if any, the protocol names.
 Because the measurements are unambiguous, a named position is always the
-true one; the simulator keeps a mismatch counter anyway so the property is
-certified rather than assumed.
+true one.  Both walks, the batched kernel and :func:`simulate_trial`, only
+ever name the change point they drew, so ``mismatched_detections`` is 0 by
+construction: it checks the bookkeeping, not the physics.
 
 Randomness is counter-based: trial ``t`` owns a substream keyed on
 ``(seed, t)`` and position ``j`` within the trial consumes counter ``j``.
