@@ -200,7 +200,8 @@ def _bits_at_change(
     # a stable sort on a narrow dtype is a radix sort for n < 2**16
     walker = going[np.argsort(j[going].astype(np.min_scalar_type(len(thr_sched))), kind="stable")]
     del going
-    # reorder in place ("raise" buffers take when out overlaps its input)
+    # reorder in place: take copies through a buffer when out overlaps its
+    # input, one array at a time
     w = np.take(w, walker, out=w[: walker.size])
     j = np.take(j, walker, out=j[: walker.size])
     j -= 1
@@ -235,7 +236,9 @@ def _bits_at_change(
             # a resolved walker's last write is its own bit
             bits[walker] = res
             keep = np.flatnonzero(live)
-            w, j, parity, walker, res = w[keep], j[keep], parity[keep], walker[keep], res[keep]
+            # w and j are views of the caller's arrays: refill them in place
+            w, j = (np.take(v, keep, out=v[:left]) for v in (w, j))
+            parity, walker, res = parity[keep], walker[keep], res[keep]
             live = np.ones(left, dtype=np.bool_)
     return bits
 
