@@ -21,8 +21,11 @@ at its first set map: about ``1/(1 - c*(x - c))`` draws per trial instead
 of the ``(n-1)/2`` of a forward walk.  The saturated strategy at small c
 is the exception: its draws flip the bit with chance ``1 - c^2``, so its
 walks run nearly back to position 1, with more work per draw than a
-forward walk.  Each step compares the 53-bit integers behind ``u`` with
-exact integer thresholds, which decide exactly as the float tests do.
+forward walk.  The maps only regroup the forward rule's comparisons, every
+uniform keeps its ``(seed, trial, position)`` key, and each step compares
+the 53-bit integers behind ``u`` with exact integer thresholds, which
+decide exactly as the float tests do; so the counts are the forward
+walk's, bit for bit.
 """
 from __future__ import annotations
 
@@ -120,23 +123,8 @@ def detection_profile(c: float, xs: np.ndarray) -> np.ndarray:
 #
 # "Keep" needs x_j < c, which an admissible schedule reaches only inside
 # REL_SLACK.  Position 1 always acts as a set map, "set to a", because the
-# bit entering it is 1.  So b_k is the value of the last set map before k,
-# flipped once for every flip map after it.
-#
-# The kernel therefore walks back from k.  It draws at k first and keeps
-# only the trials whose verdict test x_k*(1 - u) > c passes; the k = n
-# trials pass, as they need only the bit.  Then every kept trial steps back
-# one position at a time, each at its own position, until a set map
-# resolves its bit.  A step resolves with chance 1 - c*(x_j - c), so online
-# and fl walks are one or two steps long, but sl flips with chance 1 - c^2
-# and at small c walks nearly back to position 1.
-#
-# Every uniform keeps its (seed, trial, position) key and every comparison
-# its integer threshold, so the counts equal the forward walk's
-# (simulate_trial) bit for bit, for any chunk size.  The step compares the
-# 53-bit integer m = z >> 11 behind u = m * 2**-53 with exact integer
-# thresholds (see _int_threshold); the verdict test x*(1 - u) > c stays in
-# floats.
+# bit entering it is 1.  A step resolves a trial with chance 1 - c*(x_j - c).
+# The chunk size does not change any count.
 
 _CHUNK = 1 << 15
 
