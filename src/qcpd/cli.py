@@ -54,14 +54,15 @@ _RENDER_BLOCK = 2048
 #: largest overlap grid ``curve`` evaluates; finer grids are rejected up front
 MAX_CURVE_ROWS = 100_000
 
-#: largest ``(n-1) * trials`` ``simulate`` runs; more is rejected.  The Monte
-#: Carlo kernel's cost per nominal step, measured on a 2-core host at 1e8
-#: steps (1/100 of the cap) and extrapolated to the cap: 0.09 ns for online at
-#: n = 1001, c = 0.4 (about 1 s); 5.0 ns for sl at n = 1001, c = 0.02, whose
-#: walks run back to position 1 (about 50 s).  Each trial also costs about
-#: 50 ns on its own, so at n = 2 the cap admits some 500 s (measured at 1e7
-#: trials).
+#: largest ``(n-1) * trials`` and largest ``trials`` ``simulate`` runs; more
+#: is rejected.  Measured on a 2-core host, the Monte Carlo kernel costs per
+#: nominal step 0.09 ns for online at n = 1001, c = 0.4 and 5.0 ns for sl at
+#: n = 1001, c = 0.02, whose walks run back to position 1 (at 1e8 steps; about
+#: 1 s and 50 s at the step cap).  A trial costs 38-41 ns at n = 2 and 500 ns
+#: at n = 101 (sl, c = 0.02; at 1e7 trials), so the trial cap also keeps a
+#: run under about 50 s; above n = 101 the step cap binds first.
 MAX_TRIAL_STEPS = 10**10
+MAX_TRIALS = 10**8
 
 #: most strength positions one request may hold: ``n - 1`` for ``strengths``
 #: and ``simulate``, ``rows * (n - 1)`` for an exact ``curve``; a grid of
@@ -396,6 +397,8 @@ def _check_run(n: int, trials: int) -> None:
     """Reject a ``simulate`` run over ``n`` particles before its schedule
     is built."""
     _check_positions(n - 1)
+    if trials > MAX_TRIALS:
+        raise ValueError(f"{trials} trials exceed the cap of {MAX_TRIALS}")
     steps = (n - 1) * trials
     if steps > MAX_TRIAL_STEPS:
         raise ValueError(f"{steps} trial steps exceed the cap of {MAX_TRIAL_STEPS}")
@@ -417,19 +420,18 @@ def _load_custom_schedule(
     return StrengthSchedule(n=len(values) + 1, strengths=values, overlap=Overlap(c))
 
 
-def _select_strategy(args: argparse.Namespace) -> StrengthSchedule:
+def _select_strategy(args: argparse.Namespace) -> OnlineSolution:
+    """The schedule ``simulate`` runs, with its profile evaluated once."""
     if args.strategy == "custom":
         if args.schedule is None:
             raise ValueError("--strategy custom needs --schedule FILE")
-        return _load_custom_schedule(args.schedule, args.n, args.c, args.trials)
+        schedule = _load_custom_schedule(args.schedule, args.n, args.c, args.trials)
+        return OnlineSolution(schedule, evaluate_strategy(schedule), "custom")
     if args.n is None:
         raise ValueError("--n is required unless a schedule file is given")
     _check_run(args.n, args.trials)
-    if args.strategy == "online":
-        return best_online(args.n, args.c).schedule
-    if args.strategy == "fl":
-        return fl_solution(args.n, args.c).schedule
-    return sl_solution(args.n, args.c).schedule  # "sl"
+    family = {"online": best_online, "fl": fl_solution, "sl": sl_solution}
+    return family[args.strategy](args.n, args.c)
 
 
 def _z_scores(empirical: np.ndarray, exact: np.ndarray, trials: int) -> list[float]:
@@ -451,9 +453,9 @@ def _z_scores(empirical: np.ndarray, exact: np.ndarray, trials: int) -> list[flo
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    schedule = _select_strategy(args)
+    solution = _select_strategy(args)
+    schedule, profile = solution.schedule, solution.profile
     report = run_experiment(schedule, args.trials, args.seed)
-    profile = evaluate_strategy(schedule)
     counts = report.detections_per_position
     exact = profile.per_position / schedule.n
     empirical = np.array(counts) / report.trials

@@ -7,22 +7,24 @@ the schedule of strengths used along the conclusive-default run.
 
 Constructions:
 
-* :func:`closed_form_strengths` — the analytic optimum
-  ``x(j) = (1+c)/(1-(-c)^(n-j))``, valid for ``c <= 1/2`` where no strength
-  exceeds ``1/c``.  Its profile reproduces the collective optimum exactly.
+* :func:`optimize_strengths` — the optimum at any overlap, in O(n).  Its
+  backward pass is an exact dynamic program (the best head strength does
+  not depend on the inconclusive probability entering it) and reduces to
+  the orbit of a map in one variable ``s``, from ``s = 1`` at position
+  ``n-1``: strength ``1/s`` and ``s' = 1 - c*s`` while ``s >= c`` (ties
+  included), else strength ``1/c`` and ``s'^2 = (1-c^2)(1-s^2)``.
+  :func:`_optimal_strengths` runs it for every optimal schedule.
+* :func:`closed_form_strengths` — that orbit while it never saturates
+  (``c <= 1/2``): ``x(j) = (1+c)/(1-(-c)^(n-j))``, whose profile
+  reproduces the collective optimum exactly.
 * :func:`recursive_strengths` — the same schedule obtained by forward
   substitution from the target efficiencies (independent derivation path).
-* :func:`optimize_strengths` — an exact O(n) backward pass.  The profile
-  entries from a position on sum to ``A + B*pi``, affine in the
-  inconclusive probability ``pi`` entering it, so a head strength enters
-  its subproblem's success as ``beta*x + delta/x``: maximized analytically
-  (``x* = sqrt(delta/beta)``) and clipped to ``[c, 1/c]``.  Any overlap.
 * :func:`fl_solution` / :func:`sl_solution` — the two simple benchmark
   families: constant strength ``min(1+c, 1/c)`` (asymptotically optimal
   below the critical overlap) and fully saturated strength ``1/c``.
 
-The one-strength objective the backward pass maximizes and the paper's
-saturation constants are test oracles, in ``tests/oracles.py``.
+The backward pass in its ``(A, B)`` form, its one-strength objective and
+the paper's saturation constants are test oracles, in ``tests/oracles.py``.
 
 :func:`_table_success` evaluates ``best_online``, ``fl_solution`` and
 ``sl_solution`` over a whole overlap grid as stacked arrays, for the curve
@@ -57,7 +59,8 @@ _SATURATION_SLACK = 1e-9
 class OnlineSolution:
     """A schedule together with its profile and the name of its
     construction: ``"closed-form"``, ``"recursive"``,
-    ``"numeric-backward"``, ``"fixed-fl"`` or ``"saturated-sl"``."""
+    ``"numeric-backward"``, ``"fixed-fl"``, ``"saturated-sl"`` or, for a
+    schedule read from a file, ``"custom"``."""
 
     schedule: StrengthSchedule
     profile: DetectionProfile
@@ -82,13 +85,11 @@ class OnlineSolution:
 
 def _solution(n: int, cv: float, xs, method: str) -> OnlineSolution:
     schedule = StrengthSchedule(n=n, strengths=xs, overlap=Overlap(cv))
-    return OnlineSolution(
-        schedule=schedule, profile=evaluate_strategy(schedule), method=method
-    )
+    return OnlineSolution(schedule, evaluate_strategy(schedule), method)
 
 
 # ---------------------------------------------------------------------------
-# analytic and recursive constructions (valid for c <= 1/2)
+# the optimal schedule: closed form, recursion (c <= 1/2) and backward map
 # ---------------------------------------------------------------------------
 
 def _check_closed_form_range(cv: float) -> None:
@@ -110,16 +111,16 @@ def closed_form_strengths(n: int, c: Overlap | float) -> OnlineSolution:
     n = _check_n(n)
     cv = _overlap(c)
     _check_closed_form_range(cv)
-    j = np.arange(1, n)
-    xs = (1.0 + cv) / (1.0 - np.power(-cv, n - j))
-    return _solution(n, cv, xs, "closed-form")
+    return _solution(n, cv, _optimal_strengths(n, cv), "closed-form")
 
 
 #: smallest nonzero overlap :func:`recursive_strengths` accepts.  Its drift
 #: from the closed form grows as c shrinks, up to about ``n*eps/c``.  Over
 #: n = 2..200 on a log grid of c it still exceeds
 #: ``verification.RECURSION_TOL`` (1e-10) at c = 3.2e-4 (1.4e-10, n = 200);
-#: from 1e-3 to 1/2 it stays below 4.2e-11.
+#: from 1e-3 to 1/2 it stays below 4.2e-11.  Longer chains drift further, at
+#: some overlaps about linearly in n: over 55 log-spaced c in [1e-3, 1/2] the
+#: worst is 1.1e-9 at n = 1e4 (c = 1e-3) and 7.9e-9 at n = 1e5 (c = 1.4e-3).
 RECURSION_FLOOR = 1e-3
 
 
@@ -186,60 +187,56 @@ def _recursive_xs(n: int, cv: float) -> np.ndarray:
     return xs
 
 
-# ---------------------------------------------------------------------------
-# the backward optimizer
-# ---------------------------------------------------------------------------
-
-def _push_head(cv: float, y: float, a: float, b: float) -> tuple[float, float]:
-    """Prepend strength ``y`` to a tail whose entries sum to ``a + b*pi``:
-    the head adds ``(1-pi)*w`` with ``w = 1 - c/y`` and hands the tail the
-    inconclusive probability ``c*y + pi*(c^2 - c*y)``."""
-    w = 1.0 - cv / y
-    return w + a + b * cv * y, -w + b * (cv * cv - cv * y)
+def _closed_form_xs(n: int, cs):
+    """``(1+c)/(1-(-c)^(n-j))`` for ``j = 1..n-1``: one schedule at an
+    overlap ``cs``, or one row per overlap for a column ``cs``."""
+    return (1.0 + cs) / (1.0 - np.power(-cs, n - np.arange(1, n)))
 
 
-def _argmax_rational(beta: float, delta: float, lo: float, hi: float) -> float:
-    """Maximize ``beta*x + delta/x`` over ``[lo, hi]``."""
-    if beta == 0.0 and delta == 0.0:
-        # flat objective (zero overlap): any strength works, prefer balanced;
-        # only exact zeros count, since at tiny c every coefficient is tiny
-        return min(max(1.0, lo), hi)
-    if beta < 0.0 and delta < 0.0:
-        return min(max(math.sqrt(delta / beta), lo), hi)
-    # monotone (or interior-minimum) cases: an endpoint wins
-    at_lo = beta * lo + delta / lo
-    at_hi = beta * hi + delta / hi
-    return lo if at_lo >= at_hi else hi
+def _optimal_strengths(n: int, cv: float) -> np.ndarray:
+    """The optimal schedule for a checked ``n`` and overlap ``cv``: the orbit
+    of the map in :func:`optimize_strengths`, or its closed form while
+    ``c <= 1/2``, where it never saturates."""
+    if cv <= 0.5:
+        return _closed_form_xs(n, cv)
+    xs = [1.0 / cv] * (n - 1)
+    s = 1.0
+    for j in range(n - 2, -1, -1):
+        if s >= cv:
+            xs[j] = 1.0 / s
+            s = 1.0 - cv * s
+        else:
+            s = math.sqrt((1.0 - cv * cv) * (1.0 - s * s))
+    return np.array(xs)
 
 
 def optimize_strengths(n: int, c: Overlap | float) -> OnlineSolution:
-    """Exact backward pass valid for every overlap, in O(n).
+    """Optimal online schedule at every overlap, in O(n).
 
-    Walking from position ``n-1`` down to 1 with the tail sum ``A + B*pi``
-    (from ``(1, -1)`` at the unmeasured last particle), the head strength
-    ``y`` of the length-``m`` subproblem enters its mean success as
-    ``beta*y + delta/y`` with ``beta = c*B/m`` and ``delta = -c/m``; it is
-    maximized analytically, clipped to ``[c, 1/c]`` and pushed onto the
-    tail.  Each strength is fixed once, which gives the shift property
-    ``x_n(j) = x_{n-j+1}(1)``.  The curve table takes its rows above
-    ``c = 1/2`` from this pass.
+    The backward pass is an exact dynamic program.  The profile entries
+    from a position on sum to ``A + B*pi``, affine in the inconclusive
+    probability ``pi`` entering it, with ``(A, B) = (1, -1)`` at the last
+    particle.  A head strength ``y`` makes the sum
+    ``(1-pi)*(1 - c/y + c*B*y) + A + B*c^2*pi``, so the best ``y`` does not
+    depend on ``pi``, and by induction the chosen tail maximizes
+    ``A + B*pi`` for every ``pi`` in [0, 1] at once.  That ``y`` is ``1/s``
+    with ``s = sqrt(-B)``, clipped to the ceiling ``1/c``; putting it back
+    into ``B`` leaves a map in ``s`` alone, from ``s = 1`` at position
+    ``n-1`` down to position 1:
 
-    At overlap 1 the admissible interval collapses to {1}: the schedule is
-    all-balanced and the success probability is 0 (identical states carry
-    no information).
+    * interior, ``s >= c``: strength ``1/s``, then ``s' = 1 - c*s``;
+    * saturated, ``s < c``: strength ``1/c``, then ``s'^2 = (1-c^2)(1-s^2)``.
+
+    Both branches give ``1/c`` at the tie ``s = c``; the rule takes the
+    interior one.  The interior branch solves to ``s_k = (1-(-c)^k)/(1+c)``,
+    the closed form, and never leaves it (``s >= 1-c >= c``) while
+    ``c <= 1/2``.  A strength depends only on its distance from the end:
+    ``x_n(j) = x_{n-j+1}(1)``.  At overlap 1 every strength is 1 and the
+    success 0 (identical states carry no information).
     """
     n = _check_n(n)
     cv = _overlap(c)
-    if cv == 0.0 or cv == 1.0:
-        return _solution(n, cv, np.ones(n - 1), "numeric-backward")
-    lo, hi = cv, 1.0 / cv
-    xs = np.empty(n - 1)
-    a, b = 1.0, -1.0
-    for m in range(2, n + 1):
-        y = _argmax_rational(cv * b / m, -cv / m, lo, hi)
-        xs[n - m] = y
-        a, b = _push_head(cv, y, a, b)
-    return _solution(n, cv, xs, "numeric-backward")
+    return _solution(n, cv, _optimal_strengths(n, cv), "numeric-backward")
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +349,14 @@ def _table_strengths(n: int, cs: np.ndarray) -> np.ndarray:
     stacked as ``3 * len(cs)`` rows of ``n - 1`` strengths: the online
     rows, then the fl rows, then the sl rows.
 
-    The closed-form rows (``c <= 1/2``) come from one 2-D expression, and
-    every row equals its constructor's strengths bit for bit.
+    The closed-form rows (``c <= 1/2``) come from one 2-D evaluation of
+    :func:`_closed_form_xs`, and every row equals its constructor's
+    strengths bit for bit.
     """
     rows = len(cs)
     xs = np.empty((3 * rows, n - 1))
     low = int(np.searchsorted(cs, 0.5, side="right"))
-    c_low = cs[:low, None]
-    xs[:low] = (1.0 + c_low) / (1.0 - np.power(-c_low, n - np.arange(1, n)))
+    xs[:low] = _closed_form_xs(n, cs[:low, None])
     for r, cv in enumerate(cs[low:].tolist(), start=low):
         xs[r] = optimize_strengths(n, cv).schedule.strengths
     ceiling = 1.0 / cs

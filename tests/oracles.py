@@ -4,6 +4,9 @@ Each recomputes a quantity the package relies on by a second route, or
 evaluates one of the paper's constants, so the tests can check the package
 from outside it:
 
+* :func:`optimize_strengths_backward` is the backward optimizer as a pass
+  over the tail sums ``(A, B)`` with a rational argmax per position, which
+  the one-variable map of ``optimize_strengths`` must match to a few ulps;
 * :func:`coordinate_objective` restricts the success probability to one
   strength, ``alpha + beta*x + delta/x`` (:class:`RationalCoefficients`),
   the form the backward optimizer maximizes;
@@ -51,7 +54,60 @@ from qcpd.core import (
     _overlap,
 )
 from qcpd.global_bound import _bisect_root
-from qcpd.online_opt import _push_head
+from qcpd.online_opt import OnlineSolution, _solution
+
+
+def _push_head(cv: float, y: float, a: float, b: float) -> tuple[float, float]:
+    """Prepend strength ``y`` to a tail whose entries sum to ``a + b*pi``:
+    the head adds ``(1-pi)*w`` with ``w = 1 - c/y`` and hands the tail the
+    inconclusive probability ``c*y + pi*(c^2 - c*y)``."""
+    w = 1.0 - cv / y
+    return w + a + b * cv * y, -w + b * (cv * cv - cv * y)
+
+
+def _argmax_rational(beta: float, delta: float, lo: float, hi: float) -> float:
+    """Maximize ``beta*x + delta/x`` over ``[lo, hi]``."""
+    if beta == 0.0 and delta == 0.0:
+        # flat objective (zero overlap): any strength works, prefer balanced;
+        # only exact zeros count, since at tiny c every coefficient is tiny
+        return min(max(1.0, lo), hi)
+    if beta < 0.0 and delta < 0.0:
+        return min(max(math.sqrt(delta / beta), lo), hi)
+    # monotone (or interior-minimum) cases: an endpoint wins
+    at_lo = beta * lo + delta / lo
+    at_hi = beta * hi + delta / hi
+    return lo if at_lo >= at_hi else hi
+
+
+def optimize_strengths_backward(n: int, c: Overlap | float) -> OnlineSolution:
+    """The backward pass over the tail sums ``(A, B)``, valid for every
+    overlap, in O(n): the route ``optimize_strengths`` took before it
+    became a map in one variable, kept to check that map.
+
+    Walking from position ``n-1`` down to 1 with the tail sum ``A + B*pi``
+    (from ``(1, -1)`` at the unmeasured last particle), the head strength
+    ``y`` of the length-``m`` subproblem enters its mean success as
+    ``beta*y + delta/y`` with ``beta = c*B/m`` and ``delta = -c/m``; it is
+    maximized analytically, clipped to ``[c, 1/c]`` and pushed onto the
+    tail.  Each strength is fixed once, which gives the shift property
+    ``x_n(j) = x_{n-j+1}(1)``.
+
+    At overlap 1 the admissible interval collapses to {1}: the schedule is
+    all-balanced and the success probability is 0 (identical states carry
+    no information).
+    """
+    n = _check_n(n)
+    cv = _overlap(c)
+    if cv == 0.0 or cv == 1.0:
+        return _solution(n, cv, np.ones(n - 1), "numeric-backward")
+    lo, hi = cv, 1.0 / cv
+    xs = np.empty(n - 1)
+    a, b = 1.0, -1.0
+    for m in range(2, n + 1):
+        y = _argmax_rational(cv * b / m, -cv / m, lo, hi)
+        xs[n - m] = y
+        a, b = _push_head(cv, y, a, b)
+    return _solution(n, cv, xs, "numeric-backward")
 
 
 @dataclass(frozen=True, slots=True)

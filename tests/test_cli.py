@@ -23,7 +23,7 @@ from qcpd import (
     sl_solution,
     validate_unambiguous,
 )
-from qcpd import cli, online_opt, optimize_strengths
+from qcpd import cli, kernels, online_opt, optimize_strengths
 from qcpd.cli import (
     _CSV_ROW,
     _STRENGTH_LINE,
@@ -31,6 +31,7 @@ from qcpd.cli import (
     MAX_CURVE_ROWS,
     MAX_POSITIONS,
     MAX_TRIAL_STEPS,
+    MAX_TRIALS,
     CurveTable,
     _dict_rows,
     _dump_json,
@@ -472,6 +473,51 @@ class TestSimulate:
         assert result.returncode == 1
         assert result.stdout == ""
         assert str(MAX_TRIAL_STEPS) in result.stderr
+
+    def test_oversized_trial_count_is_rejected_at_once(self):
+        # at n = 2, 1e10 trials are within the step cap but would run for
+        # some 400 s; the trial cap applies first
+        result = run_cli(
+            "simulate", "--n", "2", "--c", "0.4", "--trials", str(10**10),
+            "--seed", "1", timeout=30,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert f"{10**10} trials exceed the cap of {MAX_TRIALS}" in result.stderr
+
+    @pytest.mark.parametrize("strategy", ["online", "fl", "sl", "custom"])
+    @pytest.mark.parametrize("trials, accepted", [(10, True), (11, False)])
+    def test_trial_cap_boundary(self, strategy, trials, accepted, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_TRIALS", 10)
+        schedule = tmp_path / "schedule.txt"
+        schedule.write_text("1.2 1.0\n")
+        argv = ["simulate", "--c", "0.4", "--strategy", strategy,
+                "--trials", str(trials), "--seed", "1"]
+        argv += ["--schedule", str(schedule)] if strategy == "custom" else ["--n", "3"]
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        if accepted:
+            assert rc == 0 and json.loads(out)["report"]["trials"] == trials, err
+        else:
+            assert rc == 1 and out == ""
+            assert err == f"qcpd: error: {trials} trials exceed the cap of 10\n"
+
+    @pytest.mark.parametrize("strategy", ["online", "fl", "sl", "custom"])
+    def test_profile_is_evaluated_once(self, strategy, tmp_path, monkeypatch, capsys):
+        calls = []
+        profile = kernels.detection_profile
+
+        def counted(c, xs):
+            calls.append(len(xs))
+            return profile(c, xs)
+
+        monkeypatch.setattr(kernels, "detection_profile", counted)
+        schedule = tmp_path / "schedule.txt"
+        schedule.write_text("1.2 1.3 1.0\n")
+        argv = ["simulate", "--c", "0.6", "--strategy", strategy, "--trials", "100", "--seed", "1"]
+        argv += ["--schedule", str(schedule)] if strategy == "custom" else ["--n", "4"]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert calls == [3]
 
     def test_usage_errors(self):
         # missing required seed
