@@ -83,19 +83,20 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _render_lines(line: str, rows) -> str:
-    """``line``, a one-line ``%`` template, filled in from each row in turn.
+def _render_lines(line: str, rows) -> list[str]:
+    """``line``, a one-line ``%`` template, filled in from each row in turn,
+    as a list of blocks for the caller to join with its own head and tail.
 
     One ``%`` call renders a block of rows from a repeated template: the
     cost stays in C, and the cell tuple and template of a block stay small
     even for 1e5 lines.
     """
-    fields = line.count("%")
+    fields = line.replace("%%", "").count("%")
     rows = iter(rows)
     parts = []
     while cells := tuple(chain.from_iterable(islice(rows, _RENDER_BLOCK))):
         parts.append((line * (len(cells) // fields)) % cells)
-    return "".join(parts)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -121,22 +122,13 @@ class CurveTable:
         """The header and one ``%.12g`` line per row, byte-identical to
         joining :func:`_fmt` of each value with commas, rendered in blocks
         by :func:`_render_lines`."""
-        return f"{CSV_HEADER}\n" + _render_lines(_CSV_ROW, self.rows)
+        return "".join([f"{CSV_HEADER}\n", *_render_lines(_CSV_ROW, self.rows)])
 
     def to_dict(self) -> dict:
         return {
             "n": self.n,
             "mode": self.mode,
-            "rows": [
-                {
-                    "c": row[0],
-                    "p_global": row[1],
-                    "p_online": row[2],
-                    "p_fl": row[3],
-                    "p_sl": row[4],
-                }
-                for row in self.rows
-            ],
+            "rows": _Rows(tuple(CSV_HEADER.split(",")), rows=self.rows),
         }
 
 
@@ -244,33 +236,29 @@ def _write(text: str, out: str | None) -> None:
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _dict_rows(value) -> tuple[tuple[str, ...], list[tuple]] | None:
-    """The keys and the value rows of ``value`` if it is a non-empty list of
-    dicts with the same non-empty string keys in the same order, none
-    holding a ``%``, and values that are all exact ints or finite floats;
-    None for anything else."""
-    if type(value) is not list or not value or set(map(type, value)) != {dict}:
-        return None
-    keys = tuple(value[0])
-    if not keys or any(type(key) is not str or "%" in key for key in keys):
-        return None
-    if set(map(tuple, value)) != {keys}:
-        return None
-    rows = [tuple(item.values()) for item in value]
-    cells = list(chain.from_iterable(rows))
-    if not set(map(type, cells)) <= _NUMBER_TYPES:
-        return None
-    try:
-        if not all(map(math.isfinite, cells)):
-            return None
-    except OverflowError:  # an int beyond the float range
-        return None
-    return keys, rows
+@dataclass(frozen=True, slots=True)
+class _Rows:
+    """A table for :func:`_json_value`, rendered as a list with one dict
+    per row mapping ``keys`` to that row's cells.
+
+    The cells are held as ``rows`` (a sequence of tuples) or as
+    ``columns`` (one sequence per key, zipped at each pass), so the table
+    can be rendered twice, no dict is built per row, and with ``columns``
+    no row tuple is kept.  Every cell must be an int or a finite float.
+    """
+
+    keys: tuple[str, ...]
+    rows: Sequence[tuple] = ()
+    columns: Sequence[Sequence] = ()
+
+    def __iter__(self):
+        return zip(*self.columns) if self.columns else iter(self.rows)
 
 
 def _json_value(value, pad: str) -> str:
-    """``json.dumps(value, indent=2)`` with every line after the first
-    indented by ``pad``: the value as it appears nested at that depth.
+    """``json.dumps(value, indent=2)``, with each :class:`_Rows` expanded
+    to its list of dicts, and every line after the first indented by
+    ``pad``: the value as it appears nested at that depth.
 
     ``indent`` forces the pure-Python encoder, so three kinds of value are
     rendered in bulk instead:
@@ -279,10 +267,10 @@ def _json_value(value, pad: str) -> str:
       strengths) goes through the C encoder in one call whose item
       separator is the indented line break;
     * a non-empty dict with string keys is rendered key by key;
-    * a list of flat dicts that :func:`_dict_rows` accepts (simulate's
-      ``per_position``, curve's ``rows``) is filled into one ``%r``
-      template per dict by :func:`_render_lines`: ``repr`` is how the
-      encoder writes ints and finite floats.
+    * a :class:`_Rows` table (simulate's ``per_position``, curve's
+      ``rows``) is filled into one ``%r`` template per row by
+      :func:`_render_lines`: ``repr`` is how the encoder writes ints and
+      finite floats, and a ``%`` in a key is escaped in the template.
 
     Any other value goes through ``json.dumps(value, indent=2)``,
     re-indented; JSON escapes newlines inside strings, so every newline
@@ -295,17 +283,22 @@ def _json_value(value, pad: str) -> str:
     if type(value) is dict and value and all(type(key) is str for key in value):
         items = (f"\n{inner}{json.dumps(k)}: {_json_value(v, inner)}" for k, v in value.items())
         return "{" + ",".join(items) + f"\n{pad}}}"
-    if table := _dict_rows(value):
-        keys, rows = table
-        fields = ",\n".join(f"{inner}  {json.dumps(name)}: %r" for name in keys)
-        body = _render_lines(f"{inner}{{\n{fields}\n{inner}}},\n", rows)
-        return f"[\n{body[:-2]}\n{pad}]"
+    if type(value) is _Rows:
+        fields = ",\n".join(
+            f"{inner}  {json.dumps(key).replace('%', '%%')}: %r" for key in value.keys
+        )
+        blocks = _render_lines(f"{inner}{{\n{fields}\n{inner}}},\n", value)
+        if not blocks:
+            return "[]"
+        blocks[-1] = blocks[-1][:-2]  # the last row's ",\n"
+        return "".join(["[\n", *blocks, f"\n{pad}]"])
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
 def _dump_json(payload: dict) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, for a
-    non-empty dict with string keys, rendered by :func:`_json_value`."""
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, with each
+    :class:`_Rows` expanded to its dicts, for a non-empty dict with string
+    keys, rendered by :func:`_json_value`."""
     return _json_value(payload, "") + "\n"
 
 
@@ -341,11 +334,13 @@ def _strengths_text(solution: OnlineSolution) -> str:
     flags = ["no"] * m
     for j in solution.saturated_positions:
         flags[j - 1] = "yes"
-    return (
+    header = (
         f"n={schedule.n} c={_fmt(schedule.overlap.c)} "
         f"method={solution.method} success={_fmt(solution.success)}\n"
         "  j  strength          saturated\n"
-    ) + _render_lines(_STRENGTH_LINE, zip(range(1, m + 1), strengths, flags))
+    )
+    lines = _render_lines(_STRENGTH_LINE, zip(range(1, m + 1), strengths, flags))
+    return "".join([header, *lines])
 
 
 def cmd_strengths(args: argparse.Namespace) -> int:
@@ -393,9 +388,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 2
 
 
-def _check_run(n: int, trials: int) -> None:
+def _check_run(n: int, trials: int, seed: int) -> None:
     """Reject a ``simulate`` run over ``n`` particles before its schedule
-    is built."""
+    is built.  The seed must lie in [0, 2**64), where distinct seeds key
+    distinct generator streams."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     _check_positions(n - 1)
     if trials > MAX_TRIALS:
         raise ValueError(f"{trials} trials exceed the cap of {MAX_TRIALS}")
@@ -405,7 +403,7 @@ def _check_run(n: int, trials: int) -> None:
 
 
 def _load_custom_schedule(
-    path: str, n: int | None, c: float, trials: int
+    path: str, n: int | None, c: float, trials: int, seed: int
 ) -> StrengthSchedule:
     with open(path, "r", encoding="utf-8") as handle:
         values = [float(token) for token in handle.read().split()]
@@ -416,7 +414,7 @@ def _load_custom_schedule(
             f"--n {n} disagrees with the {len(values)} strengths in {path!r}"
             f" (which imply n={len(values) + 1})"
         )
-    _check_run(len(values) + 1, trials)
+    _check_run(len(values) + 1, trials, seed)
     return StrengthSchedule(n=len(values) + 1, strengths=values, overlap=Overlap(c))
 
 
@@ -425,11 +423,13 @@ def _select_strategy(args: argparse.Namespace) -> OnlineSolution:
     if args.strategy == "custom":
         if args.schedule is None:
             raise ValueError("--strategy custom needs --schedule FILE")
-        schedule = _load_custom_schedule(args.schedule, args.n, args.c, args.trials)
+        schedule = _load_custom_schedule(
+            args.schedule, args.n, args.c, args.trials, args.seed
+        )
         return OnlineSolution(schedule, evaluate_strategy(schedule), "custom")
     if args.n is None:
         raise ValueError("--n is required unless a schedule file is given")
-    _check_run(args.n, args.trials)
+    _check_run(args.n, args.trials, args.seed)
     family = {"online": best_online, "fl": fl_solution, "sl": sl_solution}
     return family[args.strategy](args.n, args.c)
 
@@ -459,13 +459,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     counts = report.detections_per_position
     exact = profile.per_position / schedule.n
     empirical = np.array(counts) / report.trials
-    columns = (
-        range(1, schedule.n + 1),
-        counts,
-        empirical.tolist(),
-        exact.tolist(),
-        _z_scores(empirical, exact, report.trials),
-    )
     (z_success,) = _z_scores(
         np.array([report.empirical_success]), np.array([profile.average]), report.trials
     )
@@ -476,10 +469,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "report": report.to_dict(),
         "exact_success": profile.average,
         "z_success": z_success,
-        "per_position": [
-            {"position": k, "count": count, "empirical": e, "exact": x, "z": z}
-            for k, count, e, x, z in zip(*columns)
-        ],
+        "per_position": _Rows(
+            ("position", "count", "empirical", "exact", "z"),
+            columns=(
+                range(1, schedule.n + 1),
+                counts,
+                empirical.tolist(),
+                exact.tolist(),
+                _z_scores(empirical, exact, report.trials),
+            ),
+        ),
     }
     _write(_dump_json(payload), args.out)
     return 0

@@ -69,7 +69,8 @@ def check_strength(c, x) -> None:
     1-based position.
     """
     xs = np.asarray(x, dtype=np.float64)
-    cs = np.asarray(c, dtype=np.float64)
+    # + 0.0 turns an overlap of -0.0 into 0.0, whose ceiling is +inf
+    cs = np.asarray(c, dtype=np.float64) + 0.0
     with np.errstate(divide="ignore", over="ignore"):
         # inf at c == 0, where only x > 0 binds, and at subnormal c
         ceiling = 1.0 / cs
@@ -112,7 +113,8 @@ class Overlap:
     c: float
 
     def __post_init__(self):
-        object.__setattr__(self, "c", float(self.c))
+        # + 0.0 turns -0.0 into 0.0, so every later sign and 1/c is that of 0
+        object.__setattr__(self, "c", float(self.c) + 0.0)
         if not math.isfinite(self.c) or not 0.0 <= self.c <= 1.0:
             raise ValueError(f"overlap must lie in [0, 1], got {self.c!r}")
 

@@ -18,7 +18,6 @@ Gram matrix ``G[k][l] = c^|k-l|`` of the hypothesis states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,11 +26,6 @@ from .core import Overlap, SingularityError, _check_n, _frozen_vector, _overlap
 #: minimum-eigenvalue tolerance: optimal vectors sit exactly on the
 #: feasibility boundary, so a strictly-zero test would be meaningless
 PSD_TOL = 1e-9
-
-#: absolute bracket width at which :func:`_bisect_root` stops, and its
-#: iteration budget
-_ROOT_TOL = 1e-12
-_ROOT_MAX_ITER = 200
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,67 +121,42 @@ def _gamma_two(n: int, cv: float) -> float:
     return float((1.0 - cv - p[0] - p[1]) / (1.0 + cv))
 
 
-def _bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of ``f`` on a bracketing interval by plain bisection.
-
-    Requires ``f(lo)`` and ``f(hi)`` to have opposite (or zero) sign and
-    narrows the bracket until its width is below ``_ROOT_TOL`` (absolute).
-    """
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise ValueError(f"no sign change on [{lo!r}, {hi!r}]")
-    for _ in range(_ROOT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _ROOT_TOL or mid == lo or mid == hi:
-            return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def critical_overlap(n: int) -> float | None:
     """Overlap at which the plain efficiency at position 2 crosses zero.
 
-    Root in (0, 1) of ``f(c) = 1 - c - c^2 - (-c)^{n-1}``: the first grid
-    point ``k/4096`` (``0 < k < 4096``) where ``f <= 0``, then bisection
-    between it and the point before.  ``f`` is positive on (0, 1/2] and,
-    past its one sign change, stays non-positive up to the last grid
-    point, so a binary search finds that point from 12 evaluations.  The
-    grid stays strictly inside (0, 1) because even n have ``f(1) == 0``
-    exactly, which is not an interior root.
+    Root in (0, 1) of ``f(c) = 1 - c - c^2 - (-c)^{n-1}`` by 40 bisection
+    steps of [0, 1]: a midpoint where ``f > 0`` becomes the lower end, one
+    where ``f < 0`` the upper end, one where ``f == 0`` is the root, and
+    after the last step the bracket's midpoint is.  ``f`` is positive on
+    (0, 1/2] and, past its one sign change, stays non-positive up to
+    4095/4096, so every bracket holds the root; each is dyadic, so the
+    result is exact to 2**-41.  ``f(1)`` is never evaluated: even n have
+    ``f(1) == 0`` exactly, which is not an interior root.
 
-    Returns ``None`` when ``f`` has no root strictly inside (0, 1), in
-    which case the plain form applies for every overlap: n = 2, where
-    ``f = 1 - c^2``, and n = 4, where it factors as ``(1-c)^2 (1+c)``.
-    The root is exactly 1/2 for n = 3 (``f = (1-2c)(1+c)``) and approaches
-    ``(sqrt(5)-1)/2`` as n grows.
+    Returns ``None`` when ``f(4095/4096) > 0``, that is when ``f`` has no
+    root strictly inside (0, 1) and the plain form applies for every
+    overlap: n = 2, where ``f = 1 - c^2``, and n = 4, where it factors as
+    ``(1-c)^2 (1+c)``.  The root is exactly 1/2 for n = 3
+    (``f = (1-2c)(1+c)``) and approaches ``(sqrt(5)-1)/2`` as n grows.
     """
     n = _check_n(n)
 
     def f(cv: float) -> float:
         return 1.0 - cv - cv * cv - (-cv) ** (n - 1)
 
-    lo, hi = 1, 4096
-    while lo < hi:
-        mid = (lo + hi) // 2
-        g = np.array([mid / 4096])
-        if (1.0 - g - g * g - (-g) ** (n - 1))[0] > 0.0:
-            lo = mid + 1
+    if f(4095 / 4096) > 0.0:
+        return None
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if fmid > 0.0:
+            lo = mid
         else:
             hi = mid
-    if lo == 4096:
-        return None
-    return _bisect_root(f, (lo - 1) / 4096, lo / 4096)
+    return 0.5 * (lo + hi)
 
 
 def optimal_global(n: int, c: Overlap | float) -> tuple[np.ndarray, float]:

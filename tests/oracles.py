@@ -18,6 +18,8 @@ from outside it:
 * :func:`simulate_counts_forward` is the Monte Carlo kernel as a forward
   walk over every position before the change point, which the backward
   walk of ``kernels.simulate_counts`` must match count for count;
+* :func:`_bisect_root` is the generic bisection that ``critical_overlap``
+  must match bit for bit after a sign scan of the grid ``k/4096``;
 * :func:`total_saturation_point` and :func:`sl_worst_case_gap` give the
   paper's saturation overlap (about 0.6889) and the saturated strategy's
   largest asymptotic shortfall (about 0.022 near c = 0.89).
@@ -30,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -53,7 +56,6 @@ from qcpd.core import (
     _frozen_vector,
     _overlap,
 )
-from qcpd.global_bound import _bisect_root
 from qcpd.online_opt import OnlineSolution, _solution
 
 
@@ -160,6 +162,40 @@ def coordinate_objective(
     direct = float(np.mean(kernels.detection_profile(cv, probe)))
     residual = abs(alpha + beta * fourth + delta / fourth - direct)
     return RationalCoefficients(alpha=alpha, beta=beta, delta=delta, residual=residual)
+
+
+#: absolute bracket width at which :func:`_bisect_root` stops, and its
+#: iteration budget
+_ROOT_TOL = 1e-12
+_ROOT_MAX_ITER = 200
+
+
+def _bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of ``f`` on a bracketing interval by plain bisection.
+
+    Requires ``f(lo)`` and ``f(hi)`` to have opposite (or zero) sign and
+    narrows the bracket until its width is below ``_ROOT_TOL`` (absolute).
+    """
+    flo = f(lo)
+    fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise ValueError(f"no sign change on [{lo!r}, {hi!r}]")
+    for _ in range(_ROOT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= _ROOT_TOL or mid == lo or mid == hi:
+            return mid
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def total_saturation_point() -> float:

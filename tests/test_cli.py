@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from qcpd.cli import (
     MAX_TRIAL_STEPS,
     MAX_TRIALS,
     CurveTable,
-    _dict_rows,
+    _Rows,
     _dump_json,
     _exact_rows,
     _fmt,
@@ -331,6 +332,26 @@ class TestStrengths:
         else:
             assert out.startswith(f"n=6 c={c} method=recursive")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("strengths", "--n", "4", "--c", "{c}"),
+            ("strengths", "--n", "5", "--c", "{c}", "--method", "recursive", "--format", "json"),
+            ("strengths", "--n", "5", "--c", "{c}", "--method", "numeric", "--format", "json"),
+            ("simulate", "--n", "6", "--c", "{c}", "--trials", "50", "--seed", "2"),
+            ("simulate", "--n", "6", "--c", "{c}", "--strategy", "fl", "--trials", "50", "--seed", "2"),
+            ("simulate", "--n", "6", "--c", "{c}", "--strategy", "sl", "--trials", "50", "--seed", "2"),
+            ("curve", "--c-min", "{c}", "--c-max", "0.3", "--step", "0.1", "--format", "json"),
+        ],
+    )
+    def test_negative_zero_overlap_is_zero(self, argv, capsys):
+        # -0.0 keeps its sign through float(), and its ceiling 1/c is -inf
+        runs = []
+        for c in ("-0.0", "0"):
+            code = main([arg.format(c=c) for arg in argv])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+
     def test_domain_errors_are_exit_one(self):
         assert run_cli("strengths", "--n", "4", "--c", "1.0").returncode == 1
         assert run_cli("strengths", "--n", "1", "--c", "0.3").returncode == 1
@@ -502,6 +523,28 @@ class TestSimulate:
             assert rc == 1 and out == ""
             assert err == f"qcpd: error: {trials} trials exceed the cap of 10\n"
 
+    @pytest.mark.parametrize("strategy", ["online", "custom"])
+    @pytest.mark.parametrize("seed, accepted", [(-1, False), (0, True), (2**64 - 1, True), (2**64, False)])
+    def test_seed_outside_the_generator_range_is_rejected(
+        self, strategy, seed, accepted, tmp_path, monkeypatch, capsys
+    ):
+        # seed_root reduces modulo 2**64, so -1 and 2**64 - 1 would run the
+        # same trials; an out-of-range seed exits 1 before any schedule
+        if not accepted:
+            monkeypatch.setattr(cli, "best_online", None)
+            monkeypatch.setattr(cli, "StrengthSchedule", None)
+        schedule = tmp_path / "schedule.txt"
+        schedule.write_text("1.2 1.0\n")
+        argv = ["simulate", "--c", "0.4", "--strategy", strategy, "--trials", "5", "--seed", str(seed)]
+        argv += ["--schedule", str(schedule)] if strategy == "custom" else ["--n", "3"]
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        if accepted:
+            assert rc == 0 and json.loads(out)["report"]["seed"] == seed, err
+        else:
+            assert (rc, out) == (1, "")
+            assert err == f"qcpd: error: seed must lie in [0, 2**64), got {seed}\n"
+
     @pytest.mark.parametrize("strategy", ["online", "fl", "sl", "custom"])
     def test_profile_is_evaluated_once(self, strategy, tmp_path, monkeypatch, capsys):
         calls = []
@@ -650,28 +693,32 @@ _CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0, 0.0, -0.0, 1.0, 5e-324, 1e16, 1e-7]),
 )
-# cells the dict-row path must refuse, which the general path still renders
-_ODD_CELLS = st.sampled_from([math.nan, math.inf, -math.inf, True, None, "x", 10**400])
+# keys with the characters a template or the encoder treats apart
+_KEYS = st.text(alphabet=st.sampled_from('%"\\\nké€𝄞ab'), max_size=6)
+
+
+def _row_dicts(value):
+    """``json.dumps``'s ``default`` hook: a :class:`_Rows` as its dicts."""
+    if type(value) is _Rows:
+        return [dict(zip(value.keys, row)) for row in value]
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 @st.composite
 def _row_reports(draw):
-    """Reports whose last value is a list of flat dicts with the same keys,
-    sometimes with one odd cell or one dict whose keys differ."""
+    """Reports whose last value is a table of ints and finite floats held
+    as rows or as columns, sometimes empty."""
     keys = draw(
         st.one_of(
             st.just(_SIMULATE_KEYS),
-            st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True).map(tuple),
+            st.lists(_KEYS, min_size=1, max_size=5, unique=True).map(tuple),
         )
     )
-    rows = draw(st.lists(st.tuples(*[_CELLS] * len(keys)), min_size=1, max_size=8))
-    table = [dict(zip(keys, row)) for row in rows]
-    fault = draw(st.sampled_from(["none", "none", "cell", "keys"]))
-    i = draw(st.integers(0, len(table) - 1))
-    if fault == "cell":
-        table[i][keys[draw(st.integers(0, len(keys) - 1))]] = draw(_ODD_CELLS)
-    elif fault == "keys":
-        table[i] = dict(reversed(table[i].items())) if len(keys) > 1 else {}
+    rows = draw(st.lists(st.tuples(*[_CELLS] * len(keys)), max_size=8))
+    if draw(st.booleans()):
+        table = _Rows(keys, rows=rows)
+    else:
+        table = _Rows(keys, columns=[list(column) for column in zip(*rows)])
     return {"strategy": "online", "z_success": 0.0, "per_position": table}
 
 
@@ -687,7 +734,9 @@ class TestBulkFormatters:
     @settings(deadline=None, max_examples=300)
     @given(payload=_row_reports())
     def test_dump_json_renders_dict_rows_like_the_encoder(self, payload):
-        assert _dump_json(payload) == json.dumps(payload, indent=2) + "\n"
+        expected = json.dumps(payload, indent=2, default=_row_dicts) + "\n"
+        # a table renders the same twice: its rows are iterated afresh
+        assert _dump_json(payload) == _dump_json(payload) == expected
 
     @pytest.mark.parametrize(
         "golden, key",
@@ -702,9 +751,12 @@ class TestBulkFormatters:
     def test_dump_json_on_golden_reports(self, golden, key):
         text = (GOLDEN_DIR / golden).read_text()
         payload = json.loads(text)
-        # the table goes through the dict-row template, not the encoder
-        assert _dict_rows(payload[key]) is not None
-        assert _dump_json(payload) == text == json.dumps(payload, indent=2) + "\n"
+        assert text == json.dumps(payload, indent=2) + "\n"
+        # the table as the subcommands hand it over: rows, or columns
+        keys = tuple(payload[key][0])
+        rows = [tuple(item.values()) for item in payload[key]]
+        for table in (_Rows(keys, rows=rows), _Rows(keys, columns=list(zip(*rows)))):
+            assert _dump_json({**payload, key: table}) == text
 
     def test_simulate_report_with_vanishing_variance(self, capsys):
         # at overlap 1 no outcome is conclusive: every count is 0, every
@@ -765,7 +817,8 @@ class TestBulkFormatters:
         monkeypatch.setattr(cli, "_dump_json", lambda p: payloads.append(p) or "")
         main(list(argv))
         assert len(payloads) == 1
-        assert _dump_json(payloads[0]) == json.dumps(payloads[0], indent=2) + "\n"
+        expected = json.dumps(payloads[0], indent=2, default=_row_dicts) + "\n"
+        assert _dump_json(payloads[0]) == _dump_json(payloads[0]) == expected
 
     @settings(deadline=None, max_examples=300)
     @given(j=st.integers(1, 10**6), x=_FLOATS, flag=st.sampled_from(["yes", "no"]))
@@ -798,6 +851,42 @@ class TestBulkFormatters:
         table = build_curve(31, 0.0, 0.99, 0.01, include_endpoint=True)
         lines = [CSV_HEADER] + [",".join(_fmt(v) for v in row) for row in table.rows]
         assert table.to_csv() == "\n".join(lines) + "\n"
+
+
+class TestMemory:
+    """Peak memory per strength position (per grid row for ``curve``) of one
+    in-process request, traced by ``tracemalloc`` with output writing
+    stubbed out.  Each budget is the peak measured with Python 3.11 and
+    numpy 2.4, in the comment beside it, plus some 8%."""
+
+    @pytest.mark.parametrize(
+        "argv, positions, budget",
+        [
+            # 517.0 B (962 B while each row was a dict): the rendered
+            # report, 170 B a position, twice over while it is joined, and
+            # the float columns
+            (("simulate", "--n", "20001", "--c", "0.4", "--trials", "1", "--seed", "1"), 20_000, 560),
+            # 111.0 B
+            (("strengths", "--n", "20001", "--c", "0.3"), 20_000, 120),
+            # 127.0 B
+            (("strengths", "--n", "20001", "--c", "0.3", "--format", "json"), 20_000, 137),
+            # 1603 B a row, nearly all of it the table's blocks of strengths
+            (("curve", "--step", "0.001", "--format", "json"), 990, 1730),
+        ],
+        ids=["simulate", "strengths-text", "strengths-json", "curve-json"],
+    )
+    def test_peak_per_position(self, argv, positions, budget, monkeypatch):
+        lengths = []
+        monkeypatch.setattr(cli, "_write", lambda text, out: lengths.append(len(text)))
+        main(list(argv))  # the parser and other one-time caches
+        tracemalloc.start()
+        try:
+            assert main(list(argv)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lengths[0] == lengths[1]
+        assert peak / positions <= budget, f"{peak / positions:.1f} B per position"
 
 
 class TestInProcess:

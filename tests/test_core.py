@@ -10,10 +10,14 @@ from qcpd import (
     InvalidMeasurementError,
     Overlap,
     StrengthSchedule,
+    best_online,
     check_strength,
     enumerate_strategy,
     evaluate_strategy,
+    fl_solution,
     global_efficiencies,
+    optimize_strengths,
+    recursive_strengths,
 )
 from qcpd.cli import main
 from qcpd.core import ENUMERATION_CAP, REL_SLACK, DetectionProfile, _check_probabilities
@@ -29,6 +33,19 @@ class TestValidation:
             Overlap(-0.1)
         with pytest.raises(ValueError):
             Overlap(1.1)
+
+    def test_negative_zero_overlap_is_zero(self):
+        # -0.0 compares equal to 0.0 but keeps its sign, so 1/c would be -inf
+        assert str(Overlap(-0.0).c) == "0.0"
+        check_strength(-0.0, 1.0)
+        check_strength(np.array([[-0.0], [0.5]]), np.array([[1.0, 3.0], [0.5, 2.0]]))
+        schedule = StrengthSchedule(n=3, strengths=(1.0, 1.0), overlap=Overlap(-0.0))
+        assert evaluate_strategy(schedule).per_position.tolist() == [1.0] * 3
+        for build in (best_online, fl_solution, recursive_strengths, optimize_strengths):
+            got, want = build(5, -0.0), build(5, 0.0)
+            assert str(got.schedule.overlap.c) == "0.0"
+            assert got.schedule.strengths.tolist() == want.schedule.strengths.tolist()
+            assert got.profile.per_position.tolist() == want.profile.per_position.tolist()
 
     def test_strength_interval(self):
         check_strength(0.5, 0.5)

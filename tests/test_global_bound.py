@@ -17,8 +17,8 @@ from qcpd import (
     primed_success,
     validate_unambiguous,
 )
-from qcpd.global_bound import _bisect_root, _gamma_two
-from oracles import global_efficiencies_direct
+from qcpd.global_bound import _gamma_two
+from oracles import _bisect_root, global_efficiencies_direct
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -110,9 +110,11 @@ class TestCriticalOverlap:
         assert critical_overlap(3) == 0.5
 
     def test_binary_search_matches_the_full_scan(self):
-        # the sign scan over every grid point, which the search replaced
+        # a sign scan over every grid point k/4096, then a bisection of the
+        # first bracket that changes sign, down to a width of 1e-12: the
+        # route the one 40-step bisection of [0, 1] replaced
         grid = np.linspace(0.0, 1.0, 4097)[1:-1]
-        for n in range(2, 3001):
+        for n in [*range(2, 3001), 10**5, 10**6, 3 * 10**6, 10**7, 10**8]:
 
             def f(cv, n=n):
                 return 1.0 - cv - cv * cv - (-cv) ** (n - 1)
