@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -83,19 +83,21 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _render_lines(line: str, rows) -> list[str]:
-    """``line``, a one-line ``%`` template, filled in from each row in turn,
-    as a list of blocks for the caller to join with its own head and tail.
+def _render_lines(line: str, columns: Sequence[Sequence]) -> list[str]:
+    """``line``, a one-line ``%`` template with one field per column,
+    filled in from each row of the equal-length ``columns`` in turn, as a
+    list of blocks for the caller to join with its own head and tail.
 
     One ``%`` call renders a block of rows from a repeated template: the
     cost stays in C, and the cell tuple and template of a block stay small
-    even for 1e5 lines.
+    even for 1e5 lines.  A numpy column becomes Python numbers one block
+    at a time, so ``%r`` writes them as the JSON encoder would.
     """
-    fields = line.replace("%%", "").count("%")
-    rows = iter(rows)
     parts = []
-    while cells := tuple(chain.from_iterable(islice(rows, _RENDER_BLOCK))):
-        parts.append((line * (len(cells) // fields)) % cells)
+    for start in range(0, len(columns[0]) if columns else 0, _RENDER_BLOCK):
+        block = [column[start : start + _RENDER_BLOCK] for column in columns]
+        block = [c.tolist() if type(c) is np.ndarray else c for c in block]
+        parts.append((line * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
     return parts
 
 
@@ -122,13 +124,13 @@ class CurveTable:
         """The header and one ``%.12g`` line per row, byte-identical to
         joining :func:`_fmt` of each value with commas, rendered in blocks
         by :func:`_render_lines`."""
-        return "".join([f"{CSV_HEADER}\n", *_render_lines(_CSV_ROW, self.rows)])
+        return "".join([f"{CSV_HEADER}\n", *_render_lines(_CSV_ROW, tuple(zip(*self.rows)))])
 
     def to_dict(self) -> dict:
         return {
             "n": self.n,
             "mode": self.mode,
-            "rows": _Rows(tuple(CSV_HEADER.split(",")), rows=self.rows),
+            "rows": _Rows(tuple(CSV_HEADER.split(",")), tuple(zip(*self.rows))),
         }
 
 
@@ -215,6 +217,8 @@ def build_curve(
                 "grid overlaps must be strictly increasing"
             )
         grid.append(c)
+    if not grid:
+        raise ValueError("the overlap grid holds only c = 1, which needs --include-endpoint")
     rows = map(_asymptotic_row, grid) if asymptotic else _exact_rows(n, grid)
     return CurveTable(
         n=n, mode="asymptotic" if asymptotic else "exact", rows=tuple(rows)
@@ -241,18 +245,13 @@ class _Rows:
     """A table for :func:`_json_value`, rendered as a list with one dict
     per row mapping ``keys`` to that row's cells.
 
-    The cells are held as ``rows`` (a sequence of tuples) or as
-    ``columns`` (one sequence per key, zipped at each pass), so the table
-    can be rendered twice, no dict is built per row, and with ``columns``
-    no row tuple is kept.  Every cell must be an int or a finite float.
+    The cells are held as ``columns``, one equal-length sequence or 1-D
+    numpy vector per key, so the table can be rendered twice and no dict
+    or row tuple is kept.  Every cell must be an int or a finite float.
     """
 
     keys: tuple[str, ...]
-    rows: Sequence[tuple] = ()
-    columns: Sequence[Sequence] = ()
-
-    def __iter__(self):
-        return zip(*self.columns) if self.columns else iter(self.rows)
+    columns: Sequence[Sequence]
 
 
 def _json_value(value, pad: str) -> str:
@@ -264,19 +263,23 @@ def _json_value(value, pad: str) -> str:
     rendered in bulk instead:
 
     * a non-empty flat list of ints and floats (a schedule of 1e5
-      strengths) goes through the C encoder in one call whose item
-      separator is the indented line break;
+      strengths, or a 1-D numpy vector as the list it holds) goes through
+      the C encoder in one call whose item separator is the indented line
+      break;
     * a non-empty dict with string keys is rendered key by key;
     * a :class:`_Rows` table (simulate's ``per_position``, curve's
       ``rows``) is filled into one ``%r`` template per row by
-      :func:`_render_lines`: ``repr`` is how the encoder writes ints and
-      finite floats, and a ``%`` in a key is escaped in the template.
+      :func:`_render_lines`, column by column: ``repr`` is how the encoder
+      writes ints and finite floats, and a ``%`` in a key is escaped in
+      the template.
 
     Any other value goes through ``json.dumps(value, indent=2)``,
     re-indented; JSON escapes newlines inside strings, so every newline
     there is indentation.
     """
     inner = pad + "  "
+    if type(value) is np.ndarray and value.ndim == 1:
+        value = value.tolist()
     if type(value) is list and value and set(map(type, value)) <= _NUMBER_TYPES:
         body = json.dumps(value, separators=(",\n" + inner, ": "))
         return f"[\n{inner}{body[1:-1]}\n{pad}]"
@@ -287,7 +290,7 @@ def _json_value(value, pad: str) -> str:
         fields = ",\n".join(
             f"{inner}  {json.dumps(key).replace('%', '%%')}: %r" for key in value.keys
         )
-        blocks = _render_lines(f"{inner}{{\n{fields}\n{inner}}},\n", value)
+        blocks = _render_lines(f"{inner}{{\n{fields}\n{inner}}},\n", value.columns)
         if not blocks:
             return "[]"
         blocks[-1] = blocks[-1][:-2]  # the last row's ",\n"
@@ -329,8 +332,7 @@ def _strengths_text(solution: OnlineSolution) -> str:
     """A header and one line per position, ``f"{j:>3}  {_fmt(x):<16}  {flag}"``
     byte for byte, rendered in blocks by :func:`_render_lines`."""
     schedule = solution.schedule
-    strengths = schedule.strengths.tolist()
-    m = len(strengths)
+    m = schedule.n - 1
     flags = ["no"] * m
     for j in solution.saturated_positions:
         flags[j - 1] = "yes"
@@ -339,7 +341,7 @@ def _strengths_text(solution: OnlineSolution) -> str:
         f"method={solution.method} success={_fmt(solution.success)}\n"
         "  j  strength          saturated\n"
     )
-    lines = _render_lines(_STRENGTH_LINE, zip(range(1, m + 1), strengths, flags))
+    lines = _render_lines(_STRENGTH_LINE, (range(1, m + 1), schedule.strengths, flags))
     return "".join([header, *lines])
 
 
@@ -357,7 +359,7 @@ def cmd_strengths(args: argparse.Namespace) -> int:
             "c": schedule.overlap.c,
             "method": solution.method,
             "success": solution.success,
-            "strengths": schedule.strengths.tolist(),
+            "strengths": schedule.strengths,
             "saturated_positions": sorted(solution.saturated_positions),
         }
         _write(_dump_json(payload), args.out)
@@ -406,7 +408,10 @@ def _load_custom_schedule(
     path: str, n: int | None, c: float, trials: int, seed: int
 ) -> StrengthSchedule:
     with open(path, "r", encoding="utf-8") as handle:
-        values = [float(token) for token in handle.read().split()]
+        tokens = handle.read().split(maxsplit=MAX_POSITIONS)  # none converted past the cap
+    if len(tokens) > MAX_POSITIONS:
+        raise ValueError(f"schedule file {path!r} holds more than {MAX_POSITIONS} strengths")
+    values = [float(token) for token in tokens]
     if len(values) < 1:
         raise ValueError(f"schedule file {path!r} holds no strengths")
     if n is not None and n != len(values) + 1:
@@ -434,7 +439,7 @@ def _select_strategy(args: argparse.Namespace) -> OnlineSolution:
     return family[args.strategy](args.n, args.c)
 
 
-def _z_scores(empirical: np.ndarray, exact: np.ndarray, trials: int) -> list[float]:
+def _z_scores(empirical: np.ndarray, exact: np.ndarray, trials: int) -> np.ndarray:
     """``(empirical - exact) / sqrt(exact*(1 - exact)/trials)`` entry by
     entry, 0.0 where that variance vanishes.
 
@@ -444,10 +449,8 @@ def _z_scores(empirical: np.ndarray, exact: np.ndarray, trials: int) -> list[flo
     """
     variance = exact * (1.0 - exact) / trials
     gaps = empirical - exact
-    return [
-        0.0 if v <= 0.0 else gap / v**0.5
-        for gap, v in zip(gaps.tolist(), variance.tolist())
-    ]
+    z = (0.0 if v <= 0.0 else gap / v**0.5 for gap, v in zip(gaps.tolist(), variance.tolist()))
+    return np.fromiter(z, np.float64, len(gaps))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -458,24 +461,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report = run_experiment(schedule, args.trials, args.seed)
     counts = report.detections_per_position
     exact = profile.per_position / schedule.n
-    empirical = np.array(counts) / report.trials
-    (z_success,) = _z_scores(
+    empirical = counts / report.trials
+    z_success = _z_scores(
         np.array([report.empirical_success]), np.array([profile.average]), report.trials
-    )
+    ).item()
     payload = {
         "strategy": args.strategy,
         "backend": active_backend(),
-        "strengths": schedule.strengths.tolist(),
-        "report": report.to_dict(),
+        "strengths": schedule.strengths,
+        "report": asdict(report),
         "exact_success": profile.average,
         "z_success": z_success,
         "per_position": _Rows(
             ("position", "count", "empirical", "exact", "z"),
-            columns=(
+            (
                 range(1, schedule.n + 1),
                 counts,
-                empirical.tolist(),
-                exact.tolist(),
+                empirical,
+                exact,
                 _z_scores(empirical, exact, report.trials),
             ),
         ),

@@ -131,9 +131,13 @@ def _check_n(n: int, minimum: int = 2) -> int:
     return n
 
 
-def _frozen_vector(values) -> np.ndarray:
-    """A read-only 1-D float64 copy of ``values``."""
-    vec = np.array(values, dtype=np.float64)
+def _frozen_vector(values, dtype=np.float64) -> np.ndarray:
+    """A read-only 1-D ``dtype`` copy of ``values``, which must be of that
+    kind: numpy would truncate ``1.5`` to the int ``1`` and parse ``"3"``."""
+    vec = np.array(values)
+    if not np.can_cast(vec.dtype, dtype, casting="same_kind"):
+        raise ValueError(f"expected {np.dtype(dtype)} values, got {vec.dtype}")
+    vec = vec.astype(dtype, copy=False)
     if vec.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got {vec.ndim} dimensions")
     vec.setflags(write=False)

@@ -20,8 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import kernels
-from .core import StrengthSchedule
+from .core import StrengthSchedule, _frozen_vector
 from .kernels import _GAMMA_INT, _INV53, mix64_int, seed_root
 
 
@@ -48,46 +50,36 @@ class TrialResult:
             raise ValueError("detected_position must be a 1-based position")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SimulationReport:
-    """Aggregate counts from a batch of independent trials."""
+    """Aggregate counts from a batch of independent trials;
+    ``detections_per_position`` is a read-only int64 copy of the counts."""
 
     n: int
     c: float
     trials: int
     seed: int
-    detections_per_position: tuple[int, ...]
+    detections_per_position: np.ndarray
     empirical_success: float
     stderr: float
     mismatched_detections: int
 
     def __post_init__(self) -> None:
+        counts = _frozen_vector(self.detections_per_position, np.int64)
+        object.__setattr__(self, "detections_per_position", counts)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if len(self.detections_per_position) != self.n:
+        if len(counts) != self.n:
             raise ValueError("need one count per position")
-        if any(v < 0 for v in self.detections_per_position):
+        if (counts < 0).any():
             raise ValueError("counts must be non-negative")
-        total = sum(self.detections_per_position)
+        total = int(counts.sum())
         if total > self.trials:
             raise ValueError("counts sum exceeds the number of trials")
         if self.empirical_success != total / self.trials:
             raise ValueError("empirical_success does not match the counts")
         if self.mismatched_detections < 0:
             raise ValueError("mismatched_detections must be non-negative")
-
-    def to_dict(self) -> dict:
-        """JSON-ready representation."""
-        return {
-            "n": self.n,
-            "c": self.c,
-            "trials": self.trials,
-            "seed": self.seed,
-            "detections_per_position": list(self.detections_per_position),
-            "empirical_success": self.empirical_success,
-            "stderr": self.stderr,
-            "mismatched_detections": self.mismatched_detections,
-        }
 
 
 def simulate_trial(
@@ -148,14 +140,13 @@ def run_experiment(
     counts, wrong = kernels.simulate_counts(
         schedule.overlap.c, schedule.strengths, int(trials), int(seed)
     )
-    total = int(counts.sum())
-    success = total / trials
+    success = int(counts.sum()) / trials
     return SimulationReport(
         n=schedule.n,
         c=schedule.overlap.c,
         trials=int(trials),
         seed=int(seed),
-        detections_per_position=tuple(int(v) for v in counts),
+        detections_per_position=counts,
         empirical_success=success,
         stderr=math.sqrt(success * (1.0 - success) / trials),
         mismatched_detections=int(wrong),

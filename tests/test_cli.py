@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qcpd import (
     SingularityError,
@@ -197,6 +198,27 @@ class TestCurve:
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
         assert "strictly increasing" in err and "--step 4e-13" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("mode", [(), ("--asymptotic",)], ids=["exact", "asymptotic"])
+    def test_grid_of_only_the_dropped_endpoint_is_rejected(self, mode, fmt, capsys):
+        # the one grid point rounds to c = 1, which is dropped by default
+        argv = ["curve", "--n", "4", "--c-min", "0.9999999999999", "--c-max", "1",
+                "--step", "0.1", "--format", fmt, *mode]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert "--include-endpoint" in err
+        assert main([*argv, "--include-endpoint"]) == 0
+        out = capsys.readouterr().out
+        rows = out.splitlines()[1:] if fmt == "csv" else json.loads(out)["rows"]
+        assert len(rows) == 1
+
+    def test_online_column_above_the_bound_is_rejected(self):
+        # within 1e-12 of the bound is round-off; beyond it, a broken table
+        CurveTable(n=5, mode="exact", rows=((0.6, 0.5, 0.5 + 1e-13, 0.4, 0.3),))
+        with pytest.raises(ValueError, match="online column exceeds the global bound at c=0.6"):
+            CurveTable(n=5, mode="exact", rows=((0.6, 0.5, 0.5 + 1e-11, 0.4, 0.3),))
 
     def test_out_writes_the_file(self, tmp_path):
         target = tmp_path / "table.csv"
@@ -631,7 +653,24 @@ class TestPositionCap:
         argv = ["simulate", "--c", "0.4", "--strategy", "custom",
                 "--schedule", str(schedule), "--trials", "10", "--seed", "1"]
         assert main(argv) == 1
-        assert "13 strength positions" in capsys.readouterr().err
+        assert "more than 12 strengths" in capsys.readouterr().err
+
+    def test_custom_schedule_is_capped_before_any_strength_is_read(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a token past the cap is never converted: the cap message comes
+        # first, not the conversion error of the trailing token
+        monkeypatch.setattr(cli, "MAX_POSITIONS", 12)
+        schedule = tmp_path / "schedule.txt"
+        schedule.write_text("1.0 " * 13 + "junk\n")
+        argv = ["simulate", "--c", "0.4", "--strategy", "custom",
+                "--schedule", str(schedule), "--trials", "10", "--seed", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "more than 12 strengths" in err and "convert" not in err
+        # at the cap the file is read in full
+        schedule.write_text("1.0 " * 12 + "\n")
+        assert main(argv) == 0
 
     def test_trial_steps_are_checked_before_the_schedule(self, monkeypatch, capsys):
         # 3e6 particles are within the position cap, but 1e4 trials of them
@@ -697,28 +736,46 @@ _CELLS = st.one_of(
 _KEYS = st.text(alphabet=st.sampled_from('%"\\\nké€𝄞ab'), max_size=6)
 
 
+def _as_list(column) -> list:
+    return column.tolist() if type(column) is np.ndarray else list(column)
+
+
 def _row_dicts(value):
-    """``json.dumps``'s ``default`` hook: a :class:`_Rows` as its dicts."""
+    """``json.dumps``'s ``default`` hook: a :class:`_Rows` as its dicts, a
+    numpy vector as its list."""
     if type(value) is _Rows:
-        return [dict(zip(value.keys, row)) for row in value]
+        return [dict(zip(value.keys, row)) for row in zip(*map(_as_list, value.columns))]
+    if type(value) is np.ndarray:
+        return value.tolist()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _columns(length: int):
+    """One table column of ``length`` cells: a list of ints and finite
+    floats, a range, or an int64 or float64 vector."""
+    return st.one_of(
+        st.lists(_CELLS, min_size=length, max_size=length),
+        st.integers(-5, 5).map(lambda start: range(start, start + length)),
+        arrays(np.int64, length),
+        arrays(np.float64, length, elements=_FINITE),
+    )
 
 
 @st.composite
 def _row_reports(draw):
     """Reports whose last value is a table of ints and finite floats held
-    as rows or as columns, sometimes empty."""
+    as columns, sometimes empty."""
     keys = draw(
         st.one_of(
             st.just(_SIMULATE_KEYS),
             st.lists(_KEYS, min_size=1, max_size=5, unique=True).map(tuple),
         )
     )
-    rows = draw(st.lists(st.tuples(*[_CELLS] * len(keys)), max_size=8))
-    if draw(st.booleans()):
-        table = _Rows(keys, rows=rows)
-    else:
-        table = _Rows(keys, columns=[list(column) for column in zip(*rows)])
+    length = draw(st.integers(0, 8))
+    table = _Rows(keys, [draw(_columns(length)) for _ in keys])
     return {"strategy": "online", "z_success": 0.0, "per_position": table}
 
 
@@ -752,10 +809,13 @@ class TestBulkFormatters:
         text = (GOLDEN_DIR / golden).read_text()
         payload = json.loads(text)
         assert text == json.dumps(payload, indent=2) + "\n"
-        # the table as the subcommands hand it over: rows, or columns
+        # the table as the subcommands hand it over: columns of Python
+        # numbers, or numpy vectors
         keys = tuple(payload[key][0])
-        rows = [tuple(item.values()) for item in payload[key]]
-        for table in (_Rows(keys, rows=rows), _Rows(keys, columns=list(zip(*rows)))):
+        columns = list(zip(*[item.values() for item in payload[key]]))
+        vectors = [np.array(column) for column in columns]
+        assert {vector.dtype for vector in vectors} <= {np.dtype(np.int64), np.dtype(np.float64)}
+        for table in (_Rows(keys, columns), _Rows(keys, vectors)):
             assert _dump_json({**payload, key: table}) == text
 
     def test_simulate_report_with_vanishing_variance(self, capsys):
@@ -800,6 +860,21 @@ class TestBulkFormatters:
     @given(payload=st.dictionaries(st.text(max_size=8), _VALUES, min_size=1, max_size=8))
     def test_dump_json_matches_the_indenting_encoder(self, payload):
         assert _dump_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        vector=st.one_of(
+            arrays(np.int64, st.integers(0, 12)),
+            arrays(np.float64, st.integers(0, 12)),
+            arrays(np.bool_, st.integers(0, 4)),
+        )
+    )
+    def test_dump_json_renders_a_vector_as_its_list(self, vector):
+        # a schedule's strengths and simulate's counts reach the renderer
+        # as numpy vectors, nested at two depths
+        payload = {"strengths": vector, "report": {"n": 1, "counts": vector}}
+        listed = {"strengths": vector.tolist(), "report": {"n": 1, "counts": vector.tolist()}}
+        assert _dump_json(payload) == json.dumps(listed, indent=2) + "\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -862,15 +937,14 @@ class TestMemory:
     @pytest.mark.parametrize(
         "argv, positions, budget",
         [
-            # 517.0 B (962 B while each row was a dict): the rendered
-            # report, 170 B a position, twice over while it is joined, and
-            # the float columns
-            (("simulate", "--n", "20001", "--c", "0.4", "--trials", "1", "--seed", "1"), 20_000, 560),
-            # 111.0 B
-            (("strengths", "--n", "20001", "--c", "0.3"), 20_000, 120),
+            # 396.4 B: the rendered report, 170 B a position, twice over
+            # while it is joined, and the float vectors
+            (("simulate", "--n", "20001", "--c", "0.4", "--trials", "1", "--seed", "1"), 20_000, 428),
+            # 80.6 B
+            (("strengths", "--n", "20001", "--c", "0.3"), 20_000, 87),
             # 127.0 B
             (("strengths", "--n", "20001", "--c", "0.3", "--format", "json"), 20_000, 137),
-            # 1603 B a row, nearly all of it the table's blocks of strengths
+            # 1602 B a row, nearly all of it the table's blocks of strengths
             (("curve", "--step", "0.001", "--format", "json"), 990, 1730),
         ],
         ids=["simulate", "strengths-text", "strengths-json", "curve-json"],

@@ -240,6 +240,13 @@ class TestGramFeasibility:
         bad = validate_unambiguous(build_gram(9, 0.9), global_efficiencies(9, 0.9))
         assert not bad.gamma_range_ok
 
+    def test_asymmetric_gram_is_rejected(self):
+        # the eigensolver reads one triangle only, so it would pass this
+        gram = build_gram(4, 0.3).copy()
+        gram[0, 3] += 0.1
+        with pytest.raises(ValueError, match="Gram matrix must be symmetric"):
+            validate_unambiguous(gram, global_efficiencies(4, 0.3))
+
     def test_dimension_mismatch_is_rejected(self):
         with pytest.raises(ValueError):
             validate_unambiguous(build_gram(4, 0.3), global_efficiencies(5, 0.3))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -55,19 +56,50 @@ class TestTypes:
                 empirical_success=0.4, stderr=0.0, mismatched_detections=0,
             )
 
-    def test_report_round_trips_to_dict(self):
+    @pytest.mark.parametrize("counts", [(1.5, 0), ("3", 0), (1.0, 0), (2**70, 0)])
+    def test_non_integer_counts_are_rejected(self, counts):
+        # numpy would truncate 1.5 to 1 and parse "3" as 3
+        with pytest.raises(ValueError, match="expected int64 values"):
+            SimulationReport(
+                n=2, c=0.5, trials=5, seed=0,
+                detections_per_position=counts,
+                empirical_success=0.2, stderr=0.0, mismatched_detections=0,
+            )
+
+    def test_counts_are_a_read_only_int64_copy(self):
+        counts = np.array([1, 2, 0])
+        report = SimulationReport(
+            n=3, c=0.5, trials=5, seed=0, detections_per_position=counts,
+            empirical_success=0.6, stderr=0.0, mismatched_detections=0,
+        )
+        counts[0] = 5
+        held = report.detections_per_position
+        assert held.dtype == np.int64 and held.tolist() == [1, 2, 0]
+        with pytest.raises(ValueError):
+            held[0] = 0
+
+    def test_report_as_dict(self):
         report = run_experiment(_schedule(4, 0.4), 2_000, seed=5)
-        payload = report.to_dict()
+        payload = asdict(report)
+        assert list(payload) == [field.name for field in fields(report)]
         assert payload["n"] == 4 and payload["trials"] == 2_000
+        assert payload["detections_per_position"].dtype == np.int64
         assert sum(payload["detections_per_position"]) <= 2_000
         assert payload["mismatched_detections"] == 0
+
+
+def _same_report(a, b) -> bool:
+    """Field-by-field equality; the counts are compared as arrays."""
+    a, b = asdict(a), asdict(b)
+    counts = a.pop("detections_per_position"), b.pop("detections_per_position")
+    return np.array_equal(*counts) and a == b
 
 
 class TestDeterminism:
     def test_same_seed_same_report(self):
         schedule = _schedule(6, 0.4)
-        assert run_experiment(schedule, 10_000, 7) == run_experiment(
-            schedule, 10_000, 7
+        assert _same_report(
+            run_experiment(schedule, 10_000, 7), run_experiment(schedule, 10_000, 7)
         )
 
     def test_trial_reference_matches_batched_counts(self):
@@ -80,7 +112,7 @@ class TestDeterminism:
                 result = simulate_trial(schedule, seed, trial_index=t)
                 if result.detected_position is not None:
                     pooled[result.detected_position - 1] += 1
-            assert tuple(pooled) == report.detections_per_position
+            assert pooled == report.detections_per_position.tolist()
 
     def test_trial_index_selects_independent_substreams(self):
         schedule = _schedule(5, 0.3)
@@ -139,7 +171,7 @@ class TestZeroError:
         c = 0.6
         schedule = _schedule(5, c, (c,) * 4)
         report = run_experiment(schedule, 50_000, seed=5)
-        assert report.detections_per_position[:-1] == (0, 0, 0, 0)
+        assert report.detections_per_position[:-1].tolist() == [0, 0, 0, 0]
         assert report.detections_per_position[-1] > 0
 
 
