@@ -94,7 +94,7 @@ def _render_lines(line: str, columns: Sequence[Sequence]) -> list[str]:
     at a time, so ``%r`` writes them as the JSON encoder would.
     """
     parts = []
-    for start in range(0, len(columns[0]) if columns else 0, _RENDER_BLOCK):
+    for start in range(0, len(columns[0]) if len(columns) else 0, _RENDER_BLOCK):
         block = [column[start : start + _RENDER_BLOCK] for column in columns]
         block = [c.tolist() if type(c) is np.ndarray else c for c in block]
         parts.append((line * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
@@ -105,59 +105,62 @@ def _render_lines(line: str, columns: Sequence[Sequence]) -> list[str]:
 # curve table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class CurveTable:
-    """Success probabilities per overlap, one row per grid point."""
+    """Success probabilities per overlap: ``columns`` is a read-only
+    ``(5, rows)`` float64 array whose rows are the ``c``, ``p_global``,
+    ``p_online``, ``p_fl`` and ``p_sl`` columns, one entry per grid point."""
 
     n: int
     mode: str  # "exact" or "asymptotic"
-    rows: tuple[tuple[float, float, float, float, float], ...]
+    columns: np.ndarray
 
     def __post_init__(self) -> None:
-        for c, p_global, p_online, _, _ in self.rows:
-            if p_online > p_global + _TOL:
-                raise ValueError(
-                    f"online column exceeds the global bound at c={c!r}"
-                )
+        columns = np.array(self.columns, dtype=np.float64)
+        columns.setflags(write=False)
+        object.__setattr__(self, "columns", columns)
+        c, p_global, p_online = columns[:3]
+        above = np.flatnonzero(p_online > p_global + _TOL)
+        if len(above):
+            raise ValueError(
+                f"online column exceeds the global bound at c={c[above[0]].item()!r}"
+            )
 
     def to_csv(self) -> str:
         """The header and one ``%.12g`` line per row, byte-identical to
         joining :func:`_fmt` of each value with commas, rendered in blocks
         by :func:`_render_lines`."""
-        return "".join([f"{CSV_HEADER}\n", *_render_lines(_CSV_ROW, tuple(zip(*self.rows)))])
+        return "".join([f"{CSV_HEADER}\n", *_render_lines(_CSV_ROW, self.columns)])
 
     def to_dict(self) -> dict:
         return {
             "n": self.n,
             "mode": self.mode,
-            "rows": _Rows(tuple(CSV_HEADER.split(",")), tuple(zip(*self.rows))),
+            "rows": _Rows(tuple(CSV_HEADER.split(",")), self.columns),
         }
 
 
-def _exact_rows(
-    n: int, grid: list[float]
-) -> list[tuple[float, float, float, float, float]]:
-    """Exact rows at the increasing overlaps ``grid``: the collective bound
-    row by row in closed form, the three strategy columns as one table."""
-    rows = []
-    if grid and grid[0] == 0.0:
-        # Zero overlap makes every unambiguous measurement perfectly
-        # conclusive, so each strategy succeeds with certainty (the
-        # saturated family's 1/c prescription is vacuous here).
-        rows.append((0.0, 1.0, 1.0, 1.0, 1.0))
-        grid = grid[1:]
+def _exact_columns(n: int, grid: list[float]) -> np.ndarray:
+    """The ``(5, len(grid))`` columns at the increasing overlaps ``grid``:
+    the collective bound row by row in closed form, the three strategy
+    columns as one table."""
+    columns = np.empty((5, len(grid)))
+    columns[0] = grid
+    # Zero overlap makes every unambiguous measurement perfectly
+    # conclusive, so each strategy succeeds with certainty (the
+    # saturated family's 1/c prescription is vacuous here).
+    zero = int(grid[:1] == [0.0])  # 1 when the grid starts at c = 0
+    columns[1:, :zero] = 1.0
     threshold = critical_overlap(n)
-    p_global = []
-    for c in grid:
+    for r, c in enumerate(grid[zero:], start=zero):
         try:
-            p_global.append(_optimal_success(n, c, threshold))
+            columns[1, r] = _optimal_success(n, c, threshold)
         except SingularityError:
             # Only at c=1 with even n; identical states admit no conclusive
             # outcome, so the bound degenerates to zero.
-            p_global.append(0.0)
-    p_online, p_fl, p_sl = _table_success(n, grid).tolist()
-    rows.extend(zip(grid, p_global, p_online, p_fl, p_sl))
-    return rows
+            columns[1, r] = 0.0
+    columns[2:, zero:] = _table_success(n, grid[zero:])
+    return columns
 
 
 def _asymptotic_row(c: float) -> tuple[float, float, float, float, float]:
@@ -180,11 +183,12 @@ def build_curve(
 ) -> CurveTable:
     """Evaluate the success columns on the overlap grid.
 
-    In exact mode the whole grid's strategy columns come from one stacked
-    table evaluation in blocks of bounded size
-    (:func:`qcpd.online_opt._table_success`): closed-form rows up to
-    c = 1/2, above it the backward pass that ``optimize_strengths`` runs.
-    The values are bit-identical to ``best_online``, ``fl_solution`` and
+    In exact mode the whole grid's strategy columns come from one table
+    evaluation (:func:`qcpd.online_opt._table_success`): one
+    ``optimize_strengths`` call per online row above c = 1/2, and the
+    closed-form online rows, fl rows and sl rows stacked in blocks of
+    bounded size.  Each row's profile is evaluated once, and the values
+    are bit-identical to ``best_online``, ``fl_solution`` and
     ``sl_solution`` row by row.
     """
     _check_n(n)
@@ -219,10 +223,9 @@ def build_curve(
         grid.append(c)
     if not grid:
         raise ValueError("the overlap grid holds only c = 1, which needs --include-endpoint")
-    rows = map(_asymptotic_row, grid) if asymptotic else _exact_rows(n, grid)
-    return CurveTable(
-        n=n, mode="asymptotic" if asymptotic else "exact", rows=tuple(rows)
-    )
+    if asymptotic:
+        return CurveTable(n, "asymptotic", np.array(list(map(_asymptotic_row, grid))).T)
+    return CurveTable(n, "exact", _exact_columns(n, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +249,9 @@ class _Rows:
     per row mapping ``keys`` to that row's cells.
 
     The cells are held as ``columns``, one equal-length sequence or 1-D
-    numpy vector per key, so the table can be rendered twice and no dict
-    or row tuple is kept.  Every cell must be an int or a finite float.
+    numpy vector per key (or one row of a 2-D array per key), so the table
+    can be rendered twice and no dict or row tuple is kept.  Every cell
+    must be an int or a finite float.
     """
 
     keys: tuple[str, ...]

@@ -27,8 +27,9 @@ The backward pass in its ``(A, B)`` form, its one-strength objective and
 the paper's saturation constants are test oracles, in ``tests/oracles.py``.
 
 :func:`_table_success` evaluates ``best_online``, ``fl_solution`` and
-``sl_solution`` over a whole overlap grid as stacked arrays, for the curve
-table; its values equal theirs bit for bit.
+``sl_solution`` over a whole overlap grid, for the curve table: the online
+rows above 1/2 one ``optimize_strengths`` call each, the other rows as
+stacked arrays; its values equal theirs bit for bit.
 """
 from __future__ import annotations
 
@@ -75,9 +76,11 @@ class OnlineSolution:
         """1-based positions whose strength sits at the admissibility
         ceiling ``1/c`` (within round-off slack), computed on each access."""
         cv = self.schedule.overlap.c
-        if cv == 0.0:
+        ceiling = 1.0 / cv if cv else math.inf
+        if ceiling == math.inf:
+            # c = 0, or a subnormal c whose 1/c overflows: an infinite
+            # ceiling saturates no finite strength
             return frozenset()
-        ceiling = 1.0 / cv
         slack = _SATURATION_SLACK * max(1.0, ceiling)
         xs = self.schedule.strengths
         return frozenset((np.flatnonzero(np.abs(xs - ceiling) <= slack) + 1).tolist())
@@ -343,29 +346,6 @@ def best_online(n: int, c: Overlap | float) -> OnlineSolution:
     return optimize_strengths(n, cv)
 
 
-def _table_strengths(n: int, cs: np.ndarray) -> np.ndarray:
-    """The schedules of :func:`best_online`, :func:`fl_solution` and
-    :func:`sl_solution` for each of the increasing overlaps ``0 < cs <= 1``,
-    stacked as ``3 * len(cs)`` rows of ``n - 1`` strengths: the online
-    rows, then the fl rows, then the sl rows.
-
-    The closed-form rows (``c <= 1/2``) come from one 2-D evaluation of
-    :func:`_closed_form_xs`, and every row equals its constructor's
-    strengths bit for bit.
-    """
-    rows = len(cs)
-    xs = np.empty((3 * rows, n - 1))
-    low = int(np.searchsorted(cs, 0.5, side="right"))
-    xs[:low] = _closed_form_xs(n, cs[:low, None])
-    for r, cv in enumerate(cs[low:].tolist(), start=low):
-        xs[r] = optimize_strengths(n, cv).schedule.strengths
-    ceiling = 1.0 / cs
-    xs[rows : 2 * rows, :-1] = np.minimum(1.0 + cs, ceiling)[:, None]
-    xs[2 * rows :, :-1] = ceiling[:, None]
-    xs[rows:, -1] = 1.0
-    return xs
-
-
 #: most strengths one block of :func:`_table_success` holds; bounds the
 #: working memory of a fine curve grid
 _TABLE_BLOCK = 1 << 16
@@ -377,21 +357,35 @@ def _table_success(n: int, cs) -> np.ndarray:
     ``0 < cs <= 1``, as a ``(3, len(cs))`` array bit-identical to their
     ``success``.
 
-    Block by block of overlaps, the stacked schedules go through one
+    Each online row above 1/2 is the ``success`` of
+    :func:`optimize_strengths`, evaluated once.  Block by block of
+    overlaps, the other rows are stacked, one schedule per row: the
+    closed-form online rows (one 2-D evaluation of :func:`_closed_form_xs`),
+    then the fl rows, then the sl rows.  The stack goes through one
     admissibility check, each row through the profile kernel, and the
     profiles are checked and averaged as :class:`DetectionProfile` does.
     """
     cs = np.asarray(cs, dtype=np.float64)
-    per_block = max(1, _TABLE_BLOCK // (3 * (n - 1)))
     out = np.empty((3, len(cs)))
+    low = int(np.searchsorted(cs, 0.5, side="right"))
+    for r, cv in enumerate(cs[low:].tolist(), start=low):
+        out[0, r] = optimize_strengths(n, cv).success
+    per_block = max(1, _TABLE_BLOCK // (3 * (n - 1)))
     for lo in range(0, len(cs), per_block):
         block = cs[lo : lo + per_block]
-        xs = _table_strengths(n, block)
-        row_cs = np.tile(block, 3)
+        closed = block[: max(0, low - lo)]  # the block's closed-form online rows
+        fixed = np.concatenate([np.minimum(1.0 + block, 1.0 / block), 1.0 / block])
+        row_cs = np.concatenate([closed, block, block])
+        xs = np.empty((len(row_cs), n - 1))
+        xs[: len(closed)] = _closed_form_xs(n, closed[:, None])
+        xs[len(closed) :, :-1] = fixed[:, None]
+        xs[len(closed) :, -1] = 1.0
         check_strength(row_cs[:, None], xs)
         profiles = np.empty((len(xs), n))
         for p, cv, x in zip(profiles, row_cs.tolist(), xs):
             p[:] = kernels.detection_profile(cv, x)
         _check_probabilities(profiles)
-        out[:, lo : lo + per_block] = profiles.mean(axis=1).reshape(3, -1)
+        means = profiles.mean(axis=1)
+        out[0, lo : lo + len(closed)] = means[: len(closed)]
+        out[1:, lo : lo + per_block] = means[len(closed) :].reshape(2, -1)
     return out

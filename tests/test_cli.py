@@ -37,7 +37,7 @@ from qcpd.cli import (
     CurveTable,
     _Rows,
     _dump_json,
-    _exact_rows,
+    _exact_columns,
     _fmt,
     _strengths_text,
     _z_scores,
@@ -50,8 +50,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run_cli(*args, **kwargs):
+    # -W error: a warning in the subprocess fails the test, as in pytest
     return subprocess.run(
-        [sys.executable, "-m", "qcpd.cli", *args],
+        [sys.executable, "-W", "error", "-m", "qcpd.cli", *args],
         capture_output=True,
         text=True,
         **kwargs,
@@ -90,7 +91,7 @@ class TestCurve:
 
     def test_online_equals_global_below_half(self):
         table = build_curve(n=31, c_min=0.0, c_max=0.5, step=0.1)
-        for c, p_global, p_online, _, _ in table.rows:
+        for c, p_global, p_online, _, _ in rows_of(table.columns):
             assert abs(p_online - p_global) <= 1e-10
 
     def test_csv_round_trip_is_stable(self):
@@ -98,8 +99,8 @@ class TestCurve:
         text = table.to_csv()
         header, *lines = text.splitlines()
         assert header == CSV_HEADER
-        rows = tuple(tuple(float(v) for v in line.split(",")) for line in lines)
-        assert CurveTable(n=9, mode="exact", rows=rows).to_csv() == text
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        assert CurveTable(n=9, mode="exact", columns=np.array(rows).T).to_csv() == text
 
     def test_short_chains_report_a_feasible_bound_met_online(self):
         # n = 2 has no threshold: p_global is the plain closed form on
@@ -132,7 +133,7 @@ class TestCurve:
         assert payload["n"] == 7 and payload["mode"] == "exact"
         assert [row["c"] for row in payload["rows"]] == [0.0, 0.2, 0.4]
         table = build_curve(n=7, c_min=0.0, c_max=0.4, step=0.2)
-        for row, expected in zip(payload["rows"], table.rows):
+        for row, expected in zip(payload["rows"], rows_of(table.columns)):
             assert row["p_global"] == expected[1]
             assert row["p_sl"] == expected[4]
 
@@ -215,10 +216,19 @@ class TestCurve:
         assert len(rows) == 1
 
     def test_online_column_above_the_bound_is_rejected(self):
-        # within 1e-12 of the bound is round-off; beyond it, a broken table
-        CurveTable(n=5, mode="exact", rows=((0.6, 0.5, 0.5 + 1e-13, 0.4, 0.3),))
-        with pytest.raises(ValueError, match="online column exceeds the global bound at c=0.6"):
-            CurveTable(n=5, mode="exact", rows=((0.6, 0.5, 0.5 + 1e-11, 0.4, 0.3),))
+        # within 1e-12 of the bound is round-off; beyond it, a broken table,
+        # named at its first overlap over the bound
+        rows = [(0.5, 0.5, 0.5, 0.4, 0.3), (0.6, 0.5, 0.5 + 1e-13, 0.4, 0.3)]
+        CurveTable(n=5, mode="exact", columns=np.array(rows).T)
+        rows += [(0.7, 0.5, 0.5 + 1e-11, 0.4, 0.3), (0.8, 0.5, 0.6, 0.4, 0.3)]
+        with pytest.raises(ValueError, match=r"exceeds the global bound at c=0\.7$"):
+            CurveTable(n=5, mode="exact", columns=np.array(rows).T)
+
+    def test_table_holds_one_read_only_column_array(self):
+        table = build_curve(n=7, c_min=0.0, c_max=0.9, step=0.3)
+        assert table.columns.shape == (5, 4) and table.columns.dtype == np.float64
+        assert not table.columns.flags.writeable
+        assert table.columns[0].tolist() == [0.0, 0.3, 0.6, 0.9]
 
     def test_out_writes_the_file(self, tmp_path):
         target = tmp_path / "table.csv"
@@ -228,6 +238,12 @@ class TestCurve:
         )
         assert result.returncode == 0 and result.stdout == ""
         assert target.read_text().startswith(CSV_HEADER)
+
+
+def rows_of(columns):
+    """The rows of a ``(5, rows)`` curve-column array as tuples of Python
+    floats."""
+    return [tuple(row) for row in columns.T.tolist()]
 
 
 def row_by_row(n, c):
@@ -258,20 +274,21 @@ class TestExactTable:
         if cstar is not None:
             overlaps |= {np.nextafter(cstar, 0.0), cstar, np.nextafter(cstar, 1.0)}
         grid = sorted(float(c) for c in overlaps)
-        assert _exact_rows(n, grid) == [row_by_row(n, c) for c in grid]
+        assert rows_of(_exact_columns(n, grid)) == [row_by_row(n, c) for c in grid]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 31, 301])
     def test_curve_with_endpoint_matches_row_by_row(self, n):
         table = build_curve(n=n, c_min=0.0, c_max=1.0, step=0.05, include_endpoint=True)
-        assert table.rows == tuple(row_by_row(n, c) for c, *_ in table.rows)
-        assert table.rows[-1][0] == 1.0
+        rows = rows_of(table.columns)
+        assert rows == [row_by_row(n, c) for c, *_ in rows]
+        assert rows[-1][0] == 1.0
 
     def test_singular_endpoint_reports_a_zero_bound(self):
         # c = 1 with even n: the primed denominator vanishes
         with pytest.raises(SingularityError):
             optimal_global(6, 1.0)
         table = build_curve(n=6, c_min=0.9, c_max=1.0, step=0.05, include_endpoint=True)
-        assert table.rows[-1] == (1.0, 0.0, 0.0, 0.0, 0.0)
+        assert rows_of(table.columns)[-1] == (1.0, 0.0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("strengths", [5, 2 * 90, 4 * 90])
     def test_block_boundaries_leave_the_table_unchanged(self, monkeypatch, strengths):
@@ -279,7 +296,22 @@ class TestExactTable:
         n = 31
         grid = [round(0.05 * i, 12) for i in range(1, 20)]
         monkeypatch.setattr(online_opt, "_TABLE_BLOCK", strengths)
-        assert _exact_rows(n, grid) == [row_by_row(n, c) for c in grid]
+        assert rows_of(_exact_columns(n, grid)) == [row_by_row(n, c) for c in grid]
+
+    def test_each_row_is_evaluated_once(self, monkeypatch):
+        # 19 rows, 9 of them above 1/2: one profile for each of the three
+        # strategy columns of a row, the online rows above 1/2 included
+        calls = []
+        profile = kernels.detection_profile
+
+        def counted(c, xs):
+            calls.append(c)
+            return profile(c, xs)
+
+        monkeypatch.setattr(kernels, "detection_profile", counted)
+        table = build_curve(n=31, c_min=0.05, c_max=0.95, step=0.05)
+        assert table.columns.shape == (5, 19)
+        assert len(calls) == 3 * 19
 
 
 class TestStrengths:
@@ -312,6 +344,19 @@ class TestStrengths:
         result = run_cli("strengths", "--n", "4", "--c", "0.0", "--format", "json")
         payload = json.loads(result.stdout)
         assert payload["strengths"] == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("c", ["0", "5e-324", "1e-310"])
+    def test_infinite_ceiling_saturates_no_strength(self, c, capsys):
+        # below about 5.6e-309 the ceiling 1/c overflows to inf, which no
+        # finite strength reaches; at 1e-308 it is finite and far away
+        argv = ["strengths", "--n", "5", "--c", c]
+        assert main([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["strengths"] == [1.0] * 4
+        assert payload["saturated_positions"] == []
+        assert main(argv) == 0
+        flags = [line.split()[-1] for line in capsys.readouterr().out.splitlines()[2:]]
+        assert flags == ["no"] * 4
 
     def test_numeric_method_saturates_beyond_the_threshold(self):
         result = run_cli(
@@ -686,7 +731,7 @@ class TestPositionCap:
     def test_full_size_grid_at_the_default_length_fits(self, monkeypatch):
         # the largest grid the row cap allows (1e5 rows), at n = 31, is
         # exactly at the position cap
-        monkeypatch.setattr(cli, "_exact_rows", lambda n, grid: [])
+        monkeypatch.setattr(cli, "_exact_columns", lambda n, grid: np.empty((5, 0)))
         build_curve(31, 0.0, 0.999999, 1e-5)
         with pytest.raises(ValueError, match="strength positions"):
             build_curve(32, 0.0, 0.999999, 1e-5)
@@ -924,7 +969,7 @@ class TestBulkFormatters:
     def test_to_csv_line_by_line(self, block, monkeypatch):
         monkeypatch.setattr(cli, "_RENDER_BLOCK", block)
         table = build_curve(31, 0.0, 0.99, 0.01, include_endpoint=True)
-        lines = [CSV_HEADER] + [",".join(_fmt(v) for v in row) for row in table.rows]
+        lines = [CSV_HEADER] + [",".join(_fmt(v) for v in row) for row in rows_of(table.columns)]
         assert table.to_csv() == "\n".join(lines) + "\n"
 
 
@@ -944,8 +989,9 @@ class TestMemory:
             (("strengths", "--n", "20001", "--c", "0.3"), 20_000, 87),
             # 127.0 B
             (("strengths", "--n", "20001", "--c", "0.3", "--format", "json"), 20_000, 137),
-            # 1602 B a row, nearly all of it the table's blocks of strengths
-            (("curve", "--step", "0.001", "--format", "json"), 990, 1730),
+            # 1370 B a row, nearly all of it the table's blocks of strengths
+            # and profiles
+            (("curve", "--step", "0.001", "--format", "json"), 990, 1480),
         ],
         ids=["simulate", "strengths-text", "strengths-json", "curve-json"],
     )

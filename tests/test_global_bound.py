@@ -192,6 +192,26 @@ class TestOptimalGlobal:
             assert value == pytest.approx(2.0 * (1 - c * c) / 3.0, abs=1e-15)
             assert validate_unambiguous(build_gram(3, c), vec).feasible
 
+    def test_primed_vector_is_feasible_above_the_threshold(self):
+        # every p_global above critical_overlap(n) is a primed mean; its
+        # vector must leave G - diag(gamma) positive semidefinite, and the
+        # same vector scaled by 1.001 (the negative control) must not
+        infeasible, scaled_feasible, cases = [], [], 0
+        for n in range(3, 61):
+            cstar = critical_overlap(n)
+            if cstar is None:
+                continue
+            for c in np.linspace(cstar, 0.999, 40)[1:].tolist():
+                vec, _ = optimal_global(n, c)
+                gram = build_gram(n, c)
+                cases += 1
+                if not validate_unambiguous(gram, vec).feasible:
+                    infeasible.append((n, c))
+                if validate_unambiguous(gram, 1.001 * vec).feasible:
+                    scaled_feasible.append((n, c))
+        assert cases == 57 * 39
+        assert infeasible == [] and scaled_feasible == []
+
     def test_continuous_across_the_threshold(self):
         n = 31
         cstar = critical_overlap(n)

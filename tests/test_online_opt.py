@@ -28,6 +28,7 @@ from qcpd import (
     sl_success_asymptotic,
 )
 from qcpd import online_opt, verification
+from qcpd.cli import build_curve
 from qcpd.kernels import detection_profile
 from oracles import (
     coordinate_objective,
@@ -251,6 +252,13 @@ class TestOptimizer:
         assert xs[-1] == 1.0
         assert solution.saturated_positions == frozenset(range(1, 9))
 
+    @pytest.mark.parametrize("c", [5e-324, 1e-310, 5.5e-309])
+    def test_subnormal_overlap_saturates_nothing(self, c):
+        # 1/c overflows to inf: the ceiling and its slack are infinite
+        solution = optimize_strengths(6, c)
+        assert 1.0 / c == np.inf
+        assert solution.saturated_positions == frozenset()
+
     def test_shift_property(self):
         # the optimal first strength of the m-position tail problem equals
         # the strength at position n-m+1 of the full problem
@@ -399,6 +407,42 @@ class TestSaturatedFamily:
         c = GOLDEN
         online = (1 - c) / (1 + c)
         assert sl_success_asymptotic(c) == pytest.approx(online, abs=1e-12)
+
+
+def _offsets(c: float, limit: float) -> list[float]:
+    """``n * (p_n - limit)`` for the optimal online success ``p_n`` at
+    n = 10^3 and 10^4: equal within round-off when ``limit`` is the
+    large-n limit, since ``n * p_n = n * L + K + O(rho^n)``."""
+    return [n * (optimize_strengths(n, c).success - limit) for n in (10**3, 10**4)]
+
+
+class TestLargeChainLaw:
+    """The optimizer against the asymptotic table's ``p_online``,
+    ``fl_success_asymptotic``: the law ``n * p_n = n * L + K`` holds with
+    ``L`` that limit, in every regime and at the golden ratio, where the
+    orbit converges slowest."""
+
+    def test_asymptotic_table_prints_the_constant_strength_limit(self):
+        table = build_curve(2, 0.01, 0.99, 0.01, asymptotic=True)
+        c, _, p_online, p_fl, _ = table.columns.tolist()
+        assert p_online == p_fl == [fl_success_asymptotic(cv) for cv in c]
+
+    @pytest.mark.parametrize(
+        "c", [0.3, 0.55, 0.6, 0.618, GOLDEN, 0.62, 0.7, 0.9, 0.99]
+    )
+    def test_offset_is_constant_with_the_table_limit(self, c):
+        small, large = _offsets(c, fl_success_asymptotic(c))
+        assert small == pytest.approx(large, abs=1e-8)
+        if c <= 0.5:
+            # from the closed form of global_success, which online attains
+            assert large == pytest.approx(2 * c / (1 + c) ** 2, abs=1e-8)
+
+    @pytest.mark.parametrize("c", [0.3, 0.55, 0.6, 0.618])
+    def test_saturated_limit_fails_below_the_golden_ratio(self, c):
+        # negative control: the sl limit is below the true one there, so
+        # the offset grows with n
+        small, large = _offsets(c, sl_success_asymptotic(c))
+        assert small != pytest.approx(large, abs=1e-8)
 
 
 class TestBestOnline:
