@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Overlap, SingularityError, StrengthSchedule, _check_n, evaluate_strategy
-from .global_bound import _optimal_success, critical_overlap
+from .core import Overlap, StrengthSchedule, _check_n, evaluate_strategy
+from .global_bound import _optimal_success
 from .kernels import active_backend
 from .montecarlo import run_experiment
 from .online_opt import (
@@ -142,23 +142,16 @@ class CurveTable:
 
 def _exact_columns(n: int, grid: list[float]) -> np.ndarray:
     """The ``(5, len(grid))`` columns at the increasing overlaps ``grid``:
-    the collective bound row by row in closed form, the three strategy
-    columns as one table."""
+    the collective bound row by row in closed form (its regime picked in
+    ``global_bound``), the three strategy columns as one table."""
     columns = np.empty((5, len(grid)))
     columns[0] = grid
+    columns[1] = [_optimal_success(n, c) for c in grid]
     # Zero overlap makes every unambiguous measurement perfectly
     # conclusive, so each strategy succeeds with certainty (the
     # saturated family's 1/c prescription is vacuous here).
     zero = int(grid[:1] == [0.0])  # 1 when the grid starts at c = 0
-    columns[1:, :zero] = 1.0
-    threshold = critical_overlap(n)
-    for r, c in enumerate(grid[zero:], start=zero):
-        try:
-            columns[1, r] = _optimal_success(n, c, threshold)
-        except SingularityError:
-            # Only at c=1 with even n; identical states admit no conclusive
-            # outcome, so the bound degenerates to zero.
-            columns[1, r] = 0.0
+    columns[2:, :zero] = 1.0
     columns[2:, zero:] = _table_success(n, grid[zero:])
     return columns
 
@@ -189,7 +182,7 @@ def build_curve(
     closed-form online rows, fl rows and sl rows stacked in blocks of
     bounded size.  Each row's profile is evaluated once, and the values
     are bit-identical to ``best_online``, ``fl_solution`` and
-    ``sl_solution`` row by row.
+    ``sl_solution`` row by row; the bound is ``optimal_global``'s success.
     """
     _check_n(n)
     for flag, value in (("--c-min", c_min), ("--c-max", c_max), ("--step", step)):

@@ -4,11 +4,10 @@ When all ``n`` particles can be measured together, the best zero-error
 strategy assigns each hypothesis ``k`` (change at position ``k``) a
 detection efficiency with a closed form in the overlap ``c``:
 
-* below a critical overlap, ``gamma_n(k) = sum_j (-c)^|k-j|``, summing a
-  geometric tent around ``k``;
-* above it, that vector would turn negative at positions 2 and ``n-1``, and
-  the optimum instead zeroes those two entries and redistributes the rest
-  (the "primed" vector).
+* while its entry at position 2 is non-negative, the plain vector
+  ``gamma_n(k) = sum_j (-c)^|k-j|``, summing a geometric tent around ``k``;
+* where that entry (and, by symmetry, entry ``n-1``) would be negative,
+  the optimum zeroes both and redistributes the rest (the "primed" vector).
 
 Feasibility of an efficiency vector is the positivity of the leftover
 measurement operator, which for linearly independent pure states reduces
@@ -121,8 +120,18 @@ def _gamma_two(n: int, cv: float) -> float:
     return float((1.0 - cv - p[0] - p[1]) / (1.0 + cv))
 
 
+def _scaled_gamma_two(n: int, cv: float) -> float:
+    """``(1 + c)`` times entry 2 of :func:`global_efficiencies` as a scalar
+    float, whose sign picks the regime: negative where the corrected form
+    applies.  Near its root the correction, proportional to this entry
+    squared, is below an ulp of the success, so last-bit differences from
+    the ``np.power`` route never show.  Even n give exactly 0 at c = 1."""
+    return 1.0 - cv - cv * cv - (-cv) ** (n - 1)
+
+
 def critical_overlap(n: int) -> float | None:
-    """Overlap at which the plain efficiency at position 2 crosses zero.
+    """Overlap at which the plain efficiency at position 2 crosses zero:
+    the root of :func:`_scaled_gamma_two`, whose sign picks the regime.
 
     Root in (0, 1) of ``f(c) = 1 - c - c^2 - (-c)^{n-1}`` by 40 bisection
     steps of [0, 1]: a midpoint where ``f > 0`` becomes the lower end, one
@@ -140,16 +149,12 @@ def critical_overlap(n: int) -> float | None:
     (``f = (1-2c)(1+c)``) and approaches ``(sqrt(5)-1)/2`` as n grows.
     """
     n = _check_n(n)
-
-    def f(cv: float) -> float:
-        return 1.0 - cv - cv * cv - (-cv) ** (n - 1)
-
-    if f(4095 / 4096) > 0.0:
+    if _scaled_gamma_two(n, 4095 / 4096) > 0.0:
         return None
     lo, hi = 0.0, 1.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        fmid = f(mid)
+        fmid = _scaled_gamma_two(n, mid)
         if fmid == 0.0:
             return mid
         if fmid > 0.0:
@@ -162,29 +167,22 @@ def critical_overlap(n: int) -> float | None:
 def optimal_global(n: int, c: Overlap | float) -> tuple[np.ndarray, float]:
     """Optimal collective efficiencies and success for any overlap.
 
-    Uses the plain closed form up to the critical overlap and the corrected
-    one beyond it; the two branches agree at the crossing because the
-    correction is proportional to the vanishing position-2 efficiency.
-    Without a critical overlap (n = 2 and n = 4) the plain form is used
-    throughout.
+    Uses the corrected form where the plain efficiency at position 2 would
+    be negative and the plain form elsewhere: throughout for n = 2 and
+    n = 4, and at c = 1 for even n, whose all-zero vector says identical
+    states admit no conclusive outcome.  The two forms agree at the
+    crossing: the correction is proportional to the vanishing efficiency.
     """
     n = _check_n(n)
     cv = _overlap(c)
-    threshold = critical_overlap(n)
-    vector = primed_efficiencies if _is_primed(cv, threshold) else global_efficiencies
-    return vector(n, cv), _optimal_success(n, cv, threshold)
+    if _scaled_gamma_two(n, cv) < 0.0:
+        return primed_efficiencies(n, cv), primed_success(n, cv)
+    return global_efficiencies(n, cv), global_success(n, cv)
 
 
-def _is_primed(cv: float, threshold: float | None) -> bool:
-    """Whether the corrected form applies at ``cv``, given
-    ``critical_overlap(n)``: strictly above a threshold that exists."""
-    return threshold is not None and cv > threshold
-
-
-def _optimal_success(n: int, cv: float, threshold: float | None) -> float:
-    """Success of :func:`optimal_global` given ``critical_overlap(n)``,
-    found once per curve table, without building an efficiency vector."""
-    return primed_success(n, cv) if _is_primed(cv, threshold) else global_success(n, cv)
+def _optimal_success(n: int, cv: float) -> float:
+    """Success of :func:`optimal_global` without building a vector."""
+    return primed_success(n, cv) if _scaled_gamma_two(n, cv) < 0.0 else global_success(n, cv)
 
 
 def validate_unambiguous(gram: np.ndarray, gammas: np.ndarray) -> ValidityReport:

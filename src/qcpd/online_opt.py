@@ -81,7 +81,9 @@ class OnlineSolution:
             # c = 0, or a subnormal c whose 1/c overflows: an infinite
             # ceiling saturates no finite strength
             return frozenset()
-        slack = _SATURATION_SLACK * max(1.0, ceiling)
+        # capped at a quarter of [c, 1/c], which near c = 1 is narrower
+        # than the slack: a strength 1.0 there is not at the ceiling
+        slack = min(_SATURATION_SLACK * max(1.0, ceiling), 0.25 * (ceiling - cv))
         xs = self.schedule.strengths
         return frozenset((np.flatnonzero(np.abs(xs - ceiling) <= slack) + 1).tolist())
 

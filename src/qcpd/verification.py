@@ -183,8 +183,8 @@ def gram_feasibility() -> SuiteResult:
     residual is the worst eigenvalue deficit, or 1.0 if an efficiency is
     not a probability.  Above it the range check must already fail: the
     residual is 0.0 if it does and 1.0 if it passes.  The suite stops at
-    the first failing case.  Odd lengths 5..31 — even lengths below 32 have
-    no interior threshold to straddle.
+    the first failing case.  Odd lengths 5..31 only, to keep eigen-solves
+    few; even lengths 6..30 have thresholds too and meet the same criteria.
     """
 
     def results() -> Iterator[_Pair]:

@@ -1,9 +1,9 @@
 """The public surface, and the names the benchmark in ``perfbench/`` reads.
 
-``perfbench``'s own tests run apart from this suite, so these checks make
-a rename that would break the benchmark fail here too.  Run from the
-repository root (``python -m pytest``), which puts ``perfbench`` on the
-import path.
+These checks make a rename that would break the benchmark fail here, next
+to ``perfbench``'s own tests, which ``testpaths`` collects with this
+suite.  Run from the repository root (``python -m pytest``), which puts
+``perfbench`` on the import path.
 """
 
 from __future__ import annotations

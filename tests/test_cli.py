@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qcpd import (
-    SingularityError,
     best_online,
     build_gram,
     critical_overlap,
@@ -250,13 +249,9 @@ def row_by_row(n, c):
     """One exact curve row from the public per-overlap functions."""
     if c == 0.0:
         return (0.0, 1.0, 1.0, 1.0, 1.0)
-    try:
-        p_global = optimal_global(n, c)[1]
-    except SingularityError:
-        p_global = 0.0
     return (
         c,
-        p_global,
+        optimal_global(n, c)[1],
         best_online(n, c).success,
         fl_solution(n, c).success,
         sl_solution(n, c).success,
@@ -284,9 +279,12 @@ class TestExactTable:
         assert rows[-1][0] == 1.0
 
     def test_singular_endpoint_reports_a_zero_bound(self):
-        # c = 1 with even n: the primed denominator vanishes
-        with pytest.raises(SingularityError):
-            optimal_global(6, 1.0)
+        # c = 1 with even n: the plain position-2 efficiency is exactly
+        # zero, so the plain form applies and gives the all-zero vector
+        # (identical states admit no conclusive outcome)
+        vec, value = optimal_global(6, 1.0)
+        assert vec.tolist() == [0.0] * 6
+        assert value == 0.0
         table = build_curve(n=6, c_min=0.9, c_max=1.0, step=0.05, include_endpoint=True)
         assert rows_of(table.columns)[-1] == (1.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -357,6 +355,19 @@ class TestStrengths:
         assert main(argv) == 0
         flags = [line.split()[-1] for line in capsys.readouterr().out.splitlines()[2:]]
         assert flags == ["no"] * 4
+
+    def test_balanced_last_strength_is_not_saturated_near_unit_overlap(self, capsys):
+        # [c, 1/c] is 2e-10 wide, narrower than the relative slack 1e-9:
+        # the balanced last strength 1.0 must not be flagged against the
+        # ceiling 1.0000000001
+        argv = ["strengths", "--n", "4", "--c", "0.9999999999", "--method", "numeric"]
+        assert main([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["strengths"][-1] == 1.0
+        assert payload["saturated_positions"] == [1, 2]
+        assert main(argv) == 0
+        flags = [line.split()[-1] for line in capsys.readouterr().out.splitlines()[2:]]
+        assert flags == ["yes", "yes", "no"]
 
     def test_numeric_method_saturates_beyond_the_threshold(self):
         result = run_cli(

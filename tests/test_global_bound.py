@@ -17,7 +17,8 @@ from qcpd import (
     primed_success,
     validate_unambiguous,
 )
-from qcpd.global_bound import _gamma_two
+from qcpd.global_bound import _gamma_two, _optimal_success
+from qcpd.verification import GRAM_TOL
 from oracles import _bisect_root, global_efficiencies_direct
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -212,6 +213,32 @@ class TestOptimalGlobal:
         assert cases == 57 * 39
         assert infeasible == [] and scaled_feasible == []
 
+    def test_regime_follows_the_sign_of_the_plain_entry(self):
+        # second route to the regime: the plain vector's own entry 2, from
+        # np.power, against the branch optimal_global takes; and the
+        # success against which side of critical_overlap(n) c lies on.
+        # The grid straddles each root by 1e-10 and 1e-11; closer than
+        # 2**-40 the two routes may round to different signs.
+        for n in range(2, 301):
+            root = critical_overlap(n)
+            cs = [k / 100 for k in range(1, 100)]
+            if root is not None:
+                cs += [root + d for d in (-1e-10, -1e-11, 1e-11, 1e-10)]
+                cs = [c for c in cs if abs(c - root) > 2.0**-40]
+            else:
+                # n = 2 and 4: 1 - c^2 and (1-c)^2 (1+c) must not round
+                # negative anywhere up to c = 1
+                cs += [1.0 - 2.0**-k for k in range(1, 54)] + [1.0]
+            for c in cs:
+                plain = global_efficiencies(n, c)
+                vec, value = optimal_global(n, c)
+                want = primed_efficiencies(n, c) if plain[1] < 0.0 else plain
+                assert np.array_equal(vec, want), (n, c)
+                success = _optimal_success(n, c)
+                above = root is not None and c > root
+                assert success == value
+                assert success == (primed_success if above else global_success)(n, c), (n, c)
+
     def test_continuous_across_the_threshold(self):
         n = 31
         cstar = critical_overlap(n)
@@ -253,6 +280,20 @@ class TestGramFeasibility:
             )
             assert not above.gamma_range_ok
             assert not above.feasible
+
+    def test_even_lengths_meet_the_suite_criteria(self):
+        # gram_feasibility runs odd lengths only; every even n = 6..30 has
+        # an interior threshold too and meets the same two criteria there
+        for n in range(6, 31, 2):
+            threshold = critical_overlap(n)
+            assert threshold is not None
+            for c in np.linspace(0.05, threshold - 0.011, 5).tolist():
+                report = validate_unambiguous(build_gram(n, c), global_efficiencies(n, c))
+                assert report.gamma_range_ok, (n, c)
+                assert report.min_eigenvalue >= -GRAM_TOL, (n, c)
+            for c in np.linspace(threshold + 0.011, 0.99, 5).tolist():
+                report = validate_unambiguous(build_gram(n, c), global_efficiencies(n, c))
+                assert not report.gamma_range_ok, (n, c)
 
     def test_known_cases(self):
         ok = validate_unambiguous(build_gram(10, 0.4), global_efficiencies(10, 0.4))

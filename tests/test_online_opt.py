@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from qcpd import (
     OutOfValidityError,
-    SingularityError,
     StrengthSchedule,
     Overlap,
     best_online,
@@ -497,8 +496,4 @@ class TestOptimalityCertificate:
     @settings(deadline=None, max_examples=300)
     @given(n=st.integers(2, 300), c=st.floats(0.0, 0.999, allow_nan=False))
     def test_online_never_beats_the_collective_bound(self, n, c):
-        try:
-            bound = optimal_global(n, c)[1]
-        except SingularityError:
-            reject()
-        assert best_online(n, c).success <= bound + 1e-12
+        assert best_online(n, c).success <= optimal_global(n, c)[1] + 1e-12
