@@ -180,9 +180,11 @@ def build_curve(
     evaluation (:func:`qcpd.online_opt._table_success`): one
     ``optimize_strengths`` call per online row above c = 1/2, and the
     closed-form online rows, fl rows and sl rows stacked in blocks of
-    bounded size.  Each row's profile is evaluated once, and the values
-    are bit-identical to ``best_online``, ``fl_solution`` and
-    ``sl_solution`` row by row; the bound is ``optimal_global``'s success.
+    bounded size, each block one lockstep profile walk (row by row when it
+    holds too few schedules to pay).  Each row's profile is evaluated
+    once, and the values are bit-identical to ``best_online``,
+    ``fl_solution`` and ``sl_solution`` row by row; the bound is
+    ``optimal_global``'s success.
     """
     _check_n(n)
     for flag, value in (("--c-min", c_min), ("--c-max", c_max), ("--step", step)):

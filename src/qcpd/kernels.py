@@ -1,6 +1,12 @@
 """Numeric hot paths: detection-profile recursion and Monte Carlo trials.
 
-Both kernels are plain numpy.  The Monte Carlo kernel draws every uniform
+Both kernels are plain numpy.  The profile kernel takes one schedule or a
+stack of them, one per row, and walks a stack's rows through the
+recursion in lockstep: each step is a few operations on width-R row
+vectors, elementwise the arithmetic of the one-schedule walk, so every
+row of a stack equals that schedule's own profile bit for bit.
+
+The Monte Carlo kernel draws every uniform
 from a counter-based generator keyed by ``(seed, trial, position)``, so
 the vectorised kernel consumes exactly the same numbers as the scalar
 reference walk :func:`qcpd.montecarlo.simulate_trial`, in any order and
@@ -81,23 +87,70 @@ def seed_root(seed: int) -> int:
 # kernel 1: detection profile (forward recursion over outcome probabilities)
 # ---------------------------------------------------------------------------
 
-def detection_profile(c: float, xs: np.ndarray) -> np.ndarray:
+#: most entries of a stack that one array operation of the profile kernel
+#: covers: numpy buffers a broadcast operand up to the size of the
+#: operation, so one operation over the whole stack would hold about two
+#: more arrays of its size at once
+_SLAB = 1 << 11
+
+
+def detection_profile(c, xs) -> np.ndarray:
     """Per-position detection probabilities of the schedule ``xs``.
 
     ``xs[j-1]`` is the strength used at position j after a conclusive-0
     run; after an inconclusive outcome the next strength is pinned to c.
+    Entry j is ``p0_j * (1 - c/x_j)`` and the last entry ``p0_n``, where
+    ``p0 = 1 - pi`` and ``pi' = p0*(c*x) + pi*c^2`` from ``pi = 0``.
+
+    One schedule is a float ``c`` and a 1-D ``xs``; a stack is a ``(R,)``
+    column of overlaps and an ``(R, n-1)`` array, one schedule per row,
+    whose ``(R, n)`` C-contiguous result equals the 1-D result row by row,
+    bit for bit.  ``c*x`` and ``1 - c/x`` are array operations, over a
+    stack's rows a slab of at most :data:`_SLAB` entries at a time; only
+    the recurrence runs in the loop, over Python floats (the same IEEE
+    arithmetic as numpy scalars, but cheaper) or over width-R columns of
+    the result, which holds ``c*x`` until ``p0`` replaces it.  Raises
+    ``ValueError`` for ``xs`` of other than 1 or 2 dimensions, and for
+    overlaps that are not one per row of a stack.
     """
-    c = float(c)
-    # Python floats: the same IEEE arithmetic as numpy scalars, but cheaper
-    prof = []
-    p0 = 1.0
-    pi = 0.0
-    for x in np.asarray(xs, dtype=np.float64).tolist():
-        prof.append(p0 * (1.0 - c / x))
-        pi = p0 * (c * x) + pi * (c * c)
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim == 1:
+        c = float(c)
+        cols = (c * xs).tolist()
+        cc, p0, pi = c * c, 1.0, 0.0
+    elif xs.ndim == 2:
+        cs = np.asarray(c, dtype=np.float64)
+        if cs.shape != xs.shape[:1]:
+            raise ValueError(
+                f"a stack of {len(xs)} schedules needs {len(xs)} overlaps, got shape {cs.shape}"
+            )
+        c = cs[:, None]
+        prof = np.empty((len(xs), xs.shape[1] + 1))
+        step = max(1, _SLAB // max(1, xs.shape[1]))
+        slabs = [slice(lo, lo + step) for lo in range(0, len(xs), step)]
+        for s in slabs:
+            np.multiply(xs[s], c[s], out=prof[s, :-1])
+        cols = prof.T
+        cc, p0, pi = cs * cs, np.ones(len(cs)), np.zeros(len(cs))
+    else:
+        raise ValueError(f"strengths must be 1-D or 2-D, got {xs.ndim} dimensions")
+    # cols[j] holds c*x at position j + 1 until it is read, then p0 there
+    for j in range(xs.shape[-1]):
+        pi = p0 * cols[j] + pi * cc
+        cols[j] = p0
         p0 = 1.0 - pi
-    prof.append(p0)
-    return np.array(prof)
+    if xs.ndim == 1:
+        cols.append(p0)
+        prof = np.array(cols)
+        parts = [(c, xs, prof[:-1])]
+    else:
+        prof[:, -1] = p0
+        parts = [(c[s], xs[s], prof[s, :-1]) for s in slabs]
+    for c_part, xs_part, head in parts:
+        change = np.divide(c_part, xs_part)
+        np.subtract(1.0, change, out=change)
+        head *= change
+    return prof
 
 
 # ---------------------------------------------------------------------------

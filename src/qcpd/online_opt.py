@@ -29,7 +29,9 @@ the paper's saturation constants are test oracles, in ``tests/oracles.py``.
 :func:`_table_success` evaluates ``best_online``, ``fl_solution`` and
 ``sl_solution`` over a whole overlap grid, for the curve table: the online
 rows above 1/2 one ``optimize_strengths`` call each, the other rows as
-stacked arrays; its values equal theirs bit for bit.
+stacked arrays, each block of them walked through the profile recursion
+in lockstep by one kernel call (row by row if it holds too few rows to
+pay); its values equal theirs bit for bit.
 """
 from __future__ import annotations
 
@@ -349,8 +351,13 @@ def best_online(n: int, c: Overlap | float) -> OnlineSolution:
 
 
 #: most strengths one block of :func:`_table_success` holds; bounds the
-#: working memory of a fine curve grid
-_TABLE_BLOCK = 1 << 16
+#: working memory of a fine curve grid: the block's strengths and profiles
+_TABLE_BLOCK = 1 << 15
+#: fewest schedules a block of :func:`_table_success` walks as one stack.
+#: A stack's step costs a few numpy calls whatever its width, so a narrow
+#: stack loses to one Python-float walk per row: measured on 2 cores, the
+#: stack breaks even at 21-24 rows for n >= 301, and at 10-12 for n <= 31
+_STACK_ROWS = 20
 
 
 def _table_success(n: int, cs) -> np.ndarray:
@@ -364,8 +371,13 @@ def _table_success(n: int, cs) -> np.ndarray:
     overlaps, the other rows are stacked, one schedule per row: the
     closed-form online rows (one 2-D evaluation of :func:`_closed_form_xs`),
     then the fl rows, then the sl rows.  The stack goes through one
-    admissibility check, each row through the profile kernel, and the
-    profiles are checked and averaged as :class:`DetectionProfile` does.
+    admissibility check.  A block of at least :data:`_STACK_ROWS` schedules
+    goes through the profile kernel as one stack, its rows walked in
+    lockstep; a smaller one row by row through the same kernel.  The
+    profiles are checked and averaged as :class:`DetectionProfile` does,
+    each row's mean taken over the C-contiguous ``(rows, n)`` array: numpy
+    sums pairwise only along the contiguous axis, so a column-major copy
+    would change the last bit of most means.
     """
     cs = np.asarray(cs, dtype=np.float64)
     out = np.empty((3, len(cs)))
@@ -383,9 +395,12 @@ def _table_success(n: int, cs) -> np.ndarray:
         xs[len(closed) :, :-1] = fixed[:, None]
         xs[len(closed) :, -1] = 1.0
         check_strength(row_cs[:, None], xs)
-        profiles = np.empty((len(xs), n))
-        for p, cv, x in zip(profiles, row_cs.tolist(), xs):
-            p[:] = kernels.detection_profile(cv, x)
+        if len(xs) >= _STACK_ROWS:
+            profiles = kernels.detection_profile(row_cs, xs)
+        else:
+            profiles = np.empty((len(xs), n))
+            for p, cv, x in zip(profiles, row_cs.tolist(), xs):
+                p[:] = kernels.detection_profile(cv, x)
         _check_probabilities(profiles)
         means = profiles.mean(axis=1)
         out[0, lo : lo + len(closed)] = means[: len(closed)]

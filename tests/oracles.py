@@ -15,6 +15,9 @@ from outside it:
 * :func:`enumerate_strategy_nested` enumerates outcome paths one string at
   a time, multiplying out each path probability on its own, the route
   ``enumerate_strategy`` must match bit for bit;
+* :func:`detection_profile_loop` is the profile recursion as one Python
+  loop over positions, each factor computed where it is used, which both
+  call shapes of ``kernels.detection_profile`` must match bit for bit;
 * :func:`simulate_counts_forward` is the Monte Carlo kernel as a forward
   walk over every position before the change point, which the backward
   walk of ``kernels.simulate_counts`` must match count for count;
@@ -238,6 +241,20 @@ def global_efficiencies_direct(n: int, c: Overlap | float) -> np.ndarray:
     idx = np.arange(n)
     terms = np.power(-cv, np.abs(idx[:, None] - idx[None, :]), dtype=np.float64)
     return _frozen_vector(terms.sum(axis=1))
+
+
+def detection_profile_loop(c: float, xs) -> np.ndarray:
+    """The detection profile of one schedule, position by position."""
+    c = float(c)
+    prof = []
+    p0 = 1.0
+    pi = 0.0
+    for x in np.asarray(xs, dtype=np.float64).tolist():
+        prof.append(p0 * (1.0 - c / x))
+        pi = p0 * (c * x) + pi * (c * c)
+        p0 = 1.0 - pi
+    prof.append(p0)
+    return np.array(prof)
 
 
 def enumerate_strategy_nested(schedule: StrengthSchedule) -> DetectionProfile:

@@ -297,19 +297,46 @@ class TestExactTable:
         assert rows_of(_exact_columns(n, grid)) == [row_by_row(n, c) for c in grid]
 
     def test_each_row_is_evaluated_once(self, monkeypatch):
-        # 19 rows, 9 of them above 1/2: one profile for each of the three
-        # strategy columns of a row, the online rows above 1/2 included
-        calls = []
-        profile = kernels.detection_profile
-
-        def counted(c, xs):
-            calls.append(c)
-            return profile(c, xs)
-
-        monkeypatch.setattr(kernels, "detection_profile", counted)
+        # 19 rows, 9 of them above 1/2: one profile row for each of the three
+        # strategy columns of a row, the online rows above 1/2 included.  The
+        # one block's 10 closed-form, 19 fl and 19 sl rows take one call.
+        shapes = kernel_shapes(monkeypatch)
         table = build_curve(n=31, c_min=0.05, c_max=0.95, step=0.05)
         assert table.columns.shape == (5, 19)
-        assert len(calls) == 3 * 19
+        assert sum(1 if len(s) == 1 else s[0] for s in shapes) == 3 * 19
+        assert sorted(shapes) == [(30,)] * 9 + [(48, 30)]
+
+    @pytest.mark.parametrize("overlaps", [6, 7, 10])
+    def test_small_blocks_go_row_by_row(self, monkeypatch, overlaps):
+        # blocks of 7 overlaps hold 21, 17 and 10 schedules (closed-form
+        # online rows, then fl and sl rows): the first is walked as a stack,
+        # the others row by row; blocks of 6 hold too few to stack
+        n = 31
+        grid = [round(0.05 * i, 12) for i in range(1, 20)]
+        monkeypatch.setattr(online_opt, "_TABLE_BLOCK", overlaps * 3 * (n - 1))
+        shapes = kernel_shapes(monkeypatch)
+        columns = _exact_columns(n, grid)
+        blocks = [grid[i : i + overlaps] for i in range(0, len(grid), overlaps)]
+        widths = [sum(c <= 0.5 for c in block) + 2 * len(block) for block in blocks]
+        if overlaps == 7:
+            assert min(widths) < online_opt._STACK_ROWS <= max(widths)
+        stacked = [w for w in widths if w >= online_opt._STACK_ROWS]
+        assert [s[0] for s in shapes if len(s) == 2] == stacked
+        assert sum(len(s) == 1 for s in shapes) == 9 + sum(widths) - sum(stacked)
+        assert rows_of(columns) == [row_by_row(n, c) for c in grid]
+
+
+def kernel_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """The shape of the strengths of every later profile-kernel call."""
+    shapes = []
+    profile = kernels.detection_profile
+
+    def counted(c, xs):
+        shapes.append(np.shape(xs))
+        return profile(c, xs)
+
+    monkeypatch.setattr(kernels, "detection_profile", counted)
+    return shapes
 
 
 class TestStrengths:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import simulate_counts_forward
+from oracles import detection_profile_loop, simulate_counts_forward
 
 from qcpd import (
     Overlap,
@@ -23,7 +23,7 @@ from qcpd import (
     simulate_trial,
     sl_solution,
 )
-from qcpd.core import REL_SLACK
+from qcpd.core import REL_SLACK, DetectionProfile
 
 
 def _random_case(rng, n_max=40):
@@ -92,6 +92,46 @@ class TestProfileBackends:
             c, xs = _random_case(rng)
             prof = kernels.detection_profile(c, xs)
             assert np.all(prof >= -1e-15) and np.all(prof <= 1.0 + 1e-15)
+
+
+class TestStackedProfile:
+    """A stack of schedules against the one-schedule kernel, with ``==``."""
+
+    def test_rows_equal_the_one_schedule_kernel(self):
+        rng = np.random.default_rng(19)
+        special = [0.5, (math.sqrt(5.0) - 1.0) / 2.0, 1.0]
+        for width in range(1, 65):
+            n = int(rng.integers(2, 400))
+            cs = 1.0 - rng.uniform(0.0, 1.0, width)  # in (0, 1]
+            cs[: len(special)] = special[:width]
+            xs = rng.uniform(cs[:, None], 1.0 / cs[:, None], (width, n - 1))
+            stacked = kernels.detection_profile(cs, xs)
+            rows = [kernels.detection_profile(c, x) for c, x in zip(cs.tolist(), xs)]
+            assert stacked.tolist() == [row.tolist() for row in rows]
+            # a row's mean is that of its profile only over a C-contiguous
+            # stack: numpy sums pairwise only along the contiguous axis
+            averages = [DetectionProfile(row).average for row in rows]
+            assert stacked.mean(axis=1).tolist() == averages
+
+    @pytest.mark.parametrize("n", [2, 3, 301, 2 * kernels._SLAB + 1])
+    def test_both_shapes_equal_the_position_loop(self, n):
+        # the longest rows are each wider than a slab of the stack
+        rng = np.random.default_rng(n)
+        cs = rng.uniform(0.05, 0.95, 3)
+        xs = rng.uniform(cs[:, None], 1.0 / cs[:, None], (3, n - 1))
+        loop = [detection_profile_loop(c, x).tolist() for c, x in zip(cs.tolist(), xs)]
+        assert [kernels.detection_profile(c, x).tolist() for c, x in zip(cs.tolist(), xs)] == loop
+        assert kernels.detection_profile(cs, xs).tolist() == loop
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 4)])
+    def test_other_dimensions_are_rejected(self, shape):
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            kernels.detection_profile(0.5, np.ones(shape))
+
+    @pytest.mark.parametrize("c", [0.5, [0.5, 0.5], [[0.5], [0.5], [0.5]]])
+    def test_overlaps_must_match_the_stack(self, c):
+        with pytest.raises(ValueError, match="a stack of 3 schedules needs 3 overlaps"):
+            kernels.detection_profile(c, np.ones((3, 4)))
 
 
 class TestSimulationBackends:
