@@ -431,6 +431,8 @@ def _select_strategy(args: argparse.Namespace) -> OnlineSolution:
             args.schedule, args.n, args.c, args.trials, args.seed
         )
         return OnlineSolution(schedule, evaluate_strategy(schedule), "custom")
+    if args.schedule is not None:
+        raise ValueError(f"--schedule FILE needs --strategy custom, not {args.strategy}")
     if args.n is None:
         raise ValueError("--n is required unless a schedule file is given")
     _check_run(args.n, args.trials, args.seed)

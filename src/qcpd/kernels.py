@@ -87,13 +87,6 @@ def seed_root(seed: int) -> int:
 # kernel 1: detection profile (forward recursion over outcome probabilities)
 # ---------------------------------------------------------------------------
 
-#: most entries of a stack that one array operation of the profile kernel
-#: covers: numpy buffers a broadcast operand up to the size of the
-#: operation, so one operation over the whole stack would hold about two
-#: more arrays of its size at once
-_SLAB = 1 << 11
-
-
 def detection_profile(c, xs) -> np.ndarray:
     """Per-position detection probabilities of the schedule ``xs``.
 
@@ -105,8 +98,8 @@ def detection_profile(c, xs) -> np.ndarray:
     One schedule is a float ``c`` and a 1-D ``xs``; a stack is a ``(R,)``
     column of overlaps and an ``(R, n-1)`` array, one schedule per row,
     whose ``(R, n)`` C-contiguous result equals the 1-D result row by row,
-    bit for bit.  ``c*x`` and ``1 - c/x`` are array operations, over a
-    stack's rows a slab of at most :data:`_SLAB` entries at a time; only
+    bit for bit.  ``c*x`` and ``1 - c/x`` are each one array operation over
+    the whole schedule or stack; the caller bounds a stack's size.  Only
     the recurrence runs in the loop, over Python floats (the same IEEE
     arithmetic as numpy scalars, but cheaper) or over width-R columns of
     the result, which holds ``c*x`` until ``p0`` replaces it.  Raises
@@ -126,10 +119,7 @@ def detection_profile(c, xs) -> np.ndarray:
             )
         c = cs[:, None]
         prof = np.empty((len(xs), xs.shape[1] + 1))
-        step = max(1, _SLAB // max(1, xs.shape[1]))
-        slabs = [slice(lo, lo + step) for lo in range(0, len(xs), step)]
-        for s in slabs:
-            np.multiply(xs[s], c[s], out=prof[s, :-1])
+        np.multiply(xs, c, out=prof[:, :-1])
         cols = prof.T
         cc, p0, pi = cs * cs, np.ones(len(cs)), np.zeros(len(cs))
     else:
@@ -142,14 +132,11 @@ def detection_profile(c, xs) -> np.ndarray:
     if xs.ndim == 1:
         cols.append(p0)
         prof = np.array(cols)
-        parts = [(c, xs, prof[:-1])]
     else:
         prof[:, -1] = p0
-        parts = [(c[s], xs[s], prof[s, :-1]) for s in slabs]
-    for c_part, xs_part, head in parts:
-        change = np.divide(c_part, xs_part)
-        np.subtract(1.0, change, out=change)
-        head *= change
+    change = np.divide(c, xs)
+    np.subtract(1.0, change, out=change)
+    prof[..., :-1] *= change
     return prof
 
 

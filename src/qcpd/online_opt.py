@@ -350,8 +350,8 @@ def best_online(n: int, c: Overlap | float) -> OnlineSolution:
     return optimize_strengths(n, cv)
 
 
-#: most strengths one block of :func:`_table_success` holds; bounds the
-#: working memory of a fine curve grid: the block's strengths and profiles
+#: most strengths one block of :func:`_table_success` holds; the one bound
+#: on a profile-kernel stack and so on the working memory of a fine grid
 _TABLE_BLOCK = 1 << 15
 #: fewest schedules a block of :func:`_table_success` walks as one stack.
 #: A stack's step costs a few numpy calls whatever its width, so a narrow

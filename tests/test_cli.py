@@ -261,8 +261,10 @@ def row_by_row(n, c):
 class TestExactTable:
     """The stacked table against the row-by-row composition, with ``==``."""
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 31, 301])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 31, 301, 2001])
     def test_edge_overlaps_match_row_by_row(self, n):
+        # at n = 2001 a block holds 5 overlaps, at most 15 schedules, so
+        # the table spans several blocks, each walked row by row
         below, above = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
         overlaps = {0.0, 1e-300, 0.05, 0.3, below, 0.5, above, 0.7, 0.95, 1.0}
         cstar = critical_overlap(n)
@@ -667,6 +669,25 @@ class TestSimulate:
         assert main(argv) == 0, capsys.readouterr().err
         assert calls == [3]
 
+    @pytest.mark.parametrize("strategy", ["online", "fl", "sl"])
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_schedule_file_needs_the_custom_strategy(
+        self, strategy, exists, tmp_path, monkeypatch, capsys
+    ):
+        # a --schedule file with another strategy exits 1 before the file
+        # is read or any schedule is built
+        for name in ("best_online", "fl_solution", "sl_solution", "_load_custom_schedule"):
+            monkeypatch.setattr(cli, name, None)
+        schedule = tmp_path / "schedule.txt"
+        if exists:
+            schedule.write_text("1.2 1.3 1.0\n")
+        argv = ["simulate", "--c", "0.3", "--n", "4", "--strategy", strategy,
+                "--schedule", str(schedule), "--trials", "10", "--seed", "1"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"qcpd: error: --schedule FILE needs --strategy custom, not {strategy}\n"
+
     def test_usage_errors(self):
         # missing required seed
         assert run_cli("simulate", "--n", "4", "--c", "0.4").returncode == 1
@@ -1027,9 +1048,9 @@ class TestMemory:
             (("strengths", "--n", "20001", "--c", "0.3"), 20_000, 87),
             # 127.0 B
             (("strengths", "--n", "20001", "--c", "0.3", "--format", "json"), 20_000, 137),
-            # 1370 B a row, nearly all of it the table's blocks of strengths
-            # and profiles
-            (("curve", "--step", "0.001", "--format", "json"), 990, 1480),
+            # 1196 B a row, nearly all of it the table's blocks of strengths
+            # and profiles and the kernel's change factors
+            (("curve", "--step", "0.001", "--format", "json"), 990, 1292),
         ],
         ids=["simulate", "strengths-text", "strengths-json", "curve-json"],
     )

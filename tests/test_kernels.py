@@ -7,6 +7,7 @@ kernel in ``tests/oracles.py`` at sizes the scalar walk cannot reach."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qcpd import (
     best_online,
     fl_solution,
     kernels,
+    online_opt,
     simulate_trial,
     sl_solution,
 )
@@ -113,15 +115,34 @@ class TestStackedProfile:
             averages = [DetectionProfile(row).average for row in rows]
             assert stacked.mean(axis=1).tolist() == averages
 
-    @pytest.mark.parametrize("n", [2, 3, 301, 2 * kernels._SLAB + 1])
+    @pytest.mark.parametrize("n", [2, 3, 301, 4097])
     def test_both_shapes_equal_the_position_loop(self, n):
-        # the longest rows are each wider than a slab of the stack
+        # the longest rows are each longer than 2 048 strengths
         rng = np.random.default_rng(n)
         cs = rng.uniform(0.05, 0.95, 3)
         xs = rng.uniform(cs[:, None], 1.0 / cs[:, None], (3, n - 1))
         loop = [detection_profile_loop(c, x).tolist() for c, x in zip(cs.tolist(), xs)]
         assert [kernels.detection_profile(c, x).tolist() for c, x in zip(cs.tolist(), xs)] == loop
         assert kernels.detection_profile(cs, xs).tolist() == loop
+
+    @pytest.mark.parametrize("n", [31, 301, 4097])
+    def test_peak_memory_of_a_stack_at_the_table_block(self, n):
+        # a stack of the table's largest block holds its profiles and one
+        # array of change factors besides the caller's strengths; measured
+        # 2.3-2.6 times the strengths' bytes with numpy 2.4.  A further
+        # copy of the whole stack (a transposed one, say) goes past 3.
+        rows = online_opt._TABLE_BLOCK // (n - 1)
+        rng = np.random.default_rng(n)
+        cs = rng.uniform(0.05, 0.95, rows)
+        xs = rng.uniform(cs[:, None], 1.0 / cs[:, None], (rows, n - 1))
+        kernels.detection_profile(cs, xs)  # one-time allocations
+        tracemalloc.start()
+        try:
+            kernels.detection_profile(cs, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * xs.nbytes, f"peak {peak / xs.nbytes:.2f} times the stack"
 
     @pytest.mark.parametrize("shape", [(), (2, 3, 4)])
     def test_other_dimensions_are_rejected(self, shape):
