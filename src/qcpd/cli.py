@@ -28,7 +28,6 @@ import numpy as np
 
 from .core import Overlap, StrengthSchedule, _check_n, evaluate_strategy
 from .global_bound import _optimal_success
-from .kernels import active_backend
 from .montecarlo import run_experiment
 from .online_opt import (
     OnlineSolution,
@@ -442,16 +441,9 @@ def _select_strategy(args: argparse.Namespace) -> OnlineSolution:
 
 def _z_scores(empirical: np.ndarray, exact: np.ndarray, trials: int) -> np.ndarray:
     """``(empirical - exact) / sqrt(exact*(1 - exact)/trials)`` entry by
-    entry, 0.0 where that variance vanishes.
-
-    The differences and variances are array operations; the square root is
-    Python's ``** 0.5`` on each float, because numpy's ``sqrt`` and
-    ``power`` differ from it in the last bit on some inputs.
-    """
-    variance = exact * (1.0 - exact) / trials
-    gaps = empirical - exact
-    z = (0.0 if v <= 0.0 else gap / v**0.5 for gap, v in zip(gaps.tolist(), variance.tolist()))
-    return np.fromiter(z, np.float64, len(gaps))
+    entry, 0.0 where that variance vanishes."""
+    sd = np.sqrt(np.maximum(exact * (1.0 - exact) / trials, 0.0))
+    return np.divide(empirical - exact, sd, out=np.zeros_like(sd), where=sd > 0.0)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -468,7 +460,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ).item()
     payload = {
         "strategy": args.strategy,
-        "backend": active_backend(),
         "strengths": schedule.strengths,
         "report": asdict(report),
         "exact_success": profile.average,

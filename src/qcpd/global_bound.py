@@ -93,7 +93,7 @@ def primed_efficiencies(n: int, c: Overlap | float) -> np.ndarray:
     cv = _overlap(c)
     den = _primed_denominator(n, cv)
     plain = global_efficiencies(n, cv)
-    gamma2 = plain[1]
+    gamma2 = _scaled_gamma_two(n, cv) / (1.0 + cv)
     k = np.arange(1, n + 1)
     correction = (
         gamma2
@@ -108,24 +108,16 @@ def primed_success(n: int, c: Overlap | float) -> float:
     n = _check_n(n, 3)
     cv = _overlap(c)
     den = _primed_denominator(n, cv)
-    return global_success(n, cv) - (2.0 / n) * _gamma_two(n, cv) ** 2 / den
-
-
-def _gamma_two(n: int, cv: float) -> float:
-    """Entry 2 of :func:`global_efficiencies`, bit for bit, without the
-    vector: the same order of operations, with both powers from one
-    ``np.power`` over an array (scalar powers differ in the last bit in
-    about 0.1% of cases)."""
-    p = np.power(-cv, np.array([2, n - 1]))
-    return float((1.0 - cv - p[0] - p[1]) / (1.0 + cv))
+    gamma2 = _scaled_gamma_two(n, cv) / (1.0 + cv)
+    return global_success(n, cv) - (2.0 / n) * gamma2**2 / den
 
 
 def _scaled_gamma_two(n: int, cv: float) -> float:
     """``(1 + c)`` times entry 2 of :func:`global_efficiencies` as a scalar
     float, whose sign picks the regime: negative where the corrected form
-    applies.  Near its root the correction, proportional to this entry
-    squared, is below an ulp of the success, so last-bit differences from
-    the ``np.power`` route never show.  Even n give exactly 0 at c = 1."""
+    applies.  Divided by ``1 + c`` it is the one position-2 efficiency the
+    corrected form subtracts; it may differ from the vector's entry 2 in
+    the last bit.  Even n give exactly 0 at c = 1."""
     return 1.0 - cv - cv * cv - (-cv) ** (n - 1)
 
 

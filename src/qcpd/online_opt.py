@@ -103,7 +103,8 @@ def _check_closed_form_range(cv: float) -> None:
     if cv > 0.5:
         raise OutOfValidityError(
             f"the analytic schedule requires overlap <= 1/2 (got {cv}); "
-            "strengths would exceed 1/c — use optimize_strengths instead"
+            "strengths would exceed 1/c — use optimize_strengths instead "
+            "(qcpd strengths --method numeric)"
         )
 
 

@@ -12,6 +12,9 @@ from outside it:
   the form the backward optimizer maximizes;
 * :func:`global_efficiencies_direct` sums the collective efficiencies term
   by term;
+* :func:`gamma_two_reference` and :func:`z_score_reference` evaluate the
+  position-2 efficiency and ``simulate``'s z-score in 60-digit ``decimal``
+  arithmetic, the references their float routes are bounded against;
 * :func:`enumerate_strategy_nested` enumerates outcome paths one string at
   a time, multiplying out each path probability on its own, the route
   ``enumerate_strategy`` must match bit for bit;
@@ -35,6 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Callable
 
 import numpy as np
@@ -241,6 +245,31 @@ def global_efficiencies_direct(n: int, c: Overlap | float) -> np.ndarray:
     idx = np.arange(n)
     terms = np.power(-cv, np.abs(idx[:, None] - idx[None, :]), dtype=np.float64)
     return _frozen_vector(terms.sum(axis=1))
+
+
+#: significant digits of the ``decimal`` references, far past float64's 17
+REFERENCE_DIGITS = 60
+
+
+def gamma_two_reference(n: int, c: float) -> Decimal:
+    """Entry 2 of the plain collective efficiencies,
+    ``(1 - c - c^2 - (-c)^(n-1)) / (1 + c)``, in ``decimal`` arithmetic at
+    :data:`REFERENCE_DIGITS` digits from the exact binary value of ``c``."""
+    with localcontext() as ctx:
+        ctx.prec = REFERENCE_DIGITS
+        d = Decimal(c)
+        return (1 - d - d * d - (-d) ** (n - 1)) / (1 + d)
+
+
+def z_score_reference(empirical: float, exact: float, trials: int) -> Decimal:
+    """``(empirical - exact) / sqrt(exact*(1 - exact)/trials)`` in ``decimal``
+    arithmetic at :data:`REFERENCE_DIGITS` digits from the exact binary
+    values of the inputs; 0 where the variance vanishes."""
+    with localcontext() as ctx:
+        ctx.prec = REFERENCE_DIGITS
+        e, x = Decimal(empirical), Decimal(exact)
+        variance = x * (1 - x) / trials
+        return (e - x) / variance.sqrt() if variance > 0 else Decimal(0)
 
 
 def detection_profile_loop(c: float, xs) -> np.ndarray:

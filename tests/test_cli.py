@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from qcpd.cli import (
     build_parser,
     main,
 )
+from oracles import z_score_reference
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -414,6 +416,12 @@ class TestStrengths:
             result = run_cli("strengths", "--n", "4", "--c", "0.6", "--method", method)
             assert result.returncode == 1
             assert "error" in result.stderr
+
+    @pytest.mark.parametrize("method", [(), ("--method", "recursive")])
+    def test_out_of_validity_names_the_numeric_flag(self, method):
+        result = run_cli("strengths", "--n", "10", "--c", "0.7", *method)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert "qcpd strengths --method numeric" in result.stderr
 
     def test_recursion_floor_prints_a_plain_float(self, capsys, monkeypatch):
         # a first target of 1 stands in for 1 - g(1) cancelling to 0, which
@@ -884,11 +892,12 @@ def _row_reports(draw):
 
 
 def _z_score(empirical: float, exact: float, trials: int) -> float:
-    """The per-value z-score that ``_z_scores`` computes in bulk."""
+    """The per-value z-score that ``_z_scores`` computes in bulk, with the
+    correctly rounded square root."""
     variance = exact * (1.0 - exact) / trials
     if variance <= 0.0:
         return 0.0
-    return (empirical - exact) / variance ** 0.5
+    return (empirical - exact) / math.sqrt(variance)
 
 
 class TestBulkFormatters:
@@ -949,16 +958,29 @@ class TestBulkFormatters:
         assert list(map(float.hex, got)) == list(map(float.hex, expected))
         assert expected[-2:] == [0.0, 0.0]
 
-    def test_z_scores_take_the_square_root_the_per_value_formula_takes(self):
-        # numpy's sqrt differs from ``** 0.5`` in the last bit on about 1 in
-        # 1 300 of these variances, so 20 000 of them tell the two apart
+    @staticmethod
+    def _seeded_variances():
         rng = np.random.default_rng(11)
         trials = 70_001
         exact = rng.random(20_000)
-        empirical = rng.binomial(trials, exact) / trials
+        return rng.binomial(trials, exact) / trials, exact, trials
+
+    def test_z_scores_take_the_square_root_the_per_value_formula_takes(self):
+        # ``** 0.5`` differs from the correctly rounded root in the last bit
+        # on about 1 in 1 300 of these variances, so 20 000 of them tell a
+        # power-based root apart
+        empirical, exact, trials = self._seeded_variances()
         expected = [_z_score(e, x, trials) for e, x in zip(empirical.tolist(), exact.tolist())]
         got = _z_scores(empirical, exact, trials)
         assert list(map(float.hex, got)) == list(map(float.hex, expected))
+
+    def test_z_scores_are_within_three_ulps_of_the_reference(self):
+        # against 60-digit decimal arithmetic (worst measured: 1.83 ulps)
+        empirical, exact, trials = self._seeded_variances()
+        got = _z_scores(empirical, exact, trials)
+        for z, e, x in zip(got.tolist(), empirical.tolist(), exact.tolist()):
+            error = abs(Decimal(z) - z_score_reference(e, x, trials))
+            assert error <= 3 * Decimal(math.ulp(z)), (e, x)
 
     @settings(deadline=None, max_examples=300)
     @given(payload=st.dictionaries(st.text(max_size=8), _VALUES, min_size=1, max_size=8))

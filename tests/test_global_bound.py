@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +19,9 @@ from qcpd import (
     primed_success,
     validate_unambiguous,
 )
-from qcpd.global_bound import _gamma_two, _optimal_success
+from qcpd.global_bound import _optimal_success, _scaled_gamma_two
 from qcpd.verification import GRAM_TOL
-from oracles import _bisect_root, global_efficiencies_direct
+from oracles import _bisect_root, gamma_two_reference, global_efficiencies_direct
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -68,16 +70,21 @@ class TestPrimedRegime:
                 primed_success(n, c), abs=1e-13
             )
 
-    def test_gamma_two_is_bit_equal_to_the_plain_vector(self):
-        # primed_success reads gamma_2 from a 2-element np.power, not from
-        # the whole vector; the pinned cases are ones where scalar powers
-        # differ from the vector in the last bit
+    def test_gamma_two_is_within_two_units_of_the_reference(self):
+        # the corrected form's one position-2 efficiency, and the plain
+        # vector's entry 2, against 60-digit decimal arithmetic (worst
+        # measured: 0.88 * 2**-52); the pinned cases are ones where the two
+        # float routes differ in the last bit
         rng = np.random.default_rng(20261018)
         cases = list(zip(range(3, 3001), rng.random(2998).tolist()))
         cases += [(652, 0.5101796874998467), (92, 0.7039120891401701),
                   (2316, 0.6582804299109531), (5, 0.8394614196935628)]
+        cases += [(n, critical_overlap(n)) for n in range(3, 400, 2)]
+        bound = 2 * Decimal(2) ** -52
         for n, c in cases:
-            assert _gamma_two(n, c) == global_efficiencies(n, c)[1], (n, c)
+            reference = gamma_two_reference(n, c)
+            for route in (_scaled_gamma_two(n, c) / (1.0 + c), global_efficiencies(n, c)[1]):
+                assert abs(Decimal(float(route)) - reference) <= bound, (n, c)
 
     def test_correction_never_helps(self):
         for n, c in [(6, 0.8), (9, 0.75), (31, 0.95)]:

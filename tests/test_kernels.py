@@ -279,5 +279,5 @@ class TestIntegerThreshold:
 
 
 def test_active_backend_is_numpy():
-    # reported as "backend" by `qcpd simulate`
+    # the one backend; the benchmark runner records it with each run
     assert active_backend() == "numpy"

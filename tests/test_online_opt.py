@@ -126,6 +126,23 @@ class TestRecursive:
                 recursive_strengths(6, c)
         assert recursive_strengths(6, 0.0).schedule.strengths.tolist() == [1.0] * 5
 
+    def test_agrees_with_closed_form_between_floor_and_verify_grid(self):
+        # verify's recursion_agreement starts at c = 0.05; below it the
+        # drift grows as c shrinks (worst measured: 2.2e-11, n = 200, c = 1e-3)
+        overlaps = np.geomspace(online_opt.RECURSION_FLOOR, 0.05, 25, endpoint=False)
+        worst = max(
+            (
+                float(np.max(np.abs(
+                    online_opt._recursive_xs(n, c) - online_opt._closed_form_xs(n, c)
+                ))),
+                n,
+                c,
+            )
+            for n in range(2, 201)
+            for c in overlaps.tolist()
+        )
+        assert worst[0] <= verification.RECURSION_TOL, worst
+
 
 class TestCoordinateObjective:
     def test_two_positions_have_known_coefficients(self):
