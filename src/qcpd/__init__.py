@@ -30,14 +30,13 @@ from .online_opt import (
     closed_form_strengths,
     fl_solution,
     fl_success_asymptotic,
-    fl_success_exact,
     optimize_strengths,
     recursive_strengths,
     sl_solution,
     sl_success_asymptotic,
 )
-from .montecarlo import run_experiment, simulate_trial
-from .kernels import active_backend
+from .montecarlo import run_experiment
+from .kernels import active_backend  # read as qcpd.active_backend() by perfbench/runner.py
 
 __version__ = "0.1.0"
 
@@ -47,7 +46,6 @@ __all__ = [
     "Overlap",
     "SingularityError",
     "StrengthSchedule",
-    "active_backend",
     "best_online",
     "build_gram",
     "check_strength",
@@ -57,7 +55,6 @@ __all__ = [
     "evaluate_strategy",
     "fl_solution",
     "fl_success_asymptotic",
-    "fl_success_exact",
     "global_efficiencies",
     "global_success",
     "optimal_global",
@@ -66,7 +63,6 @@ __all__ = [
     "primed_success",
     "recursive_strengths",
     "run_experiment",
-    "simulate_trial",
     "sl_solution",
     "sl_success_asymptotic",
     "validate_unambiguous",

@@ -86,8 +86,8 @@ def primed_efficiencies(n: int, c: Overlap | float) -> np.ndarray:
     float64 array.
 
     Subtracts from the plain vector the unique tent-shaped correction that
-    zeroes positions 2 and n-1 (which the plain form would drive negative);
-    at n = 3 the two positions coincide and the result is ``(1-c^2, 0, 1-c^2)``.
+    zeroes positions 2 and n-1, which the plain form would drive negative,
+    and stores both as exact zeros; at n = 3 they coincide: ``(1-c^2, 0, 1-c^2)``.
     """
     n = _check_n(n, 3)
     cv = _overlap(c)
@@ -95,12 +95,13 @@ def primed_efficiencies(n: int, c: Overlap | float) -> np.ndarray:
     plain = global_efficiencies(n, cv)
     gamma2 = _scaled_gamma_two(n, cv) / (1.0 + cv)
     k = np.arange(1, n + 1)
-    correction = (
+    gammas = plain - (
         gamma2
         * (np.power(-cv, np.abs(k - 2)) + np.power(-cv, np.abs(n - k - 1)))
         / den
     )
-    return _frozen_vector(plain - correction)
+    gammas[[1, n - 2]] = 0.0
+    return _frozen_vector(gammas)
 
 
 def primed_success(n: int, c: Overlap | float) -> float:

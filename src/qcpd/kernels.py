@@ -324,5 +324,5 @@ def simulate_counts(
 
 
 def active_backend() -> str:
-    """Name of the kernel implementation (always ``"numpy"``)."""
+    """Always ``"numpy"``; ``perfbench/runner.py`` reads ``qcpd.active_backend()``."""
     return "numpy"

@@ -91,7 +91,8 @@ def simulate_trial(
     draws the change position, counter ``j`` drives the measurement at
     position ``j``.  It consumes exactly the same random stream as the
     batched kernels, so pooling its results over ``trial_index = 0..T-1``
-    reproduces :func:`run_experiment` count for count.
+    reproduces :func:`run_experiment` count for count.  Not exported; the
+    tests and ``perfbench/gate.py`` import it from here.
     """
     if trial_index < 0:
         raise ValueError("trial_index must be non-negative")

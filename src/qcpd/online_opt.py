@@ -284,6 +284,7 @@ def fl_success_exact(n: int, c: Overlap | float, x: float | None = None) -> floa
     the bulk through the inconclusive-run probability, and the last two
     positions through the balanced final measurement.  Must agree with the
     profile evaluation to machine precision — the pair is a cross-check.
+    Not exported; the tests and ``perfbench/gate.py`` import it from here.
     """
     n = _check_n(n)
     cv = _overlap(c)

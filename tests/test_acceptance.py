@@ -23,7 +23,6 @@ from qcpd import (
     enumerate_strategy,
     evaluate_strategy,
     fl_solution,
-    fl_success_exact,
     global_efficiencies,
     global_success,
     optimal_global,
@@ -32,6 +31,7 @@ from qcpd import (
     sl_solution,
     validate_unambiguous,
 )
+from qcpd.online_opt import fl_success_exact
 from oracles import sl_worst_case_gap, total_saturation_point
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -59,10 +59,23 @@ class TestEfficiencies:
 
 class TestPrimedRegime:
     def test_position_two_and_mirror_vanish(self):
-        for n, c in [(6, 0.8), (9, 0.7), (14, 0.95)]:
-            vals = primed_efficiencies(n, c)
-            assert abs(vals[1]) <= 1e-12
-            assert abs(vals[n - 2]) <= 1e-12
+        # exact zeros: the plain vector is not mirror-symmetric in floats,
+        # so the subtraction alone leaves rounding noise there, sometimes
+        # negative (-6.9e-18 at both for the first pinned case, -5.6e-17 at
+        # n-1 for the second)
+        rng = np.random.default_rng(20261019)
+        cases = [(5, 0.6), (300, 0.9)]
+        for n in range(3, 400):
+            root = critical_overlap(n)
+            if root is not None:
+                cs = [k / 100 for k in range(1, 100)]
+                cs += (root + (1.0 - root) * rng.random(10)).tolist()
+                cases += [(n, c) for c in cs if c > root]
+        assert len(cases) == 2 + 19_016
+        for n, c in cases:
+            for vals in (primed_efficiencies(n, c), optimal_global(n, c)[0]):
+                assert vals[1] == 0.0 and vals[n - 2] == 0.0, (n, c)
+                assert vals.min() >= 0.0, (n, c)
 
     def test_mean_matches_primed_success(self):
         for n, c in [(6, 0.8), (9, 0.7), (31, 0.9)]:

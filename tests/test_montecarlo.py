@@ -15,9 +15,8 @@ from qcpd import (
     best_online,
     evaluate_strategy,
     run_experiment,
-    simulate_trial,
 )
-from qcpd.montecarlo import SimulationReport, TrialResult
+from qcpd.montecarlo import SimulationReport, TrialResult, simulate_trial
 
 
 def _schedule(n, c, xs=None):

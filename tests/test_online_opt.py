@@ -16,7 +16,6 @@ from qcpd import (
     evaluate_strategy,
     fl_solution,
     fl_success_asymptotic,
-    fl_success_exact,
     global_efficiencies,
     global_success,
     InvalidMeasurementError,
@@ -27,6 +26,7 @@ from qcpd import (
     sl_success_asymptotic,
 )
 from qcpd import online_opt, verification
+from qcpd.online_opt import fl_success_exact
 from qcpd.cli import build_curve
 from qcpd.kernels import detection_profile
 from oracles import (
