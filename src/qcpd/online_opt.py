@@ -260,21 +260,18 @@ def _run_length_probability(cv: float, x: float, k) -> np.ndarray:
     return cv * x * (1.0 - np.power(q, k)) / den
 
 
-def _fl_strength(cv: float, x: float | None) -> float:
-    """``x``, or by default ``1+c`` clipped to the ceiling ``1/c``: the
-    clip binds beyond the golden-ratio overlap, where ``1+c > 1/c``."""
-    if x is not None:
-        return float(x)
-    return 1.0 + cv if cv == 0.0 else min(1.0 + cv, 1.0 / cv)
+def _fl_strength(cv: float) -> float:
+    """``1+c`` clipped to the ceiling ``1/c`` (1 at ``c = 0``): the clip
+    binds beyond the golden-ratio overlap, where ``1+c > 1/c``."""
+    return 1.0 if cv == 0.0 else min(1.0 + cv, 1.0 / cv)
 
 
-def fl_solution(n: int, c: Overlap | float, x: float | None = None) -> OnlineSolution:
-    """Constant-strength benchmark: ``x`` everywhere (default
-    ``min(1+c, 1/c)``), balanced last position."""
+def fl_solution(n: int, c: Overlap | float) -> OnlineSolution:
+    """Constant-strength benchmark: the one strength ``min(1+c, 1/c)``
+    everywhere, balanced last position."""
     n = _check_n(n)
     cv = _overlap(c)
-    xv = _fl_strength(cv, x)
-    return _solution(n, cv, np.append(np.full(n - 2, xv), 1.0), "fixed-fl")
+    return _solution(n, cv, np.append(np.full(n - 2, _fl_strength(cv)), 1.0), "fixed-fl")
 
 
 def fl_success_exact(n: int, c: Overlap | float, x: float | None = None) -> float:
@@ -284,11 +281,12 @@ def fl_success_exact(n: int, c: Overlap | float, x: float | None = None) -> floa
     the bulk through the inconclusive-run probability, and the last two
     positions through the balanced final measurement.  Must agree with the
     profile evaluation to machine precision — the pair is a cross-check.
-    Not exported; the tests and ``perfbench/gate.py`` import it from here.
+    Not exported; the tests import it from here, and ``perfbench/gate.py``,
+    which passes the default strength explicitly, ``x=min(1.0 + c, 1.0 / c)``.
     """
     n = _check_n(n)
     cv = _overlap(c)
-    xv = _fl_strength(cv, x)
+    xv = _fl_strength(cv) if x is None else float(x)
     check_strength(cv, xv)
     total = 0.0
     if n >= 3:
@@ -309,13 +307,12 @@ def fl_success_exact(n: int, c: Overlap | float, x: float | None = None) -> floa
     return total / n
 
 
-def fl_success_asymptotic(c: Overlap | float, x: float | None = None) -> float:
-    """Large-``n`` limit of the constant-strength success probability,
-    ``(1-c^2)(1-c/x) / (1+c*x-c^2)``; maximized at ``x = 1+c`` where it
-    equals ``(1-c)/(1+c)``; the default ``x`` is that of :func:`fl_solution`."""
+def fl_success_asymptotic(c: Overlap | float) -> float:
+    """Large-``n`` limit of :func:`fl_solution`'s success probability,
+    ``(1-c^2)(1-c/x) / (1+c*x-c^2)`` at its ``x = min(1+c, 1/c)``, the best
+    ``x`` in ``[c, 1/c]``; it equals ``(1-c)/(1+c)`` up to the golden ratio."""
     cv = _overlap(c)
-    xv = _fl_strength(cv, x)
-    check_strength(cv, xv)
+    xv = _fl_strength(cv)
     return (1.0 - cv * cv) * (1.0 - cv / xv) / (1.0 + cv * xv - cv * cv)
 
 

@@ -12,9 +12,11 @@ from outside it:
   the form the backward optimizer maximizes;
 * :func:`global_efficiencies_direct` sums the collective efficiencies term
   by term;
-* :func:`gamma_two_reference` and :func:`z_score_reference` evaluate the
-  position-2 efficiency and ``simulate``'s z-score in 60-digit ``decimal``
-  arithmetic, the references their float routes are bounded against;
+* :func:`gamma_two_reference`, :func:`z_score_reference` and
+  :func:`optimal_strengths_reference` evaluate the position-2 efficiency,
+  ``simulate``'s z-score and the optimal schedule's orbit in 60-digit
+  ``decimal`` arithmetic, the references their float routes are bounded
+  against;
 * :func:`enumerate_strategy_nested` enumerates outcome paths one string at
   a time, multiplying out each path probability on its own, the route
   ``enumerate_strategy`` must match bit for bit;
@@ -270,6 +272,27 @@ def z_score_reference(empirical: float, exact: float, trials: int) -> Decimal:
         e, x = Decimal(empirical), Decimal(exact)
         variance = x * (1 - x) / trials
         return (e - x) / variance.sqrt() if variance > 0 else Decimal(0)
+
+
+def optimal_strengths_reference(n: int, c: float) -> list[Decimal]:
+    """The optimal schedule as the orbit of the map in ``optimize_strengths``
+    (strength ``1/s``, ``s' = 1 - c*s`` while ``s >= c``, else strength
+    ``1/c``, ``s' = sqrt((1-c^2)(1-s^2))``), run from ``s = 1`` in ``decimal``
+    arithmetic at :data:`REFERENCE_DIGITS` digits from the exact binary
+    value of ``c``, with ``Decimal.sqrt``."""
+    with localcontext() as ctx:
+        ctx.prec = REFERENCE_DIGITS
+        d = Decimal(c)
+        s = Decimal(1)
+        xs = []
+        for _ in range(n - 1):
+            if s >= d:
+                xs.append(1 / s)
+                s = 1 - d * s
+            else:
+                xs.append(1 / d)
+                s = ((1 - d * d) * (1 - s * s)).sqrt()
+        return xs[::-1]
 
 
 def detection_profile_loop(c: float, xs) -> np.ndarray:

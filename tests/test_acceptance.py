@@ -125,13 +125,13 @@ def test_criterion_06_success_curves_at_31():
     worst_gap = 0.0
     for c in [round(0.51 + 0.01 * i, 2) for i in range(10)]:
         p_global = optimal_global(n, c)[1]
-        p_fl = fl_solution(n, c, x=min(1 + c, 1 / c)).success
+        p_fl = fl_solution(n, c).success
         worst_gap = max(worst_gap, p_global - p_fl)
     columns = {"global": [], "online": [], "fl": [], "sl": []}
     for c in [round(0.05 * i, 2) for i in range(20)]:
         columns["global"].append(optimal_global(n, c)[1] if c else 1.0)
         columns["online"].append(best_online(n, c).success if c else 1.0)
-        columns["fl"].append(fl_solution(n, c, x=min(1 + c, 1 / c)).success if c else 1.0)
+        columns["fl"].append(fl_solution(n, c).success if c else 1.0)
         columns["sl"].append(sl_solution(n, c).success if c else 1.0)
     for name, vals in columns.items():
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:])), name

@@ -13,6 +13,8 @@ import math
 import re
 from pathlib import Path
 
+import pytest
+
 import qcpd
 from qcpd import cli
 
@@ -96,6 +98,14 @@ def test_names_the_runner_reads():
     assert qcpd.active_backend() == "numpy"
     assert isinstance(qcpd.__version__, str)
     assert set(cli._METHODS) == {"closed", "recursive", "numeric"}
+
+
+def test_one_version_string():
+    """``perfbench`` records ``qcpd.__version__``; it is the project's."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["version"] == qcpd.__version__
 
 
 def test_benchmark_gate_passes_a_short_list():

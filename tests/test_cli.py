@@ -269,6 +269,9 @@ class TestExactTable:
         # the table spans several blocks, each walked row by row
         below, above = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
         overlaps = {0.0, 1e-300, 0.05, 0.3, below, 0.5, above, 0.7, 0.95, 1.0}
+        # where fl's clip switches: the last float with 1 + c < 1/c, the
+        # one with 1 + c == 1/c, and (sqrt(5) - 1)/2 just above
+        overlaps |= {0.6180339887498947, 0.6180339887498948, (math.sqrt(5) - 1) / 2}
         cstar = critical_overlap(n)
         if cstar is not None:
             overlaps |= {np.nextafter(cstar, 0.0), cstar, np.nextafter(cstar, 1.0)}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +15,12 @@ from qcpd import (
     Overlap,
     best_online,
     closed_form_strengths,
+    critical_overlap,
     evaluate_strategy,
     fl_solution,
     fl_success_asymptotic,
     global_efficiencies,
     global_success,
-    InvalidMeasurementError,
     optimal_global,
     optimize_strengths,
     recursive_strengths,
@@ -31,6 +33,7 @@ from qcpd.cli import build_curve
 from qcpd.kernels import detection_profile
 from oracles import (
     coordinate_objective,
+    optimal_strengths_reference,
     optimize_strengths_backward,
     sl_worst_case_gap,
     total_saturation_point,
@@ -354,6 +357,33 @@ class TestBackwardOracle:
             self._check(n, c)
 
 
+#: widest relative distance, in units of 2**-52, of a strength of the float
+#: orbit from the 60-digit one; measured worst 1.35 (n = 31, c ~ 0.61803)
+ORBIT_REL = 2
+
+
+class TestOrbitAccuracy:
+    """The float orbit (or its closed form, c <= 1/2) against the same map
+    run in 60-digit ``decimal``.  The map is continuous at its branch tie
+    ``s = c``, so a branch the two runs choose differently moves a strength
+    only by rounding."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 31, 301, 3001])
+    def test_strengths_within_two_units_of_the_reference(self, n):
+        golden = float(GOLDEN)
+        overlaps = [1e-9, 1e-3, 0.1, 0.3, *_neighbours(0.5, 1), 0.6, golden,
+                    float(np.nextafter(golden, 1.0)), 0.7, 0.9, 0.99,
+                    1 - 1e-6, 1 - 1e-9, 1 - 1e-12]
+        overlaps += np.random.default_rng(31).uniform(0.5, 1.0, 10).tolist()
+        cstar = critical_overlap(n)
+        if cstar is not None:
+            overlaps.append(cstar)
+        for c in overlaps:
+            xs = online_opt._optimal_strengths(n, c).tolist()
+            for x, ref in zip(xs, optimal_strengths_reference(n, c), strict=True):
+                assert abs(Decimal(x) / ref - 1) <= ORBIT_REL * Decimal(2) ** -52, (n, c)
+
+
 class TestSaturationPoint:
     def test_pinned_value(self):
         assert total_saturation_point() == pytest.approx(0.6888921825343459, abs=1e-10)
@@ -385,13 +415,18 @@ class TestConstantStrengthFamily:
         xs = fl_solution(6, c).schedule.strengths
         assert xs.tolist() == [1 / c] * 4 + [1.0]
         assert fl_success_exact(6, c) == fl_success_exact(6, c, x=1 / c)
-        assert fl_success_asymptotic(c) == fl_success_asymptotic(c, x=1 / c)
-        with pytest.raises(InvalidMeasurementError):
-            fl_solution(6, c, x=1.01 / c)  # an explicit strength is not clipped
+        x = 1 / c
+        assert fl_success_asymptotic(c) == (1 - c * c) * (1 - c / x) / (1 + c * x - c * c)
+        # fl is the one strength min(1+c, 1/c): only the closed-form
+        # cross-check fl_success_exact still takes an explicit x
+        with pytest.raises(TypeError):
+            fl_solution(6, c, x=1 / c)
+        with pytest.raises(TypeError):
+            fl_success_asymptotic(c, x=1 / c)
 
     def test_asymptotic_value_at_the_optimum(self):
         for c in (0.1, 0.3, 0.5, GOLDEN):
-            assert fl_success_asymptotic(c, 1 + c) == pytest.approx(
+            assert fl_success_asymptotic(c) == pytest.approx(
                 (1 - c) / (1 + c), abs=1e-14
             )
 
@@ -482,7 +517,7 @@ class TestBestOnline:
         for c in (0.2, 0.55, 0.75, 0.9):
             n = 21
             online = best_online(n, c).success
-            fl = fl_solution(n, c, x=min(1 + c, 1 / c)).success
+            fl = fl_solution(n, c).success
             sl = sl_solution(n, c).success
             assert sl <= fl + 1e-9
             assert fl <= online + 1e-9
