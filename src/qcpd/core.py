@@ -26,7 +26,6 @@ The package's errors are the three ``ValueError`` subclasses below.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -203,47 +202,79 @@ def enumerate_strategy(schedule: StrengthSchedule) -> DetectionProfile:
 
     Walks every conclusive-default/inconclusive string the positions before
     the change can produce and sums the path probabilities ending in the
-    naming pattern.  Paths share prefixes: level ``j`` holds the
-    probabilities of all ``2**j`` strings of positions ``1..j`` in
+    naming pattern: the one-row call of :func:`_path_profiles`.
+    Exponential in ``n`` — refuses streams longer than
+    :data:`ENUMERATION_CAP`.  Exists as an independent cross-check of the
+    recursion.
+    """
+    cs = np.array([schedule.overlap.c])
+    return DetectionProfile(_path_profiles(cs, schedule.strengths[None, :])[0])
+
+
+def _path_profiles(cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Detection profiles of a stack of schedules by path enumeration: the
+    ``(R, n-1)`` strengths ``xs``, one schedule per row at the overlap in
+    the same row of the ``(R,)`` column ``cs``, give an ``(R, n)`` array.
+
+    Paths share prefixes: level ``j`` holds the probabilities of all
+    ``2**j`` strings of positions ``1..j`` in
     ``itertools.product((True, False), repeat=j)`` order (True is a
     conclusive default), each child the parent times one outcome factor, so
-    the ``2**(n-1)`` path probabilities are built once.  Each hypothesis
-    total is a left-to-right fold in that order.  Exponential in ``n`` —
-    refuses streams longer than :data:`ENUMERATION_CAP`.  Exists as an
-    independent cross-check of the recursion.
+    the ``2**(n-1)`` path probabilities are built once, level by level, in
+    two buffers that take turns.  Even entries end in a conclusive default
+    (level 0's empty string counts as one) and measure the next position at
+    its strength ``x``, with factors ``(1 - c*x, c*x)``; odd entries
+    measure it at ``c``, with ``(1 - c^2, c^2)``.  A hypothesis term is
+    ``(p * default) * change``, and its total the sequential left fold
+    ``0.0 + t_1 + t_2 + ...`` of ``np.add.accumulate`` (``cumsum``), written
+    over the spent level after a column holding the leading ``0.0``, which
+    turns a lone term of ``-0.0`` into ``+0.0``; so every row equals a
+    one-string-at-a-time ``+=`` loop bit for bit.
     """
-    if schedule.n > ENUMERATION_CAP:
+    rows, n = xs.shape[0], xs.shape[1] + 1
+    if n > ENUMERATION_CAP:
         raise ValueError(
-            f"enumeration is exponential; n={schedule.n} exceeds the cap of "
-            f"{ENUMERATION_CAP}"
+            f"enumeration is exponential; n={n} exceeds the cap of {ENUMERATION_CAP}"
         )
-    c = schedule.overlap.c
-    xs = schedule.strengths.tolist()
-    n = schedule.n
+    c = cs[:, None]
+    cx = c * xs
+    # the conclusive-change factor at positions 1..n-1
+    change = np.divide(c, xs)
+    np.subtract(1.0, change, out=change)
     # (conclusive-default, inconclusive) factors at strength c, the one
     # pinned after an inconclusive outcome
-    after_inconclusive = (1.0 - c * c, c * c)
-    values = [1.0 - c / xs[0]]
-    level = [1.0]
-    for j, x in enumerate(xs, start=1):
-        # even entries end in a conclusive default (level 0's empty string
-        # counts as one) and measure position j at x; odd entries, at c
-        cx = c * x
-        steps = itertools.cycle(((1.0 - cx, cx), after_inconclusive))
-        total = 0.0
+    cc = c * c
+    after_inconclusive = (1.0 - cc, cc)
+    width = 1 << (n - 2)
+    # a level's paths sit in columns 1..; column 0 of both buffers stays
+    # 0.0, the fold's leading term
+    paths, spare = np.zeros((rows, width + 1)), np.zeros((rows, width + 1))
+    paths[:, 1] = 1.0
+    out = np.empty((rows, n))
+    out[:, 0] = change[:, 0]
+    w = 1
+    for j in range(1, n):
+        default = 1.0 - cx[:, j - 1 : j]
+        ends_default = paths[:, 1 : w + 1 : 2]
+        ends_inconclusive = paths[:, 2 : w + 1 : 2]
         if j < n - 1:
             # change at j + 1: a conclusive default at j, then a
             # conclusive-change outcome at j + 1
-            change = 1.0 - c / xs[j]
-            children = []
-            for p, (default, inconclusive) in zip(level, steps):
-                p_default = p * default
-                total += p_default * change
-                children += (p_default, p * inconclusive)
-            level = children
+            children = spare[:, 1 : 2 * w + 1]
+            np.multiply(ends_default, default, out=children[:, 0::4])
+            np.multiply(ends_default, cx[:, j - 1 : j], out=children[:, 1::4])
+            np.multiply(ends_inconclusive, after_inconclusive[0], out=children[:, 2::4])
+            np.multiply(ends_inconclusive, after_inconclusive[1], out=children[:, 3::4])
+            # the spent level's buffer takes the terms
+            fold = paths[:, : w + 1]
+            np.multiply(children[:, 0::2], change[:, j : j + 1], out=fold[:, 1:])
+            paths, spare = spare, paths
         else:
             # change at n: a conclusive default at position n - 1
-            for p, (default, _) in zip(level, steps):
-                total += p * default
-        values.append(total)
-    return DetectionProfile(values)
+            fold = spare[:, : w + 1]
+            np.multiply(ends_default, default, out=fold[:, 1::2])
+            np.multiply(ends_inconclusive, after_inconclusive[0], out=fold[:, 2::2])
+        np.add.accumulate(fold, axis=1, out=fold)
+        out[:, j] = fold[:, w]
+        w *= 2
+    return out

@@ -39,12 +39,16 @@ class ValidityReport:
 def build_gram(n: int, c: Overlap | float) -> np.ndarray:
     """Gram matrix ``G[k][l] = c^|k-l|`` (1-based hypothesis indices), as a
     read-only ``(n, n)`` float64 array."""
-    n = _check_n(n)
-    cv = _overlap(c)
-    idx = np.arange(n)
-    gram = np.power(cv, np.abs(idx[:, None] - idx[None, :]), dtype=np.float64)
+    gram = _gram_powers(_check_n(n), _overlap(c))
     gram.setflags(write=False)
     return gram
+
+
+def _gram_powers(n: int, cv):
+    """``c^|k-l|`` over the ``(n, n)`` index grid for one overlap ``cv``,
+    or one matrix per row of an ``(R, 1, 1)`` column of overlaps."""
+    idx = np.arange(n)
+    return np.power(cv, np.abs(idx[:, None] - idx[None, :]), dtype=np.float64)
 
 
 def global_efficiencies(n: int, c: Overlap | float) -> np.ndarray:
@@ -54,11 +58,14 @@ def global_efficiencies(n: int, c: Overlap | float) -> np.ndarray:
     Closed form of the geometric tent sum:
     ``gamma_n(k) = (1 - c - (-c)^k - (-c)^{n-k+1}) / (1 + c)``.
     """
-    n = _check_n(n)
-    cv = _overlap(c)
+    return _frozen_vector(_tent_efficiencies(_check_n(n), _overlap(c)))
+
+
+def _tent_efficiencies(n: int, cv):
+    """The closed form of :func:`global_efficiencies` for one overlap
+    ``cv``, or one vector per row of an ``(R, 1)`` column of overlaps."""
     k = np.arange(1, n + 1)
-    values = (1.0 - cv - np.power(-cv, k) - np.power(-cv, n - k + 1)) / (1.0 + cv)
-    return _frozen_vector(values)
+    return (1.0 - cv - np.power(-cv, k) - np.power(-cv, n - k + 1)) / (1.0 + cv)
 
 
 def global_success(n: int, c: Overlap | float) -> float:
@@ -186,20 +193,36 @@ def validate_unambiguous(gram: np.ndarray, gammas: np.ndarray) -> ValidityReport
     ``G - diag(gammas)`` being positive semidefinite; the minimum
     eigenvalue comes from a symmetric eigensolver.  ``feasible`` also
     requires every efficiency to be a probability within :data:`PSD_TOL`.
+    The one-matrix call of :func:`_unambiguous_spectra`.
     """
-    n = len(gammas)
-    if gram.shape != (n, n):
-        raise ValueError(
-            f"dimension mismatch: Gram has shape {gram.shape}, "
-            f"vector has {n} entries"
-        )
-    if not np.array_equal(gram, gram.T):
-        raise ValueError("Gram matrix must be symmetric")
-    shifted = gram - np.diag(gammas)
-    min_eig = float(np.linalg.eigvalsh(shifted)[0])
-    range_ok = bool(np.all(gammas >= -PSD_TOL) and np.all(gammas <= 1.0 + PSD_TOL))
-    return ValidityReport(
-        feasible=min_eig >= -PSD_TOL and range_ok,
-        min_eigenvalue=min_eig,
-        gamma_range_ok=range_ok,
+    min_eigs, range_ok = _unambiguous_spectra(
+        np.asarray(gram)[None], np.asarray(gammas)[None]
     )
+    min_eig, ok = float(min_eigs[0]), bool(range_ok[0])
+    return ValidityReport(
+        feasible=min_eig >= -PSD_TOL and ok, min_eigenvalue=min_eig, gamma_range_ok=ok
+    )
+
+
+def _unambiguous_spectra(
+    grams: np.ndarray, gammas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum eigenvalue of ``G - diag(gammas)`` and whether every
+    efficiency is a probability within :data:`PSD_TOL`, per row of a stack:
+    ``(R, n, n)`` Gram arrays against ``(R, n)`` efficiencies, with one
+    batched symmetric eigensolve.  Raises ``ValueError`` unless the shapes
+    match and every Gram array is symmetric (the eigensolver reads one
+    triangle only).
+    """
+    if gammas.ndim != 2 or grams.shape != gammas.shape + gammas.shape[-1:]:
+        raise ValueError(
+            f"dimension mismatch: Gram stack has shape {grams.shape}, "
+            f"efficiencies have shape {gammas.shape}"
+        )
+    if not np.array_equal(grams, grams.swapaxes(1, 2)):
+        raise ValueError("Gram matrix must be symmetric")
+    shifted = grams.copy()
+    diagonal = np.arange(gammas.shape[1])
+    shifted[:, diagonal, diagonal] -= gammas
+    range_ok = ((gammas >= -PSD_TOL) & (gammas <= 1.0 + PSD_TOL)).all(axis=1)
+    return np.linalg.eigvalsh(shifted)[:, 0], range_ok

@@ -12,31 +12,39 @@ each other rather than against hard-coded numbers:
 * ``gram_feasibility`` — the efficiency vector against the positivity
   check on either side of the critical overlap.
 
-Each suite yields one ``(residual, case)`` pair per case, and
-:func:`_suite` folds them into the worst residual and the case attaining
-it; the CLI's ``verify`` subcommand renders the results and sets the exit
-code.  The fault-injection mode deliberately perturbs one strength so the
-harness can demonstrate that a broken schedule is actually caught.
+Each suite checks one stack per chain length rather than one validated
+object per case: a column of overlaps with one schedule per row, walked
+by one stacked ``kernels.detection_profile`` call, enumerated by one
+``_path_profiles`` call, and held against the broadcast efficiency and
+Gram formulas with one batched eigensolve.  Only ``recursion_agreement``
+stays per case, on the forward substitution it checks.  Each suite yields
+one ``(residual, case)`` pair per case, in the order of the one-case loops
+(``run_all_per_case`` in ``tests/oracles.py``, which a test holds equal),
+and :func:`_suite` folds them into the worst residual and the case
+attaining it; the CLI's ``verify`` subcommand renders the results and
+sets the exit code.  The fault-injection mode deliberately perturbs one
+strength so the harness can demonstrate that a broken schedule is
+actually caught.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ENUMERATION_CAP, Overlap, StrengthSchedule, enumerate_strategy, evaluate_strategy
+from . import kernels
+from .core import ENUMERATION_CAP, _check_probabilities, _path_profiles, check_strength
 from .global_bound import (
     PSD_TOL,
-    build_gram,
+    _gram_powers,
+    _tent_efficiencies,
+    _unambiguous_spectra,
     critical_overlap,
-    global_efficiencies,
     global_success,
-    validate_unambiguous,
 )
-from .online_opt import OnlineSolution, _recursive_xs, closed_form_strengths
+from .online_opt import _closed_form_xs, _recursive_xs
 
 ORACLE_TOL = 1e-12
 CENTRAL_TOL = 1e-10
@@ -47,6 +55,8 @@ GRAM_TOL = PSD_TOL
 
 #: random schedules per chain length in :func:`oracle_equivalence`
 _SCHEDULES_PER_N = 25
+#: overlaps per side of the critical overlap in :func:`gram_feasibility`
+_GRAM_SIDE = 5
 _FAULT_FACTOR = 1.001
 
 _Pair = tuple[float, dict | None]
@@ -96,11 +106,35 @@ def _worst_entry(n: int, c: float, gaps: np.ndarray) -> _Pair:
     return float(gaps[j]), _case(n, c, j + 1)
 
 
-def _canonical_solutions() -> list[OnlineSolution]:
+class _Stack(NamedTuple):
+    """One chain length's closed-form schedules, one per row: the overlap
+    column ``cs``, the ``(R, n-1)`` strengths and their ``(R, n)``
+    profiles."""
+
+    n: int
+    cs: np.ndarray
+    xs: np.ndarray
+    profiles: np.ndarray
+
+
+def _profiles(cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Checked profiles of the schedules stacked in ``xs``: the checks a
+    ``StrengthSchedule`` and a ``DetectionProfile`` make, on the stack."""
+    check_strength(cs[:, None], xs)
+    profiles = kernels.detection_profile(cs, xs)
+    _check_probabilities(profiles)
+    return profiles
+
+
+def _canonical_solutions() -> list[_Stack]:
     """Closed-form solutions on the canonical grid: ``n in 2..25`` by
-    ``c in {0, 0.05, .., 0.5}``, n-major (264 cases)."""
-    cs = [float(round(c, 10)) for c in np.arange(0.0, 0.5001, 0.05)]
-    return [closed_form_strengths(n, c) for n, c in itertools.product(range(2, 26), cs)]
+    ``c in {0, 0.05, .., 0.5}``, one stack per ``n`` (264 cases)."""
+    cs = np.array([float(round(c, 10)) for c in np.arange(0.0, 0.5001, 0.05)])
+    stacks = []
+    for n in range(2, 26):
+        xs = _closed_form_xs(n, cs[:, None])
+        stacks.append(_Stack(n, cs, xs, _profiles(cs, xs)))
+    return stacks
 
 
 def oracle_equivalence(n_max: int = 8, seed: int = 0) -> SuiteResult:
@@ -115,25 +149,29 @@ def oracle_equivalence(n_max: int = 8, seed: int = 0) -> SuiteResult:
 
     def results() -> Iterator[_Pair]:
         for n in range(2, top + 1):
-            for _ in range(_SCHEDULES_PER_N):
+            cs = np.empty(_SCHEDULES_PER_N)
+            xs = np.empty((_SCHEDULES_PER_N, n - 1))
+            for row in range(_SCHEDULES_PER_N):
                 c = float(rng.uniform(0.0, 0.95))
                 lo = c if c > 0.0 else 0.05
                 hi = min(1.0 / c, 3.0) if c > 0.0 else 3.0
-                xs = rng.uniform(lo, hi, size=n - 1)
-                schedule = StrengthSchedule(n=n, strengths=xs, overlap=Overlap(c))
-                fast = evaluate_strategy(schedule).per_position
-                slow = enumerate_strategy(schedule).per_position
-                yield _worst_entry(n, c, np.abs(fast - slow))
+                cs[row] = c
+                xs[row] = rng.uniform(lo, hi, size=n - 1)
+            fast = _profiles(cs, xs)
+            slow = _path_profiles(cs, xs)
+            _check_probabilities(slow)
+            for c, gaps in zip(cs.tolist(), np.abs(fast - slow)):
+                yield _worst_entry(n, c, gaps)
 
     return _suite("oracle_equivalence", ORACLE_TOL, results())
 
 
 def central_equality(
-    solutions: Sequence[OnlineSolution], inject_fault: bool = False
+    solutions: Sequence[_Stack], inject_fault: bool = False
 ) -> SuiteResult:
     """Analytic schedule's profile vs. the closed-form efficiency vector.
 
-    ``solutions`` are the closed-form solutions of the canonical grid
+    ``solutions`` are the closed-form stacks of the canonical grid
     ``n in 2..25``, ``c in {0, 0.05, .., 0.5}``, as :func:`run_all` builds
     them.  With ``inject_fault`` the first strength of every schedule is
     scaled by a factor of 1.001, which must push the residual far past the
@@ -141,37 +179,36 @@ def central_equality(
     """
 
     def results() -> Iterator[_Pair]:
-        for solution in solutions:
-            n, c = solution.schedule.n, solution.schedule.overlap.c
-            profile = solution.profile
+        for n, cs, xs, profiles in solutions:
             if inject_fault:
                 # scale down: the first strength is always >= 1, so the
                 # faulted schedule stays admissible and the corruption is
                 # caught by the residual check, not by input validation
-                xs = solution.schedule.strengths.copy()
-                xs[0] /= _FAULT_FACTOR
-                schedule = StrengthSchedule(n=n, strengths=xs, overlap=Overlap(c))
-                profile = evaluate_strategy(schedule)
-            gaps = np.abs(profile.per_position - global_efficiencies(n, c))
-            mean_gap = abs(profile.average - global_success(n, c))
-            j = int(np.argmax(gaps))
-            position = j + 1 if gaps[j] >= mean_gap else None
-            yield max(float(gaps[j]), mean_gap), _case(n, c, position)
+                xs = xs.copy()
+                xs[:, 0] /= _FAULT_FACTOR
+                profiles = _profiles(cs, xs)
+            all_gaps = np.abs(profiles - _tent_efficiencies(n, cs[:, None]))
+            # a row's mean over a C-contiguous stack is that of the row alone
+            averages = profiles.mean(axis=1).tolist()
+            for c, average, gaps in zip(cs.tolist(), averages, all_gaps):
+                mean_gap = abs(average - global_success(n, c))
+                j = int(np.argmax(gaps))
+                position = j + 1 if gaps[j] >= mean_gap else None
+                yield max(float(gaps[j]), mean_gap), _case(n, c, position)
 
     return _suite("central_equality", CENTRAL_TOL, results())
 
 
-def recursion_agreement(solutions: Sequence[OnlineSolution]) -> SuiteResult:
+def recursion_agreement(solutions: Sequence[_Stack]) -> SuiteResult:
     """Forward-substitution strengths (those of ``recursive_strengths``,
     without its schedule and profile) vs. the closed-form ``solutions`` of
-    the canonical grid, as for :func:`central_equality`."""
+    the canonical grid, as for :func:`central_equality`; one case at a
+    time, as the recursion is the independent route."""
 
     def results() -> Iterator[_Pair]:
-        for solution in solutions:
-            n, c = solution.schedule.n, solution.schedule.overlap.c
-            direct = solution.schedule.strengths
-            rebuilt = _recursive_xs(n, c)
-            yield _worst_entry(n, c, np.abs(direct - rebuilt))
+        for n, cs, xs, _ in solutions:
+            for c, direct in zip(cs.tolist(), xs):
+                yield _worst_entry(n, c, np.abs(direct - _recursive_xs(n, c)))
 
     return _suite("recursion_agreement", RECURSION_TOL, results())
 
@@ -190,21 +227,28 @@ def gram_feasibility() -> SuiteResult:
     def results() -> Iterator[_Pair]:
         for n in range(5, 32, 2):
             threshold = critical_overlap(n)
-            for below, cs in (
-                (True, np.linspace(0.05, threshold - 0.011, 5)),
-                (False, np.linspace(threshold + 0.011, 0.99, 5)),
+            cs = np.concatenate(
+                (
+                    np.linspace(0.05, threshold - 0.011, _GRAM_SIDE),
+                    np.linspace(threshold + 0.011, 0.99, _GRAM_SIDE),
+                )
+            )
+            min_eigs, range_ok = _unambiguous_spectra(
+                _gram_powers(n, cs[:, None, None]), _tent_efficiencies(n, cs[:, None])
+            )
+            for i, (c, min_eig, ok) in enumerate(
+                zip(cs.tolist(), min_eigs.tolist(), range_ok.tolist())
             ):
-                for c in cs.tolist():
-                    report = validate_unambiguous(build_gram(n, c), global_efficiencies(n, c))
-                    if not below:
-                        residual = 1.0 if report.gamma_range_ok else 0.0
-                    elif report.gamma_range_ok:
-                        residual = max(0.0, -report.min_eigenvalue)
-                    else:
-                        residual = 1.0
-                    yield residual, _case(n, c, None)
-                    if residual > GRAM_TOL:
-                        return
+                below = i < _GRAM_SIDE
+                if not below:
+                    residual = 1.0 if ok else 0.0
+                elif ok:
+                    residual = max(0.0, -min_eig)
+                else:
+                    residual = 1.0
+                yield residual, _case(n, c, None)
+                if residual > GRAM_TOL:
+                    return
 
     return _suite("gram_feasibility", GRAM_TOL, results())
 
@@ -214,7 +258,7 @@ def run_all(
 ) -> list[SuiteResult]:
     """Run every suite; ``inject_fault`` sabotages the central-equality one.
 
-    The canonical closed-form solutions are built once here, shared by the
+    The canonical closed-form stacks are built once here, shared by the
     two suites that check them and dropped on return, so every call
     recomputes everything it checks.
     """

@@ -23,9 +23,16 @@ from outside it:
 * :func:`detection_profile_loop` is the profile recursion as one Python
   loop over positions, each factor computed where it is used, which both
   call shapes of ``kernels.detection_profile`` must match bit for bit;
+* :func:`detection_profile_reference` is the profile recursion in
+  50-digit ``decimal`` arithmetic, the reference both call shapes of
+  ``kernels.detection_profile`` are bounded against;
 * :func:`simulate_counts_forward` is the Monte Carlo kernel as a forward
   walk over every position before the change point, which the backward
   walk of ``kernels.simulate_counts`` must match count for count;
+* :func:`run_all_per_case` runs the four ``verify`` suites one case at a
+  time, building one validated schedule, profile and feasibility report
+  per case, which the stacked suites of ``verification.run_all`` must
+  match exactly;
 * :func:`_bisect_root` is the generic bisection that ``critical_overlap``
   must match bit for bit after a sign scan of the grid ``k/4096``;
 * :func:`total_saturation_point` and :func:`sl_worst_case_gap` give the
@@ -64,8 +71,29 @@ from qcpd.core import (
     _check_n,
     _frozen_vector,
     _overlap,
+    enumerate_strategy,
+    evaluate_strategy,
 )
-from qcpd.online_opt import OnlineSolution, _solution
+from qcpd.global_bound import (
+    build_gram,
+    critical_overlap,
+    global_efficiencies,
+    global_success,
+    validate_unambiguous,
+)
+from qcpd.online_opt import OnlineSolution, _recursive_xs, _solution, closed_form_strengths
+from qcpd.verification import (
+    _FAULT_FACTOR,
+    _SCHEDULES_PER_N,
+    CENTRAL_TOL,
+    GRAM_TOL,
+    ORACLE_TOL,
+    RECURSION_TOL,
+    SuiteResult,
+    _case,
+    _suite,
+    _worst_entry,
+)
 
 
 def _push_head(cv: float, y: float, a: float, b: float) -> tuple[float, float]:
@@ -430,3 +458,101 @@ def simulate_counts_forward(
         counts += np.bincount(det, minlength=n + 1)[1:]
         wrong += int(np.count_nonzero((det > 0) & (det != k)))
     return counts, wrong
+
+
+#: significant digits of :func:`detection_profile_reference`
+PROFILE_REFERENCE_DIGITS = 50
+
+
+def detection_profile_reference(c: float, xs) -> list[Decimal]:
+    """The detection profile of one schedule by the forward recursion
+    (entry j is ``p0_j * (1 - c/x_j)``, the last ``p0_n``, with
+    ``pi' = p0*c*x + pi*c^2`` from ``pi = 0``) in ``decimal`` arithmetic at
+    :data:`PROFILE_REFERENCE_DIGITS` digits from the exact binary values
+    of ``c`` and the strengths."""
+    with localcontext() as ctx:
+        ctx.prec = PROFILE_REFERENCE_DIGITS
+        d = Decimal(c)
+        prof = []
+        p0, pi = Decimal(1), Decimal(0)
+        for x in np.asarray(xs, dtype=np.float64).tolist():
+            x = Decimal(x)
+            prof.append(p0 * (1 - d / x))
+            pi = p0 * d * x + pi * d * d
+            p0 = 1 - pi
+        prof.append(p0)
+        return prof
+
+
+def run_all_per_case(
+    n_max: int = 8, seed: int = 0, inject_fault: bool = False
+) -> list[SuiteResult]:
+    """The four ``verify`` suites of ``verification.run_all``, one case at a
+    time: a ``StrengthSchedule`` and both profile routes per random
+    schedule, a ``closed_form_strengths`` solution per grid point and a
+    ``validate_unambiguous`` report per feasibility case, each case yielded
+    in the stacked suites' order."""
+    rng = np.random.default_rng(seed)
+
+    def oracle():
+        for n in range(2, n_max + 1):
+            for _ in range(_SCHEDULES_PER_N):
+                c = float(rng.uniform(0.0, 0.95))
+                lo = c if c > 0.0 else 0.05
+                hi = min(1.0 / c, 3.0) if c > 0.0 else 3.0
+                xs = rng.uniform(lo, hi, size=n - 1)
+                schedule = StrengthSchedule(n=n, strengths=xs, overlap=Overlap(c))
+                fast = evaluate_strategy(schedule).per_position
+                slow = enumerate_strategy(schedule).per_position
+                yield _worst_entry(n, c, np.abs(fast - slow))
+
+    cs = [float(round(c, 10)) for c in np.arange(0.0, 0.5001, 0.05)]
+    solutions = [closed_form_strengths(n, c) for n, c in itertools.product(range(2, 26), cs)]
+
+    def central():
+        for solution in solutions:
+            n, c = solution.schedule.n, solution.schedule.overlap.c
+            profile = solution.profile
+            if inject_fault:
+                xs = solution.schedule.strengths.copy()
+                xs[0] /= _FAULT_FACTOR
+                schedule = StrengthSchedule(n=n, strengths=xs, overlap=Overlap(c))
+                profile = evaluate_strategy(schedule)
+            gaps = np.abs(profile.per_position - global_efficiencies(n, c))
+            mean_gap = abs(profile.average - global_success(n, c))
+            j = int(np.argmax(gaps))
+            position = j + 1 if gaps[j] >= mean_gap else None
+            yield max(float(gaps[j]), mean_gap), _case(n, c, position)
+
+    def recursion():
+        for solution in solutions:
+            n, c = solution.schedule.n, solution.schedule.overlap.c
+            direct = solution.schedule.strengths
+            rebuilt = _recursive_xs(n, c)
+            yield _worst_entry(n, c, np.abs(direct - rebuilt))
+
+    def gram():
+        for n in range(5, 32, 2):
+            threshold = critical_overlap(n)
+            for below, grid in (
+                (True, np.linspace(0.05, threshold - 0.011, 5)),
+                (False, np.linspace(threshold + 0.011, 0.99, 5)),
+            ):
+                for c in grid.tolist():
+                    report = validate_unambiguous(build_gram(n, c), global_efficiencies(n, c))
+                    if not below:
+                        residual = 1.0 if report.gamma_range_ok else 0.0
+                    elif report.gamma_range_ok:
+                        residual = max(0.0, -report.min_eigenvalue)
+                    else:
+                        residual = 1.0
+                    yield residual, _case(n, c, None)
+                    if residual > GRAM_TOL:
+                        return
+
+    return [
+        _suite("oracle_equivalence", ORACLE_TOL, oracle()),
+        _suite("central_equality", CENTRAL_TOL, central()),
+        _suite("recursion_agreement", RECURSION_TOL, recursion()),
+        _suite("gram_feasibility", GRAM_TOL, gram()),
+    ]

@@ -212,10 +212,15 @@ class TestEvaluateStrategy:
 
 
 def _enumeration_cases(n: int, rng: np.random.Generator):
-    """Zero overlap, overlap 1, strengths exactly at c and 1/c, and random
-    admissible schedules, all of length ``n``."""
+    """Zero overlap, overlap 1, a first summand of -0.0, strengths exactly
+    at c and 1/c, and random admissible schedules, all of length ``n``."""
     yield Overlap(0.0), rng.uniform(0.05, 3.0, size=n - 1)
     yield Overlap(1.0), np.ones(n - 1)
+    if n > 2:
+        # x_1 = 1/c, so the all-default path has probability 0, and x_2 sits
+        # below c inside REL_SLACK, so 1 - c/x_2 < 0: entry 2's one summand
+        # is -0.0, which a fold from 0.0 turns into +0.0
+        yield Overlap(0.5), np.array([2.0, 0.5 * (1.0 - 1e-13)] + [1.0] * (n - 3))
     for _ in range(4):
         c = float(rng.uniform(0.01, 0.99))
         yield Overlap(c), rng.choice([c, 1.0 / c], size=n - 1)

@@ -19,7 +19,13 @@ from qcpd import (
     primed_success,
     validate_unambiguous,
 )
-from qcpd.global_bound import _optimal_success, _scaled_gamma_two
+from qcpd.global_bound import (
+    _gram_powers,
+    _optimal_success,
+    _scaled_gamma_two,
+    _tent_efficiencies,
+    _unambiguous_spectra,
+)
 from qcpd.verification import GRAM_TOL
 from oracles import _bisect_root, gamma_two_reference, global_efficiencies_direct
 
@@ -331,3 +337,36 @@ class TestGramFeasibility:
     def test_dimension_mismatch_is_rejected(self):
         with pytest.raises(ValueError):
             validate_unambiguous(build_gram(4, 0.3), global_efficiencies(5, 0.3))
+
+
+class TestStackedFeasibility:
+    """``_unambiguous_spectra`` on a stack, one matrix per row."""
+
+    CS = np.array([0.05, 0.3, 0.45, 0.6, 0.9])
+
+    def _stack(self, n):
+        return _gram_powers(n, self.CS[:, None, None]), _tent_efficiencies(n, self.CS[:, None])
+
+    def test_each_row_is_the_one_matrix_report_bit_for_bit(self):
+        for n in (2, 5, 16, 31):
+            grams, gammas = self._stack(n)
+            min_eigs, range_ok = _unambiguous_spectra(grams, gammas)
+            for i, c in enumerate(self.CS.tolist()):
+                gram, vec = build_gram(n, c), global_efficiencies(n, c)
+                assert grams[i].tobytes() == gram.tobytes()
+                assert gammas[i].tobytes() == vec.tobytes()
+                report = validate_unambiguous(gram, vec)
+                assert min_eigs[i].tobytes() == np.float64(report.min_eigenvalue).tobytes()
+                assert range_ok[i] == report.gamma_range_ok
+
+    def test_a_wrong_number_of_efficiency_rows_is_rejected(self):
+        grams, gammas = self._stack(5)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            _unambiguous_spectra(grams, gammas[:-1])
+
+    def test_one_asymmetric_matrix_in_a_stack_is_rejected(self):
+        grams, gammas = self._stack(5)
+        grams = grams.copy()
+        grams[3, 0, 4] += 0.1
+        with pytest.raises(ValueError, match="Gram matrix must be symmetric"):
+            _unambiguous_spectra(grams, gammas)

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import detection_profile_loop, simulate_counts_forward
+from oracles import detection_profile_loop, detection_profile_reference, simulate_counts_forward
 
 from qcpd import (
     Overlap,
@@ -167,6 +168,42 @@ class TestStackedProfile:
     def test_overlaps_must_match_the_stack(self, c):
         with pytest.raises(ValueError, match="a stack of 3 schedules needs 3 overlaps"):
             kernels.detection_profile(c, np.ones((3, 4)))
+
+
+class TestProfileAccuracy:
+    """Both call shapes of the profile kernel against the 50-digit
+    ``decimal`` recursion, on the optimal schedule (the closed form up to
+    c = 1/2), fl and sl, from c = 0.05 up to 1 - 1e-6.
+
+    Measured worst, over every entry and both shapes: 20.3 * 2**-52
+    absolute (sl, n = 301, c = 0.05, entry 298), and a relative error of
+    162.9 * 2**-52 / (1 - c) (n = 5, c = 1 - 1e-6, entry 3): ``1 - c/x``
+    cancels as c -> 1.  The relative bound covers entries of at least
+    1e-13; the 102 smaller ones are rounding residues of ``1 - c*x`` at
+    strengths saturated at 1/c (at most 5.6e-17), held by the absolute
+    bound alone.
+    """
+
+    CS = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.55, (math.sqrt(5.0) - 1.0) / 2.0,
+          0.7, 0.8, 0.9, 0.99, 0.999, 1 - 1e-4, 1 - 1e-5, 1 - 1e-6]
+    ABS = 21 * 2.0**-52
+    REL_TIMES_GAP = 164 * 2.0**-52
+
+    @pytest.mark.parametrize("n", [2, 5, 31, 301])
+    def test_rows_within_the_bounds_of_the_decimal_reference(self, n):
+        floor, abs_bound, rel_bound = Decimal("1e-13"), Decimal(self.ABS), Decimal(self.REL_TIMES_GAP)
+        for build in (best_online, fl_solution, sl_solution):
+            xs = np.array([build(n, c).schedule.strengths for c in self.CS])
+            stacked = kernels.detection_profile(np.array(self.CS), xs)
+            for c, row, stacked_row in zip(self.CS, xs, stacked):
+                ref = detection_profile_reference(c, row)
+                for got in (kernels.detection_profile(c, row), stacked_row):
+                    for j, (value, exact) in enumerate(zip(got.tolist(), ref), start=1):
+                        err = abs(Decimal(value) - exact)
+                        where = (build.__name__, c, j)
+                        assert err <= abs_bound, where
+                        if abs(exact) >= floor:
+                            assert err / abs(exact) * Decimal(1 - c) <= rel_bound, where
 
 
 class TestSimulationBackends:

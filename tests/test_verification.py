@@ -1,12 +1,16 @@
-"""The suite harness, and negative controls: each consistency suite fails
-when one of its inputs is perturbed by a small factor."""
+"""The suite harness, the stacked suites against their one-case-at-a-time
+oracle, and negative controls: each consistency suite fails when one of
+its inputs is perturbed by a small factor."""
 
 from __future__ import annotations
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from qcpd import verification
-from qcpd.core import DetectionProfile
+from oracles import run_all_per_case
 
 
 def _assert_caught(result):
@@ -15,21 +19,21 @@ def _assert_caught(result):
 
 
 def _scale_profiles(monkeypatch):
-    evaluate = verification.evaluate_strategy
+    profile = verification.kernels.detection_profile
 
-    def scaled(schedule):
-        return DetectionProfile(evaluate(schedule).per_position * (1.0 - 1e-6))
+    def scaled(c, xs):
+        return profile(c, xs) * (1.0 - 1e-6)
 
-    monkeypatch.setattr(verification, "evaluate_strategy", scaled)
+    monkeypatch.setattr(verification.kernels, "detection_profile", scaled)
 
 
 def _scale_enumerations(monkeypatch):
-    enumerate_paths = verification.enumerate_strategy
+    enumerate_paths = verification._path_profiles
 
-    def scaled(schedule):
-        return DetectionProfile(enumerate_paths(schedule).per_position * (1.0 - 1e-6))
+    def scaled(cs, xs):
+        return enumerate_paths(cs, xs) * (1.0 - 1e-6)
 
-    monkeypatch.setattr(verification, "enumerate_strategy", scaled)
+    monkeypatch.setattr(verification, "_path_profiles", scaled)
 
 
 def _scale_recursive_schedules(monkeypatch):
@@ -44,27 +48,27 @@ def _scale_recursive_schedules(monkeypatch):
 
 
 def _scale_efficiencies(monkeypatch):
-    efficiencies = verification.global_efficiencies
+    efficiencies = verification._tent_efficiencies
 
-    def scaled(n, c):
+    def scaled(n, cs):
         # the optimal vector sits on the feasibility boundary, so any
         # increase leaves the positive semidefinite cone
-        return efficiencies(n, c) * 1.001
+        return efficiencies(n, cs) * 1.001
 
-    monkeypatch.setattr(verification, "global_efficiencies", scaled)
+    monkeypatch.setattr(verification, "_tent_efficiencies", scaled)
 
 
 def _negative_efficiency(monkeypatch):
-    efficiencies = verification.global_efficiencies
+    efficiencies = verification._tent_efficiencies
 
-    def lowered(n, c):
+    def lowered(n, cs):
         # lowering an efficiency only raises the diagonal of G - diag(gamma),
         # so the eigenvalue check still passes and only the range check fails
-        vec = efficiencies(n, c).copy()
-        vec[n // 2] = -1e-6
+        vec = efficiencies(n, cs).copy()
+        vec[..., n // 2] = -1e-6
         return vec
 
-    monkeypatch.setattr(verification, "global_efficiencies", lowered)
+    monkeypatch.setattr(verification, "_tent_efficiencies", lowered)
 
 
 def test_oracle_equivalence_catches_a_scaled_profile(monkeypatch):
@@ -120,21 +124,50 @@ def test_passed_means_residual_within_threshold(control, inject_fault, monkeypat
         assert result.passed == (result.max_residual <= result.threshold), result
 
 
-def test_run_all_builds_each_closed_form_once_per_call(monkeypatch):
-    closed_form = verification.closed_form_strengths
+def test_run_all_walks_one_stack_per_chain_length_per_call(monkeypatch):
+    profile = verification.kernels.detection_profile
     calls = []
 
-    def counted(n, c):
-        calls.append((n, c))
-        return closed_form(n, c)
+    def counted(c, xs):
+        calls.append(np.shape(xs))
+        return profile(c, xs)
 
-    monkeypatch.setattr(verification, "closed_form_strengths", counted)
-    cases = [(n, c / 20) for n in range(2, 26) for c in range(11)]
+    monkeypatch.setattr(verification.kernels, "detection_profile", counted)
+    # 25 random schedules for each n = 2..12, then the 11 canonical
+    # overlaps for each n = 2..25: 11 + 24 kernel calls, each on a stack
+    stacks = [(25, n - 1) for n in range(2, 13)] + [(11, n - 1) for n in range(2, 26)]
     for _ in range(2):
-        # a second call recomputes every case: nothing outlives a call
+        # a second call recomputes every stack: nothing outlives a call
         calls.clear()
-        verification.run_all(n_max=2)
-        assert calls == cases
+        verification.run_all(n_max=12)
+        assert calls == stacks
+
+
+def test_peak_memory_of_run_all_at_the_enumeration_cap():
+    # the enumeration's two path buffers of 25 x 1025 floats and numpy's
+    # ufunc buffers: measured 0.63 MB with numpy 2.4, where the one-case
+    # loops of tests/oracles.py peaked at 0.21 MB
+    verification.run_all(n_max=12)
+    tracemalloc.start()
+    try:
+        verification.run_all(n_max=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize(
+    "n_max, seed, inject_fault",
+    [(n, seed, False) for n in range(2, 13) for seed in (0, 7, 64331)]
+    + [(12, seed, True) for seed in (0, 7, 64331)],
+)
+def test_stacked_suites_equal_the_per_case_loops(n_max, seed, inject_fault):
+    # SuiteResult compares its floats with ==: every residual, case count
+    # and worst case must be exactly those of the one-case-at-a-time loops
+    stacked = verification.run_all(n_max, seed, inject_fault)
+    assert stacked == run_all_per_case(n_max, seed, inject_fault)
+    assert all(r.passed for r in stacked) is not inject_fault
 
 
 class TestSuiteHarness:
