@@ -46,7 +46,9 @@ from .verification import run_all
 _TOL = 1e-12
 CSV_HEADER = "c,p_global,p_online,p_fl,p_sl"
 _CSV_ROW = ",".join(["%.12g"] * 5) + "\n"
-_STRENGTH_LINE = "%3d  %-16.12g  %s\n"
+#: a ``strengths`` text line: the position, then the strength-and-flag cell
+_STRENGTH_ROW = "%3d  %s\n"
+_STRENGTH_CELL = "%-16.12g  %s"
 #: lines per ``%`` call in :func:`_render_lines`
 _RENDER_BLOCK = 2048
 
@@ -98,6 +100,36 @@ def _render_lines(line: str, columns: Sequence[Sequence]) -> list[str]:
         block = [c.tolist() if type(c) is np.ndarray else c for c in block]
         parts.append((line * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
     return parts
+
+
+def _render_distinct(values: np.ndarray, render) -> list[str]:
+    """``render(values.tolist())`` for a 1-D float64 vector, where
+    ``render`` maps a list of floats to the list of their texts, with each
+    distinct bit pattern rendered once and the texts gathered by index.
+
+    A schedule settles along the chain, so 5e4 strengths mostly hold a few
+    dozen distinct floats.  The patterns are told apart as int64, so
+    ``0.0`` and ``-0.0``, and NaNs with different payloads, each keep their
+    own text.  ``render`` takes the distinct values in one list, so a
+    schedule that never settles (some recursive ones) costs one bulk
+    render and a sort.
+    """
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    cells = np.array(render(bits.view(np.float64).tolist()), dtype=object)
+    return cells.take(index).tolist()
+
+
+def _json_items(values: list[float]) -> list[str]:
+    """Each float as ``json.dumps`` writes it (``NaN`` and ``Infinity``
+    included), from one C-encoder call: no float's text holds ``", "``."""
+    return json.dumps(values)[1:-1].split(", ")
+
+
+def _strength_cells(strengths: list[float], flag: str) -> list[str]:
+    """The ``_STRENGTH_CELL`` of each strength with ``flag``, rendered in
+    blocks by :func:`_render_lines`."""
+    flags = [flag] * len(strengths)
+    return "".join(_render_lines(_STRENGTH_CELL + "\n", (strengths, flags))).splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +289,16 @@ def _json_value(value, pad: str) -> str:
     to its list of dicts, and every line after the first indented by
     ``pad``: the value as it appears nested at that depth.
 
-    ``indent`` forces the pure-Python encoder, so three kinds of value are
+    ``indent`` forces the pure-Python encoder, so four kinds of value are
     rendered in bulk instead:
 
-    * a non-empty flat list of ints and floats (a schedule of 1e5
-      strengths, or a 1-D numpy vector as the list it holds) goes through
-      the C encoder in one call whose item separator is the indented line
+    * a non-empty 1-D float64 numpy vector (a schedule of 1e5 strengths)
+      renders each distinct value once, by :func:`_render_distinct` with
+      :func:`_json_items`, and joins the items with the indented line
       break;
+    * a non-empty flat list of ints and floats (or any other 1-D numpy
+      vector, as the list it holds) goes through the C encoder in one call
+      whose item separator is the indented line break;
     * a non-empty dict with string keys is rendered key by key;
     * a :class:`_Rows` table (simulate's ``per_position``, curve's
       ``rows``) is filled into one ``%r`` template per row by
@@ -277,6 +312,9 @@ def _json_value(value, pad: str) -> str:
     """
     inner = pad + "  "
     if type(value) is np.ndarray and value.ndim == 1:
+        if value.dtype == np.float64 and len(value):
+            body = f",\n{inner}".join(_render_distinct(value, _json_items))
+            return f"[\n{inner}{body}\n{pad}]"
         value = value.tolist()
     if type(value) is list and value and set(map(type, value)) <= _NUMBER_TYPES:
         body = json.dumps(value, separators=(",\n" + inner, ": "))
@@ -328,18 +366,23 @@ _METHODS = {
 
 def _strengths_text(solution: OnlineSolution) -> str:
     """A header and one line per position, ``f"{j:>3}  {_fmt(x):<16}  {flag}"``
-    byte for byte, rendered in blocks by :func:`_render_lines`."""
+    byte for byte.  The strength-and-flag cells are rendered once per
+    distinct strength by :func:`_render_distinct`: a ``no`` cell for every
+    position, then a ``yes`` cell over each saturated one.  The lines are
+    filled in blocks by :func:`_render_lines`."""
     schedule = solution.schedule
-    m = schedule.n - 1
-    flags = ["no"] * m
-    for j in solution.saturated_positions:
-        flags[j - 1] = "yes"
+    strengths = schedule.strengths
+    saturated = np.fromiter(solution.saturated_positions, np.intp) - 1
+    cells = _render_distinct(strengths, functools.partial(_strength_cells, flag="no"))
+    yes = _render_distinct(strengths[saturated], functools.partial(_strength_cells, flag="yes"))
+    for j, cell in zip(saturated.tolist(), yes):
+        cells[j] = cell
     header = (
         f"n={schedule.n} c={_fmt(schedule.overlap.c)} "
         f"method={solution.method} success={_fmt(solution.success)}\n"
         "  j  strength          saturated\n"
     )
-    lines = _render_lines(_STRENGTH_LINE, (range(1, m + 1), schedule.strengths, flags))
+    lines = _render_lines(_STRENGTH_ROW, (range(1, len(cells) + 1), cells))
     return "".join([header, *lines])
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -18,17 +19,20 @@ from hypothesis.extra.numpy import arrays
 from qcpd import (
     best_online,
     build_gram,
+    closed_form_strengths,
     critical_overlap,
     fl_solution,
     global_success,
     optimal_global,
+    recursive_strengths,
     sl_solution,
     validate_unambiguous,
 )
 from qcpd import cli, kernels, online_opt, optimize_strengths
 from qcpd.cli import (
     _CSV_ROW,
-    _STRENGTH_LINE,
+    _STRENGTH_CELL,
+    _STRENGTH_ROW,
     CSV_HEADER,
     MAX_CURVE_ROWS,
     MAX_POSITIONS,
@@ -39,6 +43,7 @@ from qcpd.cli import (
     _dump_json,
     _exact_columns,
     _fmt,
+    _render_distinct,
     _strengths_text,
     _z_scores,
     build_curve,
@@ -903,6 +908,21 @@ def _z_score(empirical: float, exact: float, trials: int) -> float:
     return (empirical - exact) / math.sqrt(variance)
 
 
+#: bit patterns that repeat in a drawn vector: both zeros, two NaN
+#: payloads, both infinities, a subnormal and two ordinary strengths
+_POOL_BITS = [
+    0x0000000000000000,
+    0x8000000000000000,
+    0x7FF8000000000000,
+    0xFFF8000000000001,
+    0x7FF0000000000000,
+    0xFFF0000000000000,
+    0x0000000000000001,
+    0x3FF4CCCCCCCCCCCD,  # 1.3
+    0x3FF4CCCCCCCCCCCC,  # 1.3 less one ulp
+]
+
+
 class TestBulkFormatters:
     @settings(deadline=None, max_examples=300)
     @given(payload=_row_reports())
@@ -1005,6 +1025,26 @@ class TestBulkFormatters:
         listed = {"strengths": vector.tolist(), "report": {"n": 1, "counts": vector.tolist()}}
         assert _dump_json(payload) == json.dumps(listed, indent=2) + "\n"
 
+    @settings(deadline=None, max_examples=300)
+    @given(picks=st.lists(st.integers(0, len(_POOL_BITS) - 1), max_size=40))
+    def test_dump_json_renders_repeated_floats_like_the_encoder(self, picks):
+        # each distinct value is rendered once and gathered by index, so
+        # draw from a small pool whose values repeat, with the bit patterns
+        # a value comparison would merge
+        vector = np.array(_POOL_BITS, dtype=np.uint64).view(np.float64)[picks]
+        payload = {"strengths": vector, "report": {"n": 1, "strengths": vector}}
+        listed = {"strengths": vector.tolist(), "report": {"n": 1, "strengths": vector.tolist()}}
+        assert _dump_json(payload) == json.dumps(listed, indent=2) + "\n"
+
+    @settings(deadline=None, max_examples=300)
+    @given(picks=st.lists(st.integers(0, len(_POOL_BITS) - 1), max_size=40))
+    def test_render_distinct_keeps_each_bit_pattern(self, picks):
+        def hexes(xs):
+            return [struct.pack("<d", x).hex() for x in xs]
+
+        vector = np.array(_POOL_BITS, dtype=np.uint64).view(np.float64)[picks]
+        assert _render_distinct(vector, hexes) == hexes(vector.tolist())
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1027,7 +1067,8 @@ class TestBulkFormatters:
     @settings(deadline=None, max_examples=300)
     @given(j=st.integers(1, 10**6), x=_FLOATS, flag=st.sampled_from(["yes", "no"]))
     def test_strength_line_template(self, j, x, flag):
-        assert _STRENGTH_LINE % (j, x, flag) == f"{j:>3}  {_fmt(x):<16}  {flag}\n"
+        line = _STRENGTH_ROW % (j, _STRENGTH_CELL % (x, flag))
+        assert line == f"{j:>3}  {_fmt(x):<16}  {flag}\n"
 
     @settings(deadline=None, max_examples=300)
     @given(row=st.tuples(*[st.one_of(_FLOATS, st.integers())] * 5))
@@ -1037,8 +1078,26 @@ class TestBulkFormatters:
     @pytest.mark.parametrize("block", [1, 4, 2048])
     @pytest.mark.parametrize(
         "solution",
-        [best_online(7, 0.3), optimize_strengths(30, 0.8), sl_solution(5, 0.6)],
-        ids=["closed", "numeric-saturated", "sl"],
+        [
+            best_online(7, 0.3),
+            optimize_strengths(30, 0.8),
+            sl_solution(5, 0.6),
+            closed_form_strengths(5001, 0.3),
+            recursive_strengths(5001, 0.02),
+            # the orbit alternates: no two neighbouring strengths are equal
+            optimize_strengths(2001, 0.55),
+            # every position but the last saturated
+            optimize_strengths(5001, 0.8),
+        ],
+        ids=[
+            "closed",
+            "numeric-saturated",
+            "sl",
+            "closed-long",
+            "recursive-long",
+            "numeric-orbit",
+            "numeric-saturated-long",
+        ],
     )
     def test_strengths_text_line_by_line(self, solution, block, monkeypatch):
         monkeypatch.setattr(cli, "_RENDER_BLOCK", block)
@@ -1048,6 +1107,35 @@ class TestBulkFormatters:
             for j, x in enumerate(solution.schedule.strengths.tolist(), start=1)
         ]
         assert _strengths_text(solution).split("\n")[2:] == lines + [""]
+
+    @pytest.mark.parametrize("c", [0.02, 0.3, 0.48])
+    @pytest.mark.parametrize("method", ["closed", "recursive"])
+    def test_long_schedule_per_position(self, method, c, capsys):
+        # 50 000 strengths against one line and one encoder item per
+        # position: closed forms that settle to 1 + c, and recursions that
+        # settle (59 distinct strengths at c = 0.3) or drift (49 996 at
+        # c = 0.02)
+        n = 50_001
+        solution = {"closed": closed_form_strengths, "recursive": recursive_strengths}[method](n, c)
+        strengths = solution.schedule.strengths.tolist()
+        saturated = solution.saturated_positions
+        argv = ["strengths", "--n", str(n), "--c", str(c), "--method", method]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert lines[2:] == [
+            f"{j:>3}  {_fmt(x):<16}  {'yes' if j in saturated else 'no'}"
+            for j, x in enumerate(strengths, start=1)
+        ] + [""]
+        assert main([*argv, "--format", "json"]) == 0
+        payload = {
+            "n": n,
+            "c": c,
+            "method": solution.method,
+            "success": solution.success,
+            "strengths": strengths,
+            "saturated_positions": sorted(saturated),
+        }
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
     @pytest.mark.parametrize("block", [1, 7, 2048])
     def test_to_csv_line_by_line(self, block, monkeypatch):
@@ -1069,15 +1157,22 @@ class TestMemory:
             # 396.4 B: the rendered report, 170 B a position, twice over
             # while it is joined, and the float vectors
             (("simulate", "--n", "20001", "--c", "0.4", "--trials", "1", "--seed", "1"), 20_000, 428),
-            # 80.6 B
+            # 79.2 B
             (("strengths", "--n", "20001", "--c", "0.3"), 20_000, 87),
-            # 127.0 B
-            (("strengths", "--n", "20001", "--c", "0.3", "--format", "json"), 20_000, 137),
+            # 65.0 B: the unique's index and the gathered items; the 31
+            # distinct strengths are rendered once each
+            (("strengths", "--n", "20001", "--c", "0.3", "--format", "json"), 20_000, 70),
+            # 65.0 B: 59 distinct strengths, as the recursion drifts
+            (
+                ("strengths", "--n", "20001", "--c", "0.3", "--method", "recursive", "--format", "json"),
+                20_000,
+                70,
+            ),
             # 1196 B a row, nearly all of it the table's blocks of strengths
             # and profiles and the kernel's change factors
             (("curve", "--step", "0.001", "--format", "json"), 990, 1292),
         ],
-        ids=["simulate", "strengths-text", "strengths-json", "curve-json"],
+        ids=["simulate", "strengths-text", "strengths-json", "strengths-recursive-json", "curve-json"],
     )
     def test_peak_per_position(self, argv, positions, budget, monkeypatch):
         lengths = []
