@@ -64,8 +64,32 @@ def global_efficiencies(n: int, c: Overlap | float) -> np.ndarray:
 def _tent_efficiencies(n: int, cv):
     """The closed form of :func:`global_efficiencies` for one overlap
     ``cv``, or one vector per row of an ``(R, 1)`` column of overlaps."""
-    k = np.arange(1, n + 1)
-    return (1.0 - cv - np.power(-cv, k) - np.power(-cv, n - k + 1)) / (1.0 + cv)
+    powers = _tent_powers(n, cv)
+    return (1.0 - cv - powers[..., 1:] - powers[..., :0:-1]) / (1.0 + cv)
+
+
+def _tent_powers(n: int, cs) -> np.ndarray:
+    """``np.power(-c, e)`` for ``e = 0..n`` at an overlap ``cs`` or along an
+    ``(R, 1)`` column; past 64 exponents, 0.0 strictly between ``K`` and
+    ``n + 1 - K``, ``K`` the first exponent whose power is below
+    ``min(1 - c, 1/16) * 2**-56``, a quarter of half an ulp of ``1 - c``, in
+    every row.  The powers cut round away in ``1 ± (·)`` and ``1 - c - (·)``,
+    so this costs O(K) ``pow`` calls; the top ones stay, as ``1 - c - c^2``
+    and the like can cancel."""
+    top = 32
+    while True:
+        top = min(2 * top, n)
+        head = np.power(-cs, np.arange(top + 1))
+        if top == n:
+            return head
+        below = np.abs(head) < np.minimum(1.0 - cs, 0.0625) * 2.0**-56
+        if below[..., -1].all():
+            break
+    cut = int(below.argmax(axis=-1).max(initial=0))
+    head[..., cut + 1 : n + 1 - cut] = 0.0
+    rest = max(n + 1 - cut, top + 1)  # the first exponent past the head's
+    middle = np.zeros(head.shape[:-1] + (rest - top - 1,))
+    return np.concatenate([head, middle, np.power(-cs, np.arange(rest, n + 1))], axis=-1)
 
 
 def global_success(n: int, c: Overlap | float) -> float:

@@ -1,10 +1,10 @@
 """Numeric hot paths: detection-profile recursion and Monte Carlo trials.
 
-Both kernels are plain numpy.  The profile kernel takes one schedule or a
-stack of them, one per row, and walks a stack's rows through the
-recursion in lockstep: each step is a few operations on width-R row
-vectors, elementwise the arithmetic of the one-schedule walk, so every
-row of a stack equals that schedule's own profile bit for bit.
+Both kernels are plain numpy.  The profile kernel walks one schedule on
+Python floats, filling each long run of equal strengths in bulk once its
+state settles, so a chain costs O(unsettled positions) in Python; a stack
+of schedules, one per row, goes through the recursion in lockstep on
+width-R row vectors, each row bit for bit its schedule's own profile.
 
 The Monte Carlo kernel draws every uniform
 from a counter-based generator keyed by ``(seed, trial, position)``, so
@@ -87,6 +87,10 @@ def seed_root(seed: int) -> int:
 # kernel 1: detection profile (forward recursion over outcome probabilities)
 # ---------------------------------------------------------------------------
 
+#: shortest run of equal strengths that a one-schedule walk settles early
+_SETTLE_RUN = 128
+
+
 def detection_profile(c, xs) -> np.ndarray:
     """Per-position detection probabilities of the schedule ``xs``.
 
@@ -95,48 +99,74 @@ def detection_profile(c, xs) -> np.ndarray:
     Entry j is ``p0_j * (1 - c/x_j)`` and the last entry ``p0_n``, where
     ``p0 = 1 - pi`` and ``pi' = p0*(c*x) + pi*c^2`` from ``pi = 0``.
 
-    One schedule is a float ``c`` and a 1-D ``xs``; a stack is a ``(R,)``
-    column of overlaps and an ``(R, n-1)`` array, one schedule per row,
-    whose ``(R, n)`` C-contiguous result equals the 1-D result row by row,
-    bit for bit.  ``c*x`` and ``1 - c/x`` are each one array operation over
-    the whole schedule or stack; the caller bounds a stack's size.  Only
-    the recurrence runs in the loop, over Python floats (the same IEEE
-    arithmetic as numpy scalars, but cheaper) or over width-R columns of
-    the result, which holds ``c*x`` until ``p0`` replaces it.  Raises
-    ``ValueError`` for ``xs`` of other than 1 or 2 dimensions, and for
-    overlaps that are not one per row of a stack.
+    One schedule is a float ``c`` and a 1-D ``xs`` (:func:`_one_profile`);
+    a stack is a ``(R,)`` column of overlaps and an ``(R, n-1)`` array, one
+    schedule per row, walked over width-R columns of the result, which holds
+    ``c*x`` until ``p0`` replaces it; the caller bounds its size.  Its
+    ``(R, n)`` C-contiguous result equals the 1-D one row by row, bit for
+    bit.  Raises ``ValueError`` for ``xs`` of other than 1 or 2 dimensions,
+    and for overlaps that are not one per row of a stack.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim == 1:
-        c = float(c)
-        cols = (c * xs).tolist()
-        cc, p0, pi = c * c, 1.0, 0.0
-    elif xs.ndim == 2:
-        cs = np.asarray(c, dtype=np.float64)
-        if cs.shape != xs.shape[:1]:
-            raise ValueError(
-                f"a stack of {len(xs)} schedules needs {len(xs)} overlaps, got shape {cs.shape}"
-            )
-        c = cs[:, None]
-        prof = np.empty((len(xs), xs.shape[1] + 1))
-        np.multiply(xs, c, out=prof[:, :-1])
-        cols = prof.T
-        cc, p0, pi = cs * cs, np.ones(len(cs)), np.zeros(len(cs))
-    else:
+        return _one_profile(float(c), xs)
+    if xs.ndim != 2:
         raise ValueError(f"strengths must be 1-D or 2-D, got {xs.ndim} dimensions")
+    cs = np.asarray(c, dtype=np.float64)
+    if cs.shape != xs.shape[:1]:
+        raise ValueError(
+            f"a stack of {len(xs)} schedules needs {len(xs)} overlaps, got shape {cs.shape}"
+        )
+    c = cs[:, None]
+    prof = np.empty((len(xs), xs.shape[1] + 1))
+    np.multiply(xs, c, out=prof[:, :-1])
+    cols = prof.T
+    cc, p0, pi = cs * cs, np.ones(len(cs)), np.zeros(len(cs))
     # cols[j] holds c*x at position j + 1 until it is read, then p0 there
-    for j in range(xs.shape[-1]):
+    for j in range(xs.shape[1]):
         pi = p0 * cols[j] + pi * cc
         cols[j] = p0
         p0 = 1.0 - pi
-    if xs.ndim == 1:
-        cols.append(p0)
-        prof = np.array(cols)
-    else:
-        prof[:, -1] = p0
+    prof[:, -1] = p0
     change = np.divide(c, xs)
-    np.subtract(1.0, change, out=change)
-    prof[..., :-1] *= change
+    prof[:, :-1] *= np.subtract(1.0, change, out=change)
+    return prof
+
+
+def _one_profile(c: float, xs: np.ndarray) -> np.ndarray:
+    """One schedule's profile, each entry computed in a walk on Python floats
+    (numpy's IEEE arithmetic, cheaper per step).  In a run of at least
+    :data:`_SETTLE_RUN` equal strengths each step is one pure map of ``pi``:
+    once ``pi`` equals its value two steps back, the rest of the run
+    alternates between the last two entries and ``pi`` leaves it by parity."""
+    cc, p0, pi, n = c * c, 1.0, 0.0, len(xs)
+    runs = [(n, n)]  # (start, end) of each long run, and the end of the chain
+    if n >= _SETTLE_RUN and (xs[_SETTLE_RUN - 1 :] == xs[: n + 1 - _SETTLE_RUN]).any():
+        edges = np.concatenate(([0], np.flatnonzero(xs[1:] != xs[:-1]) + 1, [n]))
+        long = np.flatnonzero(np.diff(edges) >= _SETTLE_RUN)
+        runs[:0] = zip(edges[long].tolist(), edges[long + 1].tolist())
+    prof, done = np.empty(n + 1), 0
+    for start, end in runs:
+        walked = []
+        for x in xs[done:start].tolist():
+            walked.append(p0 * (1.0 - c / x))
+            pi = p0 * (c * x) + pi * cc
+            p0 = 1.0 - pi
+        x = float(xs[start]) if start < n else 1.0
+        cx, change, back, prev = c * x, 1.0 - c / x, None, None
+        for j in range(start, end):
+            walked.append(p0 * change)
+            back, prev = prev, pi
+            pi = p0 * cx + pi * cc
+            p0 = 1.0 - pi
+            if pi == back:
+                # pi entering j + 1 is that entering j - 1: fill by parity
+                prof[j + 1 : end : 2], prof[j + 2 : end : 2] = walked[-2], walked[-1]
+                pi, p0 = (prev, 1.0 - prev) if (end - j) % 2 == 0 else (pi, p0)
+                break
+        prof[done : done + len(walked)] = walked
+        done = end
+    prof[n] = p0
     return prof
 
 

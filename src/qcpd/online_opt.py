@@ -13,12 +13,15 @@ Constructions:
   the orbit of a map in one variable ``s``, from ``s = 1`` at position
   ``n-1``: strength ``1/s`` and ``s' = 1 - c*s`` while ``s >= c`` (ties
   included), else strength ``1/c`` and ``s'^2 = (1-c^2)(1-s^2)``.
-  :func:`_optimal_strengths` runs it for every optimal schedule.
+  :func:`_optimal_strengths` runs it for every optimal schedule; once ``s``
+  repeats its value from two steps back it fills the rest, bit for bit, so
+  a chain costs O(unsettled positions) in Python.
 * :func:`closed_form_strengths` — that orbit while it never saturates
   (``c <= 1/2``): ``x(j) = (1+c)/(1-(-c)^(n-j))``, whose profile
   reproduces the collective optimum exactly.
 * :func:`recursive_strengths` — the same schedule obtained by forward
-  substitution from the target efficiencies (independent derivation path).
+  substitution from the target efficiencies (independent derivation path),
+  filled alike from a strength that repeats between equal targets.
 * :func:`fl_solution` / :func:`sl_solution` — the two simple benchmark
   families: constant strength ``min(1+c, 1/c)`` (asymptotically optimal
   below the critical overlap) and fully saturated strength ``1/c``.
@@ -52,7 +55,7 @@ from .core import (
     check_strength,
     evaluate_strategy,
 )
-from .global_bound import global_efficiencies
+from .global_bound import _tent_powers, global_efficiencies
 
 #: relative slack when flagging a strength as sitting at the ceiling 1/c
 _SATURATION_SLACK = 1e-9
@@ -164,7 +167,8 @@ def _recursive_xs(n: int, cv: float) -> np.ndarray:
         # the recursion's first step is 0/0 at zero overlap; its limit, like
         # the closed form, is the all-balanced schedule
         return np.ones(n - 1)
-    targets = memoryview(global_efficiencies(n, cv))  # indexes to Python floats
+    gammas = global_efficiencies(n, cv)
+    targets = memoryview(gammas)  # indexes to Python floats
     first_den = 1.0 - targets[0]
     if first_den <= 0.0:
         raise OutOfValidityError(
@@ -172,33 +176,42 @@ def _recursive_xs(n: int, cv: float) -> np.ndarray:
         )
     xs = np.empty(n - 1)
     xs[0] = x = cv / first_den
-    for k in range(1, n - 1):
-        run_prob = (1.0 - cv * cv) - cv * targets[k - 1] * x
-        if run_prob == 0.0:
-            # reachable only at (n=3, c=1/2), where the first strength
-            # saturates at 1/c and its target efficiency vanishes with it:
-            # the constraint becomes vacuous (0 == 0) and the limit of the
-            # recursion is the balanced strength
-            if abs(targets[k]) <= 1e-15:
-                xs[k] = x = 1.0
-                continue
-            raise OutOfValidityError(
-                "conclusive-run probability vanished during the recursion"
-            )
-        frac = 1.0 - targets[k] / run_prob
-        if frac <= 0.0:
-            raise OutOfValidityError(
-                f"no admissible strength solves position {k + 1} "
-                f"(denominator {frac!r})"
-            )
-        xs[k] = x = cv / frac
+    k = 1
+    while k < n - 1:
+        for k in range(k, n - 1):
+            run_prob = (1.0 - cv * cv) - cv * targets[k - 1] * x
+            if run_prob == 0.0:
+                # only at (n=3, c=1/2): the first strength saturates at 1/c and
+                # its target vanishes, so the step is vacuous (0 == 0) and
+                # takes the recursion's limit, the balanced strength
+                if abs(targets[k]) <= 1e-15:
+                    xs[k] = x = 1.0
+                    continue
+                raise OutOfValidityError(
+                    "conclusive-run probability vanished during the recursion"
+                )
+            frac = 1.0 - targets[k] / run_prob
+            if frac <= 0.0:
+                raise OutOfValidityError(
+                    f"no admissible strength solves position {k + 1} "
+                    f"(denominator {frac!r})"
+                )
+            xs[k] = y = cv / frac
+            if y == x and targets[k - 1] == targets[k]:
+                # x is a fixed point until the target moves
+                end = k + 1 + int(np.argmax(np.append(gammas[k + 1 : n - 1] != targets[k], True)))
+                xs[k + 1 : end], k = x, end
+                break
+            x = y
+        else:
+            break
     return xs
 
 
 def _closed_form_xs(n: int, cs):
     """``(1+c)/(1-(-c)^(n-j))`` for ``j = 1..n-1``: one schedule at an
     overlap ``cs``, or one row per overlap for a column ``cs``."""
-    return (1.0 + cs) / (1.0 - np.power(-cs, n - np.arange(1, n)))
+    return (1.0 + cs) / (1.0 - _tent_powers(n, cs)[..., n - 1 : 0 : -1])
 
 
 def _optimal_strengths(n: int, cv: float) -> np.ndarray:
@@ -208,14 +221,20 @@ def _optimal_strengths(n: int, cv: float) -> np.ndarray:
     if cv <= 0.5:
         return _closed_form_xs(n, cv)
     xs = [1.0 / cv] * (n - 1)
-    s = 1.0
+    s, prev = 1.0, None
     for j in range(n - 2, -1, -1):
+        back, prev = prev, s
         if s >= cv:
             xs[j] = 1.0 / s
             s = 1.0 - cv * s
         else:
             s = math.sqrt((1.0 - cv * cv) * (1.0 - s * s))
-    return np.array(xs)
+        if s == back:
+            break
+    out = np.array(xs)
+    if j:  # s entering j - 1 is that entering j + 1: it alternates from here
+        out[(j - 1) % 2 : j : 2], out[j % 2 : j : 2] = xs[j + 1], xs[j]
+    return out
 
 
 def optimize_strengths(n: int, c: Overlap | float) -> OnlineSolution:

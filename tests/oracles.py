@@ -23,6 +23,15 @@ from outside it:
 * :func:`detection_profile_loop` is the profile recursion as one Python
   loop over positions, each factor computed where it is used, which both
   call shapes of ``kernels.detection_profile`` must match bit for bit;
+* :func:`tent_efficiencies_full` and :func:`closed_form_xs_full` are the
+  two closed forms with every power of ``-c`` taken by ``np.power``, which
+  the cut-off powers of ``global_bound._tent_powers`` must match bit for
+  bit;
+* :func:`recursive_xs_loop` and :func:`optimal_strengths_loop` are the
+  forward substitution and the orbit of the optimal schedule walked to
+  the last position, with no stop at a fixed point, which
+  ``online_opt._recursive_xs`` and ``online_opt._optimal_strengths`` must
+  match bit for bit;
 * :func:`detection_profile_reference` is the profile recursion in
   50-digit ``decimal`` arithmetic, the reference both call shapes of
   ``kernels.detection_profile`` are bounded against;
@@ -335,6 +344,54 @@ def detection_profile_loop(c: float, xs) -> np.ndarray:
         p0 = 1.0 - pi
     prof.append(p0)
     return np.array(prof)
+
+
+def tent_efficiencies_full(n: int, cs) -> np.ndarray:
+    """``(1 - c - (-c)^k - (-c)^(n-k+1)) / (1 + c)`` for ``k = 1..n``, at an
+    overlap or along an ``(R, 1)`` column, every power by ``np.power``."""
+    k = np.arange(1, n + 1)
+    return (1.0 - cs - np.power(-cs, k) - np.power(-cs, n - k + 1)) / (1.0 + cs)
+
+
+def closed_form_xs_full(n: int, cs) -> np.ndarray:
+    """``(1 + c) / (1 - (-c)^(n-j))`` for ``j = 1..n-1``, at an overlap or
+    along an ``(R, 1)`` column, every power by ``np.power``."""
+    return (1.0 + cs) / (1.0 - np.power(-cs, n - np.arange(1, n)))
+
+
+def recursive_xs_loop(n: int, cv: float) -> np.ndarray:
+    """The forward substitution of ``recursive_strengths``, one position at
+    a time to the last, from the full-power targets
+    :func:`tent_efficiencies_full`."""
+    if cv == 0.0:
+        return np.ones(n - 1)
+    targets = tent_efficiencies_full(n, cv).tolist()
+    xs = np.empty(n - 1)
+    xs[0] = x = cv / (1.0 - targets[0])
+    for k in range(1, n - 1):
+        run_prob = (1.0 - cv * cv) - cv * targets[k - 1] * x
+        if run_prob == 0.0 and abs(targets[k]) <= 1e-15:
+            xs[k] = x = 1.0  # the vacuous step at (n=3, c=1/2)
+            continue
+        xs[k] = x = cv / (1.0 - targets[k] / run_prob)
+    return xs
+
+
+def optimal_strengths_loop(n: int, cv: float) -> np.ndarray:
+    """The optimal schedule: :func:`closed_form_xs_full` up to ``c = 1/2``,
+    else the orbit of ``optimize_strengths``'s map in ``s``, one position at
+    a time from ``s = 1`` down to position 1."""
+    if cv <= 0.5:
+        return closed_form_xs_full(n, cv)
+    xs = [1.0 / cv] * (n - 1)
+    s = 1.0
+    for j in range(n - 2, -1, -1):
+        if s >= cv:
+            xs[j] = 1.0 / s
+            s = 1.0 - cv * s
+        else:
+            s = math.sqrt((1.0 - cv * cv) * (1.0 - s * s))
+    return np.array(xs)
 
 
 def enumerate_strategy_nested(schedule: StrengthSchedule) -> DetectionProfile:

@@ -19,15 +19,24 @@ from qcpd import (
     primed_success,
     validate_unambiguous,
 )
+from qcpd import global_bound, online_opt
 from qcpd.global_bound import (
     _gram_powers,
     _optimal_success,
     _scaled_gamma_two,
     _tent_efficiencies,
+    _tent_powers,
     _unambiguous_spectra,
 )
+from qcpd.online_opt import _closed_form_xs
 from qcpd.verification import GRAM_TOL
-from oracles import _bisect_root, gamma_two_reference, global_efficiencies_direct
+from oracles import (
+    _bisect_root,
+    closed_form_xs_full,
+    gamma_two_reference,
+    global_efficiencies_direct,
+    tent_efficiencies_full,
+)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -370,3 +379,81 @@ class TestStackedFeasibility:
         grams[3, 0, 4] += 0.1
         with pytest.raises(ValueError, match="Gram matrix must be symmetric"):
             _unambiguous_spectra(grams, gammas)
+
+
+def _cutoff(c: float) -> int | None:
+    """The first exponent whose power of ``-c`` lies below the floor
+    ``min(1 - c, 1/16) * 2**-56`` of ``_tent_powers``, if one is below 2e5."""
+    powers = np.abs(np.power(-c, np.arange(1, 200_001)))
+    below = np.flatnonzero(powers < min(1.0 - c, 1 / 16) * 2.0**-56)
+    return int(below[0]) + 1 if len(below) else None
+
+
+class TestPowerCutoff:
+    """The tent and the closed-form schedule from powers cut to 0.0 between
+    the exponents ``K`` and ``n + 1 - K``, against every power by
+    ``np.power``, bit for bit: at one overlap and along a column, with n on
+    both sides of ``2K``, where the cut first removes a power."""
+
+    CS = [0.0, 5e-324, 1e-300, 1e-8, 0.1, 0.3, 0.5, float(GOLDEN),
+          float(np.nextafter(GOLDEN, 1.0)), 0.7245, 0.9, 0.95, 0.9901, 0.995,
+          0.999, 1.0 - 2.0**-20, float(np.nextafter(1.0, 0.0)), 1.0]
+    SHORT = [2, 3, 4, 5, 31, 64, 65, 128, 129]
+
+    @staticmethod
+    def _lengths(k):
+        near = [] if k is None or 2 * k + 2 > 200_000 else [2 * k + d for d in range(-2, 3)]
+        return [n for n in TestPowerCutoff.SHORT + near if n >= 2]
+
+    @staticmethod
+    def _mismatches(cases):
+        bad = []
+        with np.errstate(divide="ignore", invalid="ignore"):  # at c = 1
+            for n, cs in cases:
+                if _tent_efficiencies(n, cs).tobytes() != tent_efficiencies_full(n, cs).tobytes():
+                    bad.append(("tent", n, cs))
+                if _closed_form_xs(n, cs).tobytes() != closed_form_xs_full(n, cs).tobytes():
+                    bad.append(("closed form", n, cs))
+        return bad
+
+    def _scalar_cases(self):
+        return [(n, c) for c in self.CS for n in self._lengths(_cutoff(c))]
+
+    def _column_cases(self):
+        rng = np.random.default_rng(26)
+        cases = []
+        for top in (0.5, 0.95):
+            col = np.concatenate([[c for c in self.CS if c <= top], rng.uniform(0.0, top, 20)])
+            k = max(filter(None, map(_cutoff, col.tolist())))
+            cases += [(n, col[:, None]) for n in self._lengths(k)]
+        return cases + [(n, np.empty((0, 1))) for n in (2, 300)]
+
+    def test_scalar_overlaps_equal_the_full_powers(self):
+        assert self._mismatches(self._scalar_cases()) == []
+
+    def test_columns_equal_the_full_powers(self):
+        assert self._mismatches(self._column_cases()) == []
+
+    def test_the_cut_starts_past_twice_the_cutoff(self):
+        for c in (0.3, 0.5, 0.95, 0.999):
+            k = _cutoff(c)
+            assert (_tent_powers(2 * k, c) != 0.0).all()
+            assert np.flatnonzero(_tent_powers(2 * k + 1, c) == 0.0).tolist() == [k + 1]
+        assert (_tent_powers(10_000, 1.0) != 0.0).all()
+
+    def test_a_cut_at_two_to_the_minus_50_fails(self, monkeypatch):
+        # negative control: a mutant that cuts past the first power below
+        # 2**-50 drops powers that still move 1 - c - (.) and 1 -+ (.)
+        def mutant(n, cs):
+            powers = np.power(-np.asarray(cs, dtype=np.float64), np.arange(n + 1))
+            below = np.abs(powers) < 2.0**-50
+            if below[..., -1].all():
+                k = int(below.argmax(axis=-1).max(initial=0))
+                powers[..., k + 1 : n + 1 - k] = 0.0
+            return powers
+
+        monkeypatch.setattr(global_bound, "_tent_powers", mutant)
+        monkeypatch.setattr(online_opt, "_tent_powers", mutant)
+        bad = self._mismatches(self._scalar_cases())
+        assert {kind for kind, _, _ in bad} == {"tent", "closed form"}
+        assert self._mismatches(self._column_cases()) != []

@@ -13,6 +13,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from conftest import settled_schedules
 from oracles import detection_profile_loop, detection_profile_reference, simulate_counts_forward
 
 from qcpd import (
@@ -168,6 +169,38 @@ class TestStackedProfile:
     def test_overlaps_must_match_the_stack(self, c):
         with pytest.raises(ValueError, match="a stack of 3 schedules needs 3 overlaps"):
             kernels.detection_profile(c, np.ones((3, 4)))
+
+
+class TestSettledProfile:
+    """Schedules with long runs of equal strengths, where the one-schedule
+    walk stops at a settled state and fills the rest of the run, against the
+    position loop, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(settled_schedules())
+    def test_one_schedule_equals_the_position_loop(self, case):
+        c, xs = case
+        assert kernels.detection_profile(c, xs).tobytes() == detection_profile_loop(c, xs).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(settled_schedules(), min_size=1, max_size=4))
+    def test_stacks_of_its_rows_equal_the_position_loop(self, cases):
+        width = min(len(xs) for _, xs in cases)
+        cs = np.array([c for c, _ in cases])
+        xs = np.array([x[:width] for _, x in cases])
+        loop = np.array([detection_profile_loop(c, x) for c, x in zip(cs.tolist(), xs)])
+        assert kernels.detection_profile(cs, xs).tobytes() == loop.tobytes()
+        for c, x, row in zip(cs.tolist(), xs, loop):
+            assert kernels.detection_profile(c, x).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("tail", [0, 1, 2, 3])
+    @pytest.mark.parametrize("c", [0.0, 0.02, 0.3, 0.5, 0.9, 0.99, 1.0])
+    def test_constant_schedules_settle_on_either_parity(self, c, tail):
+        # fl- and sl-like schedules: one run, filled from its settled state
+        # with an even or odd remainder, and a balanced last strength
+        for x in {1.0, min(1.0 + c, 1.0 / c) if c else 1.0, 1.0 / c if c else 2.0}:
+            xs = np.append(np.full(3 * kernels._SETTLE_RUN + tail, x), 1.0)
+            assert kernels.detection_profile(c, xs).tobytes() == detection_profile_loop(c, xs).tobytes()
 
 
 class TestProfileAccuracy:

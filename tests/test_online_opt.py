@@ -33,8 +33,10 @@ from qcpd.cli import build_curve
 from qcpd.kernels import detection_profile
 from oracles import (
     coordinate_objective,
+    optimal_strengths_loop,
     optimal_strengths_reference,
     optimize_strengths_backward,
+    recursive_xs_loop,
     sl_worst_case_gap,
     total_saturation_point,
 )
@@ -382,6 +384,34 @@ class TestOrbitAccuracy:
             xs = online_opt._optimal_strengths(n, c).tolist()
             for x, ref in zip(xs, optimal_strengths_reference(n, c), strict=True):
                 assert abs(Decimal(x) / ref - 1) <= ORBIT_REL * Decimal(2) ** -52, (n, c)
+
+
+class TestSettledChains:
+    """The forward substitution and the orbit stop once their state repeats
+    and fill the rest; the full loops in ``tests/oracles.py`` must agree bit
+    for bit, settled or not."""
+
+    NEVER_SETTLES = (34216, 0.139696)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 31, 129, 1001, 34216, 100001])
+    def test_recursive_xs_equals_the_loop(self, n):
+        for c in [0.0, online_opt.RECURSION_FLOOR, 0.02, 0.139696, 0.25, 0.3, 0.48, 0.5]:
+            assert online_opt._recursive_xs(n, c).tobytes() == recursive_xs_loop(n, c).tobytes(), c
+
+    def test_the_vacuous_step_at_three_positions(self):
+        assert online_opt._recursive_xs(3, 0.5).tobytes() == recursive_xs_loop(3, 0.5).tobytes()
+
+    def test_a_chain_that_never_settles_keeps_its_full_loop(self):
+        n, c = self.NEVER_SETTLES
+        xs = online_opt._recursive_xs(n, c)
+        assert xs.tobytes() == recursive_xs_loop(n, c).tobytes()
+        assert len(np.unique(xs)) > n - 10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 31, 129, 1001, 100001])
+    def test_optimal_strengths_equal_the_orbit_loop(self, n):
+        golden = float(GOLDEN)
+        for c in [0.3, 0.5, 0.5000001, 0.55, 0.6, golden, 0.62, 0.65, 0.7, 0.9, 0.99, 1.0]:
+            assert online_opt._optimal_strengths(n, c).tobytes() == optimal_strengths_loop(n, c).tobytes(), c
 
 
 class TestSaturationPoint:
