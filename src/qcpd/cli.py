@@ -31,6 +31,7 @@ from .global_bound import _optimal_success
 from .montecarlo import run_experiment
 from .online_opt import (
     OnlineSolution,
+    _at_ceiling,
     _table_success,
     best_online,
     closed_form_strengths,
@@ -46,10 +47,11 @@ from .verification import run_all
 _TOL = 1e-12
 CSV_HEADER = "c,p_global,p_online,p_fl,p_sl"
 _CSV_ROW = ",".join(["%.12g"] * 5) + "\n"
-#: a ``strengths`` text line: the position, then the strength-and-flag cell
-_STRENGTH_ROW = "%3d  %s\n"
+#: a ``strengths`` text cell: the strength and its saturation flag, which
+#: follow the position's ``%3d`` and two spaces on each line
 _STRENGTH_CELL = "%-16.12g  %s"
-#: lines per ``%`` call in :func:`_render_lines`
+#: lines per ``%`` call in :func:`_render_lines`, and per block of
+#: :func:`_strengths_text`
 _RENDER_BLOCK = 2048
 
 #: largest overlap grid ``curve`` evaluates; finer grids are rejected up front
@@ -102,20 +104,30 @@ def _render_lines(line: str, columns: Sequence[Sequence]) -> list[str]:
     return parts
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct bit patterns of a 1-D float64 vector, as float64, and
+    the inverse index that gathers ``values`` back from them.
+
+    The patterns are told apart as int64, so ``0.0`` and ``-0.0``, and
+    NaNs with different payloads, stay apart and each keep their own text.
+    """
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), index
+
+
 def _render_distinct(values: np.ndarray, render) -> list[str]:
     """``render(values.tolist())`` for a 1-D float64 vector, where
     ``render`` maps a list of floats to the list of their texts, with each
-    distinct bit pattern rendered once and the texts gathered by index.
+    distinct bit pattern (:func:`_distinct`) rendered once and the texts
+    gathered by index.
 
     A schedule settles along the chain, so 5e4 strengths mostly hold a few
-    dozen distinct floats.  The patterns are told apart as int64, so
-    ``0.0`` and ``-0.0``, and NaNs with different payloads, each keep their
-    own text.  ``render`` takes the distinct values in one list, so a
-    schedule that never settles (some recursive ones) costs one bulk
-    render and a sort.
+    dozen distinct floats.  ``render`` takes the distinct values in one
+    list, so a schedule that never settles (some recursive ones) costs one
+    bulk render and a sort.
     """
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    cells = np.array(render(bits.view(np.float64).tolist()), dtype=object)
+    distinct, index = _distinct(values)
+    cells = np.array(render(distinct.tolist()), dtype=object)
     return cells.take(index).tolist()
 
 
@@ -125,11 +137,31 @@ def _json_items(values: list[float]) -> list[str]:
     return json.dumps(values)[1:-1].split(", ")
 
 
-def _strength_cells(strengths: list[float], flag: str) -> list[str]:
-    """The ``_STRENGTH_CELL`` of each strength with ``flag``, rendered in
-    blocks by :func:`_render_lines`."""
-    flags = [flag] * len(strengths)
-    return "".join(_render_lines(_STRENGTH_CELL + "\n", (strengths, flags))).splitlines()
+def _strength_lines(first: int, distinct: np.ndarray, flags: np.ndarray, index: np.ndarray) -> str:
+    """The ``strengths`` text lines of positions ``first, first + 1, ...``,
+    one per entry ``i`` of ``index``: ``f"{j:>3}  {_fmt(x):<16}  {flag}"``
+    for ``x = distinct[i]``, with ``flag`` ``yes`` where ``flags[i]``.
+
+    Each distinct cell (``_STRENGTH_CELL``, its two leading spaces and the
+    line break) is rendered once, in bulk, into a row of a NUL-padded byte
+    table.  The rows are gathered by ``index`` beside the positions' ``%3d``
+    as a byte matrix: ASCII digits, spaces up to three columns and NUL
+    left of them.  Dropping every NUL leaves the lines, decoded at once.
+    """
+    cells = _render_lines("  " + _STRENGTH_CELL + "\n", (distinct, np.where(flags, "yes", "no")))
+    chars = np.frombuffer("".join(cells).encode(), np.uint8)
+    lengths = np.diff(np.flatnonzero(chars == ord("\n")), prepend=-1)
+    table = np.zeros((len(lengths), lengths.max()), np.uint8)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = chars
+    width = max(3, len(str(first + len(index) - 1)))
+    lines = np.empty((len(index), width + table.shape[1]), np.uint8)
+    js = np.arange(first, first + len(index))
+    for col in range(width - 1, -1, -1):
+        lines[:, col] = np.where(js > 0, js % 10 + ord("0"), ord(" ") if col >= width - 3 else 0)
+        js //= 10
+    lines[:, width:] = table[index]
+    lines = lines.ravel()
+    return lines[lines != 0].tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -366,24 +398,22 @@ _METHODS = {
 
 def _strengths_text(solution: OnlineSolution) -> str:
     """A header and one line per position, ``f"{j:>3}  {_fmt(x):<16}  {flag}"``
-    byte for byte.  The strength-and-flag cells are rendered once per
-    distinct strength by :func:`_render_distinct`: a ``no`` cell for every
-    position, then a ``yes`` cell over each saturated one.  The lines are
-    filled in blocks by :func:`_render_lines`."""
+    byte for byte, with ``flag`` ``yes`` at each of the solution's
+    ``saturated_positions``.  Each block of ``_RENDER_BLOCK`` positions is
+    built by :func:`_strength_lines` from its distinct strengths, so a
+    schedule that never settles holds no string per position."""
     schedule = solution.schedule
     strengths = schedule.strengths
-    saturated = np.fromiter(solution.saturated_positions, np.intp) - 1
-    cells = _render_distinct(strengths, functools.partial(_strength_cells, flag="no"))
-    yes = _render_distinct(strengths[saturated], functools.partial(_strength_cells, flag="yes"))
-    for j, cell in zip(saturated.tolist(), yes):
-        cells[j] = cell
-    header = (
+    blocks = [
         f"n={schedule.n} c={_fmt(schedule.overlap.c)} "
         f"method={solution.method} success={_fmt(solution.success)}\n"
         "  j  strength          saturated\n"
-    )
-    lines = _render_lines(_STRENGTH_ROW, (range(1, len(cells) + 1), cells))
-    return "".join([header, *lines])
+    ]
+    for start in range(0, len(strengths), _RENDER_BLOCK):
+        distinct, index = _distinct(strengths[start : start + _RENDER_BLOCK])
+        flags = _at_ceiling(distinct, schedule.overlap.c)
+        blocks.append(_strength_lines(start + 1, distinct, flags, index))
+    return "".join(blocks)
 
 
 def cmd_strengths(args: argparse.Namespace) -> int:

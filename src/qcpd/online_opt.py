@@ -80,17 +80,22 @@ class OnlineSolution:
     def saturated_positions(self) -> frozenset[int]:
         """1-based positions whose strength sits at the admissibility
         ceiling ``1/c`` (within round-off slack), computed on each access."""
-        cv = self.schedule.overlap.c
-        ceiling = 1.0 / cv if cv else math.inf
-        if ceiling == math.inf:
-            # c = 0, or a subnormal c whose 1/c overflows: an infinite
-            # ceiling saturates no finite strength
-            return frozenset()
-        # capped at a quarter of [c, 1/c], which near c = 1 is narrower
-        # than the slack: a strength 1.0 there is not at the ceiling
-        slack = min(_SATURATION_SLACK * max(1.0, ceiling), 0.25 * (ceiling - cv))
-        xs = self.schedule.strengths
-        return frozenset((np.flatnonzero(np.abs(xs - ceiling) <= slack) + 1).tolist())
+        at_ceiling = _at_ceiling(self.schedule.strengths, self.schedule.overlap.c)
+        return frozenset((np.flatnonzero(at_ceiling) + 1).tolist())
+
+
+def _at_ceiling(xs: np.ndarray, cv: float) -> np.ndarray:
+    """Whether each strength of ``xs`` sits at the admissibility ceiling
+    ``1/cv`` within round-off slack: the saturation flag of a position."""
+    ceiling = 1.0 / cv if cv else math.inf
+    if ceiling == math.inf:
+        # c = 0, or a subnormal c whose 1/c overflows: an infinite
+        # ceiling saturates no finite strength
+        return np.zeros(len(xs), dtype=bool)
+    # capped at a quarter of [c, 1/c], which near c = 1 is narrower
+    # than the slack: a strength 1.0 there is not at the ceiling
+    slack = min(_SATURATION_SLACK * max(1.0, ceiling), 0.25 * (ceiling - cv))
+    return np.abs(xs - ceiling) <= slack
 
 
 def _solution(n: int, cv: float, xs, method: str) -> OnlineSolution:
@@ -373,8 +378,12 @@ def best_online(n: int, c: Overlap | float) -> OnlineSolution:
 _TABLE_BLOCK = 1 << 15
 #: fewest schedules a block of :func:`_table_success` walks as one stack.
 #: A stack's step costs a few numpy calls whatever its width, so a narrow
-#: stack loses to one Python-float walk per row: measured on 2 cores, the
-#: stack breaks even at 21-24 rows for n >= 301, and at 10-12 for n <= 31
+#: stack loses to one Python-float walk per row, which fills settled rows
+#: in bulk.  Measured on 2 cores with settled closed-form, fl and sl rows,
+#: the stack breaks even at 12 rows for n = 31 and at 18-27 for n = 301;
+#: at n = 1001 a full block (30 rows) walks 1.6 times slower stacked, and
+#: at n = 3001 a block holds at most 9 rows.  No benchmark workload runs a
+#: table past n = 301 to judge a different rule, so it stays.
 _STACK_ROWS = 20
 
 

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,8 +32,6 @@ from qcpd import (
 from qcpd import cli, kernels, online_opt, optimize_strengths
 from qcpd.cli import (
     _CSV_ROW,
-    _STRENGTH_CELL,
-    _STRENGTH_ROW,
     CSV_HEADER,
     MAX_CURVE_ROWS,
     MAX_POSITIONS,
@@ -44,6 +43,7 @@ from qcpd.cli import (
     _exact_columns,
     _fmt,
     _render_distinct,
+    _strength_lines,
     _strengths_text,
     _z_scores,
     build_curve,
@@ -908,6 +908,11 @@ def _z_score(empirical: float, exact: float, trials: int) -> float:
     return (empirical - exact) / math.sqrt(variance)
 
 
+#: strengths at c = 1e-6 whose cells differ in width: 1, twelve-digit
+#: values, seventeen-character exponent forms and the saturated 1/c
+_WIDE_C = 1e-6
+_WIDTH_POOL = [1.0, 123.456789012, 0.123456789012, 1.23456789012e-06, 9.87654321098e-05, 1.0 / _WIDE_C]
+
 #: bit patterns that repeat in a drawn vector: both zeros, two NaN
 #: payloads, both infinities, a subnormal and two ordinary strengths
 _POOL_BITS = [
@@ -1065,10 +1070,30 @@ class TestBulkFormatters:
         assert _dump_json(payloads[0]) == _dump_json(payloads[0]) == expected
 
     @settings(deadline=None, max_examples=300)
-    @given(j=st.integers(1, 10**6), x=_FLOATS, flag=st.sampled_from(["yes", "no"]))
+    @given(j=st.integers(1, 10**7), x=_FLOATS, flag=st.sampled_from(["yes", "no"]))
     def test_strength_line_template(self, j, x, flag):
-        line = _STRENGTH_ROW % (j, _STRENGTH_CELL % (x, flag))
+        line = _strength_lines(j, np.array([x]), np.array([flag == "yes"]), np.array([0]))
         assert line == f"{j:>3}  {_fmt(x):<16}  {flag}\n"
+
+    @pytest.mark.parametrize("block", [1, 7, 2048])
+    @settings(deadline=None, max_examples=30)
+    @given(
+        n=st.sampled_from([2, 99, 100, 101, 102, 999, 1000, 1001, 1002]),
+        picks=st.lists(st.integers(0, len(_WIDTH_POOL) - 1), min_size=1, max_size=30),
+    )
+    def test_strengths_text_cells_of_different_widths(self, block, n, picks):
+        # the drawn pattern repeats along the chain, so a block's distinct
+        # cells differ in width and positions cross from two digits to
+        # three and from three to four
+        xs = np.resize(np.array(_WIDTH_POOL)[picks], n - 1)
+        solution = online_opt._solution(n, _WIDE_C, xs, "custom")
+        saturated = solution.saturated_positions
+        lines = [
+            f"{j:>3}  {_fmt(x):<16}  {'yes' if j in saturated else 'no'}"
+            for j, x in enumerate(xs.tolist(), start=1)
+        ]
+        with mock.patch.object(cli, "_RENDER_BLOCK", block):
+            assert _strengths_text(solution).split("\n")[2:] == lines + [""]
 
     @settings(deadline=None, max_examples=300)
     @given(row=st.tuples(*[st.one_of(_FLOATS, st.integers())] * 5))
@@ -1157,8 +1182,12 @@ class TestMemory:
             # 396.4 B: the rendered report, 170 B a position, twice over
             # while it is joined, and the float vectors
             (("simulate", "--n", "20001", "--c", "0.4", "--trials", "1", "--seed", "1"), 20_000, 428),
-            # 79.2 B
-            (("strengths", "--n", "20001", "--c", "0.3"), 20_000, 87),
+            # 71.8 B: the text's blocks and their join, 28 B a position
+            # each, and the strength and profile vectors
+            (("strengths", "--n", "20001", "--c", "0.3"), 20_000, 78),
+            # 88.6 B: as above, the recursion's vectors, and no string per
+            # position, though the 19 996 strengths never settle
+            (("strengths", "--n", "20001", "--c", "0.02", "--method", "recursive"), 20_000, 96),
             # 65.0 B: the unique's index and the gathered items; the 31
             # distinct strengths are rendered once each
             (("strengths", "--n", "20001", "--c", "0.3", "--format", "json"), 20_000, 70),
@@ -1172,7 +1201,14 @@ class TestMemory:
             # and profiles and the kernel's change factors
             (("curve", "--step", "0.001", "--format", "json"), 990, 1292),
         ],
-        ids=["simulate", "strengths-text", "strengths-json", "strengths-recursive-json", "curve-json"],
+        ids=[
+            "simulate",
+            "strengths-text",
+            "strengths-recursive-text",
+            "strengths-json",
+            "strengths-recursive-json",
+            "curve-json",
+        ],
     )
     def test_peak_per_position(self, argv, positions, budget, monkeypatch):
         lengths = []
