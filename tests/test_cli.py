@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qcpd import (
@@ -39,6 +39,7 @@ from qcpd.cli import (
     MAX_TRIALS,
     CurveTable,
     _Rows,
+    _distinct,
     _dump_json,
     _exact_columns,
     _fmt,
@@ -928,6 +929,47 @@ _POOL_BITS = [
 ]
 
 
+#: where neighbouring floats print apart: 12-digit rounding midpoints, two
+#: of them where the text rounds up to a power of ten and loses digits,
+#: just above 1 (a few thousand ulps below print ``0.999999999999``), and
+#: the ``%g`` switch from the exponent form to ``0.0001``
+_TEXT_MIDPOINTS = [
+    1.0000000000005,
+    1.000000000005,
+    2.000000000005,
+    9.999999999995,
+    99.99999999995,
+    9.9999999999995e-05,
+]
+
+
+def _ulps(base: float, offsets) -> np.ndarray:
+    """The floats ``offsets`` ulps from ``base``, a positive float."""
+    return (np.float64(base).view(np.int64) + np.array(offsets)).view(np.float64)
+
+
+def _ceiling_at(x: float) -> float:
+    """An overlap whose saturation flag holds from about ``x`` upward, for
+    ``x >= 2``: the ceiling ``1/c`` lies ``1e-9 x`` above ``x``, and its
+    slack is ``1e-9`` of the ceiling (c < 1/2, so not the quarter of
+    ``[c, 1/c]``)."""
+    return 1.0 / (x * (1 + 1e-9))
+
+
+@st.composite
+def _ulp_chains(draw):
+    """Sorted strengths a few thousand ulps around a base, so that many
+    print alike and some cross a rounding boundary, and an overlap whose
+    saturation ceiling either sits far above them or starts the flag at
+    one of them."""
+    base = draw(st.one_of(st.sampled_from(_TEXT_MIDPOINTS), st.floats(1e-5, 1e3)))
+    offsets = sorted(draw(st.lists(st.integers(-(2**13), 2**13), min_size=1, max_size=40)))
+    xs = _ulps(base, offsets)
+    if xs[0] >= 2 and draw(st.booleans()):
+        return _ceiling_at(xs[draw(st.integers(0, len(xs) - 1))]), xs
+    return _WIDE_C, xs
+
+
 class TestBulkFormatters:
     @settings(deadline=None, max_examples=300)
     @given(payload=_row_reports())
@@ -1050,6 +1092,26 @@ class TestBulkFormatters:
         vector = np.array(_POOL_BITS, dtype=np.uint64).view(np.float64)[picks]
         assert _render_distinct(vector, hexes) == hexes(vector.tolist())
 
+    @settings(deadline=None, max_examples=300)
+    @given(
+        runs=st.lists(
+            st.tuples(st.integers(0, len(_POOL_BITS) - 1), st.integers(1, 5)), max_size=12
+        )
+    )
+    @example(runs=[])
+    @example(runs=[(7, 1)])
+    @example(runs=[(7, 1), (8, 1)] * 4)  # alternating
+    @example(runs=[(0, 2), (1, 1), (0, 1)])  # 0.0 next to -0.0
+    @example(runs=[(2, 1), (3, 3), (2, 2)])  # two NaN payloads
+    def test_distinct_is_unique_over_the_bits(self, runs):
+        picks = [pick for pick, length in runs for _ in range(length)]
+        vector = np.array(_POOL_BITS, dtype=np.uint64).view(np.float64)[picks]
+        bits, index = np.unique(vector.view(np.int64), return_inverse=True)
+        distinct, got = _distinct(vector)
+        assert distinct.dtype == np.float64 and got.dtype == index.dtype
+        assert distinct.tobytes() == bits.tobytes()
+        assert got.tolist() == index.tolist()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1087,6 +1149,26 @@ class TestBulkFormatters:
         # three and from three to four
         xs = np.resize(np.array(_WIDTH_POOL)[picks], n - 1)
         solution = online_opt._solution(n, _WIDE_C, xs, "custom")
+        saturated = solution.saturated_positions
+        lines = [
+            f"{j:>3}  {_fmt(x):<16}  {'yes' if j in saturated else 'no'}"
+            for j, x in enumerate(xs.tolist(), start=1)
+        ]
+        with mock.patch.object(cli, "_RENDER_BLOCK", block):
+            assert _strengths_text(solution).split("\n")[2:] == lines + [""]
+
+    @pytest.mark.parametrize("block", [1, 7, 2048])
+    @settings(deadline=None, max_examples=100)
+    @given(chain=_ulp_chains())
+    # one text, flagged from its sixth value on
+    @example(chain=(_ceiling_at(5.0), _ulps(5.0, range(-4, 5))))
+    # "9.99999999999", flagged from its third value, then "10"
+    @example(chain=(_ceiling_at(_ulps(9.999999999995, [-1])[0]), _ulps(9.999999999995, range(-3, 4))))
+    def test_strengths_text_runs_of_equal_text(self, block, chain):
+        # a block's distinct strengths print in runs of equal text, found
+        # by bisection, and a run can hold saturated and unsaturated ones
+        c, xs = chain
+        solution = online_opt._solution(len(xs) + 1, c, xs, "custom")
         saturated = solution.saturated_positions
         lines = [
             f"{j:>3}  {_fmt(x):<16}  {'yes' if j in saturated else 'no'}"
@@ -1188,9 +1270,10 @@ class TestMemory:
             # 88.6 B: as above, the recursion's vectors, and no string per
             # position, though the 19 996 strengths never settle
             (("strengths", "--n", "20001", "--c", "0.02", "--method", "recursive"), 20_000, 96),
-            # 65.0 B: the unique's index and the gathered items; the 31
-            # distinct strengths are rendered once each
-            (("strengths", "--n", "20001", "--c", "0.3", "--format", "json"), 20_000, 70),
+            # 40.6 B: the repeated index and the gathered items; only the
+            # heads of the strengths' runs of equal bits are sorted, and
+            # the 31 distinct strengths are rendered once each
+            (("strengths", "--n", "20001", "--c", "0.3", "--format", "json"), 20_000, 44),
             # 65.0 B: 59 distinct strengths, as the recursion drifts
             (
                 ("strengths", "--n", "20001", "--c", "0.3", "--method", "recursive", "--format", "json"),
