@@ -9,7 +9,6 @@ from .core import (
     InvalidMeasurementError,
     OutOfValidityError,
     Overlap,
-    SingularityError,
     StrengthSchedule,
     check_strength,
     enumerate_strategy,
@@ -21,8 +20,6 @@ from .global_bound import (
     global_efficiencies,
     global_success,
     optimal_global,
-    primed_efficiencies,
-    primed_success,
     validate_unambiguous,
 )
 from .online_opt import (
@@ -44,7 +41,6 @@ __all__ = [
     "InvalidMeasurementError",
     "OutOfValidityError",
     "Overlap",
-    "SingularityError",
     "StrengthSchedule",
     "best_online",
     "build_gram",
@@ -59,8 +55,6 @@ __all__ = [
     "global_success",
     "optimal_global",
     "optimize_strengths",
-    "primed_efficiencies",
-    "primed_success",
     "recursive_strengths",
     "run_experiment",
     "sl_solution",

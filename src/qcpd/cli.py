@@ -7,8 +7,9 @@ cross-module consistency suites; ``simulate`` runs seeded Monte Carlo
 trials and compares them against the exact profile.
 
 Output is CSV (fixed header ``c,p_global,p_online,p_fl,p_sl``, 12
-significant digits, ``\\n`` newlines) or JSON (flat snake_case keys), both
-deterministic so golden-file comparisons are byte-exact.
+significant digits, ``\\n`` newlines) or JSON (snake_case keys, two-space
+indent; ``report``, ``per_position``, ``rows`` and ``suites`` nest objects
+and lists), both deterministic so golden-file comparisons are byte-exact.
 
 Exit codes: 0 success, 1 usage or domain error, 2 verification failure.
 """
@@ -125,26 +126,21 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct.view(np.float64), np.repeat(index, np.diff(np.append(heads, len(bits))))
 
 
-def _render_distinct(values: np.ndarray, render) -> list[str]:
-    """``render(values.tolist())`` for a 1-D float64 vector, where
-    ``render`` maps a list of floats to the list of their texts, with each
-    distinct bit pattern (:func:`_distinct`) rendered once and the texts
-    gathered by index.
+def _json_items(values: np.ndarray) -> list[str]:
+    """``[json.dumps(x) for x in values.tolist()]`` for a 1-D float64
+    vector (``NaN`` and ``Infinity`` included), with each distinct bit
+    pattern (:func:`_distinct`) rendered once and the texts gathered by
+    index.
 
     A schedule settles along the chain, so 5e4 strengths mostly hold a few
-    dozen distinct floats in a few long runs.  ``render`` takes the
-    distinct values in one list, so a schedule that never settles (some
-    recursive ones) costs one bulk render and a sort of every run head.
+    dozen distinct floats in a few long runs.  The distinct values take
+    one C-encoder call, split at its item separator (no float's text holds
+    ``", "``), so a schedule that never settles (some recursive ones)
+    costs one bulk render and a sort of every run head.
     """
     distinct, index = _distinct(values)
-    cells = np.array(render(distinct.tolist()), dtype=object)
+    cells = np.array(json.dumps(distinct.tolist())[1:-1].split(", "), dtype=object)
     return cells.take(index).tolist()
-
-
-def _json_items(values: list[float]) -> list[str]:
-    """Each float as ``json.dumps`` writes it (``NaN`` and ``Infinity``
-    included), from one C-encoder call: no float's text holds ``", "``."""
-    return json.dumps(values)[1:-1].split(", ")
 
 
 def _text_runs(values: np.ndarray) -> list[int]:
@@ -370,9 +366,6 @@ def _write(text: str, out: str | None) -> None:
             handle.writelines(slices)
 
 
-_NUMBER_TYPES = frozenset((int, float))
-
-
 @dataclass(frozen=True, slots=True)
 class _Rows:
     """A table for :func:`_json_value`, rendered as a list with one dict
@@ -397,13 +390,13 @@ def _json_value(value, pad: str) -> str:
     rendered in bulk instead:
 
     * a non-empty 1-D float64 numpy vector (a schedule of 1e5 strengths)
-      renders each distinct value once, by :func:`_render_distinct` with
-      :func:`_json_items`, and joins the items with the indented line
-      break; its distinct values come from its runs of equal bits, so a
-      settled schedule sorts no position but the runs' heads;
-    * a non-empty flat list of ints and floats (or any other 1-D numpy
-      vector, as the list it holds) goes through the C encoder in one call
-      whose item separator is the indented line break;
+      renders each distinct value once, by :func:`_json_items`, and joins
+      the items with the indented line break; its distinct values come
+      from its runs of equal bits, so a settled schedule sorts no position
+      but the runs' heads;
+    * any other non-empty 1-D numpy vector (counts, saturated positions)
+      goes through the C encoder in one call, as the list it holds, whose
+      item separator is the indented line break;
     * a non-empty dict with string keys is rendered key by key;
     * a :class:`_Rows` table (simulate's ``per_position``, curve's
       ``rows``) is filled into one ``%r`` template per row by
@@ -418,12 +411,12 @@ def _json_value(value, pad: str) -> str:
     inner = pad + "  "
     if type(value) is np.ndarray and value.ndim == 1:
         if value.dtype == np.float64 and len(value):
-            body = f",\n{inner}".join(_render_distinct(value, _json_items))
+            body = f",\n{inner}".join(_json_items(value))
             return f"[\n{inner}{body}\n{pad}]"
         value = value.tolist()
-    if type(value) is list and value and set(map(type, value)) <= _NUMBER_TYPES:
-        body = json.dumps(value, separators=(",\n" + inner, ": "))
-        return f"[\n{inner}{body[1:-1]}\n{pad}]"
+        if value:
+            body = json.dumps(value, separators=(",\n" + inner, ": "))
+            return f"[\n{inner}{body[1:-1]}\n{pad}]"
     if type(value) is dict and value and all(type(key) is str for key in value):
         items = (f"\n{inner}{json.dumps(k)}: {_json_value(v, inner)}" for k, v in value.items())
         return "{" + ",".join(items) + f"\n{pad}}}"
@@ -506,7 +499,7 @@ def cmd_strengths(args: argparse.Namespace) -> int:
             "method": solution.method,
             "success": solution.success,
             "strengths": schedule.strengths,
-            "saturated_positions": sorted(solution.saturated_positions),
+            "saturated_positions": solution.saturated_positions,
         }
         _write(_dump_json(payload), args.out)
     else:

@@ -54,10 +54,6 @@ class OutOfValidityError(ValueError):
     """A closed form or recursion was asked for outside its validity range."""
 
 
-class SingularityError(ValueError):
-    """A formula hits a removable-pole/zero-denominator configuration."""
-
-
 def check_strength(c, x) -> None:
     """Raise :class:`InvalidMeasurementError` unless ``c <= x <= 1/c``
     (``x > 0`` when ``c == 0``), with relative round-off slack.

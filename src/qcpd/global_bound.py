@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Overlap, SingularityError, _check_n, _frozen_vector, _overlap
+from .core import Overlap, _check_n, _frozen_vector, _overlap
 
 #: minimum-eigenvalue tolerance: optimal vectors sit exactly on the
 #: feasibility boundary, so a strictly-zero test would be meaningless
@@ -102,46 +102,33 @@ def global_success(n: int, c: Overlap | float) -> float:
     ) ** 2
 
 
-def _primed_denominator(n: int, cv: float) -> float:
-    den = 1.0 + (-cv) ** (n - 3)
-    if den == 0.0:
-        raise SingularityError(
-            f"the corrected efficiencies are singular at n={n}, c={cv} "
-            "(vanishing denominator 1 + (-c)^(n-3))"
-        )
-    return den
-
-
-def primed_efficiencies(n: int, c: Overlap | float) -> np.ndarray:
+def _primed_efficiencies(n: int, cv: float) -> np.ndarray:
     """Optimal efficiencies above the critical overlap, as a read-only
-    float64 array.
+    float64 array, for ``n >= 3`` and an overlap ``cv`` where
+    :func:`_scaled_gamma_two` is negative.
 
     Subtracts from the plain vector the unique tent-shaped correction that
     zeroes positions 2 and n-1, which the plain form would drive negative,
     and stores both as exact zeros; at n = 3 they coincide: ``(1-c^2, 0, 1-c^2)``.
+    The denominator ``1 + (-c)^(n-3)`` vanishes only at c = 1 with n even,
+    where :func:`_scaled_gamma_two` is exactly 0 and the plain form applies.
     """
-    n = _check_n(n, 3)
-    cv = _overlap(c)
-    den = _primed_denominator(n, cv)
-    plain = global_efficiencies(n, cv)
     gamma2 = _scaled_gamma_two(n, cv) / (1.0 + cv)
     k = np.arange(1, n + 1)
-    gammas = plain - (
+    gammas = _tent_efficiencies(n, cv) - (
         gamma2
         * (np.power(-cv, np.abs(k - 2)) + np.power(-cv, np.abs(n - k - 1)))
-        / den
+        / (1.0 + (-cv) ** (n - 3))
     )
     gammas[[1, n - 2]] = 0.0
     return _frozen_vector(gammas)
 
 
-def primed_success(n: int, c: Overlap | float) -> float:
-    """Mean of :func:`primed_efficiencies` in closed form."""
-    n = _check_n(n, 3)
-    cv = _overlap(c)
-    den = _primed_denominator(n, cv)
+def _primed_success(n: int, cv: float) -> float:
+    """Mean of :func:`_primed_efficiencies` in closed form, for the same
+    arguments."""
     gamma2 = _scaled_gamma_two(n, cv) / (1.0 + cv)
-    return global_success(n, cv) - (2.0 / n) * gamma2**2 / den
+    return global_success(n, cv) - (2.0 / n) * gamma2**2 / (1.0 + (-cv) ** (n - 3))
 
 
 def _scaled_gamma_two(n: int, cv: float) -> float:
@@ -200,13 +187,13 @@ def optimal_global(n: int, c: Overlap | float) -> tuple[np.ndarray, float]:
     n = _check_n(n)
     cv = _overlap(c)
     if _scaled_gamma_two(n, cv) < 0.0:
-        return primed_efficiencies(n, cv), primed_success(n, cv)
+        return _primed_efficiencies(n, cv), _primed_success(n, cv)
     return global_efficiencies(n, cv), global_success(n, cv)
 
 
 def _optimal_success(n: int, cv: float) -> float:
     """Success of :func:`optimal_global` without building a vector."""
-    return primed_success(n, cv) if _scaled_gamma_two(n, cv) < 0.0 else global_success(n, cv)
+    return _primed_success(n, cv) if _scaled_gamma_two(n, cv) < 0.0 else global_success(n, cv)
 
 
 def validate_unambiguous(gram: np.ndarray, gammas: np.ndarray) -> ValidityReport:

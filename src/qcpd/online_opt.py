@@ -77,11 +77,14 @@ class OnlineSolution:
         return self.profile.average
 
     @property
-    def saturated_positions(self) -> frozenset[int]:
-        """1-based positions whose strength sits at the admissibility
-        ceiling ``1/c`` (within round-off slack), computed on each access."""
+    def saturated_positions(self) -> np.ndarray:
+        """The 1-based positions whose strength sits at the admissibility
+        ceiling ``1/c`` (within round-off slack), in increasing order, as a
+        read-only int64 vector computed on each access."""
         at_ceiling = _at_ceiling(self.schedule.strengths, self.schedule.overlap.c)
-        return frozenset((np.flatnonzero(at_ceiling) + 1).tolist())
+        positions = np.flatnonzero(at_ceiling) + 1
+        positions.setflags(write=False)
+        return positions
 
 
 def _at_ceiling(xs: np.ndarray, cv: float) -> np.ndarray:

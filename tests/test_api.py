@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "InvalidMeasurementError",
     "OutOfValidityError",
     "Overlap",
-    "SingularityError",
     "StrengthSchedule",
     "best_online",
     "build_gram",
@@ -37,8 +36,6 @@ PUBLIC_NAMES = [
     "global_success",
     "optimal_global",
     "optimize_strengths",
-    "primed_efficiencies",
-    "primed_success",
     "recursive_strengths",
     "run_experiment",
     "sl_solution",
@@ -73,12 +70,23 @@ def test_readme_quick_start_runs():
         assert not vector.flags.writeable
 
 
+def test_readme_names_every_public_name():
+    """README names each ``qcpd.__all__`` name in code, and its count of
+    them is the package's."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    pieces = readme.split("```")
+    code = pieces[1::2] + re.findall(r"`([^`\n]+)`", "".join(pieces[::2]))
+    named = set(re.findall(r"\w+", " ".join(code)))
+    assert sorted(set(qcpd.__all__) - named) == []
+    (count,) = re.findall(r"`qcpd\.__all__` names [^.]*?: (\d+) names\.", readme)
+    assert int(count) == len(qcpd.__all__)
+
+
 def test_every_error_is_a_value_error():
     """One ``except ValueError`` catches every error the package raises."""
     for error in (
         qcpd.InvalidMeasurementError,
         qcpd.OutOfValidityError,
-        qcpd.SingularityError,
     ):
         assert error.__bases__ == (ValueError,)
 

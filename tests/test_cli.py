@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 import subprocess
 import sys
 import tracemalloc
@@ -43,7 +42,7 @@ from qcpd.cli import (
     _dump_json,
     _exact_columns,
     _fmt,
-    _render_distinct,
+    _json_items,
     _strength_lines,
     _strengths_text,
     _z_scores,
@@ -1085,12 +1084,9 @@ class TestBulkFormatters:
 
     @settings(deadline=None, max_examples=300)
     @given(picks=st.lists(st.integers(0, len(_POOL_BITS) - 1), max_size=40))
-    def test_render_distinct_keeps_each_bit_pattern(self, picks):
-        def hexes(xs):
-            return [struct.pack("<d", x).hex() for x in xs]
-
+    def test_json_items_keeps_each_bit_pattern(self, picks):
         vector = np.array(_POOL_BITS, dtype=np.uint64).view(np.float64)[picks]
-        assert _render_distinct(vector, hexes) == hexes(vector.tolist())
+        assert _json_items(vector) == [json.dumps(x) for x in vector.tolist()]
 
     @settings(deadline=None, max_examples=300)
     @given(
@@ -1149,7 +1145,7 @@ class TestBulkFormatters:
         # three and from three to four
         xs = np.resize(np.array(_WIDTH_POOL)[picks], n - 1)
         solution = online_opt._solution(n, _WIDE_C, xs, "custom")
-        saturated = solution.saturated_positions
+        saturated = set(solution.saturated_positions.tolist())
         lines = [
             f"{j:>3}  {_fmt(x):<16}  {'yes' if j in saturated else 'no'}"
             for j, x in enumerate(xs.tolist(), start=1)
@@ -1169,7 +1165,7 @@ class TestBulkFormatters:
         # by bisection, and a run can hold saturated and unsaturated ones
         c, xs = chain
         solution = online_opt._solution(len(xs) + 1, c, xs, "custom")
-        saturated = solution.saturated_positions
+        saturated = set(solution.saturated_positions.tolist())
         lines = [
             f"{j:>3}  {_fmt(x):<16}  {'yes' if j in saturated else 'no'}"
             for j, x in enumerate(xs.tolist(), start=1)
@@ -1208,7 +1204,7 @@ class TestBulkFormatters:
     )
     def test_strengths_text_line_by_line(self, solution, block, monkeypatch):
         monkeypatch.setattr(cli, "_RENDER_BLOCK", block)
-        saturated = solution.saturated_positions
+        saturated = set(solution.saturated_positions.tolist())
         lines = [
             f"{j:>3}  {_fmt(x):<16}  {'yes' if j in saturated else 'no'}"
             for j, x in enumerate(solution.schedule.strengths.tolist(), start=1)
@@ -1225,7 +1221,7 @@ class TestBulkFormatters:
         n = 50_001
         solution = {"closed": closed_form_strengths, "recursive": recursive_strengths}[method](n, c)
         strengths = solution.schedule.strengths.tolist()
-        saturated = solution.saturated_positions
+        saturated = set(solution.saturated_positions.tolist())
         argv = ["strengths", "--n", str(n), "--c", str(c), "--method", method]
         assert main(argv) == 0
         lines = capsys.readouterr().out.split("\n")
@@ -1280,6 +1276,13 @@ class TestMemory:
                 20_000,
                 70,
             ),
+            # 169.6 B: 19 999 saturated positions, as one list of ints and
+            # its encoder text, beside the strengths' items and their join
+            (
+                ("strengths", "--n", "20001", "--c", "0.7", "--method", "numeric", "--format", "json"),
+                20_000,
+                183,
+            ),
             # 1196 B a row, nearly all of it the table's blocks of strengths
             # and profiles and the kernel's change factors
             (("curve", "--step", "0.001", "--format", "json"), 990, 1292),
@@ -1290,6 +1293,7 @@ class TestMemory:
             "strengths-recursive-text",
             "strengths-json",
             "strengths-recursive-json",
+            "strengths-numeric-json",
             "curve-json",
         ],
     )

@@ -9,20 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcpd import (
-    SingularityError,
     build_gram,
     critical_overlap,
     global_efficiencies,
     global_success,
     optimal_global,
-    primed_efficiencies,
-    primed_success,
     validate_unambiguous,
 )
 from qcpd import global_bound, online_opt
 from qcpd.global_bound import (
     _gram_powers,
     _optimal_success,
+    _primed_efficiencies,
+    _primed_success,
     _scaled_gamma_two,
     _tent_efficiencies,
     _tent_powers,
@@ -88,14 +87,14 @@ class TestPrimedRegime:
                 cases += [(n, c) for c in cs if c > root]
         assert len(cases) == 2 + 19_016
         for n, c in cases:
-            for vals in (primed_efficiencies(n, c), optimal_global(n, c)[0]):
+            for vals in (_primed_efficiencies(n, c), optimal_global(n, c)[0]):
                 assert vals[1] == 0.0 and vals[n - 2] == 0.0, (n, c)
                 assert vals.min() >= 0.0, (n, c)
 
     def test_mean_matches_primed_success(self):
         for n, c in [(6, 0.8), (9, 0.7), (31, 0.9)]:
-            assert np.mean(primed_efficiencies(n, c)) == pytest.approx(
-                primed_success(n, c), abs=1e-13
+            assert np.mean(_primed_efficiencies(n, c)) == pytest.approx(
+                _primed_success(n, c), abs=1e-13
             )
 
     def test_gamma_two_is_within_two_units_of_the_reference(self):
@@ -116,22 +115,30 @@ class TestPrimedRegime:
 
     def test_correction_never_helps(self):
         for n, c in [(6, 0.8), (9, 0.75), (31, 0.95)]:
-            assert primed_success(n, c) <= global_success(n, c) + 1e-15
+            assert _primed_success(n, c) <= global_success(n, c) + 1e-15
 
-    def test_singular_only_for_even_n_at_unit_overlap(self):
-        with pytest.raises(SingularityError):
-            primed_success(6, 1.0)
-        with pytest.raises(SingularityError):
-            primed_efficiencies(10, 1.0)
-        assert primed_success(7, 1.0) == pytest.approx(0.0, abs=1e-15)
-        assert primed_success(6, 0.999999) == pytest.approx(0.0, abs=1e-3)
+    def test_the_corrected_form_is_taken_only_where_it_is_finite(self):
+        # its denominator 1 + (-c)^(n-3) vanishes only at c = 1 with n even,
+        # where the plain entry 2 is exactly 0 and the plain form is taken
+        below_one = float(np.nextafter(1.0, 0.0))
+        for n in range(2, 201):
+            for c in (below_one, 1.0):
+                vec, value = optimal_global(n, c)
+                assert np.isfinite(vec).all() and np.isfinite(value), (n, c)
+                assert np.isfinite(_optimal_success(n, c)), (n, c)
+            if n % 2 == 0:
+                vec, value = optimal_global(n, 1.0)
+                assert vec.tolist() == [0.0] * n and value == 0.0, n
+                assert _optimal_success(n, 1.0) == 0.0, n
+        assert _primed_success(7, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert _primed_success(6, 0.999999) == pytest.approx(0.0, abs=1e-3)
 
     def test_branches_agree_at_the_threshold(self):
         for n in (5, 9, 31):
             cstar = critical_overlap(n)
             assert cstar is not None
             for c in (cstar - 1e-9, cstar, cstar + 1e-9):
-                assert primed_success(n, c) == pytest.approx(
+                assert _primed_success(n, c) == pytest.approx(
                     global_success(n, c), abs=1e-8
                 )
 
@@ -214,8 +221,8 @@ class TestOptimalGlobal:
         assert np.array_equal(vec, global_efficiencies(n, below))
         assert value == pytest.approx(global_success(n, below), abs=1e-15)
         vec, value = optimal_global(n, above)
-        assert np.array_equal(vec, primed_efficiencies(n, above))
-        assert value == pytest.approx(primed_success(n, above), abs=1e-15)
+        assert np.array_equal(vec, _primed_efficiencies(n, above))
+        assert value == pytest.approx(_primed_success(n, above), abs=1e-15)
 
     def test_three_positions_switch_to_the_primed_form_above_half(self):
         for c in (0.1, 0.5):
@@ -267,12 +274,12 @@ class TestOptimalGlobal:
             for c in cs:
                 plain = global_efficiencies(n, c)
                 vec, value = optimal_global(n, c)
-                want = primed_efficiencies(n, c) if plain[1] < 0.0 else plain
+                want = _primed_efficiencies(n, c) if plain[1] < 0.0 else plain
                 assert np.array_equal(vec, want), (n, c)
                 success = _optimal_success(n, c)
                 above = root is not None and c > root
                 assert success == value
-                assert success == (primed_success if above else global_success)(n, c), (n, c)
+                assert success == (_primed_success if above else global_success)(n, c), (n, c)
 
     def test_continuous_across_the_threshold(self):
         n = 31
