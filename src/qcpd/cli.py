@@ -395,8 +395,10 @@ def _json_value(value, pad: str) -> str:
       from its runs of equal bits, so a settled schedule sorts no position
       but the runs' heads;
     * any other non-empty 1-D numpy vector (counts, saturated positions)
-      goes through the C encoder in one call, as the list it holds, whose
-      item separator is the indented line break;
+      goes through the C encoder one block of ``_RENDER_BLOCK`` entries at
+      a time, as the list each block holds, whose item separator is the
+      indented line break, so no Python int or item text is held for more
+      than a block;
     * a non-empty dict with string keys is rendered key by key;
     * a :class:`_Rows` table (simulate's ``per_position``, curve's
       ``rows``) is filled into one ``%r`` template per row by
@@ -413,10 +415,14 @@ def _json_value(value, pad: str) -> str:
         if value.dtype == np.float64 and len(value):
             body = f",\n{inner}".join(_json_items(value))
             return f"[\n{inner}{body}\n{pad}]"
+        if len(value):
+            sep = ",\n" + inner
+            texts = (
+                json.dumps(value[i : i + _RENDER_BLOCK].tolist(), separators=(sep, ": "))[1:-1]
+                for i in range(0, len(value), _RENDER_BLOCK)
+            )
+            return f"[\n{inner}{sep.join(texts)}\n{pad}]"
         value = value.tolist()
-        if value:
-            body = json.dumps(value, separators=(",\n" + inner, ": "))
-            return f"[\n{inner}{body[1:-1]}\n{pad}]"
     if type(value) is dict and value and all(type(key) is str for key in value):
         items = (f"\n{inner}{json.dumps(k)}: {_json_value(v, inner)}" for k, v in value.items())
         return "{" + ",".join(items) + f"\n{pad}}}"

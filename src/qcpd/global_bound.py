@@ -235,5 +235,10 @@ def _unambiguous_spectra(
     shifted = grams.copy()
     diagonal = np.arange(gammas.shape[1])
     shifted[:, diagonal, diagonal] -= gammas
-    range_ok = ((gammas >= -PSD_TOL) & (gammas <= 1.0 + PSD_TOL)).all(axis=1)
-    return np.linalg.eigvalsh(shifted)[:, 0], range_ok
+    return np.linalg.eigvalsh(shifted)[:, 0], _in_range(gammas)
+
+
+def _in_range(gammas: np.ndarray) -> np.ndarray:
+    """Whether every efficiency in each row of ``gammas`` is a probability
+    within :data:`PSD_TOL`."""
+    return ((gammas >= -PSD_TOL) & (gammas <= 1.0 + PSD_TOL)).all(axis=-1)

@@ -165,17 +165,19 @@ def recursive_strengths(n: int, c: Overlap | float) -> OnlineSolution:
             f"the recursion drifts from the closed form below overlap "
             f"{RECURSION_FLOOR!r} (got {cv!r}); use the closed form instead"
         )
-    return _solution(n, cv, _recursive_xs(n, cv), "recursive")
+    return _solution(n, cv, _recursive_xs(cv, global_efficiencies(n, cv)), "recursive")
 
 
-def _recursive_xs(n: int, cv: float) -> np.ndarray:
-    """The strengths of :func:`recursive_strengths` for a checked ``n`` and
-    overlap ``cv``, with no schedule or profile built around them."""
+def _recursive_xs(cv: float, gammas: np.ndarray) -> np.ndarray:
+    """The strengths of :func:`recursive_strengths` for a checked overlap
+    ``cv`` from its target efficiencies ``gammas``, a C-contiguous float64
+    vector of :func:`global_efficiencies` at that overlap, with no schedule
+    or profile built around them."""
+    n = gammas.shape[0]
     if cv == 0.0:
         # the recursion's first step is 0/0 at zero overlap; its limit, like
         # the closed form, is the all-balanced schedule
         return np.ones(n - 1)
-    gammas = global_efficiencies(n, cv)
     targets = memoryview(gammas)  # indexes to Python floats
     first_den = 1.0 - targets[0]
     if first_den <= 0.0:

@@ -16,15 +16,16 @@ Each suite checks one stack per chain length rather than one validated
 object per case: a column of overlaps with one schedule per row, walked
 by one stacked ``kernels.detection_profile`` call, enumerated by one
 ``_path_profiles`` call, and held against the broadcast efficiency and
-Gram formulas with one batched eigensolve.  Only ``recursion_agreement``
-stays per case, on the forward substitution it checks.  Each suite yields
-one ``(residual, case)`` pair per case, in the order of the one-case loops
-(``run_all_per_case`` in ``tests/oracles.py``, which a test holds equal),
-and :func:`_suite` folds them into the worst residual and the case
-attaining it; the CLI's ``verify`` subcommand renders the results and
-sets the exit code.  The fault-injection mode deliberately perturbs one
-strength so the harness can demonstrate that a broken schedule is
-actually caught.
+Gram formulas with one batched eigensolve of the rows whose eigenvalue is
+read.  Only ``recursion_agreement`` runs its forward substitution one case
+at a time, as that is the route it checks.  A suite yields one
+:class:`_Cases` per stack, every case's residual in one array, and
+:func:`_fold` takes the worst of them, building a case dict for the
+reported case only.  The result is that of the one-case loops
+(``run_all_per_case`` in ``tests/oracles.py``, which a test holds equal).
+The CLI's ``verify`` subcommand renders the results and sets the exit
+code.  The fault-injection mode deliberately perturbs one strength so the
+harness can demonstrate that a broken schedule is actually caught.
 """
 
 from __future__ import annotations
@@ -35,10 +36,17 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from .core import ENUMERATION_CAP, _check_probabilities, _path_profiles, check_strength
+from .core import (
+    ENUMERATION_CAP,
+    OutOfValidityError,
+    _check_probabilities,
+    _path_profiles,
+    check_strength,
+)
 from .global_bound import (
     PSD_TOL,
     _gram_powers,
+    _in_range,
     _tent_efficiencies,
     _unambiguous_spectra,
     critical_overlap,
@@ -59,8 +67,6 @@ _SCHEDULES_PER_N = 25
 _GRAM_SIDE = 5
 _FAULT_FACTOR = 1.001
 
-_Pair = tuple[float, dict | None]
-
 
 @dataclass(frozen=True, slots=True)
 class SuiteResult:
@@ -74,18 +80,41 @@ class SuiteResult:
     worst_case: dict | None
 
 
-def _suite(name: str, threshold: float, results: Iterable[_Pair]) -> SuiteResult:
-    """Fold ``(residual, case)`` pairs, in order, into a :class:`SuiteResult`.
+class _Cases(NamedTuple):
+    """One stack's cases, one per row: the chain length ``n``, the overlap
+    column ``cs``, each row's residual and the 1-based position of its
+    worst entry, 0 where the residual is not one entry's."""
 
-    Every pair counts as a case.  Only a strictly larger residual replaces
-    the worst, so on a tie the earlier case is reported.  ``passed`` is
-    ``max_residual <= threshold``.
+    n: int
+    cs: np.ndarray
+    residuals: np.ndarray
+    positions: np.ndarray
+
+
+def _case(n: int, c: float, position: int | None) -> dict:
+    return {"n": n, "c": c, "position": position}
+
+
+def _fold(name: str, threshold: float, stacks: Iterable[_Cases]) -> SuiteResult:
+    """Fold the stacks, in order, into a :class:`SuiteResult`.
+
+    Every row counts as a case.  A stack's worst row is its first largest
+    residual, and it replaces the worst so far only when strictly larger,
+    so on a tie the earlier case is reported.  The reported case alone
+    becomes a dict.  ``passed`` is ``max_residual <= threshold``.
     """
-    worst, worst_case, cases = 0.0, None, 0
-    for residual, case in results:
-        cases += 1
-        if residual > worst:
-            worst, worst_case = residual, case
+    worst, at, cases = 0.0, None, 0
+    for rows in stacks:
+        cases += rows.residuals.size
+        if rows.residuals.size == 0:
+            continue
+        i = int(rows.residuals.argmax())
+        if rows.residuals[i] > worst:
+            worst, at = float(rows.residuals[i]), (rows, i)
+    worst_case = None
+    if at is not None:
+        rows, i = at
+        worst_case = _case(rows.n, float(rows.cs[i]), int(rows.positions[i]) or None)
     return SuiteResult(
         name=name,
         passed=worst <= threshold,
@@ -96,25 +125,22 @@ def _suite(name: str, threshold: float, results: Iterable[_Pair]) -> SuiteResult
     )
 
 
-def _case(n: int, c: float, position: int | None) -> dict:
-    return {"n": n, "c": c, "position": position}
-
-
-def _worst_entry(n: int, c: float, gaps: np.ndarray) -> _Pair:
-    """The largest of the entrywise ``gaps`` and its 1-based position."""
-    j = int(np.argmax(gaps))
-    return float(gaps[j]), _case(n, c, j + 1)
+def _worst_entries(n: int, cs: np.ndarray, gaps: np.ndarray) -> _Cases:
+    """Each row's largest entrywise gap and its position, the first on a
+    tie."""
+    return _Cases(n, cs, gaps.max(axis=1), gaps.argmax(axis=1) + 1)
 
 
 class _Stack(NamedTuple):
     """One chain length's closed-form schedules, one per row: the overlap
-    column ``cs``, the ``(R, n-1)`` strengths and their ``(R, n)``
-    profiles."""
+    column ``cs``, the ``(R, n-1)`` strengths, their ``(R, n)`` profiles and
+    the ``(R, n)`` closed-form efficiencies they must reach."""
 
     n: int
     cs: np.ndarray
     xs: np.ndarray
     profiles: np.ndarray
+    targets: np.ndarray
 
 
 def _profiles(cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -133,7 +159,9 @@ def _canonical_solutions() -> list[_Stack]:
     stacks = []
     for n in range(2, 26):
         xs = _closed_form_xs(n, cs[:, None])
-        stacks.append(_Stack(n, cs, xs, _profiles(cs, xs)))
+        stacks.append(
+            _Stack(n, cs, xs, _profiles(cs, xs), _tent_efficiencies(n, cs[:, None]))
+        )
     return stacks
 
 
@@ -147,7 +175,7 @@ def oracle_equivalence(n_max: int = 8, seed: int = 0) -> SuiteResult:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
 
-    def results() -> Iterator[_Pair]:
+    def stacks() -> Iterator[_Cases]:
         for n in range(2, top + 1):
             cs = np.empty(_SCHEDULES_PER_N)
             xs = np.empty((_SCHEDULES_PER_N, n - 1))
@@ -160,10 +188,9 @@ def oracle_equivalence(n_max: int = 8, seed: int = 0) -> SuiteResult:
             fast = _profiles(cs, xs)
             slow = _path_profiles(cs, xs)
             _check_probabilities(slow)
-            for c, gaps in zip(cs.tolist(), np.abs(fast - slow)):
-                yield _worst_entry(n, c, gaps)
+            yield _worst_entries(n, cs, np.abs(fast - slow))
 
-    return _suite("oracle_equivalence", ORACLE_TOL, results())
+    return _fold("oracle_equivalence", ORACLE_TOL, stacks())
 
 
 def central_equality(
@@ -173,13 +200,15 @@ def central_equality(
 
     ``solutions`` are the closed-form stacks of the canonical grid
     ``n in 2..25``, ``c in {0, 0.05, .., 0.5}``, as :func:`run_all` builds
-    them.  With ``inject_fault`` the first strength of every schedule is
-    scaled by a factor of 1.001, which must push the residual far past the
-    threshold.
+    them.  A row's residual is its largest entrywise gap, or the gap of
+    its mean to :func:`global_success` where that is larger, with no
+    position.  With ``inject_fault`` the first strength of every schedule
+    is scaled by a factor of 1.001, which must push the residual far past
+    the threshold.
     """
 
-    def results() -> Iterator[_Pair]:
-        for n, cs, xs, profiles in solutions:
+    def stacks() -> Iterator[_Cases]:
+        for n, cs, xs, profiles, targets in solutions:
             if inject_fault:
                 # scale down: the first strength is always >= 1, so the
                 # faulted schedule stays admissible and the corruption is
@@ -187,30 +216,46 @@ def central_equality(
                 xs = xs.copy()
                 xs[:, 0] /= _FAULT_FACTOR
                 profiles = _profiles(cs, xs)
-            all_gaps = np.abs(profiles - _tent_efficiencies(n, cs[:, None]))
+            worst = _worst_entries(n, cs, np.abs(profiles - targets))
             # a row's mean over a C-contiguous stack is that of the row alone
-            averages = profiles.mean(axis=1).tolist()
-            for c, average, gaps in zip(cs.tolist(), averages, all_gaps):
-                mean_gap = abs(average - global_success(n, c))
-                j = int(np.argmax(gaps))
-                position = j + 1 if gaps[j] >= mean_gap else None
-                yield max(float(gaps[j]), mean_gap), _case(n, c, position)
+            means = profiles.mean(axis=1)
+            mean_gaps = np.abs(means - [global_success(n, c) for c in cs.tolist()])
+            yield _Cases(
+                n,
+                cs,
+                np.maximum(worst.residuals, mean_gaps),
+                np.where(worst.residuals >= mean_gaps, worst.positions, 0),
+            )
 
-    return _suite("central_equality", CENTRAL_TOL, results())
+    return _fold("central_equality", CENTRAL_TOL, stacks())
 
 
 def recursion_agreement(solutions: Sequence[_Stack]) -> SuiteResult:
     """Forward-substitution strengths (those of ``recursive_strengths``,
     without its schedule and profile) vs. the closed-form ``solutions`` of
     the canonical grid, as for :func:`central_equality`; one case at a
-    time, as the recursion is the independent route."""
+    time from the stack's targets, as the recursion is the independent
+    route.  A case whose targets no admissible strength reaches reads 1.0,
+    with no position."""
 
-    def results() -> Iterator[_Pair]:
-        for n, cs, xs, _ in solutions:
-            for c, direct in zip(cs.tolist(), xs):
-                yield _worst_entry(n, c, np.abs(direct - _recursive_xs(n, c)))
+    def stacks() -> Iterator[_Cases]:
+        for n, cs, xs, _, targets in solutions:
+            rebuilt = np.zeros_like(xs)
+            unsolved = np.zeros(cs.size, dtype=bool)
+            for row, (c, gammas) in enumerate(zip(cs.tolist(), targets)):
+                try:
+                    rebuilt[row] = _recursive_xs(c, gammas)
+                except OutOfValidityError:
+                    unsolved[row] = True
+            worst = _worst_entries(n, cs, np.abs(xs - rebuilt))
+            yield _Cases(
+                n,
+                cs,
+                np.where(unsolved, 1.0, worst.residuals),
+                np.where(unsolved, 0, worst.positions),
+            )
 
-    return _suite("recursion_agreement", RECURSION_TOL, results())
+    return _fold("recursion_agreement", RECURSION_TOL, stacks())
 
 
 def gram_feasibility() -> SuiteResult:
@@ -219,12 +264,13 @@ def gram_feasibility() -> SuiteResult:
     Below the critical overlap the vector must pass the full check: the
     residual is the worst eigenvalue deficit, or 1.0 if an efficiency is
     not a probability.  Above it the range check must already fail: the
-    residual is 0.0 if it does and 1.0 if it passes.  The suite stops at
-    the first failing case.  Odd lengths 5..31 only, to keep eigen-solves
-    few; even lengths 6..30 have thresholds too and meet the same criteria.
+    residual is 0.0 if it does and 1.0 if it passes, with no eigensolve.
+    The suite stops at the first failing case.  Odd lengths 5..31 only, to
+    keep eigen-solves few; even lengths 6..30 have thresholds too and meet
+    the same criteria.
     """
 
-    def results() -> Iterator[_Pair]:
+    def stacks() -> Iterator[_Cases]:
         for n in range(5, 32, 2):
             threshold = critical_overlap(n)
             cs = np.concatenate(
@@ -233,24 +279,25 @@ def gram_feasibility() -> SuiteResult:
                     np.linspace(threshold + 0.011, 0.99, _GRAM_SIDE),
                 )
             )
-            min_eigs, range_ok = _unambiguous_spectra(
-                _gram_powers(n, cs[:, None, None]), _tent_efficiencies(n, cs[:, None])
+            targets = _tent_efficiencies(n, cs[:, None])
+            below = slice(_GRAM_SIDE)
+            min_eigs, below_ok = _unambiguous_spectra(
+                _gram_powers(n, cs[below, None, None]), targets[below]
             )
-            for i, (c, min_eig, ok) in enumerate(
-                zip(cs.tolist(), min_eigs.tolist(), range_ok.tolist())
-            ):
-                below = i < _GRAM_SIDE
-                if not below:
-                    residual = 1.0 if ok else 0.0
-                elif ok:
-                    residual = max(0.0, -min_eig)
-                else:
-                    residual = 1.0
-                yield residual, _case(n, c, None)
-                if residual > GRAM_TOL:
-                    return
+            residuals = np.concatenate(
+                (
+                    np.where(below_ok, np.maximum(0.0, -min_eigs), 1.0),
+                    np.where(_in_range(targets[_GRAM_SIDE:]), 1.0, 0.0),
+                )
+            )
+            failed = residuals > GRAM_TOL
+            stop = bool(failed.any())
+            cut = int(failed.argmax()) + 1 if stop else cs.size
+            yield _Cases(n, cs[:cut], residuals[:cut], np.zeros(cut, dtype=np.int64))
+            if stop:
+                return
 
-    return _suite("gram_feasibility", GRAM_TOL, results())
+    return _fold("gram_feasibility", GRAM_TOL, stacks())
 
 
 def run_all(

@@ -40,8 +40,9 @@ from outside it:
   walk of ``kernels.simulate_counts`` must match count for count;
 * :func:`run_all_per_case` runs the four ``verify`` suites one case at a
   time, building one validated schedule, profile and feasibility report
-  per case, which the stacked suites of ``verification.run_all`` must
-  match exactly;
+  per case and folding one ``(residual, case)`` pair per case with
+  :func:`_suite`, which the stacked suites of ``verification.run_all``
+  must match exactly;
 * :func:`_bisect_root` is the generic bisection that ``critical_overlap``
   must match bit for bit after a sign scan of the grid ``k/4096``;
 * :func:`total_saturation_point` and :func:`sl_worst_case_gap` give the
@@ -57,7 +58,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -100,8 +101,6 @@ from qcpd.verification import (
     RECURSION_TOL,
     SuiteResult,
     _case,
-    _suite,
-    _worst_entry,
 )
 
 
@@ -541,6 +540,37 @@ def detection_profile_reference(c: float, xs) -> list[Decimal]:
         return prof
 
 
+_Pair = tuple[float, dict | None]
+
+
+def _suite(name: str, threshold: float, results: Iterable[_Pair]) -> SuiteResult:
+    """Fold ``(residual, case)`` pairs, in order, into a ``SuiteResult``.
+
+    Every pair counts as a case.  Only a strictly larger residual replaces
+    the worst, so on a tie the earlier case is reported.  ``passed`` is
+    ``max_residual <= threshold``.
+    """
+    worst, worst_case, cases = 0.0, None, 0
+    for residual, case in results:
+        cases += 1
+        if residual > worst:
+            worst, worst_case = residual, case
+    return SuiteResult(
+        name=name,
+        passed=worst <= threshold,
+        max_residual=worst,
+        threshold=threshold,
+        cases=cases,
+        worst_case=worst_case,
+    )
+
+
+def _worst_entry(n: int, c: float, gaps: np.ndarray) -> _Pair:
+    """The largest of the entrywise ``gaps`` and its 1-based position."""
+    j = int(np.argmax(gaps))
+    return float(gaps[j]), _case(n, c, j + 1)
+
+
 def run_all_per_case(
     n_max: int = 8, seed: int = 0, inject_fault: bool = False
 ) -> list[SuiteResult]:
@@ -585,7 +615,7 @@ def run_all_per_case(
         for solution in solutions:
             n, c = solution.schedule.n, solution.schedule.overlap.c
             direct = solution.schedule.strengths
-            rebuilt = _recursive_xs(n, c)
+            rebuilt = _recursive_xs(c, global_efficiencies(n, c))
             yield _worst_entry(n, c, np.abs(direct - rebuilt))
 
     def gram():

@@ -489,6 +489,9 @@ class TestVerify:
             ("verify_self_test.json", ("--self-test",), 2),
             # the enumeration cap: pins the n = 9..12 path sums byte for byte
             ("verify_n12_seed64331.json", ("--n-max", "12", "--seed", "64331"), 0),
+            # the other two shapes of the benchmark's verify requests
+            ("verify_n6_seed22017.json", ("--n-max", "6", "--seed", "22017"), 0),
+            ("verify_n9_seed46786.json", ("--n-max", "9", "--seed", "46786"), 0),
         ],
     )
     def test_golden_report(self, golden, args, code):
@@ -1056,6 +1059,15 @@ class TestBulkFormatters:
     def test_dump_json_matches_the_indenting_encoder(self, payload):
         assert _dump_json(payload) == json.dumps(payload, indent=2) + "\n"
 
+    @pytest.mark.parametrize("block", [1, 7, 2048])
+    @pytest.mark.parametrize("length", [0, 1, 7, 8, 15, 4097])
+    def test_dump_json_renders_integer_vectors_block_by_block(self, length, block, monkeypatch):
+        monkeypatch.setattr(cli, "_RENDER_BLOCK", block)
+        vector = np.random.default_rng(length).integers(-(2**62), 2**62, size=length)
+        payload = {"positions": vector, "nested": {"counts": vector[::-1]}}
+        plain = {"positions": vector.tolist(), "nested": {"counts": vector[::-1].tolist()}}
+        assert _dump_json(payload) == json.dumps(plain, indent=2) + "\n"
+
     @settings(deadline=None, max_examples=300)
     @given(
         vector=st.one_of(
@@ -1276,12 +1288,20 @@ class TestMemory:
                 20_000,
                 70,
             ),
-            # 169.6 B: 19 999 saturated positions, as one list of ints and
-            # its encoder text, beside the strengths' items and their join
+            # 93.4 B: the strengths' items and the saturated positions'
+            # text, each joined, and the report's join of both; the 19 999
+            # positions become Python ints one block at a time
             (
                 ("strengths", "--n", "20001", "--c", "0.7", "--method", "numeric", "--format", "json"),
                 20_000,
-                183,
+                101,
+            ),
+            # 95.3 B: as above at 15 times the length; one encoder call over
+            # all 299 999 positions peaked at 122.9 B
+            (
+                ("strengths", "--n", "300001", "--c", "0.7", "--method", "numeric", "--format", "json"),
+                300_000,
+                103,
             ),
             # 1196 B a row, nearly all of it the table's blocks of strengths
             # and profiles and the kernel's change factors
@@ -1294,6 +1314,7 @@ class TestMemory:
             "strengths-json",
             "strengths-recursive-json",
             "strengths-numeric-json",
+            "strengths-numeric-json-long",
             "curve-json",
         ],
     )

@@ -138,7 +138,8 @@ class TestRecursive:
         worst = max(
             (
                 float(np.max(np.abs(
-                    online_opt._recursive_xs(n, c) - online_opt._closed_form_xs(n, c)
+                    online_opt._recursive_xs(c, global_efficiencies(n, c))
+                    - online_opt._closed_form_xs(n, c)
                 ))),
                 n,
                 c,
@@ -398,14 +399,16 @@ class TestSettledChains:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 31, 129, 1001, 34216, 100001])
     def test_recursive_xs_equals_the_loop(self, n):
         for c in [0.0, online_opt.RECURSION_FLOOR, 0.02, 0.139696, 0.25, 0.3, 0.48, 0.5]:
-            assert online_opt._recursive_xs(n, c).tobytes() == recursive_xs_loop(n, c).tobytes(), c
+            xs = online_opt._recursive_xs(c, global_efficiencies(n, c))
+            assert xs.tobytes() == recursive_xs_loop(n, c).tobytes(), c
 
     def test_the_vacuous_step_at_three_positions(self):
-        assert online_opt._recursive_xs(3, 0.5).tobytes() == recursive_xs_loop(3, 0.5).tobytes()
+        xs = online_opt._recursive_xs(0.5, global_efficiencies(3, 0.5))
+        assert xs.tobytes() == recursive_xs_loop(3, 0.5).tobytes()
 
     def test_a_chain_that_never_settles_keeps_its_full_loop(self):
         n, c = self.NEVER_SETTLES
-        xs = online_opt._recursive_xs(n, c)
+        xs = online_opt._recursive_xs(c, global_efficiencies(n, c))
         assert xs.tobytes() == recursive_xs_loop(n, c).tobytes()
         assert len(np.unique(xs)) > n - 10
 
