@@ -177,14 +177,15 @@ def oracle_equivalence(n_max: int = 8, seed: int = 0) -> SuiteResult:
 
     def stacks() -> Iterator[_Cases]:
         for n in range(2, top + 1):
-            cs = np.empty(_SCHEDULES_PER_N)
-            xs = np.empty((_SCHEDULES_PER_N, n - 1))
-            for row in range(_SCHEDULES_PER_N):
-                c = float(rng.uniform(0.0, 0.95))
-                lo = c if c > 0.0 else 0.05
-                hi = min(1.0 / c, 3.0) if c > 0.0 else 3.0
-                cs[row] = c
-                xs[row] = rng.uniform(lo, hi, size=n - 1)
+            # row by row, the draws of rng.uniform(0, 0.95) for the overlap
+            # and rng.uniform(lo, hi, n - 1) for the strengths, which take
+            # ``a + (b - a) * rng.random()`` for a draw in [a, b)
+            u = rng.random((_SCHEDULES_PER_N, n))
+            cs = 0.0 + 0.95 * u[:, 0]
+            drawn = cs > 0.0
+            lo = np.where(drawn, cs, 0.05)
+            hi = np.minimum(np.divide(1.0, cs, out=np.full_like(cs, 3.0), where=drawn), 3.0)
+            xs = lo[:, None] + (hi - lo)[:, None] * u[:, 1:]
             fast = _profiles(cs, xs)
             slow = _path_profiles(cs, xs)
             _check_probabilities(slow)
