@@ -281,9 +281,8 @@ def gram_feasibility() -> SuiteResult:
                 )
             )
             targets = _tent_efficiencies(n, cs[:, None])
-            below = slice(_GRAM_SIDE)
             min_eigs, below_ok = _unambiguous_spectra(
-                _gram_powers(n, cs[below, None, None]), targets[below]
+                _gram_powers(n, cs[:_GRAM_SIDE, None, None]), targets[:_GRAM_SIDE]
             )
             residuals = np.concatenate(
                 (

@@ -1066,7 +1066,11 @@ class TestBulkFormatters:
         vector = np.random.default_rng(length).integers(-(2**62), 2**62, size=length)
         payload = {"positions": vector, "nested": {"counts": vector[::-1]}}
         plain = {"positions": vector.tolist(), "nested": {"counts": vector[::-1].tolist()}}
-        assert _dump_json(payload) == json.dumps(plain, indent=2) + "\n"
+        got, expected = _dump_json(payload).split("\n"), (json.dumps(plain, indent=2) + "\n").split("\n")
+        # the first differing line, not a diff of 8 000 lines
+        same = got == expected
+        diffs = ((i, a, b) for i, (a, b) in enumerate(zip(got, expected)) if a != b)
+        assert same, next(diffs, ("line counts", len(got), len(expected)))
 
     @settings(deadline=None, max_examples=300)
     @given(
