@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from qcpd import verification
-import oracles
-from oracles import run_all_per_case
+from oracles import _suite, run_all_per_case
 
 
 def _assert_caught(result):
@@ -196,17 +195,17 @@ class TestSuiteHarness:
 
     def test_every_pair_counts_and_the_earlier_tie_is_kept(self):
         pairs = [(0.0, "a"), (2.0, "b"), (1.0, "c"), (2.0, "d")]
-        result = oracles._suite("demo", 2.0, iter(pairs))
+        result = _suite("demo", 2.0, iter(pairs))
         assert (result.name, result.cases) == ("demo", 4)
         assert (result.max_residual, result.worst_case) == (2.0, "b")
         assert result.passed is True
 
     def test_a_residual_above_the_threshold_fails(self):
-        result = oracles._suite("demo", 1.0, [(1.5, "a")])
+        result = _suite("demo", 1.0, [(1.5, "a")])
         assert (result.passed, result.max_residual, result.worst_case) == (False, 1.5, "a")
 
     def test_no_pairs_pass_with_no_worst_case(self):
-        result = oracles._suite("demo", 1e-9, [])
+        result = _suite("demo", 1e-9, [])
         assert (result.passed, result.max_residual, result.cases) == (True, 0.0, 0)
         assert result.worst_case is None
 
@@ -262,7 +261,7 @@ class TestFold:
                 for s in stacks
                 for r, c, p in zip(s.residuals, s.cs, s.positions)
             ]
-            expected = oracles._suite("demo", 0.5, pairs)
+            expected = _suite("demo", 0.5, pairs)
             assert verification._fold("demo", 0.5, stacks) == expected
 
     def test_run_all_builds_a_case_dict_for_the_reported_cases_only(self, monkeypatch):
