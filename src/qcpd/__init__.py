@@ -23,7 +23,6 @@ from .global_bound import (
     validate_unambiguous,
 )
 from .online_opt import (
-    best_online,
     closed_form_strengths,
     fl_solution,
     fl_success_asymptotic,
@@ -42,7 +41,6 @@ __all__ = [
     "OutOfValidityError",
     "Overlap",
     "StrengthSchedule",
-    "best_online",
     "build_gram",
     "check_strength",
     "closed_form_strengths",

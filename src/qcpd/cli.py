@@ -28,12 +28,11 @@ from typing import Sequence
 import numpy as np
 
 from .core import Overlap, StrengthSchedule, _check_n, evaluate_strategy
-from .global_bound import _optimal_success
 from .montecarlo import run_experiment
 from .online_opt import (
     OnlineSolution,
     _at_ceiling,
-    _table_success,
+    _exact_table,
     best_online,
     closed_form_strengths,
     fl_solution,
@@ -266,22 +265,6 @@ class CurveTable:
         }
 
 
-def _exact_columns(n: int, grid: list[float]) -> np.ndarray:
-    """The ``(5, len(grid))`` columns at the increasing overlaps ``grid``:
-    the collective bound row by row in closed form (its regime picked in
-    ``global_bound``), the three strategy columns as one table."""
-    columns = np.empty((5, len(grid)))
-    columns[0] = grid
-    columns[1] = [_optimal_success(n, c) for c in grid]
-    # Zero overlap makes every unambiguous measurement perfectly
-    # conclusive, so each strategy succeeds with certainty (the
-    # saturated family's 1/c prescription is vacuous here).
-    zero = int(grid[:1] == [0.0])  # 1 when the grid starts at c = 0
-    columns[2:, :zero] = 1.0
-    columns[2:, zero:] = _table_success(n, grid[zero:])
-    return columns
-
-
 def _asymptotic_row(c: float) -> tuple[float, float, float, float, float]:
     if c == 0.0:
         return (0.0, 1.0, 1.0, 1.0, 1.0)
@@ -302,15 +285,7 @@ def build_curve(
 ) -> CurveTable:
     """Evaluate the success columns on the overlap grid.
 
-    In exact mode the whole grid's strategy columns come from one table
-    evaluation (:func:`qcpd.online_opt._table_success`): one
-    ``optimize_strengths`` call per online row above c = 1/2, and the
-    closed-form online rows, fl rows and sl rows stacked in blocks of
-    bounded size, each block one lockstep profile walk (row by row when it
-    holds too few schedules to pay).  Each row's profile is evaluated
-    once, and the values are bit-identical to ``best_online``,
-    ``fl_solution`` and ``sl_solution`` row by row; the bound is
-    ``optimal_global``'s success.
+    In exact mode the columns are :func:`qcpd.online_opt._exact_table`'s.
     """
     _check_n(n)
     for flag, value in (("--c-min", c_min), ("--c-max", c_max), ("--step", step)):
@@ -346,7 +321,7 @@ def build_curve(
         raise ValueError("the overlap grid holds only c = 1, which needs --include-endpoint")
     if asymptotic:
         return CurveTable(n, "asymptotic", np.array(list(map(_asymptotic_row, grid))).T)
-    return CurveTable(n, "exact", _exact_columns(n, grid))
+    return CurveTable(n, "exact", _exact_table(n, grid))
 
 
 # ---------------------------------------------------------------------------

@@ -119,10 +119,10 @@ def _overlap(c: Overlap | float) -> float:
     return c.c if isinstance(c, Overlap) else Overlap(float(c)).c
 
 
-def _check_n(n: int, minimum: int = 2) -> int:
+def _check_n(n: int) -> int:
     n = int(n)
-    if n < minimum:
-        raise ValueError(f"stream length must be at least {minimum}, got {n}")
+    if n < 2:
+        raise ValueError(f"stream length must be at least 2, got {n}")
     return n
 
 
@@ -191,6 +191,19 @@ def evaluate_strategy(schedule: StrengthSchedule) -> DetectionProfile:
     """
     c = schedule.overlap.c
     return DetectionProfile(kernels.detection_profile(c, schedule.strengths))
+
+
+def _stack_profiles(cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Profiles of the ``(R, n-1)`` stack ``xs``, one schedule per row at
+    the overlap in the same row of the ``(R,)`` column ``cs``: the stacked
+    twin of ``evaluate_strategy(StrengthSchedule(...))``, with its
+    admissibility and probability checks, and one kernel call, which picks
+    the walk.  Row by row bit-identical to it, and each row's mean over
+    the C-contiguous result to its ``average``."""
+    check_strength(cs[:, None], xs)
+    profiles = kernels.detection_profile(cs, xs)
+    _check_probabilities(profiles)
+    return profiles
 
 
 def enumerate_strategy(schedule: StrengthSchedule) -> DetectionProfile:

@@ -58,13 +58,14 @@ def global_efficiencies(n: int, c: Overlap | float) -> np.ndarray:
     Closed form of the geometric tent sum:
     ``gamma_n(k) = (1 - c - (-c)^k - (-c)^{n-k+1}) / (1 + c)``.
     """
-    return _frozen_vector(_tent_efficiencies(_check_n(n), _overlap(c)))
+    n, cv = _check_n(n), _overlap(c)
+    return _frozen_vector(_tent_efficiencies(cv, _tent_powers(n, cv)))
 
 
-def _tent_efficiencies(n: int, cv):
-    """The closed form of :func:`global_efficiencies` for one overlap
-    ``cv``, or one vector per row of an ``(R, 1)`` column of overlaps."""
-    powers = _tent_powers(n, cv)
+def _tent_efficiencies(cv, powers: np.ndarray):
+    """The closed form of :func:`global_efficiencies` from the power table
+    ``powers = _tent_powers(n, cv)``, for one overlap ``cv``, or one vector
+    per row of an ``(R, 1)`` column of overlaps."""
     return (1.0 - cv - powers[..., 1:] - powers[..., :0:-1]) / (1.0 + cv)
 
 
@@ -115,7 +116,7 @@ def _primed_efficiencies(n: int, cv: float) -> np.ndarray:
     """
     gamma2 = _scaled_gamma_two(n, cv) / (1.0 + cv)
     k = np.arange(1, n + 1)
-    gammas = _tent_efficiencies(n, cv) - (
+    gammas = _tent_efficiencies(cv, _tent_powers(n, cv)) - (
         gamma2
         * (np.power(-cv, np.abs(k - 2)) + np.power(-cv, np.abs(n - k - 1)))
         / (1.0 + (-cv) ** (n - 3))

@@ -3,8 +3,9 @@
 Both kernels are plain numpy.  The profile kernel walks one schedule on
 Python floats, filling each long run of equal strengths in bulk once its
 state settles, so a chain costs O(unsettled positions) in Python; a stack
-of schedules, one per row, goes through the recursion in lockstep on
-width-R row vectors, each row bit for bit its schedule's own profile.
+of at least ``_STACK_ROWS`` schedules, one per row, goes through the
+recursion in lockstep on width-R row vectors, a narrower one row by row,
+each row bit for bit its schedule's own profile.
 
 The Monte Carlo kernel draws every uniform
 from a counter-based generator keyed by ``(seed, trial, position)``, so
@@ -89,6 +90,11 @@ def seed_root(seed: int) -> int:
 
 #: shortest run of equal strengths that a one-schedule walk settles early
 _SETTLE_RUN = 128
+#: fewest schedules a stack walks in lockstep: a lockstep step costs a few
+#: numpy calls at any width, so a narrower stack walks row by row on Python
+#: floats.  On 2 cores a stack of settled closed-form, fl and sl rows breaks
+#: even at 12 rows for n = 31 and 18-27 for n = 301 (README, "Curve tables").
+_STACK_ROWS = 20
 
 
 def detection_profile(c, xs) -> np.ndarray:
@@ -101,11 +107,13 @@ def detection_profile(c, xs) -> np.ndarray:
 
     One schedule is a float ``c`` and a 1-D ``xs`` (:func:`_one_profile`);
     a stack is a ``(R,)`` column of overlaps and an ``(R, n-1)`` array, one
-    schedule per row, walked over width-R columns of the result, which holds
-    ``c*x`` until ``p0`` replaces it; the caller bounds its size.  Its
-    ``(R, n)`` C-contiguous result equals the 1-D one row by row, bit for
-    bit.  Raises ``ValueError`` for ``xs`` of other than 1 or 2 dimensions,
-    and for overlaps that are not one per row of a stack.
+    schedule per row.  A stack of at least :data:`_STACK_ROWS` rows is
+    walked in lockstep over width-R columns of the result, which holds
+    ``c*x`` until ``p0`` replaces it; the caller bounds its size.  A
+    narrower one is walked row by row through :func:`_one_profile`.
+    Either way the ``(R, n)`` C-contiguous result equals the 1-D one row by
+    row, bit for bit.  Raises ``ValueError`` for ``xs`` of other than 1 or
+    2 dimensions, and for overlaps that are not one per row of a stack.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim == 1:
@@ -117,8 +125,12 @@ def detection_profile(c, xs) -> np.ndarray:
         raise ValueError(
             f"a stack of {len(xs)} schedules needs {len(xs)} overlaps, got shape {cs.shape}"
         )
-    c = cs[:, None]
     prof = np.empty((len(xs), xs.shape[1] + 1))
+    if len(xs) < _STACK_ROWS:
+        for p, cv, x in zip(prof, cs.tolist(), xs):
+            p[:] = _one_profile(cv, x)
+        return prof
+    c = cs[:, None]
     np.multiply(xs, c, out=prof[:, :-1])
     cols = prof.T
     cc, p0, pi = cs * cs, np.ones(len(cs)), np.zeros(len(cs))

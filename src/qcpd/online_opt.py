@@ -29,12 +29,8 @@ Constructions:
 The backward pass in its ``(A, B)`` form, its one-strength objective and
 the paper's saturation constants are test oracles, in ``tests/oracles.py``.
 
-:func:`_table_success` evaluates ``best_online``, ``fl_solution`` and
-``sl_solution`` over a whole overlap grid, for the curve table: the online
-rows above 1/2 one ``optimize_strengths`` call each, the other rows as
-stacked arrays, each block of them walked through the profile recursion
-in lockstep by one kernel call (row by row if it holds too few rows to
-pay); its values equal theirs bit for bit.
+:func:`_exact_table` builds the exact curve table; its docstring describes
+how.
 """
 from __future__ import annotations
 
@@ -43,19 +39,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .core import (
     DetectionProfile,
     OutOfValidityError,
     Overlap,
     StrengthSchedule,
     _check_n,
-    _check_probabilities,
     _overlap,
+    _stack_profiles,
     check_strength,
     evaluate_strategy,
 )
-from .global_bound import _tent_powers, global_efficiencies
+from .global_bound import _optimal_success, _tent_powers, global_efficiencies
 
 #: relative slack when flagging a strength as sitting at the ceiling 1/c
 _SATURATION_SLACK = 1e-9
@@ -218,10 +213,11 @@ def _recursive_xs(cv: float, gammas: np.ndarray) -> np.ndarray:
     return xs
 
 
-def _closed_form_xs(n: int, cs):
-    """``(1+c)/(1-(-c)^(n-j))`` for ``j = 1..n-1``: one schedule at an
-    overlap ``cs``, or one row per overlap for a column ``cs``."""
-    return (1.0 + cs) / (1.0 - _tent_powers(n, cs)[..., n - 1 : 0 : -1])
+def _closed_form_xs(cs, powers: np.ndarray):
+    """``(1+c)/(1-(-c)^(n-j))`` for ``j = 1..n-1`` from the power table
+    ``powers = _tent_powers(n, cs)``: one schedule at an overlap ``cs``, or
+    one row per overlap for a column ``cs``."""
+    return (1.0 + cs) / (1.0 - powers[..., -2:0:-1])
 
 
 def _optimal_strengths(n: int, cv: float) -> np.ndarray:
@@ -229,7 +225,7 @@ def _optimal_strengths(n: int, cv: float) -> np.ndarray:
     of the map in :func:`optimize_strengths`, or its closed form while
     ``c <= 1/2``, where it never saturates."""
     if cv <= 0.5:
-        return _closed_form_xs(n, cv)
+        return _closed_form_xs(cv, _tent_powers(n, cv))
     xs = [1.0 / cv] * (n - 1)
     s, prev = 1.0, None
     for j in range(n - 2, -1, -1):
@@ -378,41 +374,37 @@ def best_online(n: int, c: Overlap | float) -> OnlineSolution:
     return optimize_strengths(n, cv)
 
 
-#: most strengths one block of :func:`_table_success` holds; the one bound
+#: most strengths one block of :func:`_exact_table` holds; the one bound
 #: on a profile-kernel stack and so on the working memory of a fine grid
 _TABLE_BLOCK = 1 << 15
-#: fewest schedules a block of :func:`_table_success` walks as one stack.
-#: A stack's step costs a few numpy calls whatever its width, so a narrow
-#: stack loses to one Python-float walk per row, which fills settled rows
-#: in bulk.  Measured on 2 cores with settled closed-form, fl and sl rows,
-#: the stack breaks even at 12 rows for n = 31 and at 18-27 for n = 301;
-#: at n = 1001 a full block (30 rows) walks 1.6 times slower stacked, and
-#: at n = 3001 a block holds at most 9 rows.  No benchmark workload runs a
-#: table past n = 301 to judge a different rule, so it stays.
-_STACK_ROWS = 20
 
 
-def _table_success(n: int, cs) -> np.ndarray:
-    """Success probabilities of :func:`best_online`, :func:`fl_solution`
-    and :func:`sl_solution` at each of the increasing overlaps
-    ``0 < cs <= 1``, as a ``(3, len(cs))`` array bit-identical to their
-    ``success``.
+def _exact_table(n: int, grid) -> np.ndarray:
+    """The exact curve table at the increasing overlaps ``grid`` in
+    ``[0, 1]``: a ``(5, len(grid))`` array whose rows are ``c``, the
+    collective bound and the ``success`` of :func:`best_online`,
+    :func:`fl_solution` and :func:`sl_solution`, each bit-identical to its
+    row-by-row value.
 
-    Each online row above 1/2 is the ``success`` of
-    :func:`optimize_strengths`, evaluated once.  Block by block of
-    overlaps, the other rows are stacked, one schedule per row: the
-    closed-form online rows (one 2-D evaluation of :func:`_closed_form_xs`),
-    then the fl rows, then the sl rows.  The stack goes through one
-    admissibility check.  A block of at least :data:`_STACK_ROWS` schedules
-    goes through the profile kernel as one stack, its rows walked in
-    lockstep; a smaller one row by row through the same kernel.  The
-    profiles are checked and averaged as :class:`DetectionProfile` does,
-    each row's mean taken over the C-contiguous ``(rows, n)`` array: numpy
-    sums pairwise only along the contiguous axis, so a column-major copy
-    would change the last bit of most means.
+    The bound is :func:`_optimal_success`, row by row.  At ``c = 0`` every
+    unambiguous measurement is conclusive, so each strategy succeeds with
+    certainty (sl's ceiling ``1/c`` is vacuous there).  Each online row
+    above 1/2 is the ``success`` of :func:`optimize_strengths`, evaluated
+    once.  Block by block of at most :data:`_TABLE_BLOCK` strengths, the
+    other rows are stacked, one schedule per row: the closed-form online
+    rows (one 2-D evaluation of :func:`_closed_form_xs`), then the fl rows,
+    then the sl rows; each block is one :func:`_stack_profiles` call, whose
+    kernel picks the walk, and each row's mean is taken over the
+    C-contiguous ``(rows, n)`` result:
+    numpy sums pairwise only along the contiguous axis, so a column-major
+    copy would change the last bit of most means.
     """
-    cs = np.asarray(cs, dtype=np.float64)
-    out = np.empty((3, len(cs)))
+    table = np.empty((5, len(grid)))
+    table[0] = grid
+    table[1] = [_optimal_success(n, c) for c in table[0].tolist()]
+    zero = int(table[0, :1].tolist() == [0.0])  # 1 when the grid starts at c = 0
+    table[2:, :zero] = 1.0
+    cs, out = table[0, zero:], table[2:, zero:]
     low = int(np.searchsorted(cs, 0.5, side="right"))
     for r, cv in enumerate(cs[low:].tolist(), start=low):
         out[0, r] = optimize_strengths(n, cv).success
@@ -423,18 +415,10 @@ def _table_success(n: int, cs) -> np.ndarray:
         fixed = np.concatenate([np.minimum(1.0 + block, 1.0 / block), 1.0 / block])
         row_cs = np.concatenate([closed, block, block])
         xs = np.empty((len(row_cs), n - 1))
-        xs[: len(closed)] = _closed_form_xs(n, closed[:, None])
+        xs[: len(closed)] = _closed_form_xs(closed[:, None], _tent_powers(n, closed[:, None]))
         xs[len(closed) :, :-1] = fixed[:, None]
         xs[len(closed) :, -1] = 1.0
-        check_strength(row_cs[:, None], xs)
-        if len(xs) >= _STACK_ROWS:
-            profiles = kernels.detection_profile(row_cs, xs)
-        else:
-            profiles = np.empty((len(xs), n))
-            for p, cv, x in zip(profiles, row_cs.tolist(), xs):
-                p[:] = kernels.detection_profile(cv, x)
-        _check_probabilities(profiles)
-        means = profiles.mean(axis=1)
+        means = _stack_profiles(row_cs, xs).mean(axis=1)
         out[0, lo : lo + len(closed)] = means[: len(closed)]
         out[1:, lo : lo + per_block] = means[len(closed) :].reshape(2, -1)
-    return out
+    return table

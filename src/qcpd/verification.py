@@ -13,8 +13,8 @@ each other rather than against hard-coded numbers:
   check on either side of the critical overlap.
 
 Each suite checks one stack per chain length rather than one validated
-object per case: a column of overlaps with one schedule per row, walked
-by one stacked ``kernels.detection_profile`` call, enumerated by one
+object per case: a column of overlaps with one schedule per row, checked
+and walked by one ``core._stack_profiles`` call, enumerated by one
 ``_path_profiles`` call, and held against the broadcast efficiency and
 Gram formulas with one batched eigensolve of the rows whose eigenvalue is
 read.  Only ``recursion_agreement`` runs its forward substitution one case
@@ -35,19 +35,19 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import kernels
 from .core import (
     ENUMERATION_CAP,
     OutOfValidityError,
     _check_probabilities,
     _path_profiles,
-    check_strength,
+    _stack_profiles,
 )
 from .global_bound import (
     PSD_TOL,
     _gram_powers,
     _in_range,
     _tent_efficiencies,
+    _tent_powers,
     _unambiguous_spectra,
     critical_overlap,
     global_success,
@@ -143,25 +143,17 @@ class _Stack(NamedTuple):
     targets: np.ndarray
 
 
-def _profiles(cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Checked profiles of the schedules stacked in ``xs``: the checks a
-    ``StrengthSchedule`` and a ``DetectionProfile`` make, on the stack."""
-    check_strength(cs[:, None], xs)
-    profiles = kernels.detection_profile(cs, xs)
-    _check_probabilities(profiles)
-    return profiles
-
-
 def _canonical_solutions() -> list[_Stack]:
     """Closed-form solutions on the canonical grid: ``n in 2..25`` by
-    ``c in {0, 0.05, .., 0.5}``, one stack per ``n`` (264 cases)."""
+    ``c in {0, 0.05, .., 0.5}``, one stack per ``n`` (264 cases), the
+    schedules and their targets from one power table per ``n``."""
     cs = np.array([float(round(c, 10)) for c in np.arange(0.0, 0.5001, 0.05)])
     stacks = []
     for n in range(2, 26):
-        xs = _closed_form_xs(n, cs[:, None])
-        stacks.append(
-            _Stack(n, cs, xs, _profiles(cs, xs), _tent_efficiencies(n, cs[:, None]))
-        )
+        powers = _tent_powers(n, cs[:, None])
+        xs = _closed_form_xs(cs[:, None], powers)
+        targets = _tent_efficiencies(cs[:, None], powers)
+        stacks.append(_Stack(n, cs, xs, _stack_profiles(cs, xs), targets))
     return stacks
 
 
@@ -186,7 +178,7 @@ def oracle_equivalence(n_max: int = 8, seed: int = 0) -> SuiteResult:
             lo = np.where(drawn, cs, 0.05)
             hi = np.minimum(np.divide(1.0, cs, out=np.full_like(cs, 3.0), where=drawn), 3.0)
             xs = lo[:, None] + (hi - lo)[:, None] * u[:, 1:]
-            fast = _profiles(cs, xs)
+            fast = _stack_profiles(cs, xs)
             slow = _path_profiles(cs, xs)
             _check_probabilities(slow)
             yield _worst_entries(n, cs, np.abs(fast - slow))
@@ -216,7 +208,7 @@ def central_equality(
                 # caught by the residual check, not by input validation
                 xs = xs.copy()
                 xs[:, 0] /= _FAULT_FACTOR
-                profiles = _profiles(cs, xs)
+                profiles = _stack_profiles(cs, xs)
             worst = _worst_entries(n, cs, np.abs(profiles - targets))
             # a row's mean over a C-contiguous stack is that of the row alone
             means = profiles.mean(axis=1)
@@ -280,7 +272,7 @@ def gram_feasibility() -> SuiteResult:
                     np.linspace(threshold + 0.011, 0.99, _GRAM_SIDE),
                 )
             )
-            targets = _tent_efficiencies(n, cs[:, None])
+            targets = _tent_efficiencies(cs[:, None], _tent_powers(n, cs[:, None]))
             min_eigs, below_ok = _unambiguous_spectra(
                 _gram_powers(n, cs[:_GRAM_SIDE, None, None]), targets[:_GRAM_SIDE]
             )

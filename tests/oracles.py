@@ -11,7 +11,8 @@ from outside it:
   strength, ``alpha + beta*x + delta/x`` (:class:`RationalCoefficients`),
   the form the backward optimizer maximizes;
 * :func:`global_efficiencies_direct` sums the collective efficiencies term
-  by term;
+  by term, and :func:`optimal_success_fraction` takes the collective bound
+  exactly, in ``fractions`` arithmetic, from the plain or corrected vector;
 * :func:`gamma_two_reference`, :func:`z_score_reference` and
   :func:`optimal_strengths_reference` evaluate the position-2 efficiency,
   ``simulate``'s z-score and the optimal schedule's orbit in 60-digit
@@ -45,6 +46,8 @@ from outside it:
   must match exactly;
 * :func:`_bisect_root` is the generic bisection that ``critical_overlap``
   must match bit for bit after a sign scan of the grid ``k/4096``;
+* :data:`GOLDEN` is the golden-ratio overlap ``(sqrt(5)-1)/2``, where the
+  critical overlap converges and fl's strength ``1+c`` meets ``1/c``;
 * :func:`total_saturation_point` and :func:`sl_worst_case_gap` give the
   paper's saturation overlap (about 0.6889) and the saturated strategy's
   largest asymptotic shortfall (about 0.022 near c = 0.89).
@@ -58,6 +61,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from typing import Callable, Iterable
 
 import numpy as np
@@ -243,6 +247,10 @@ def _bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+#: the golden-ratio overlap, the one definition the tests import
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def total_saturation_point() -> float:
     """Overlap beyond which the backward pass clips every strength but the
     last: the root in (0, 1) of ``c*(2-c)*(1-c^2) = c^2``, equivalently
@@ -263,8 +271,7 @@ def sl_worst_case_gap() -> tuple[float, float]:
     def gap(cs: np.ndarray) -> np.ndarray:
         return (1.0 - cs) / (1.0 + cs) - (1.0 - cs * cs) ** 2 / (2.0 - cs * cs)
 
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    coarse = np.linspace(golden, 1.0 - 1e-4, 10_001)
+    coarse = np.linspace(GOLDEN, 1.0 - 1e-4, 10_001)
     c0 = coarse[int(np.argmax(gap(coarse)))]
     fine = np.linspace(c0 - 2e-4, c0 + 2e-4, 40_001)
     vals = gap(fine)
@@ -283,6 +290,25 @@ def global_efficiencies_direct(n: int, c: Overlap | float) -> np.ndarray:
     idx = np.arange(n)
     terms = np.power(-cv, np.abs(idx[:, None] - idx[None, :]), dtype=np.float64)
     return _frozen_vector(terms.sum(axis=1))
+
+
+def optimal_success_fraction(n: int, c: float) -> Fraction:
+    """The collective bound at the exact binary value of ``c``, as a
+    ``Fraction``: the mean of the tent sums ``sum_j (-c)^|k-j|``, each the
+    two geometric sums that meet at ``k``, where their entry 2 is not
+    negative; else the mean of the corrected vector, the tent minus
+    ``gamma_2 * ((-c)^|k-2| + (-c)^|n-k-1|) / (1 + (-c)^(n-3))``, which
+    zeroes entries 2 and ``n-1``."""
+    d = Fraction(c)
+    power = [(-d) ** e for e in range(n + 1)]
+    geometric = list(itertools.accumulate(power))  # sum of power[:m + 1]
+    tent = [geometric[k - 1] + geometric[n - k] - 1 for k in range(1, n + 1)]
+    gamma2 = tent[1]
+    if gamma2 < 0:
+        den = 1 + power[n - 3]
+        tent = [g - gamma2 * (power[abs(k - 2)] + power[abs(n - k - 1)]) / den
+                for k, g in enumerate(tent, start=1)]
+    return sum(tent) / n
 
 
 #: significant digits of the ``decimal`` references, far past float64's 17

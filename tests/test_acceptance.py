@@ -16,7 +16,6 @@ import pytest
 from qcpd import (
     Overlap,
     StrengthSchedule,
-    best_online,
     build_gram,
     closed_form_strengths,
     critical_overlap,
@@ -31,10 +30,9 @@ from qcpd import (
     sl_solution,
     validate_unambiguous,
 )
-from qcpd.online_opt import fl_success_exact
-from oracles import sl_worst_case_gap, total_saturation_point
+from qcpd.online_opt import best_online, fl_success_exact
+from oracles import GOLDEN, sl_worst_case_gap, total_saturation_point
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 C_HALF_GRID = [round(0.05 * i, 2) for i in range(11)]  # 0, 0.05, .., 0.5
 
 

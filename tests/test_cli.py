@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +18,6 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qcpd import (
-    best_online,
     build_gram,
     closed_form_strengths,
     critical_overlap,
@@ -40,7 +40,6 @@ from qcpd.cli import (
     _Rows,
     _distinct,
     _dump_json,
-    _exact_columns,
     _fmt,
     _json_items,
     _strength_lines,
@@ -50,7 +49,8 @@ from qcpd.cli import (
     build_parser,
     main,
 )
-from oracles import z_score_reference
+from qcpd.online_opt import _exact_table, best_online
+from oracles import GOLDEN, detection_profile_reference, optimal_success_fraction, z_score_reference
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -275,13 +275,13 @@ class TestExactTable:
         below, above = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
         overlaps = {0.0, 1e-300, 0.05, 0.3, below, 0.5, above, 0.7, 0.95, 1.0}
         # where fl's clip switches: the last float with 1 + c < 1/c, the
-        # one with 1 + c == 1/c, and (sqrt(5) - 1)/2 just above
-        overlaps |= {0.6180339887498947, 0.6180339887498948, (math.sqrt(5) - 1) / 2}
+        # one with 1 + c == 1/c, and the golden ratio just above
+        overlaps |= {0.6180339887498947, 0.6180339887498948, GOLDEN}
         cstar = critical_overlap(n)
         if cstar is not None:
             overlaps |= {np.nextafter(cstar, 0.0), cstar, np.nextafter(cstar, 1.0)}
         grid = sorted(float(c) for c in overlaps)
-        assert rows_of(_exact_columns(n, grid)) == [row_by_row(n, c) for c in grid]
+        assert rows_of(_exact_table(n, grid)) == [row_by_row(n, c) for c in grid]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 31, 301])
     def test_curve_with_endpoint_matches_row_by_row(self, n):
@@ -306,7 +306,7 @@ class TestExactTable:
         n = 31
         grid = [round(0.05 * i, 12) for i in range(1, 20)]
         monkeypatch.setattr(online_opt, "_TABLE_BLOCK", strengths)
-        assert rows_of(_exact_columns(n, grid)) == [row_by_row(n, c) for c in grid]
+        assert rows_of(_exact_table(n, grid)) == [row_by_row(n, c) for c in grid]
 
     def test_each_row_is_evaluated_once(self, monkeypatch):
         # 19 rows, 9 of them above 1/2: one profile row for each of the three
@@ -318,24 +318,40 @@ class TestExactTable:
         assert sum(1 if len(s) == 1 else s[0] for s in shapes) == 3 * 19
         assert sorted(shapes) == [(30,)] * 9 + [(48, 30)]
 
-    @pytest.mark.parametrize("overlaps", [6, 7, 10])
-    def test_small_blocks_go_row_by_row(self, monkeypatch, overlaps):
-        # blocks of 7 overlaps hold 21, 17 and 10 schedules (closed-form
-        # online rows, then fl and sl rows): the first is walked as a stack,
-        # the others row by row; blocks of 6 hold too few to stack
-        n = 31
-        grid = [round(0.05 * i, 12) for i in range(1, 20)]
-        monkeypatch.setattr(online_opt, "_TABLE_BLOCK", overlaps * 3 * (n - 1))
-        shapes = kernel_shapes(monkeypatch)
-        columns = _exact_columns(n, grid)
-        blocks = [grid[i : i + overlaps] for i in range(0, len(grid), overlaps)]
-        widths = [sum(c <= 0.5 for c in block) + 2 * len(block) for block in blocks]
-        if overlaps == 7:
-            assert min(widths) < online_opt._STACK_ROWS <= max(widths)
-        stacked = [w for w in widths if w >= online_opt._STACK_ROWS]
-        assert [s[0] for s in shapes if len(s) == 2] == stacked
-        assert sum(len(s) == 1 for s in shapes) == 9 + sum(widths) - sum(stacked)
-        assert rows_of(columns) == [row_by_row(n, c) for c in grid]
+
+def twelfth_digit_gap(cell: str, exact: Fraction) -> Fraction:
+    """How far the printed ``cell`` lies from the positive ``exact``, in
+    units of the exact value's 12th significant digit."""
+    e = math.floor(math.log10(exact))
+    e += (Fraction(10) ** (e + 1) <= exact) - (Fraction(10) ** e > exact)
+    return abs(Fraction(cell) - exact) / Fraction(10) ** (e - 11)
+
+
+class TestDigitContract:
+    """Each printed ``p_global``, ``p_fl`` and ``p_sl`` cell of ``curve``
+    lies within one unit in the 12th significant digit of the exact value
+    at the double overlap, and so does ``p_online`` up to c = 1/2, where
+    its exact value is the bound.  The bound is exact in ``fractions``; fl
+    and sl are the means of the 50-digit profiles of the schedules the
+    program walks."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 31])
+    def test_printed_cells_hold_twelve_digits(self, n, capsys):
+        argv = ["curve", "--n", str(n), "--c-min", "0.01", "--c-max", "0.99", "--step", "0.01"]
+        assert main(argv) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header == CSV_HEADER and len(lines) == 99
+        for k, line in enumerate(lines, start=1):
+            cells, c = line.split(","), k / 100
+            assert float(cells[0]) == c
+            bound = optimal_success_fraction(n, c)
+            exact = {"p_global": bound, "p_online": bound} if c <= 0.5 else {"p_global": bound}
+            for name, build in (("p_fl", fl_solution), ("p_sl", sl_solution)):
+                profile = detection_profile_reference(c, build(n, c).schedule.strengths)
+                exact[name] = sum(map(Fraction, profile)) / n
+            for name, value in exact.items():
+                cell = cells[CSV_HEADER.split(",").index(name)]
+                assert twelfth_digit_gap(cell, value) <= 1, (n, c, name, cell, float(value))
 
 
 def kernel_shapes(monkeypatch) -> list[tuple[int, ...]]:
@@ -809,7 +825,7 @@ class TestPositionCap:
     def test_full_size_grid_at_the_default_length_fits(self, monkeypatch):
         # the largest grid the row cap allows (1e5 rows), at n = 31, is
         # exactly at the position cap
-        monkeypatch.setattr(cli, "_exact_columns", lambda n, grid: np.empty((5, 0)))
+        monkeypatch.setattr(cli, "_exact_table", lambda n, grid: np.empty((5, 0)))
         build_curve(31, 0.0, 0.999999, 1e-5)
         with pytest.raises(ValueError, match="strength positions"):
             build_curve(32, 0.0, 0.999999, 1e-5)

@@ -10,7 +10,6 @@ from qcpd import (
     InvalidMeasurementError,
     Overlap,
     StrengthSchedule,
-    best_online,
     check_strength,
     enumerate_strategy,
     evaluate_strategy,
@@ -19,8 +18,16 @@ from qcpd import (
     optimize_strengths,
     recursive_strengths,
 )
+from qcpd import kernels
 from qcpd.cli import main
-from qcpd.core import ENUMERATION_CAP, REL_SLACK, DetectionProfile, _check_probabilities
+from qcpd.online_opt import best_online
+from qcpd.core import (
+    ENUMERATION_CAP,
+    REL_SLACK,
+    DetectionProfile,
+    _check_probabilities,
+    _stack_profiles,
+)
 from conftest import schedules
 from oracles import enumerate_strategy_nested
 
@@ -204,6 +211,27 @@ class TestEvaluateStrategy:
         fast = evaluate_strategy(schedule).per_position
         slow = enumerate_strategy(schedule).per_position
         assert fast == pytest.approx(slow, abs=1e-12)
+
+    @pytest.mark.parametrize("rows", [3, kernels._STACK_ROWS + 5])
+    def test_a_stack_is_each_row_evaluated_alone(self, rows, monkeypatch):
+        # bit for bit, on either walk of the kernel, with each row's mean
+        # over the stack its average; then the checks a schedule and a
+        # profile make, on the stack
+        rng = np.random.default_rng(rows)
+        cs = rng.uniform(0.05, 0.95, rows)
+        xs = rng.uniform(cs[:, None], 1.0 / cs[:, None], (rows, 9))
+        stacked = _stack_profiles(cs, xs)
+        for c, x, row, mean in zip(cs.tolist(), xs, stacked, stacked.mean(axis=1).tolist()):
+            profile = evaluate_strategy(StrengthSchedule(n=10, strengths=x, overlap=Overlap(c)))
+            assert row.tobytes() == profile.per_position.tobytes()
+            assert mean == profile.average
+        xs[-1, 4] = 1.0 / cs[-1] + 0.1
+        with pytest.raises(InvalidMeasurementError, match="position 5 = "):
+            _stack_profiles(cs, xs)
+        xs[-1, 4] = cs[-1]
+        monkeypatch.setattr(kernels, "detection_profile", lambda c, xs: np.full((rows, 10), 1.5))
+        with pytest.raises(ValueError, match="entry 1 = 1.5 is not a probability"):
+            _stack_profiles(cs, xs)
 
     def test_enumeration_refuses_long_chains(self):
         schedule = StrengthSchedule(n=13, strengths=(1.0,) * 12, overlap=Overlap(0.3))

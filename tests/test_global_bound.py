@@ -16,7 +16,7 @@ from qcpd import (
     optimal_global,
     validate_unambiguous,
 )
-from qcpd import global_bound, online_opt
+from qcpd import global_bound
 from qcpd.global_bound import (
     _gram_powers,
     _optimal_success,
@@ -30,14 +30,13 @@ from qcpd.global_bound import (
 from qcpd.online_opt import _closed_form_xs
 from qcpd.verification import GRAM_TOL
 from oracles import (
+    GOLDEN,
     _bisect_root,
     closed_form_xs_full,
     gamma_two_reference,
     global_efficiencies_direct,
     tent_efficiencies_full,
 )
-
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class TestEfficiencies:
@@ -361,7 +360,8 @@ class TestStackedFeasibility:
     CS = np.array([0.05, 0.3, 0.45, 0.6, 0.9])
 
     def _stack(self, n):
-        return _gram_powers(n, self.CS[:, None, None]), _tent_efficiencies(n, self.CS[:, None])
+        cs = self.CS[:, None]
+        return _gram_powers(n, cs[..., None]), _tent_efficiencies(cs, _tent_powers(n, cs))
 
     def test_each_row_is_the_one_matrix_report_bit_for_bit(self):
         for n in (2, 5, 16, 31):
@@ -417,9 +417,11 @@ class TestPowerCutoff:
         bad = []
         with np.errstate(divide="ignore", invalid="ignore"):  # at c = 1
             for n, cs in cases:
-                if _tent_efficiencies(n, cs).tobytes() != tent_efficiencies_full(n, cs).tobytes():
+                # looked up at each call, so a mutant patched in is the one used
+                powers = global_bound._tent_powers(n, cs)
+                if _tent_efficiencies(cs, powers).tobytes() != tent_efficiencies_full(n, cs).tobytes():
                     bad.append(("tent", n, cs))
-                if _closed_form_xs(n, cs).tobytes() != closed_form_xs_full(n, cs).tobytes():
+                if _closed_form_xs(cs, powers).tobytes() != closed_form_xs_full(n, cs).tobytes():
                     bad.append(("closed form", n, cs))
         return bad
 
@@ -460,7 +462,6 @@ class TestPowerCutoff:
             return powers
 
         monkeypatch.setattr(global_bound, "_tent_powers", mutant)
-        monkeypatch.setattr(online_opt, "_tent_powers", mutant)
         bad = self._mismatches(self._scalar_cases())
         assert {kind for kind, _, _ in bad} == {"tent", "closed form"}
         assert self._mismatches(self._column_cases()) != []

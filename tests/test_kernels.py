@@ -6,20 +6,19 @@ kernel in ``tests/oracles.py`` at sizes the scalar walk cannot reach."""
 
 from __future__ import annotations
 
-import math
 import tracemalloc
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from conftest import settled_schedules
-from oracles import detection_profile_loop, detection_profile_reference, simulate_counts_forward
+from oracles import GOLDEN, detection_profile_loop, detection_profile_reference, simulate_counts_forward
 
 from qcpd import (
     Overlap,
     StrengthSchedule,
-    best_online,
     fl_solution,
     kernels,
     online_opt,
@@ -28,6 +27,7 @@ from qcpd import (
 from qcpd.core import REL_SLACK, DetectionProfile
 from qcpd.kernels import active_backend
 from qcpd.montecarlo import simulate_trial
+from qcpd.online_opt import best_online
 
 
 def _random_case(rng, n_max=40):
@@ -74,6 +74,12 @@ def _edge_schedules(draw):
     return StrengthSchedule(n=n, strengths=xs, overlap=Overlap(c))
 
 
+def lockstep():
+    """Walk every stack in lockstep, however narrow: the tests of that walk
+    hold narrow stacks too."""
+    return mock.patch.object(kernels, "_STACK_ROWS", 1)
+
+
 class TestMixer:
     def test_scalar_and_array_mixers_agree(self):
         rng = np.random.default_rng(3)
@@ -103,13 +109,14 @@ class TestStackedProfile:
 
     def test_rows_equal_the_one_schedule_kernel(self):
         rng = np.random.default_rng(19)
-        special = [0.5, (math.sqrt(5.0) - 1.0) / 2.0, 1.0]
+        special = [0.5, GOLDEN, 1.0]
         for width in range(1, 65):
             n = int(rng.integers(2, 400))
             cs = 1.0 - rng.uniform(0.0, 1.0, width)  # in (0, 1]
             cs[: len(special)] = special[:width]
             xs = rng.uniform(cs[:, None], 1.0 / cs[:, None], (width, n - 1))
-            stacked = kernels.detection_profile(cs, xs)
+            with lockstep():
+                stacked = kernels.detection_profile(cs, xs)
             rows = [kernels.detection_profile(c, x) for c, x in zip(cs.tolist(), xs)]
             assert stacked.tolist() == [row.tolist() for row in rows]
             # a row's mean is that of its profile only over a C-contiguous
@@ -126,6 +133,8 @@ class TestStackedProfile:
         loop = [detection_profile_loop(c, x).tolist() for c, x in zip(cs.tolist(), xs)]
         assert [kernels.detection_profile(c, x).tolist() for c, x in zip(cs.tolist(), xs)] == loop
         assert kernels.detection_profile(cs, xs).tolist() == loop
+        with lockstep():
+            assert kernels.detection_profile(cs, xs).tolist() == loop
 
     @staticmethod
     def _peak_per_stack_byte(n, rows):
@@ -145,8 +154,9 @@ class TestStackedProfile:
     def test_peak_memory_of_a_stack_at_the_table_block(self, n):
         # a stack of the table's largest block holds its profiles and one
         # array of change factors besides the caller's strengths; measured
-        # 2.3-2.6 times the strengths' bytes with numpy 2.4.  A further
-        # copy of the whole stack (a transposed one, say) goes past 3.
+        # 2.5-2.6 times the strengths' bytes with numpy 2.4.  At n = 4097
+        # the block's 8 rows go row by row, 2.1 times.  A further copy of
+        # the whole stack (a transposed one, say) goes past 3.
         ratio = self._peak_per_stack_byte(n, online_opt._TABLE_BLOCK // (n - 1))
         assert ratio <= 3, f"peak {ratio:.2f} times the stack"
 
@@ -189,9 +199,30 @@ class TestSettledProfile:
         cs = np.array([c for c, _ in cases])
         xs = np.array([x[:width] for _, x in cases])
         loop = np.array([detection_profile_loop(c, x) for c, x in zip(cs.tolist(), xs)])
-        assert kernels.detection_profile(cs, xs).tobytes() == loop.tobytes()
+        with lockstep():
+            assert kernels.detection_profile(cs, xs).tobytes() == loop.tobytes()
         for c, x, row in zip(cs.tolist(), xs, loop):
             assert kernels.detection_profile(c, x).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("rows", [kernels._STACK_ROWS + d for d in (-1, 0, 1)])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_the_stack_width_picks_the_walk(self, rows, data):
+        # settled rows, each padded with its last strength to one width of
+        # at least _SETTLE_RUN (n >= 129): a stack of fewer than _STACK_ROWS
+        # rows goes row by row, with no lockstep step, and a wider one
+        # goes in lockstep
+        cases = data.draw(st.lists(settled_schedules(), min_size=rows, max_size=rows))
+        width = max(kernels._SETTLE_RUN, *(len(x) for _, x in cases))
+        cs = np.array([c for c, _ in cases])
+        xs = np.array([np.append(x, np.full(width - len(x), x[-1])) for _, x in cases])
+        loop = np.array([detection_profile_loop(c, x) for c, x in zip(cs.tolist(), xs)])
+        # the lockstep walk starts with np.multiply, which _one_profile never calls
+        with mock.patch.object(kernels, "_one_profile", wraps=kernels._one_profile) as one, \
+                mock.patch.object(kernels.np, "multiply", wraps=np.multiply) as step:
+            assert kernels.detection_profile(cs, xs).tobytes() == loop.tobytes()
+        narrow = rows < kernels._STACK_ROWS
+        assert (one.call_count, step.called) == ((rows, False) if narrow else (0, True))
 
     @pytest.mark.parametrize("tail", [0, 1, 2, 3])
     @pytest.mark.parametrize("c", [0.0, 0.02, 0.3, 0.5, 0.9, 0.99, 1.0])
@@ -217,7 +248,7 @@ class TestProfileAccuracy:
     bound alone.
     """
 
-    CS = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.55, (math.sqrt(5.0) - 1.0) / 2.0,
+    CS = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.55, GOLDEN,
           0.7, 0.8, 0.9, 0.99, 0.999, 1 - 1e-4, 1 - 1e-5, 1 - 1e-6]
     ABS = 21 * 2.0**-52
     REL_TIMES_GAP = 164 * 2.0**-52
@@ -227,7 +258,8 @@ class TestProfileAccuracy:
         floor, abs_bound, rel_bound = Decimal("1e-13"), Decimal(self.ABS), Decimal(self.REL_TIMES_GAP)
         for build in (best_online, fl_solution, sl_solution):
             xs = np.array([build(n, c).schedule.strengths for c in self.CS])
-            stacked = kernels.detection_profile(np.array(self.CS), xs)
+            with lockstep():
+                stacked = kernels.detection_profile(np.array(self.CS), xs)
             for c, row, stacked_row in zip(self.CS, xs, stacked):
                 ref = detection_profile_reference(c, row)
                 for got in (kernels.detection_profile(c, row), stacked_row):
@@ -294,7 +326,7 @@ class TestSimulationBackends:
         assert not np.array_equal(a, b)
 
 
-_ORACLE_OVERLAPS = (0.0, 1e-3, 0.3, 0.5, (math.sqrt(5.0) - 1.0) / 2.0, 0.95, 1.0)
+_ORACLE_OVERLAPS = (0.0, 1e-3, 0.3, 0.5, GOLDEN, 0.95, 1.0)
 _STRATEGIES = {"online": best_online, "fl": fl_solution, "sl": sl_solution}
 
 

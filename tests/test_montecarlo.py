@@ -12,11 +12,11 @@ from scipy import stats
 from qcpd import (
     Overlap,
     StrengthSchedule,
-    best_online,
     evaluate_strategy,
     run_experiment,
 )
 from qcpd.montecarlo import SimulationReport, TrialResult, simulate_trial
+from qcpd.online_opt import best_online
 
 
 def _schedule(n, c, xs=None):

@@ -13,7 +13,6 @@ from qcpd import (
     OutOfValidityError,
     StrengthSchedule,
     Overlap,
-    best_online,
     closed_form_strengths,
     critical_overlap,
     evaluate_strategy,
@@ -28,10 +27,12 @@ from qcpd import (
     sl_success_asymptotic,
 )
 from qcpd import online_opt, verification
-from qcpd.online_opt import fl_success_exact
+from qcpd.online_opt import best_online, fl_success_exact
 from qcpd.cli import build_curve
+from qcpd.global_bound import _tent_powers
 from qcpd.kernels import detection_profile
 from oracles import (
+    GOLDEN,
     coordinate_objective,
     optimal_strengths_loop,
     optimal_strengths_reference,
@@ -41,7 +42,6 @@ from oracles import (
     total_saturation_point,
 )
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 C_GRID = [0.05, 0.15, 0.25, 0.35, 0.45, 0.5]
 
 
@@ -139,7 +139,7 @@ class TestRecursive:
             (
                 float(np.max(np.abs(
                     online_opt._recursive_xs(c, global_efficiencies(n, c))
-                    - online_opt._closed_form_xs(n, c)
+                    - online_opt._closed_form_xs(c, _tent_powers(n, c))
                 ))),
                 n,
                 c,
@@ -208,7 +208,7 @@ class TestCoordinateObjective:
 
 def _golden_section_max(f, lo, hi, tol=1e-10):
     """Tiny independent maximizer used to cross-check the analytic argmax."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    inv_phi = GOLDEN
     a, b = lo, hi
     x1 = b - inv_phi * (b - a)
     x2 = a + inv_phi * (b - a)

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcpd import verification
+from qcpd import kernels, verification
 from oracles import _suite, run_all_per_case
 
 
@@ -20,12 +20,12 @@ def _assert_caught(result):
 
 
 def _scale_profiles(monkeypatch):
-    profile = verification.kernels.detection_profile
+    profile = kernels.detection_profile
 
     def scaled(c, xs):
         return profile(c, xs) * (1.0 - 1e-6)
 
-    monkeypatch.setattr(verification.kernels, "detection_profile", scaled)
+    monkeypatch.setattr(kernels, "detection_profile", scaled)
 
 
 def _scale_enumerations(monkeypatch):
@@ -51,10 +51,10 @@ def _scale_recursive_schedules(monkeypatch):
 def _scale_efficiencies(monkeypatch):
     efficiencies = verification._tent_efficiencies
 
-    def scaled(n, cs):
+    def scaled(cs, powers):
         # the optimal vector sits on the feasibility boundary, so any
         # increase leaves the positive semidefinite cone
-        return efficiencies(n, cs) * 1.001
+        return efficiencies(cs, powers) * 1.001
 
     monkeypatch.setattr(verification, "_tent_efficiencies", scaled)
 
@@ -62,11 +62,11 @@ def _scale_efficiencies(monkeypatch):
 def _negative_efficiency(monkeypatch):
     efficiencies = verification._tent_efficiencies
 
-    def lowered(n, cs):
+    def lowered(cs, powers):
         # lowering an efficiency only raises the diagonal of G - diag(gamma),
         # so the eigenvalue check still passes and only the range check fails
-        vec = efficiencies(n, cs).copy()
-        vec[..., n // 2] = -1e-6
+        vec = efficiencies(cs, powers).copy()
+        vec[..., vec.shape[-1] // 2] = -1e-6
         return vec
 
     monkeypatch.setattr(verification, "_tent_efficiencies", lowered)
@@ -90,10 +90,10 @@ def test_recursion_agreement_catches_a_scaled_schedule(monkeypatch):
 def test_recursion_agreement_fails_where_no_strength_reaches_the_targets(monkeypatch):
     efficiencies = verification._tent_efficiencies
 
-    def certain(n, cs):
+    def certain(cs, powers):
         # a first target of 1 leaves the first strength 1 - 1 to divide by
-        vec = efficiencies(n, cs)
-        if n == 3:
+        vec = efficiencies(cs, powers)
+        if vec.shape[-1] == 3:
             vec[:, 0] = 1.0
         return vec
 
@@ -144,14 +144,14 @@ def test_passed_means_residual_within_threshold(control, inject_fault, monkeypat
 
 
 def test_run_all_walks_one_stack_per_chain_length_per_call(monkeypatch):
-    profile = verification.kernels.detection_profile
+    profile = kernels.detection_profile
     calls = []
 
     def counted(c, xs):
         calls.append(np.shape(xs))
         return profile(c, xs)
 
-    monkeypatch.setattr(verification.kernels, "detection_profile", counted)
+    monkeypatch.setattr(kernels, "detection_profile", counted)
     # 25 random schedules for each n = 2..12, then the 11 canonical
     # overlaps for each n = 2..25: 11 + 24 kernel calls, each on a stack
     stacks = [(25, n - 1) for n in range(2, 13)] + [(11, n - 1) for n in range(2, 26)]
@@ -281,9 +281,9 @@ class TestFold:
 def test_gram_feasibility_stops_at_the_first_failing_case(row, cases, monkeypatch):
     efficiencies = verification._tent_efficiencies
 
-    def faulted(n, cs):
-        vec = efficiencies(n, cs)
-        if n == 7:
+    def faulted(cs, powers):
+        vec = efficiencies(cs, powers)
+        if vec.shape[-1] == 7:
             # below the threshold, out of the cone; above it, into the range
             vec[row] = vec[row] * 1.001 if row < 5 else 0.5
         return vec
