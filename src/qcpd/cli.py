@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,8 +50,8 @@ _CSV_ROW = ",".join(["%.12g"] * 5) + "\n"
 #: a ``strengths`` text cell: the strength and its saturation flag, which
 #: follow the position's ``%3d`` and two spaces on each line
 _STRENGTH_CELL = "%-16.12g  %s"
-#: lines per ``%`` call in :func:`_render_lines`, and per block of
-#: :func:`_strengths_text`
+#: lines per ``%`` call in :func:`_render_lines`, and per written block of
+#: :func:`_strengths_text` and of a vector in :func:`_json_value`
 _RENDER_BLOCK = 2048
 
 #: largest overlap grid ``curve`` evaluates; finer grids are rejected up front
@@ -86,22 +86,20 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _render_lines(line: str, columns: Sequence[Sequence]) -> list[str]:
+def _render_lines(line: str, columns: Sequence[Sequence]) -> Iterator[str]:
     """``line``, a one-line ``%`` template with one field per column,
-    filled in from each row of the equal-length ``columns`` in turn, as a
-    list of blocks for the caller to join with its own head and tail.
+    filled in from each row of the equal-length ``columns`` in turn,
+    yielded one block of ``_RENDER_BLOCK`` rows at a time.
 
     One ``%`` call renders a block of rows from a repeated template: the
     cost stays in C, and the cell tuple and template of a block stay small
     even for 1e5 lines.  A numpy column becomes Python numbers one block
     at a time, so ``%r`` writes them as the JSON encoder would.
     """
-    parts = []
     for start in range(0, len(columns[0]) if len(columns) else 0, _RENDER_BLOCK):
         block = [column[start : start + _RENDER_BLOCK] for column in columns]
         block = [c.tolist() if type(c) is np.ndarray else c for c in block]
-        parts.append((line * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
-    return parts
+        yield (line * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,11 +249,12 @@ class CurveTable:
                 f"online column exceeds the global bound at c={c[above[0]].item()!r}"
             )
 
-    def to_csv(self) -> str:
+    def to_csv(self) -> Iterator[str]:
         """The header and one ``%.12g`` line per row, byte-identical to
-        joining :func:`_fmt` of each value with commas, rendered in blocks
+        joining :func:`_fmt` of each value with commas, yielded in blocks
         by :func:`_render_lines`."""
-        return "".join([f"{CSV_HEADER}\n", *_render_lines(_CSV_ROW, self.columns)])
+        yield f"{CSV_HEADER}\n"
+        yield from _render_lines(_CSV_ROW, self.columns)
 
     def to_dict(self) -> dict:
         return {
@@ -328,17 +327,14 @@ def build_curve(
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _write(text: str, out: str | None) -> None:
-    """Write ``text`` to the file ``out``, or to stdout when ``out`` is
-    ``None`` or ``-``, in slices of 2**20 characters: a text stream encodes
-    each ``write`` into bytes whole, so one slice at a time is copied, not
-    the whole report."""
-    slices = (text[start : start + 2**20] for start in range(0, len(text), 2**20))
+def _write(blocks: Iterable[str], out: str | None) -> None:
+    """Write each of ``blocks`` as it comes to the file ``out``, or to
+    stdout when ``out`` is ``None`` or ``-``."""
     if out is None or out == "-":
-        sys.stdout.writelines(slices)
+        sys.stdout.writelines(blocks)
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(slices)
+            handle.writelines(blocks)
 
 
 @dataclass(frozen=True, slots=True)
@@ -356,30 +352,27 @@ class _Rows:
     columns: Sequence[Sequence]
 
 
-def _json_value(value, pad: str) -> str:
+def _json_value(value, pad: str) -> Iterator[str]:
     """``json.dumps(value, indent=2)``, with each :class:`_Rows` expanded
     to its list of dicts, and every line after the first indented by
-    ``pad``: the value as it appears nested at that depth.
+    ``pad``: the value as it appears nested at that depth, in blocks.
 
-    ``indent`` forces the pure-Python encoder, so four kinds of value are
+    ``indent`` forces the pure-Python encoder, so three kinds of value are
     rendered in bulk instead:
 
-    * a non-empty 1-D float64 numpy vector (a schedule of 1e5 strengths)
-      renders each distinct value once, by :func:`_json_items`, and joins
-      the items with the indented line break; its distinct values come
-      from its runs of equal bits, so a settled schedule sorts no position
-      but the runs' heads;
-    * any other non-empty 1-D numpy vector (counts, saturated positions)
-      goes through the C encoder one block of ``_RENDER_BLOCK`` entries at
-      a time, as the list each block holds, whose item separator is the
-      indented line break, so no Python int or item text is held for more
-      than a block;
+    * a non-empty 1-D numpy vector is yielded ``_RENDER_BLOCK`` entries at
+      a time, its items joined by the indented line break.  A float64 one
+      (a schedule of 1e5 strengths) renders each distinct value once, by
+      :func:`_json_items` over the whole vector, whose runs of equal bits
+      spare a settled schedule any sort but of the runs' heads; any other
+      (counts, saturated positions) takes one C-encoder call per block,
+      so no Python int or item text is held for more than a block;
     * a non-empty dict with string keys is rendered key by key;
     * a :class:`_Rows` table (simulate's ``per_position``, curve's
       ``rows``) is filled into one ``%r`` template per row by
       :func:`_render_lines`, column by column: ``repr`` is how the encoder
       writes ints and finite floats, and a ``%`` in a key is escaped in
-      the template.
+      the template, which starts with the row separator the first drops.
 
     Any other value goes through ``json.dumps(value, indent=2)``,
     re-indented; JSON escapes newlines inside strings, so every newline
@@ -387,37 +380,45 @@ def _json_value(value, pad: str) -> str:
     """
     inner = pad + "  "
     if type(value) is np.ndarray and value.ndim == 1:
-        if value.dtype == np.float64 and len(value):
-            body = f",\n{inner}".join(_json_items(value))
-            return f"[\n{inner}{body}\n{pad}]"
         if len(value):
             sep = ",\n" + inner
-            texts = (
-                json.dumps(value[i : i + _RENDER_BLOCK].tolist(), separators=(sep, ": "))[1:-1]
-                for i in range(0, len(value), _RENDER_BLOCK)
-            )
-            return f"[\n{inner}{sep.join(texts)}\n{pad}]"
+            items = _json_items(value) if value.dtype == np.float64 else None
+            for start in range(0, len(value), _RENDER_BLOCK):
+                yield sep if start else "[\n" + inner
+                if items is None:
+                    block = value[start : start + _RENDER_BLOCK].tolist()
+                    yield json.dumps(block, separators=(sep, ": "))[1:-1]
+                else:
+                    yield sep.join(items[start : start + _RENDER_BLOCK])
+            yield f"\n{pad}]"
+            return
         value = value.tolist()
     if type(value) is dict and value and all(type(key) is str for key in value):
-        items = (f"\n{inner}{json.dumps(k)}: {_json_value(v, inner)}" for k, v in value.items())
-        return "{" + ",".join(items) + f"\n{pad}}}"
-    if type(value) is _Rows:
+        for i, (key, item) in enumerate(value.items()):
+            yield f"{',' if i else '{'}\n{inner}{json.dumps(key)}: "
+            yield from _json_value(item, inner)
+        yield f"\n{pad}}}"
+    elif type(value) is _Rows:
         fields = ",\n".join(
             f"{inner}  {json.dumps(key).replace('%', '%%')}: %r" for key in value.keys
         )
-        blocks = _render_lines(f"{inner}{{\n{fields}\n{inner}}},\n", value.columns)
-        if not blocks:
-            return "[]"
-        blocks[-1] = blocks[-1][:-2]  # the last row's ",\n"
-        return "".join(["[\n", *blocks, f"\n{pad}]"])
-    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+        blocks = _render_lines(f",\n{inner}{{\n{fields}\n{inner}}}", value.columns)
+        first = next(blocks, None)
+        if first is None:
+            yield "[]"
+        else:
+            yield "[\n" + first[2:]  # the first row drops its separator
+            yield from blocks
+            yield f"\n{pad}]"
+    else:
+        yield json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
-def _dump_json(payload: dict) -> str:
+def _dump_json(payload: dict) -> Iterator[str]:
     """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, with each
     :class:`_Rows` expanded to its dicts, for a non-empty dict with string
-    keys, rendered by :func:`_json_value`."""
-    return _json_value(payload, "") + "\n"
+    keys, in the blocks of :func:`_json_value`."""
+    return chain(_json_value(payload, ""), ["\n"])
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
@@ -443,26 +444,25 @@ _METHODS = {
 }
 
 
-def _strengths_text(solution: OnlineSolution) -> str:
+def _strengths_text(solution: OnlineSolution) -> Iterator[str]:
     """A header and one line per position, ``f"{j:>3}  {_fmt(x):<16}  {flag}"``
     byte for byte, with ``flag`` ``yes`` at each of the solution's
     ``saturated_positions``.  Each block of ``_RENDER_BLOCK`` positions is
-    built by :func:`_strength_lines` from its distinct strengths
+    yielded as :func:`_strength_lines` builds it from its distinct strengths
     (:func:`_distinct`), with one cell per printed text and flag, so a
     schedule that never settles holds no string per position, and one
     that drifts by ulps formats a few values per block."""
     schedule = solution.schedule
     strengths = schedule.strengths
-    blocks = [
+    yield (
         f"n={schedule.n} c={_fmt(schedule.overlap.c)} "
         f"method={solution.method} success={_fmt(solution.success)}\n"
         "  j  strength          saturated\n"
-    ]
+    )
     for start in range(0, len(strengths), _RENDER_BLOCK):
         distinct, index = _distinct(strengths[start : start + _RENDER_BLOCK])
         flags = _at_ceiling(distinct, schedule.overlap.c)
-        blocks.append(_strength_lines(start + 1, distinct, flags, index))
-    return "".join(blocks)
+        yield _strength_lines(start + 1, distinct, flags, index)
 
 
 def cmd_strengths(args: argparse.Namespace) -> int:

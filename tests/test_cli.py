@@ -102,11 +102,11 @@ class TestCurve:
 
     def test_csv_round_trip_is_stable(self):
         table = build_curve(n=9, c_min=0.0, c_max=0.8, step=0.2)
-        text = table.to_csv()
+        text = "".join(table.to_csv())
         header, *lines = text.splitlines()
         assert header == CSV_HEADER
         rows = [[float(v) for v in line.split(",")] for line in lines]
-        assert CurveTable(n=9, mode="exact", columns=np.array(rows).T).to_csv() == text
+        assert "".join(CurveTable(n=9, mode="exact", columns=np.array(rows).T).to_csv()) == text
 
     def test_short_chains_report_a_feasible_bound_met_online(self):
         # n = 2 has no threshold: p_global is the plain closed form on
@@ -994,7 +994,7 @@ class TestBulkFormatters:
     def test_dump_json_renders_dict_rows_like_the_encoder(self, payload):
         expected = json.dumps(payload, indent=2, default=_row_dicts) + "\n"
         # a table renders the same twice: its rows are iterated afresh
-        assert _dump_json(payload) == _dump_json(payload) == expected
+        assert "".join(_dump_json(payload)) == "".join(_dump_json(payload)) == expected
 
     @pytest.mark.parametrize(
         "golden, key",
@@ -1017,7 +1017,7 @@ class TestBulkFormatters:
         vectors = [np.array(column) for column in columns]
         assert {vector.dtype for vector in vectors} <= {np.dtype(np.int64), np.dtype(np.float64)}
         for table in (_Rows(keys, columns), _Rows(keys, vectors)):
-            assert _dump_json({**payload, key: table}) == text
+            assert "".join(_dump_json({**payload, key: table})) == text
 
     def test_simulate_report_with_vanishing_variance(self, capsys):
         # at overlap 1 no outcome is conclusive: every count is 0, every
@@ -1073,7 +1073,7 @@ class TestBulkFormatters:
     @settings(deadline=None, max_examples=300)
     @given(payload=st.dictionaries(st.text(max_size=8), _VALUES, min_size=1, max_size=8))
     def test_dump_json_matches_the_indenting_encoder(self, payload):
-        assert _dump_json(payload) == json.dumps(payload, indent=2) + "\n"
+        assert "".join(_dump_json(payload)) == json.dumps(payload, indent=2) + "\n"
 
     @pytest.mark.parametrize("block", [1, 7, 2048])
     @pytest.mark.parametrize("length", [0, 1, 7, 8, 15, 4097])
@@ -1082,7 +1082,8 @@ class TestBulkFormatters:
         vector = np.random.default_rng(length).integers(-(2**62), 2**62, size=length)
         payload = {"positions": vector, "nested": {"counts": vector[::-1]}}
         plain = {"positions": vector.tolist(), "nested": {"counts": vector[::-1].tolist()}}
-        got, expected = _dump_json(payload).split("\n"), (json.dumps(plain, indent=2) + "\n").split("\n")
+        got = "".join(_dump_json(payload)).split("\n")
+        expected = (json.dumps(plain, indent=2) + "\n").split("\n")
         # the first differing line, not a diff of 8 000 lines
         same = got == expected
         diffs = ((i, a, b) for i, (a, b) in enumerate(zip(got, expected)) if a != b)
@@ -1101,7 +1102,7 @@ class TestBulkFormatters:
         # as numpy vectors, nested at two depths
         payload = {"strengths": vector, "report": {"n": 1, "counts": vector}}
         listed = {"strengths": vector.tolist(), "report": {"n": 1, "counts": vector.tolist()}}
-        assert _dump_json(payload) == json.dumps(listed, indent=2) + "\n"
+        assert "".join(_dump_json(payload)) == json.dumps(listed, indent=2) + "\n"
 
     @settings(deadline=None, max_examples=300)
     @given(picks=st.lists(st.integers(0, len(_POOL_BITS) - 1), max_size=40))
@@ -1112,7 +1113,7 @@ class TestBulkFormatters:
         vector = np.array(_POOL_BITS, dtype=np.uint64).view(np.float64)[picks]
         payload = {"strengths": vector, "report": {"n": 1, "strengths": vector}}
         listed = {"strengths": vector.tolist(), "report": {"n": 1, "strengths": vector.tolist()}}
-        assert _dump_json(payload) == json.dumps(listed, indent=2) + "\n"
+        assert "".join(_dump_json(payload)) == json.dumps(listed, indent=2) + "\n"
 
     @settings(deadline=None, max_examples=300)
     @given(picks=st.lists(st.integers(0, len(_POOL_BITS) - 1), max_size=40))
@@ -1153,11 +1154,11 @@ class TestBulkFormatters:
     )
     def test_dump_json_on_each_subcommand_payload(self, argv, monkeypatch, capsys):
         payloads = []
-        monkeypatch.setattr(cli, "_dump_json", lambda p: payloads.append(p) or "")
+        monkeypatch.setattr(cli, "_dump_json", lambda p: payloads.append(p) or iter(()))
         main(list(argv))
         assert len(payloads) == 1
         expected = json.dumps(payloads[0], indent=2, default=_row_dicts) + "\n"
-        assert _dump_json(payloads[0]) == _dump_json(payloads[0]) == expected
+        assert "".join(_dump_json(payloads[0])) == "".join(_dump_json(payloads[0])) == expected
 
     @settings(deadline=None, max_examples=300)
     @given(j=st.integers(1, 10**7), x=_FLOATS, flag=st.sampled_from(["yes", "no"]))
@@ -1183,7 +1184,7 @@ class TestBulkFormatters:
             for j, x in enumerate(xs.tolist(), start=1)
         ]
         with mock.patch.object(cli, "_RENDER_BLOCK", block):
-            assert _strengths_text(solution).split("\n")[2:] == lines + [""]
+            assert "".join(_strengths_text(solution)).split("\n")[2:] == lines + [""]
 
     @pytest.mark.parametrize("block", [1, 7, 2048])
     @settings(deadline=None, max_examples=100)
@@ -1203,7 +1204,7 @@ class TestBulkFormatters:
             for j, x in enumerate(xs.tolist(), start=1)
         ]
         with mock.patch.object(cli, "_RENDER_BLOCK", block):
-            assert _strengths_text(solution).split("\n")[2:] == lines + [""]
+            assert "".join(_strengths_text(solution)).split("\n")[2:] == lines + [""]
 
     @settings(deadline=None, max_examples=300)
     @given(row=st.tuples(*[st.one_of(_FLOATS, st.integers())] * 5))
@@ -1241,7 +1242,7 @@ class TestBulkFormatters:
             f"{j:>3}  {_fmt(x):<16}  {'yes' if j in saturated else 'no'}"
             for j, x in enumerate(solution.schedule.strengths.tolist(), start=1)
         ]
-        assert _strengths_text(solution).split("\n")[2:] == lines + [""]
+        assert "".join(_strengths_text(solution)).split("\n")[2:] == lines + [""]
 
     @pytest.mark.parametrize("c", [0.02, 0.3, 0.48])
     @pytest.mark.parametrize("method", ["closed", "recursive"])
@@ -1277,51 +1278,57 @@ class TestBulkFormatters:
         monkeypatch.setattr(cli, "_RENDER_BLOCK", block)
         table = build_curve(31, 0.0, 0.99, 0.01, include_endpoint=True)
         lines = [CSV_HEADER] + [",".join(_fmt(v) for v in row) for row in rows_of(table.columns)]
-        assert table.to_csv() == "\n".join(lines) + "\n"
+        assert "".join(table.to_csv()) == "\n".join(lines) + "\n"
 
 
 class TestMemory:
     """Peak memory per strength position (per grid row for ``curve``) of one
     in-process request, traced by ``tracemalloc`` with output writing
-    stubbed out.  Each budget is the peak measured with Python 3.11 and
-    numpy 2.4, in the comment beside it, plus some 8%."""
+    stubbed out: the stub consumes the rendered blocks inside the traced
+    region and keeps only their lengths.  Each budget is the peak measured
+    with Python 3.11 and numpy 2.4, in the comment beside it, plus some
+    8%."""
 
     @pytest.mark.parametrize(
         "argv, positions, budget",
         [
-            # 396.4 B: the rendered report, 170 B a position, twice over
-            # while it is joined, and the float vectors
-            (("simulate", "--n", "20001", "--c", "0.4", "--trials", "1", "--seed", "1"), 20_000, 428),
-            # 71.8 B: the text's blocks and their join, 28 B a position
-            # each, and the strength and profile vectors
-            (("strengths", "--n", "20001", "--c", "0.3"), 20_000, 78),
-            # 88.6 B: as above, the recursion's vectors, and no string per
-            # position, though the 19 996 strengths never settle
+            # 134.5 B: the float vectors and one block of the rendered
+            # report; the whole report (170 B a position, held twice while
+            # it was joined) peaked at 395.6 B
+            (("simulate", "--n", "20001", "--c", "0.4", "--trials", "1", "--seed", "1"), 20_000, 146),
+            # 35.1 B: the strength and profile vectors and one block of
+            # text; the joined text (28 B a position) peaked at 71.8 B
+            (("strengths", "--n", "20001", "--c", "0.3"), 20_000, 38),
+            # 88.6 B: the recursion's vectors, at their peak before any text
+            # is rendered; no string per position, though the 19 996
+            # strengths never settle
             (("strengths", "--n", "20001", "--c", "0.02", "--method", "recursive"), 20_000, 96),
             # 40.6 B: the repeated index and the gathered items; only the
             # heads of the strengths' runs of equal bits are sorted, and
             # the 31 distinct strengths are rendered once each
             (("strengths", "--n", "20001", "--c", "0.3", "--format", "json"), 20_000, 44),
-            # 65.0 B: 59 distinct strengths, as the recursion drifts
+            # 40.7 B: 59 distinct strengths, as the recursion drifts; the
+            # joined report peaked at 64.5 B
             (
                 ("strengths", "--n", "20001", "--c", "0.3", "--method", "recursive", "--format", "json"),
                 20_000,
-                70,
+                44,
             ),
-            # 93.4 B: the strengths' items and the saturated positions'
-            # text, each joined, and the report's join of both; the 19 999
-            # positions become Python ints one block at a time
+            # 48.3 B: the strengths' items and one block of text; the
+            # 19 999 saturated positions become Python ints one block at a
+            # time.  Joining the report peaked at 93.1 B
             (
                 ("strengths", "--n", "20001", "--c", "0.7", "--method", "numeric", "--format", "json"),
                 20_000,
-                101,
+                53,
             ),
-            # 95.3 B: as above at 15 times the length; one encoder call over
-            # all 299 999 positions peaked at 122.9 B
+            # 48.0 B: as above at 15 times the length; the joined report
+            # peaked at 95.3 B, and with one encoder call over all 299 999
+            # positions at 122.9 B
             (
                 ("strengths", "--n", "300001", "--c", "0.7", "--method", "numeric", "--format", "json"),
                 300_000,
-                103,
+                52,
             ),
             # 1196 B a row, nearly all of it the table's blocks of strengths
             # and profiles and the kernel's change factors
@@ -1339,8 +1346,13 @@ class TestMemory:
         ],
     )
     def test_peak_per_position(self, argv, positions, budget, monkeypatch):
-        lengths = []
-        monkeypatch.setattr(cli, "_write", lambda text, out: lengths.append(len(text)))
+        sizes = []
+
+        def write(blocks, out):
+            lengths = [len(block) for block in blocks]
+            sizes.append((sum(lengths), max(lengths)))  # the text and its largest block
+
+        monkeypatch.setattr(cli, "_write", write)
         main(list(argv))  # the parser and other one-time caches
         tracemalloc.start()
         try:
@@ -1348,8 +1360,76 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert lengths[0] == lengths[1]
+        assert sizes[0] == sizes[1]
         assert peak / positions <= budget, f"{peak / positions:.1f} B per position"
+
+
+class TestStreaming:
+    """Each renderer yields its report in blocks, and ``_write`` writes each
+    block as it comes, to stdout or to the ``--out`` file."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--n", "20001", "--c", "0.4", "--trials", "1", "--seed", "1"),
+            ("strengths", "--n", "20001", "--c", "0.3"),
+            ("strengths", "--n", "20001", "--c", "0.7", "--method", "numeric", "--format", "json"),
+        ],
+        ids=["simulate", "strengths-text", "strengths-numeric-json"],
+    )
+    def test_no_block_holds_the_whole_report(self, argv, monkeypatch):
+        # the reports hold 3.39 M, 0.55 M and 0.69 M characters
+        blocks = []
+
+        def write(parts, out):
+            assert type(parts) is not str, "the whole report as one string"
+            blocks.extend(parts)
+
+        monkeypatch.setattr(cli, "_write", write)
+        assert main(list(argv)) == 0
+        assert max(map(len, blocks)) <= 2**19
+        expected = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qcpd.cli", *argv], capture_output=True
+        )
+        assert "".join(blocks).encode() == expected.stdout
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("curve", "--n", "9", "--c-max", "0.7", "--step", "0.1"), 0),
+            (("curve", "--n", "9", "--c-max", "0.7", "--step", "0.1", "--format", "json"), 0),
+            (("strengths", "--n", "5000", "--c", "0.6", "--method", "numeric"), 0),
+            (("strengths", "--n", "5000", "--c", "0.3", "--format", "json"), 0),
+            (("verify", "--n-max", "5", "--self-test"), 2),
+            (("simulate", "--n", "3000", "--c", "0.4", "--trials", "100", "--seed", "3"), 0),
+        ],
+        ids=["curve-csv", "curve-json", "strengths-text", "strengths-json", "verify-self-test", "simulate"],
+    )
+    def test_out_holds_the_stdout_bytes(self, argv, code, tmp_path, capsys):
+        target = tmp_path / "report"
+        assert main([*argv, "--out", str(target)]) == code
+        assert capsys.readouterr().out == ""
+        expected = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qcpd.cli", *argv], capture_output=True
+        )
+        assert expected.returncode == code
+        assert target.read_bytes() == expected.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("strengths", "--n", "1", "--c", "0.3"),
+            ("curve", "--step", "0"),
+            ("simulate", "--n", str(MAX_POSITIONS + 2), "--c", "0.4", "--trials", "1", "--seed", "1"),
+        ],
+        ids=["strengths-short-chain", "curve-zero-step", "simulate-over-cap"],
+    )
+    def test_a_rejected_request_creates_no_file(self, argv, tmp_path, capsys):
+        target = tmp_path / "report"
+        assert main([*argv, "--out", str(target)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("qcpd: error: ")
+        assert not target.exists()
 
 
 class TestInProcess:
