@@ -27,12 +27,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Overlap, StrengthSchedule, _check_n, evaluate_strategy
+from .core import EPSILON, _check_n
 from .montecarlo import run_experiment
 from .online_opt import (
     OnlineSolution,
     _at_ceiling,
     _exact_table,
+    _solution,
     best_online,
     closed_form_strengths,
     fl_solution,
@@ -44,7 +45,6 @@ from .online_opt import (
 )
 from .verification import run_all
 
-_TOL = 1e-12
 CSV_HEADER = "c,p_global,p_online,p_fl,p_sl"
 _CSV_ROW = ",".join(["%.12g"] * 5) + "\n"
 #: a ``strengths`` text cell: the strength and its saturation flag, which
@@ -123,11 +123,11 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct.view(np.float64), np.repeat(index, np.diff(np.append(heads, len(bits))))
 
 
-def _json_items(values: np.ndarray) -> list[str]:
-    """``[json.dumps(x) for x in values.tolist()]`` for a 1-D float64
-    vector (``NaN`` and ``Infinity`` included), with each distinct bit
-    pattern (:func:`_distinct`) rendered once and the texts gathered by
-    index.
+def _json_items(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The JSON text of each distinct bit pattern (:func:`_distinct`) of a
+    1-D float64 vector, ``NaN`` and ``Infinity`` included, as an object
+    vector ``cells``, and the inverse ``index``: ``cells.take(index)`` holds
+    ``[json.dumps(x) for x in values.tolist()]``.
 
     A schedule settles along the chain, so 5e4 strengths mostly hold a few
     dozen distinct floats in a few long runs.  The distinct values take
@@ -136,8 +136,7 @@ def _json_items(values: np.ndarray) -> list[str]:
     costs one bulk render and a sort of every run head.
     """
     distinct, index = _distinct(values)
-    cells = np.array(json.dumps(distinct.tolist())[1:-1].split(", "), dtype=object)
-    return cells.take(index).tolist()
+    return np.array(json.dumps(distinct.tolist())[1:-1].split(", "), dtype=object), index
 
 
 def _text_runs(values: np.ndarray) -> list[int]:
@@ -243,7 +242,7 @@ class CurveTable:
         columns.setflags(write=False)
         object.__setattr__(self, "columns", columns)
         c, p_global, p_online = columns[:3]
-        above = np.flatnonzero(p_online > p_global + _TOL)
+        above = np.flatnonzero(p_online > p_global + EPSILON)
         if len(above):
             raise ValueError(
                 f"online column exceeds the global bound at c={c[above[0]].item()!r}"
@@ -364,9 +363,10 @@ def _json_value(value, pad: str) -> Iterator[str]:
       a time, its items joined by the indented line break.  A float64 one
       (a schedule of 1e5 strengths) renders each distinct value once, by
       :func:`_json_items` over the whole vector, whose runs of equal bits
-      spare a settled schedule any sort but of the runs' heads; any other
-      (counts, saturated positions) takes one C-encoder call per block,
-      so no Python int or item text is held for more than a block;
+      spare a settled schedule any sort but of the runs' heads, gathered
+      block by block; any other (counts, saturated positions) takes one
+      C-encoder call per block, so no Python int or item is held for more
+      than a block;
     * a non-empty dict with string keys is rendered key by key;
     * a :class:`_Rows` table (simulate's ``per_position``, curve's
       ``rows``) is filled into one ``%r`` template per row by
@@ -382,14 +382,14 @@ def _json_value(value, pad: str) -> Iterator[str]:
     if type(value) is np.ndarray and value.ndim == 1:
         if len(value):
             sep = ",\n" + inner
-            items = _json_items(value) if value.dtype == np.float64 else None
+            cells, index = _json_items(value) if value.dtype == np.float64 else (None, None)
             for start in range(0, len(value), _RENDER_BLOCK):
                 yield sep if start else "[\n" + inner
-                if items is None:
+                if cells is None:
                     block = value[start : start + _RENDER_BLOCK].tolist()
                     yield json.dumps(block, separators=(sep, ": "))[1:-1]
                 else:
-                    yield sep.join(items[start : start + _RENDER_BLOCK])
+                    yield sep.join(cells.take(index[start : start + _RENDER_BLOCK]).tolist())
             yield f"\n{pad}]"
             return
         value = value.tolist()
@@ -524,9 +524,8 @@ def _check_run(n: int, trials: int, seed: int) -> None:
         raise ValueError(f"{steps} trial steps exceed the cap of {MAX_TRIAL_STEPS}")
 
 
-def _load_custom_schedule(
-    path: str, n: int | None, c: float, trials: int, seed: int
-) -> StrengthSchedule:
+def _load_custom_schedule(path: str, n: int | None) -> list[float]:
+    """The checked strengths of the schedule file ``path``, ``n - 1`` if ``n`` is given."""
     with open(path, "r", encoding="utf-8") as handle:
         tokens = handle.read().split(maxsplit=MAX_POSITIONS)  # none converted past the cap
     if len(tokens) > MAX_POSITIONS:
@@ -539,8 +538,7 @@ def _load_custom_schedule(
             f"--n {n} disagrees with the {len(values)} strengths in {path!r}"
             f" (which imply n={len(values) + 1})"
         )
-    _check_run(len(values) + 1, trials, seed)
-    return StrengthSchedule(n=len(values) + 1, strengths=values, overlap=Overlap(c))
+    return values
 
 
 def _select_strategy(args: argparse.Namespace) -> OnlineSolution:
@@ -548,10 +546,9 @@ def _select_strategy(args: argparse.Namespace) -> OnlineSolution:
     if args.strategy == "custom":
         if args.schedule is None:
             raise ValueError("--strategy custom needs --schedule FILE")
-        schedule = _load_custom_schedule(
-            args.schedule, args.n, args.c, args.trials, args.seed
-        )
-        return OnlineSolution(schedule, evaluate_strategy(schedule), "custom")
+        values = _load_custom_schedule(args.schedule, args.n)
+        _check_run(len(values) + 1, args.trials, args.seed)
+        return _solution(len(values) + 1, args.c, values, "custom")
     if args.schedule is not None:
         raise ValueError(f"--schedule FILE needs --strategy custom, not {args.strategy}")
     if args.n is None:

@@ -77,7 +77,8 @@ class OnlineSolution:
         ceiling ``1/c`` (within round-off slack), in increasing order, as a
         read-only int64 vector computed on each access."""
         at_ceiling = _at_ceiling(self.schedule.strengths, self.schedule.overlap.c)
-        positions = np.flatnonzero(at_ceiling) + 1
+        positions = np.flatnonzero(at_ceiling)
+        positions += 1
         positions.setflags(write=False)
         return positions
 
@@ -97,6 +98,8 @@ def _at_ceiling(xs: np.ndarray, cv: float) -> np.ndarray:
 
 
 def _solution(n: int, cv: float, xs, method: str) -> OnlineSolution:
+    """The one constructor of an :class:`OnlineSolution`: ``xs`` checked as
+    a schedule of ``n`` at overlap ``cv``, its profile evaluated once."""
     schedule = StrengthSchedule(n=n, strengths=xs, overlap=Overlap(cv))
     return OnlineSolution(schedule, evaluate_strategy(schedule), method)
 
@@ -222,11 +225,11 @@ def _closed_form_xs(cs, powers: np.ndarray):
 
 def _optimal_strengths(n: int, cv: float) -> np.ndarray:
     """The optimal schedule for a checked ``n`` and overlap ``cv``: the orbit
-    of the map in :func:`optimize_strengths`, or its closed form while
-    ``c <= 1/2``, where it never saturates."""
+    of the map in :func:`optimize_strengths`, written into one float64
+    vector, or its closed form while ``c <= 1/2``, where it never saturates."""
     if cv <= 0.5:
         return _closed_form_xs(cv, _tent_powers(n, cv))
-    xs = [1.0 / cv] * (n - 1)
+    xs = np.full(n - 1, 1.0 / cv)
     s, prev = 1.0, None
     for j in range(n - 2, -1, -1):
         back, prev = prev, s
@@ -237,10 +240,9 @@ def _optimal_strengths(n: int, cv: float) -> np.ndarray:
             s = math.sqrt((1.0 - cv * cv) * (1.0 - s * s))
         if s == back:
             break
-    out = np.array(xs)
     if j:  # s entering j - 1 is that entering j + 1: it alternates from here
-        out[(j - 1) % 2 : j : 2], out[j % 2 : j : 2] = xs[j + 1], xs[j]
-    return out
+        xs[(j - 1) % 2 : j : 2], xs[j % 2 : j : 2] = xs[j + 1], xs[j]
+    return xs
 
 
 def optimize_strengths(n: int, c: Overlap | float) -> OnlineSolution:
@@ -346,9 +348,9 @@ def sl_solution(n: int, c: Overlap | float) -> OnlineSolution:
     (a chain of two-outcome change detectors), balanced last position."""
     n = _check_n(n)
     cv = _overlap(c)
-    if cv == 0.0:
+    if cv == 0.0 or 1.0 / cv == math.inf:  # 1/c overflows at a subnormal c
         raise ValueError(
-            "the saturated strategy is undefined at overlap 0 (ceiling 1/c unbounded)"
+            f"the saturated strategy is undefined at overlap {cv:.12g} (ceiling 1/c unbounded)"
         )
     return _solution(n, cv, np.append(np.full(n - 2, 1.0 / cv), 1.0), "saturated-sl")
 
@@ -365,13 +367,12 @@ def sl_success_asymptotic(c: Overlap | float) -> float:
 
 
 def best_online(n: int, c: Overlap | float) -> OnlineSolution:
-    """Best available online strategy at any overlap: the analytic schedule
-    while it is admissible (``c <= 1/2``), the backward optimizer beyond."""
+    """The :func:`optimize_strengths` schedule, named ``"closed-form"`` while
+    that form is admissible (``c <= 1/2``), ``"numeric-backward"`` beyond."""
     n = _check_n(n)
     cv = _overlap(c)
-    if cv <= 0.5:
-        return closed_form_strengths(n, cv)
-    return optimize_strengths(n, cv)
+    method = "closed-form" if cv <= 0.5 else "numeric-backward"
+    return _solution(n, cv, _optimal_strengths(n, cv), method)
 
 
 #: most strengths one block of :func:`_exact_table` holds; the one bound

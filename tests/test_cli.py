@@ -674,7 +674,7 @@ class TestSimulate:
         # same trials; an out-of-range seed exits 1 before any schedule
         if not accepted:
             monkeypatch.setattr(cli, "best_online", None)
-            monkeypatch.setattr(cli, "StrengthSchedule", None)
+            monkeypatch.setattr(cli, "_solution", None)
         schedule = tmp_path / "schedule.txt"
         schedule.write_text("1.2 1.0\n")
         argv = ["simulate", "--c", "0.4", "--strategy", strategy, "--trials", "5", "--seed", str(seed)]
@@ -722,6 +722,21 @@ class TestSimulate:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"qcpd: error: --schedule FILE needs --strategy custom, not {strategy}\n"
+
+    @pytest.mark.parametrize(
+        "c, shown", [("0.0", "0"), ("1e-310", "1e-310"), ("5e-324", "4.94065645841e-324")]
+    )
+    def test_saturated_strategy_needs_a_finite_ceiling(self, c, shown, capsys):
+        # at a subnormal overlap 1/c overflows; the run is rejected as at
+        # c = 0, not for an infinite strength the user never gave
+        argv = ["simulate", "--n", "5", "--c", c, "--trials", "3", "--seed", "1", "--strategy", "sl"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"qcpd: error: the saturated strategy is undefined at overlap {shown}"
+            " (ceiling 1/c unbounded)\n"
+        )
 
     def test_usage_errors(self):
         # missing required seed
@@ -1119,7 +1134,9 @@ class TestBulkFormatters:
     @given(picks=st.lists(st.integers(0, len(_POOL_BITS) - 1), max_size=40))
     def test_json_items_keeps_each_bit_pattern(self, picks):
         vector = np.array(_POOL_BITS, dtype=np.uint64).view(np.float64)[picks]
-        assert _json_items(vector) == [json.dumps(x) for x in vector.tolist()]
+        cells, index = _json_items(vector)
+        assert cells.take(index).tolist() == [json.dumps(x) for x in vector.tolist()]
+        assert len(cells) == len(set(vector.view(np.int64).tolist())) or not len(vector)
 
     @settings(deadline=None, max_examples=300)
     @given(
@@ -1303,36 +1320,40 @@ class TestMemory:
             # is rendered; no string per position, though the 19 996
             # strengths never settle
             (("strengths", "--n", "20001", "--c", "0.02", "--method", "recursive"), 20_000, 96),
-            # 40.6 B: the repeated index and the gathered items; only the
-            # heads of the strengths' runs of equal bits are sorted, and
-            # the 31 distinct strengths are rendered once each
-            (("strengths", "--n", "20001", "--c", "0.3", "--format", "json"), 20_000, 44),
-            # 40.7 B: 59 distinct strengths, as the recursion drifts; the
-            # joined report peaked at 64.5 B
+            # 35.1 B: the strength and profile vectors, the repeated index
+            # and one block of items; only the heads of the strengths' runs
+            # of equal bits are sorted, and the 31 distinct strengths are
+            # rendered once each.  A list of every item peaked at 40.6 B
+            (("strengths", "--n", "20001", "--c", "0.3", "--format", "json"), 20_000, 38),
+            # 35.1 B: 59 distinct strengths, as the recursion drifts; a
+            # list of every item peaked at 40.7 B, the joined report at
+            # 64.5 B
             (
                 ("strengths", "--n", "20001", "--c", "0.3", "--method", "recursive", "--format", "json"),
                 20_000,
-                44,
+                38,
             ),
-            # 48.3 B: the strengths' items and one block of text; the
-            # 19 999 saturated positions become Python ints one block at a
-            # time.  Joining the report peaked at 93.1 B
+            # 36.7 B: the orbit written into its vector, one block of items
+            # and of text; the 19 999 saturated positions become Python
+            # ints one block at a time.  With the orbit as a list of floats
+            # and a list of every item it peaked at 48.3 B, joining the
+            # report at 93.1 B
             (
                 ("strengths", "--n", "20001", "--c", "0.7", "--method", "numeric", "--format", "json"),
                 20_000,
-                53,
+                40,
             ),
-            # 48.0 B: as above at 15 times the length; the joined report
-            # peaked at 95.3 B, and with one encoder call over all 299 999
-            # positions at 122.9 B
+            # 34.0 B: as above at 15 times the length; 48.0 B with the
+            # lists, 95.3 B joined, and with one encoder call over all
+            # 299 999 positions 122.9 B
             (
                 ("strengths", "--n", "300001", "--c", "0.7", "--method", "numeric", "--format", "json"),
                 300_000,
-                52,
+                37,
             ),
-            # 1196 B a row, nearly all of it the table's blocks of strengths
-            # and profiles and the kernel's change factors
-            (("curve", "--step", "0.001", "--format", "json"), 990, 1292),
+            # 1054.8 B a row, nearly all of it the table's blocks of
+            # strengths and profiles and the kernel's change factors
+            (("curve", "--step", "0.001", "--format", "json"), 990, 1140),
         ],
         ids=[
             "simulate",

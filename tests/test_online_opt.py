@@ -433,6 +433,34 @@ class TestSaturationPoint:
         assert inner == pytest.approx(1.0 / c, abs=1e-9)
 
 
+def _bits(solution) -> tuple[bytes, str]:
+    """A solution's strengths and success, bit for bit."""
+    return solution.schedule.strengths.tobytes(), solution.success.hex()
+
+
+class TestSaturatedRegime:
+    """From the total saturation point c_s on, the optimizer clips every
+    strength but the last: its schedule is sl's."""
+
+    def test_optimizer_is_sl_from_the_saturation_point(self):
+        c_s = total_saturation_point()
+        cs = [k / 2000 for k in range(int(np.ceil(c_s * 2000)), 2000)]
+        assert cs[0] >= c_s and len(cs) == 622
+        for n in (3, 4, 5, 31, 301, 3001):
+            for c in cs:
+                assert _bits(optimize_strengths(n, c)) == _bits(sl_solution(n, c)), (n, c)
+
+    @pytest.mark.parametrize("n", [5, 31, 3001])
+    @pytest.mark.parametrize("c", [0.6, 0.62, 0.65])
+    def test_optimizer_is_not_sl_below_it(self, n, c):
+        # negative control: below c_s (0.6 below the golden ratio, 0.62
+        # and 0.65 above it) a few positions near the end stay below the
+        # ceiling
+        assert c < total_saturation_point()
+        optimized = optimize_strengths(n, c).schedule.strengths
+        assert optimized.tobytes() != sl_solution(n, c).schedule.strengths.tobytes()
+
+
 class TestConstantStrengthFamily:
     def test_exact_formula_matches_profile(self):
         for n in (2, 3, 4, 5, 10, 50, 200):
@@ -484,6 +512,19 @@ class TestSaturatedFamily:
         with pytest.raises(ValueError):
             sl_success_asymptotic(0.0)
 
+    @pytest.mark.parametrize("c", [1e-310, 5e-324])
+    def test_undefined_where_the_ceiling_overflows(self, c):
+        # a subnormal overlap whose 1/c is infinite is rejected as c = 0
+        # is, not as an infinite strength nobody asked for
+        with pytest.raises(ValueError, match=r"ceiling 1/c unbounded") as caught:
+            sl_solution(5, c)
+        assert "not finite" not in str(caught.value)
+
+    def test_defined_where_the_ceiling_is_finite(self):
+        # 1e-308 is below the normal range, but its 1/c is a finite float
+        xs = sl_solution(5, 1e-308).schedule.strengths
+        assert xs.tolist() == [1.0 / 1e-308] * 3 + [1.0]
+
     def test_worst_case_gap(self):
         gap, at = sl_worst_case_gap()
         assert gap == pytest.approx(0.022, abs=1e-3)
@@ -532,6 +573,15 @@ class TestLargeChainLaw:
 
 
 class TestBestOnline:
+    @pytest.mark.parametrize("n", [2, 3, 31, 301])
+    @pytest.mark.parametrize(
+        "c", [0.0, 0.3, 0.5, np.nextafter(0.5, 1.0), 0.55, GOLDEN, 0.7, 0.99, 1.0]
+    )
+    def test_is_the_optimized_schedule_under_a_label(self, n, c):
+        online = best_online(n, c)
+        assert _bits(online) == _bits(optimize_strengths(n, c))
+        assert (online.method == "closed-form") == (c <= 0.5)
+
     def test_uses_closed_form_below_half(self):
         assert best_online(7, 0.4).method == "closed-form"
         assert best_online(7, 0.6).method == "numeric-backward"
