@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import EPSILON, _check_n
+from .kernels import seed_root
 from .montecarlo import run_experiment
 from .online_opt import (
     OnlineSolution,
@@ -512,10 +513,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _check_run(n: int, trials: int, seed: int) -> None:
     """Reject a ``simulate`` run over ``n`` particles before its schedule
-    is built.  The seed must lie in [0, 2**64), where distinct seeds key
-    distinct generator streams."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    is built, its seed first (:func:`kernels.seed_root`)."""
+    seed_root(seed)
     _check_positions(n - 1)
     if trials > MAX_TRIALS:
         raise ValueError(f"{trials} trials exceed the cap of {MAX_TRIALS}")

@@ -16,6 +16,9 @@ for any chunking; pooled, the two agree count for count.
 The generator is the splitmix64 finalizer applied twice:
 ``u(seed, t, j) = finalize(finalize(root + t*GAMMA) + j*GAMMA)`` with
 ``root = finalize(seed + GAMMA)``, mapped to [0, 1) via the top 53 bits.
+Seeds lie in [0, 2**64), so distinct seeds key distinct trees.  Every
+random number qcpd draws comes from this tree: ``verify``'s random
+schedules too, through :func:`_uniforms`.
 
 The Monte Carlo kernel walks each trial backward from its change point k.
 A verdict needs the draw at k and the protocol's one bit of memory
@@ -80,8 +83,33 @@ def _mix64(z, out=None, scratch=None):
 
 
 def seed_root(seed: int) -> int:
-    """Derive the per-experiment root of the counter tree from a seed."""
-    return mix64_int(int(seed) + _GAMMA_INT)
+    """Derive the per-experiment root of the counter tree from a seed in
+    [0, 2**64); raises ``ValueError`` for any other seed, which would
+    alias one in range."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return mix64_int(seed + _GAMMA_INT)
+
+
+def _stream_keys(root: np.uint64, lo: int, hi: int, scratch=None) -> np.ndarray:
+    """The keys ``finalize(root + t*GAMMA)`` of streams ``t = lo..hi-1``,
+    with ``scratch`` as for :func:`_mix64`."""
+    keys = np.arange(lo, hi, dtype=np.uint64)
+    keys *= GAMMA
+    keys += root
+    return _mix64(keys, keys, scratch)
+
+
+def _uniforms(seed: int, first: int, rows: int, cols: int) -> np.ndarray:
+    """The ``(rows, cols)`` uniforms of streams ``first..first+rows-1`` at
+    counters ``0..cols-1``, each bit for bit the scalar
+    ``montecarlo._uniform`` of its stream and counter."""
+    keys = _stream_keys(np.uint64(seed_root(seed)), first, first + rows)
+    draws = keys[:, None] + np.arange(cols, dtype=np.uint64) * GAMMA
+    _mix64(draws, draws)
+    draws >>= _R11
+    return draws * _INV53
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +363,7 @@ def simulate_counts(
     for lo in range(0, trials, _CHUNK):
         hi = min(lo + _CHUNK, trials)
         s = s_buf[: hi - lo]
-        zt = np.arange(lo, hi, dtype=np.uint64)
-        zt *= GAMMA
-        zt += root
-        _mix64(zt, zt, s)
+        zt = _stream_keys(root, lo, hi, s)
         m = _mix64(zt, None, s)
         m >>= _R11
         u = m.astype(np.float64) * _INV53

@@ -52,6 +52,7 @@ from .global_bound import (
     critical_overlap,
     global_success,
 )
+from .kernels import _uniforms
 from .online_opt import _closed_form_xs, _recursive_xs
 
 ORACLE_TOL = 1e-12
@@ -159,21 +160,23 @@ def _canonical_solutions() -> list[_Stack]:
 
 def oracle_equivalence(n_max: int = 8, seed: int = 0) -> SuiteResult:
     """Forward recursion vs. brute-force enumeration on random schedules,
-    for every ``n`` in ``2..n_max`` (rejected, not clamped, beyond the cap)."""
+    for every ``n`` in ``2..n_max`` (rejected, not clamped, beyond the cap).
+
+    Case ``i`` of chain length ``n`` draws from stream
+    ``(n - 2)*25 + i`` of the ``simulate`` generator keyed by ``seed``: its
+    overlap from counter 0 and its strengths from counters ``1..n-1``, so a
+    chain length's cases do not depend on ``n_max``.  All of a run's
+    uniforms come from one :func:`kernels._uniforms` block."""
     top = int(n_max)
     if not 2 <= top <= ENUMERATION_CAP:
         raise ValueError(f"n_max must lie in 2..{ENUMERATION_CAP}, got {n_max}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    block = _uniforms(seed, 0, _SCHEDULES_PER_N * (top - 1), top)
 
     def stacks() -> Iterator[_Cases]:
         for n in range(2, top + 1):
-            # row by row, the draws of rng.uniform(0, 0.95) for the overlap
-            # and rng.uniform(lo, hi, n - 1) for the strengths, which take
-            # ``a + (b - a) * rng.random()`` for a draw in [a, b)
-            u = rng.random((_SCHEDULES_PER_N, n))
-            cs = 0.0 + 0.95 * u[:, 0]
+            # the overlap in [0, 0.95) and the strengths in [lo, hi)
+            u = block[(n - 2) * _SCHEDULES_PER_N : (n - 1) * _SCHEDULES_PER_N, :n]
+            cs = 0.95 * u[:, 0]
             drawn = cs > 0.0
             lo = np.where(drawn, cs, 0.05)
             hi = np.minimum(np.divide(1.0, cs, out=np.full_like(cs, 3.0), where=drawn), 3.0)

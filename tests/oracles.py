@@ -69,12 +69,14 @@ import numpy as np
 from qcpd import kernels
 from qcpd.kernels import (
     _CHUNK,
+    _GAMMA_INT,
     _INV53,
     _MIX1,
     _MIX2,
     GAMMA,
     _int_threshold,
     _mix64,
+    mix64_int,
     seed_root,
 )
 from qcpd.core import (
@@ -95,6 +97,7 @@ from qcpd.global_bound import (
     global_success,
     validate_unambiguous,
 )
+from qcpd.montecarlo import _uniform
 from qcpd.online_opt import OnlineSolution, _recursive_xs, _solution, closed_form_strengths
 from qcpd.verification import (
     _FAULT_FACTOR,
@@ -604,16 +607,20 @@ def run_all_per_case(
     time: a ``StrengthSchedule`` and both profile routes per random
     schedule, a ``closed_form_strengths`` solution per grid point and a
     ``validate_unambiguous`` report per feasibility case, each case yielded
-    in the stacked suites' order."""
-    rng = np.random.default_rng(seed)
+    in the stacked suites' order.  Each random schedule draws its own
+    uniforms through the scalar ``montecarlo._uniform``: case ``i`` of
+    chain length ``n`` on stream ``(n - 2)*25 + i``, the overlap at counter
+    0 and the strengths at counters ``1..n-1``."""
+    root = seed_root(seed)
 
     def oracle():
         for n in range(2, n_max + 1):
-            for _ in range(_SCHEDULES_PER_N):
-                c = float(rng.uniform(0.0, 0.95))
+            for i in range(_SCHEDULES_PER_N):
+                stream = mix64_int(root + ((n - 2) * _SCHEDULES_PER_N + i) * _GAMMA_INT)
+                c = 0.95 * _uniform(stream, 0)
                 lo = c if c > 0.0 else 0.05
                 hi = min(1.0 / c, 3.0) if c > 0.0 else 3.0
-                xs = rng.uniform(lo, hi, size=n - 1)
+                xs = np.array([lo + (hi - lo) * _uniform(stream, j) for j in range(1, n)])
                 schedule = StrengthSchedule(n=n, strengths=xs, overlap=Overlap(c))
                 fast = evaluate_strategy(schedule).per_position
                 slow = enumerate_strategy(schedule).per_position

@@ -335,7 +335,12 @@ class TestDigitContract:
     and sl are the means of the 50-digit profiles of the schedules the
     program walks."""
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 31])
+    @pytest.mark.parametrize(
+        "n",
+        [3, 4, 5, 31]
+        # the full grid, about 9 s: run with ``-m slow``
+        + [pytest.param(n, marks=pytest.mark.slow) for n in [*range(6, 31), 61, 101]],
+    )
     def test_printed_cells_hold_twelve_digits(self, n, capsys):
         argv = ["curve", "--n", str(n), "--c-min", "0.01", "--c-max", "0.99", "--step", "0.01"]
         assert main(argv) == 0
@@ -553,7 +558,18 @@ class TestVerify:
         code = main(["verify", "--seed", "-1"])
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
-        assert err == "qcpd: error: seed must be non-negative, got -1\n"
+        assert err == "qcpd: error: seed must lie in [0, 2**64), got -1\n"
+
+    @pytest.mark.parametrize("seed, accepted", [(0, True), (2**64 - 1, True), (2**64, False)])
+    def test_seed_outside_the_generator_range_is_rejected(self, seed, accepted, capsys):
+        # verify keys the simulate generator, so it takes the same seeds
+        code = main(["verify", "--n-max", "4", "--seed", str(seed)])
+        out, err = capsys.readouterr()
+        if accepted:
+            assert code == 0 and json.loads(out)["passed"] is True, err
+        else:
+            assert (code, out) == (1, "")
+            assert err == f"qcpd: error: seed must lie in [0, 2**64), got {seed}\n"
 
     def test_n_max_at_the_cap_passes(self):
         result = run_cli("verify", "--n-max", "12")
@@ -670,8 +686,9 @@ class TestSimulate:
     def test_seed_outside_the_generator_range_is_rejected(
         self, strategy, seed, accepted, tmp_path, monkeypatch, capsys
     ):
-        # seed_root reduces modulo 2**64, so -1 and 2**64 - 1 would run the
-        # same trials; an out-of-range seed exits 1 before any schedule
+        # reduced modulo 2**64, -1 and 2**64 - 1 would run the same trials;
+        # seed_root rejects an out-of-range seed, which exits 1 before any
+        # schedule is built
         if not accepted:
             monkeypatch.setattr(cli, "best_online", None)
             monkeypatch.setattr(cli, "_solution", None)
@@ -847,6 +864,34 @@ class TestPositionCap:
 
 
 class TestTopLevel:
+    def test_no_subcommand_loads_numpy_random(self):
+        # on numpy >= 2, numpy.random loads on first access, and its
+        # extension modules cost some 6 MB of RSS; every random number qcpd
+        # draws comes from kernels' own generator instead
+        script = """
+import contextlib, io, json, sys
+import numpy
+loaded = {"import numpy": "numpy.random" in sys.modules}
+from qcpd.cli import main
+for argv in (
+    ["curve"],
+    ["strengths", "--n", "10", "--c", "0.3"],
+    ["simulate", "--n", "6", "--c", "0.4", "--trials", "100", "--seed", "1"],
+    ["verify"],
+    ["verify", "--self-test"],
+):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
+    loaded[" ".join(argv)] = "numpy.random" in sys.modules
+print(json.dumps(loaded))
+"""
+        result = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        loaded = json.loads(result.stdout)
+        if loaded.pop("import numpy"):
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        assert not any(loaded.values()), loaded
+
     def test_unknown_subcommand_is_exit_one(self):
         assert run_cli("frobnicate").returncode == 1
 

@@ -26,7 +26,7 @@ from qcpd import (
 )
 from qcpd.core import REL_SLACK, DetectionProfile
 from qcpd.kernels import active_backend
-from qcpd.montecarlo import simulate_trial
+from qcpd.montecarlo import _uniform, simulate_trial
 from qcpd.online_opt import best_online
 
 
@@ -88,11 +88,34 @@ class TestMixer:
         for value, mixed in zip(raw.tolist(), array_out.tolist()):
             assert kernels.mix64_int(value) == mixed
 
-    def test_seed_root_accepts_any_integer(self):
-        # seeds wrap modulo 2^64, so negative and huge seeds are fine
-        assert 0 <= kernels.seed_root(-1) < 2**64
-        assert kernels.seed_root(5) == kernels.seed_root(5 + 2**64)
+    def test_seed_root_rejects_seeds_outside_the_generator_range(self):
+        # a seed outside [0, 2**64) would alias the one it equals mod 2**64
+        for seed in (0, 1, 2**64 - 1):
+            assert 0 <= kernels.seed_root(seed) < 2**64
         assert kernels.seed_root(0) != kernels.seed_root(1)
+        for seed in (-1, 2**64, 5 + 2**64):
+            with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+                kernels.seed_root(seed)
+
+
+class TestUniforms:
+    """``kernels._uniforms`` against the scalar ``montecarlo._uniform``,
+    bit for bit: the vector route ``verify`` draws from and the one
+    ``simulate_trial`` walks on share one key tree."""
+
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**64 - 1] + np.random.default_rng(34).integers(0, 2**64, 3, dtype=np.uint64).tolist()
+    )
+    @pytest.mark.parametrize("first", [0, 7, 2**32 - 2, 2**40 + 3])
+    def test_each_draw_is_the_scalar_one(self, seed, first):
+        rows, cols = 4, 13
+        block = kernels._uniforms(seed, first, rows, cols)
+        assert block.shape == (rows, cols) and block.dtype == np.float64
+        root = kernels.seed_root(seed)
+        for t in range(rows):
+            stream = kernels.mix64_int(root + (first + t) * kernels._GAMMA_INT)
+            expected = [_uniform(stream, j) for j in range(cols)]
+            assert block[t].tobytes() == np.array(expected).tobytes(), (seed, first + t)
 
 
 class TestProfileBackends:
@@ -365,7 +388,8 @@ class TestForwardOracle:
         hi = min(1.0 / c, 50.0) if c > 0.0 else 50.0
         xs = rng.uniform(max(c, 1e-3), hi, size=n - 1)
         trials = int(rng.integers(1, min(100_000, 20_000_000 // n) + 1))
-        _assert_forward_counts(c, xs, trials, int(rng.integers(-(2**63), 2**63)))
+        # the generator takes seeds in [0, 2**64)
+        _assert_forward_counts(c, xs, trials, int(rng.integers(-(2**63), 2**63)) % 2**64)
 
     @pytest.mark.parametrize("c", [0.3, 0.6, 0.9, 1.0])
     def test_raw_strengths_below_the_overlap(self, c):

@@ -16,7 +16,7 @@ from qcpd import (
     run_experiment,
 )
 from qcpd.montecarlo import SimulationReport, TrialResult, simulate_trial
-from qcpd.online_opt import best_online
+from qcpd.online_opt import best_online, fl_solution
 
 
 def _schedule(n, c, xs=None):
@@ -117,6 +117,26 @@ class TestDeterminism:
         schedule = _schedule(5, 0.3)
         results = {simulate_trial(schedule, 1, t).true_change_point for t in range(64)}
         assert len(results) > 1  # different trials see different draws
+
+    @pytest.mark.parametrize("seed", [-1, 0, 2**64 - 1, 2**64])
+    def test_seeds_outside_the_generator_range_are_rejected(self, seed):
+        # -1 and 2**64 would alias 2**64 - 1 and 0 if reduced mod 2**64
+        schedule = fl_solution(8, 0.3).schedule
+        if not 0 <= seed < 2**64:
+            message = rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"
+            with pytest.raises(ValueError, match=message):
+                run_experiment(schedule, 200, seed)
+            with pytest.raises(ValueError, match=message):
+                simulate_trial(schedule, seed)
+            return
+        report = run_experiment(schedule, 200, seed)
+        assert report.seed == seed
+        pooled = [0] * 8
+        for t in range(200):
+            detected = simulate_trial(schedule, seed, trial_index=t).detected_position
+            if detected is not None:
+                pooled[detected - 1] += 1
+        assert pooled == report.detections_per_position.tolist()
 
     def test_trials_validation(self):
         schedule = _schedule(3, 0.2)

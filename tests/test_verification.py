@@ -189,6 +189,24 @@ def test_stacked_suites_equal_the_per_case_loops(n_max, seed, inject_fault):
     assert all(r.passed for r in stacked) is not inject_fault
 
 
+@pytest.mark.parametrize("seed", [0, 7, 64331, 2**64 - 1])
+def test_a_chain_lengths_cases_do_not_depend_on_n_max(seed, monkeypatch):
+    # case i of chain length n draws from stream (n - 2)*25 + i, whatever
+    # the longest chain of the run
+    enumerate_paths = verification._path_profiles
+    drawn = []
+
+    def recorded(cs, xs):
+        drawn.append((cs.tobytes(), xs.tobytes()))
+        return enumerate_paths(cs, xs)
+
+    monkeypatch.setattr(verification, "_path_profiles", recorded)
+    verification.oracle_equivalence(9, seed)
+    verification.oracle_equivalence(12, seed)
+    assert len(drawn) == 8 + 11
+    assert drawn[8:16] == drawn[:8]
+
+
 class TestSuiteHarness:
     """The pair fold of ``run_all_per_case``, one ``(residual, case)`` pair
     per case."""
