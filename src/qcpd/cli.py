@@ -11,7 +11,8 @@ significant digits, ``\\n`` newlines) or JSON (snake_case keys, two-space
 indent; ``report``, ``per_position``, ``rows`` and ``suites`` nest objects
 and lists), both deterministic so golden-file comparisons are byte-exact.
 
-Exit codes: 0 success, 1 usage or domain error, 2 verification failure.
+Exit codes: 0 success, 1 usage or domain error, 2 verification failure,
+141 (128 + SIGPIPE) when the reader closes stdout before the output ends.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -54,6 +56,11 @@ _STRENGTH_CELL = "%-16.12g  %s"
 #: lines per ``%`` call in :func:`_render_lines`, and per written block of
 #: :func:`_strengths_text` and of a vector in :func:`_json_value`
 _RENDER_BLOCK = 2048
+#: the ``%3d`` of 0 to 999, then their ``%03d``: a position's low three
+#: digits, row ``j`` below 1000 and row ``1000 + j % 1000`` from then on
+_LOW_DIGITS = np.frombuffer(
+    (("%3d" * 1000 + "%03d" * 1000) % (*range(1000), *range(1000))).encode(), "V3"
+)
 
 #: largest overlap grid ``curve`` evaluates; finer grids are rejected up front
 MAX_CURVE_ROWS = 100_000
@@ -103,17 +110,17 @@ def _render_lines(line: str, columns: Sequence[Sequence]) -> Iterator[str]:
         yield (line * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
 
 
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct bit patterns of a 1-D float64 vector, as float64, and
-    the inverse index that gathers ``values`` back from them: exactly
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct bit patterns of a 1-D float64 vector, as float64, the
+    first index of each run of equal bits, and each run's index into the
+    patterns: that index repeated over the runs is exactly the inverse of
     ``np.unique(values.view(np.int64), return_inverse=True)``.
 
     The patterns are told apart as int64, so ``0.0`` and ``-0.0``, and
     NaNs with different payloads, stay apart and each keep their own text.
-    One pass marks where the bits change along the vector; only the head
-    of each run of equal bits is sorted, and its index is repeated over
-    the run.  A schedule settles into a few long runs, so 5e4 strengths
-    cost that pass and a sort of a few dozen heads.
+    One pass marks where the bits change along the vector, and only the
+    head of each run is sorted.  A schedule settles into a few long runs,
+    so 5e4 strengths cost that pass and a sort of a few dozen heads.
     """
     bits = values.view(np.int64)
     change = np.empty(len(bits), dtype=bool)
@@ -121,7 +128,7 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.not_equal(bits[1:], bits[:-1], out=change[1:])
     heads = np.flatnonzero(change)
     distinct, index = np.unique(bits[heads], return_inverse=True)
-    return distinct.view(np.float64), np.repeat(index, np.diff(np.append(heads, len(bits))))
+    return distinct.view(np.float64), heads, index
 
 
 def _json_items(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,8 +143,9 @@ def _json_items(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``", "``), so a schedule that never settles (some recursive ones)
     costs one bulk render and a sort of every run head.
     """
-    distinct, index = _distinct(values)
-    return np.array(json.dumps(distinct.tolist())[1:-1].split(", "), dtype=object), index
+    distinct, heads, index = _distinct(values)
+    cells = np.array(json.dumps(distinct.tolist())[1:-1].split(", "), dtype=object)
+    return cells, np.repeat(index, np.diff(np.append(heads, len(values))))
 
 
 def _text_runs(values: np.ndarray) -> list[int]:
@@ -146,12 +154,13 @@ def _text_runs(values: np.ndarray) -> list[int]:
 
     Correctly rounded formatting is monotone, so when both ends of a range
     print alike every value between them does too.  A range whose ends
-    differ is halved until its ends are neighbours, so a block that drifts
-    by ulps formats a few values per run, not one per value.  At worst,
-    when no two values print alike, it formats every value once and pays
-    a Python step for each: 1.75 ms for 2048 values, against 0.7 ms for
-    formatting them all in one call.  No schedule construction makes such
-    a block.
+    differ is halved until its ends are neighbours, so strengths that
+    drift by ulps format a few values per run, not one per value.  At
+    worst, when no two values print alike, it formats every value once
+    and pays a Python step for each: 1.75 ms for 2048 values, against
+    0.7 ms for formatting them all in one call.  No schedule construction
+    comes near that: the recursion at n = 50 001, c = 0.02 holds 49 996
+    distinct strengths in 38 texts.
     """
     last = len(values) - 1
     texts = {0: "%.12g" % values[0], last: "%.12g" % values[last]}
@@ -170,22 +179,17 @@ def _text_runs(values: np.ndarray) -> list[int]:
     return starts
 
 
-def _strength_lines(first: int, distinct: np.ndarray, flags: np.ndarray, index: np.ndarray) -> str:
-    """The ``strengths`` text lines of positions ``first, first + 1, ...``,
-    one per entry ``i`` of ``index``: ``f"{j:>3}  {_fmt(x):<16}  {flag}"``
-    for ``x = distinct[i]``, with ``flag`` ``yes`` where ``flags[i]``.
+def _strength_cells(distinct: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``strengths`` text cells of a schedule's distinct strengths, as
+    a NUL-padded ``uint8`` table with one row per cell, and the row of each
+    entry of ``distinct``, whose saturation flags are ``flags``.
 
     ``distinct`` is sorted by bit pattern (:func:`_distinct`).  When it
     holds only positive finite values that is float order, and it splits
     into runs of equal ``%.12g`` text (:func:`_text_runs`); otherwise each
     value is its own run.  Each text-and-flag pair of a run gets one cell
-    (``_STRENGTH_CELL``, its two leading spaces and the line break),
-    rendered in bulk into a row of a NUL-padded byte table.  The rows are
-    gathered by ``index`` beside the positions' ``%3d`` as a byte matrix:
-    ASCII digits, spaces up to three columns and NUL left of them.
-    Dropping every NUL leaves the lines, decoded at once; a block whose
-    cells share one width and whose positions share one digit count holds
-    no NUL and is decoded as it stands.
+    (``_STRENGTH_CELL``, its two leading spaces and the line break), all
+    rendered in one ``%`` call.
     """
     run = np.zeros(len(distinct), dtype=np.intp)
     run[_text_runs(distinct) if 0.0 < distinct[0] and distinct[-1] < math.inf else slice(None)] = 1
@@ -204,24 +208,34 @@ def _strength_lines(first: int, distinct: np.ndarray, flags: np.ndarray, index: 
     lengths = ends - np.concatenate(([0], ends[:-1]))  # np.diff's overhead is the cost here
     table = np.zeros((len(lengths), lengths.max()), np.uint8)
     table[np.arange(table.shape[1]) < lengths[:, None]] = chars
-    width = max(3, len(str(first + len(index) - 1)))
-    lines = np.empty((len(index), width + table.shape[1]), np.uint8)
-    # the narrowest integer type that holds the positions divides fastest
-    js = np.arange(first, first + len(index), dtype=np.min_scalar_type(first + len(index)))
-    for col in range(width - 1, -1, -1):
-        tens = js // 10
-        digits = js - 10 * tens + ord("0")  # js % 10, without numpy's slower %
-        if js[0] > 0:
-            lines[:, col] = digits
-        else:
-            lines[:, col] = np.where(js > 0, digits, ord(" ") if col >= width - 3 else 0)
-        js = tens
-    cell = (np.cumsum(used) - 1)[key]
-    lines[:, width:] = np.take(table, cell[index], axis=0)
-    if lengths.min() == lengths.max() and (width == 3 or first >= 10 ** (width - 1)):
-        return lines.tobytes().decode("ascii")
-    lines = lines.ravel()
-    return lines[lines != 0].tobytes().decode("ascii")
+    return table, (np.cumsum(used) - 1)[key]
+
+
+def _strength_lines(first: int, table: np.ndarray, cells: np.ndarray) -> str:
+    """The ``strengths`` text lines of positions ``first, first + 1, ...``,
+    one per entry ``i`` of ``cells``: the position's ``%3d`` and row ``i``
+    of the NUL-padded cell ``table`` (:func:`_strength_cells`).
+
+    The lines are a byte matrix, filled once per thousand positions: the
+    table, widened by the digits above the low three (NUL left of them),
+    is gathered row by row by ``cells``, and the low three digits are one
+    slice of ``_LOW_DIGITS``.  Dropping every NUL (of a padded cell or of
+    a narrower position) leaves the lines, decoded at once.
+    """
+    last = first + len(cells) - 1
+    width = max(3, len(str(last)))
+    lines = np.empty((len(cells), width + table.shape[1]), np.uint8)
+    low = np.ndarray(len(cells), _LOW_DIGITS.dtype, lines, width - 3, (lines.shape[1],))
+    wide = np.empty((len(table), lines.shape[1]), np.uint8)
+    wide[:, width:] = table
+    for base in range(first - first % 1000, last + 1, 1000):
+        lo, hi = max(base, first), min(base + 1000, last + 1)
+        high = str(base // 1000) if base else ""
+        wide[:, : width - 3] = np.frombuffer(high.rjust(width - 3, "\0").encode(), np.uint8)
+        lines[lo - first : hi - first] = wide.take(cells[lo - first : hi - first], axis=0)
+        row = lo - base + (1000 if base else 0)
+        low[lo - first : hi - first] = _LOW_DIGITS[row : row + hi - lo]
+    return lines.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +462,17 @@ _METHODS = {
 def _strengths_text(solution: OnlineSolution) -> Iterator[str]:
     """A header and one line per position, ``f"{j:>3}  {_fmt(x):<16}  {flag}"``
     byte for byte, with ``flag`` ``yes`` at each of the solution's
-    ``saturated_positions``.  Each block of ``_RENDER_BLOCK`` positions is
-    yielded as :func:`_strength_lines` builds it from its distinct strengths
-    (:func:`_distinct`), with one cell per printed text and flag, so a
-    schedule that never settles holds no string per position, and one
-    that drifts by ulps formats a few values per block."""
+    ``saturated_positions``.
+
+    The cells are a property of the schedule and are rendered once: its
+    distinct strengths (:func:`_distinct`), their flags and one cell per
+    printed text and flag (:func:`_strength_cells`).  Each run of equal
+    bits maps to its cell, and neighbouring runs with one cell merge, so
+    a schedule that settles or drifts by ulps holds a few runs.  Each
+    block of ``_RENDER_BLOCK`` positions repeats the cells of the runs it
+    overlaps, and :func:`_strength_lines` gathers its lines from them; no
+    string is made per position, and no index repeated over the schedule.
+    """
     schedule = solution.schedule
     strengths = schedule.strengths
     yield (
@@ -460,10 +480,17 @@ def _strengths_text(solution: OnlineSolution) -> Iterator[str]:
         f"method={solution.method} success={_fmt(solution.success)}\n"
         "  j  strength          saturated\n"
     )
+    distinct, heads, runs = _distinct(strengths)
+    table, cell = _strength_cells(distinct, _at_ceiling(distinct, schedule.overlap.c))
+    cells = cell[runs]
+    merged = np.flatnonzero(np.append(True, cells[1:] != cells[:-1]))  # runs of equal cells
+    heads, cells = heads[merged], cells[merged]
+    ends = np.append(heads[1:], len(strengths))
     for start in range(0, len(strengths), _RENDER_BLOCK):
-        distinct, index = _distinct(strengths[start : start + _RENDER_BLOCK])
-        flags = _at_ceiling(distinct, schedule.overlap.c)
-        yield _strength_lines(start + 1, distinct, flags, index)
+        stop = min(start + _RENDER_BLOCK, len(strengths))
+        lo, hi = ends.searchsorted(start, "right"), heads.searchsorted(stop)  # the runs it overlaps
+        lengths = np.minimum(ends[lo:hi], stop) - np.maximum(heads[lo:hi], start)
+        yield _strength_lines(start + 1, table, np.repeat(cells[lo:hi], lengths))
 
 
 def cmd_strengths(args: argparse.Namespace) -> int:
@@ -703,6 +730,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed the pipe: end quietly, as SIGPIPE's default
+        # action would, with stdout on os.devnull so that the interpreter's
+        # final flush of what is still buffered cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"qcpd: error: {exc}\n")
         return 1

@@ -42,6 +42,7 @@ from qcpd.cli import (
     _dump_json,
     _fmt,
     _json_items,
+    _strength_cells,
     _strength_lines,
     _strengths_text,
     _z_scores,
@@ -892,6 +893,27 @@ print(json.dumps(loaded))
             pytest.skip("this numpy imports numpy.random with numpy itself")
         assert not any(loaded.values()), loaded
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("curve", "--n", "31", "--step", "0.0001"), ("strengths", "--n", "100000", "--c", "0.3")],
+        ids=["curve", "strengths-text"],
+    )
+    def test_a_closed_pipe_ends_the_run_quietly(self, argv):
+        # each output (0.6 and 2.8 MB) is far longer than a pipe's buffer,
+        # so the run writes into the pipe after its reader has closed it
+        process = subprocess.Popen(
+            [sys.executable, "-W", "error", "-m", "qcpd.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = process.stdout.readline()
+        process.stdout.close()
+        stderr = process.stderr.read()
+        process.stderr.close()
+        assert process.wait(timeout=120) == 141, stderr
+        assert stderr == b""
+        assert first.startswith((b"c,p_global", b"n=100000 c=0.3 "))
+
     def test_unknown_subcommand_is_exit_one(self):
         assert run_cli("frobnicate").returncode == 1
 
@@ -1198,10 +1220,13 @@ class TestBulkFormatters:
         picks = [pick for pick, length in runs for _ in range(length)]
         vector = np.array(_POOL_BITS, dtype=np.uint64).view(np.float64)[picks]
         bits, index = np.unique(vector.view(np.int64), return_inverse=True)
-        distinct, got = _distinct(vector)
+        distinct, heads, runs = _distinct(vector)
+        got = np.repeat(runs, np.diff(np.append(heads, len(vector))))
         assert distinct.dtype == np.float64 and got.dtype == index.dtype
         assert distinct.tobytes() == bits.tobytes()
         assert got.tolist() == index.tolist()
+        # one run per maximal stretch of equal bits
+        assert heads.tolist() == [i for i in range(len(picks)) if i == 0 or picks[i] != picks[i - 1]]
 
     @pytest.mark.parametrize(
         "argv",
@@ -1225,7 +1250,8 @@ class TestBulkFormatters:
     @settings(deadline=None, max_examples=300)
     @given(j=st.integers(1, 10**7), x=_FLOATS, flag=st.sampled_from(["yes", "no"]))
     def test_strength_line_template(self, j, x, flag):
-        line = _strength_lines(j, np.array([x]), np.array([flag == "yes"]), np.array([0]))
+        table, cells = _strength_cells(np.array([x]), np.array([flag == "yes"]))
+        line = _strength_lines(j, table, cells)
         assert line == f"{j:>3}  {_fmt(x):<16}  {flag}\n"
 
     @pytest.mark.parametrize("block", [1, 7, 2048])
@@ -1305,6 +1331,61 @@ class TestBulkFormatters:
             for j, x in enumerate(solution.schedule.strengths.tolist(), start=1)
         ]
         assert "".join(_strengths_text(solution)).split("\n")[2:] == lines + [""]
+
+    @pytest.mark.parametrize("block", [1, 7, 2048])
+    @pytest.mark.parametrize(
+        "solution",
+        [closed_form_strengths(5001, 0.3), recursive_strengths(5001, 0.02)],
+        ids=["closed", "recursive-drifting"],
+    )
+    def test_strengths_text_renders_its_cells_once(self, solution, block, monkeypatch):
+        # the cells are a property of the schedule, not of a block: one
+        # bisection into runs of equal text and one bulk render per call,
+        # whatever the block size
+        calls = {"_render_lines": 0, "_text_runs": 0}
+
+        def counted(name):
+            inner = getattr(cli, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        monkeypatch.setattr(cli, "_RENDER_BLOCK", block)
+        assert len("".join(_strengths_text(solution)).split("\n")) == 5000 + 3
+        assert calls == {"_render_lines": 1, "_text_runs": 1}
+
+    @pytest.mark.parametrize("block", [7, 999, 1000, 2048])
+    @pytest.mark.parametrize(
+        "solution",
+        [
+            closed_form_strengths(10_050, 0.3),
+            closed_form_strengths(34_216, 0.139696),
+            # 34 211 distinct strengths, printed as 18 texts
+            recursive_strengths(34_216, 0.139696),
+            closed_form_strengths(100_050, 0.48),
+            recursive_strengths(100_050, 0.02),
+        ],
+        ids=["closed-10050", "closed-34216", "recursive-34216", "closed-100050", "recursive-100050"],
+    )
+    def test_strengths_text_positions_widen_inside_a_block(self, solution, block, monkeypatch):
+        # positions cross 9 999 -> 10 000 (and 99 999 -> 100 000 on the
+        # longest chains) inside one block, at block sizes that do and do
+        # not divide 1000
+        monkeypatch.setattr(cli, "_RENDER_BLOCK", block)
+        saturated = set(solution.saturated_positions.tolist())
+        lines = [
+            f"{j:>3}  {_fmt(x):<16}  {'yes' if j in saturated else 'no'}"
+            for j, x in enumerate(solution.schedule.strengths.tolist(), start=1)
+        ]
+        got = "".join(_strengths_text(solution)).split("\n")[2:]
+        # the first differing line, not a diff of 1e5 lines
+        diffs = ((j, a, b) for j, (a, b) in enumerate(zip(got, lines), start=1) if a != b)
+        assert got == lines + [""], next(diffs, ("line counts", len(got), len(lines)))
 
     @pytest.mark.parametrize("c", [0.02, 0.3, 0.48])
     @pytest.mark.parametrize("method", ["closed", "recursive"])
