@@ -81,6 +81,9 @@ MAX_TRIALS = 10**8
 #: requests are rejected before any schedule is built.
 MAX_POSITIONS = MAX_CURVE_ROWS * 30
 
+#: longest token a ``--schedule`` file may hold, far above any float's text
+_MAX_TOKEN = 4096
+
 
 def _check_positions(positions: int) -> None:
     if positions > MAX_POSITIONS:
@@ -110,42 +113,22 @@ def _render_lines(line: str, columns: Sequence[Sequence]) -> Iterator[str]:
         yield (line * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
 
 
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct bit patterns of a 1-D float64 vector, as float64, the
-    first index of each run of equal bits, and each run's index into the
-    patterns: that index repeated over the runs is exactly the inverse of
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct bit patterns of a 1-D float64 vector, as float64, and
+    each entry's index into them: exactly
     ``np.unique(values.view(np.int64), return_inverse=True)``.
 
     The patterns are told apart as int64, so ``0.0`` and ``-0.0``, and
     NaNs with different payloads, stay apart and each keep their own text.
-    One pass marks where the bits change along the vector, and only the
-    head of each run is sorted.  A schedule settles into a few long runs,
-    so 5e4 strengths cost that pass and a sort of a few dozen heads.
+    One pass marks where the bits change along the vector, only the head
+    of each run of equal bits is sorted, and each head's index is repeated
+    over its run.  A schedule settles into a few long runs, so 5e4
+    strengths cost that pass, a sort of a few dozen heads and the repeat.
     """
     bits = values.view(np.int64)
-    change = np.empty(len(bits), dtype=bool)
-    change[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=change[1:])
-    heads = np.flatnonzero(change)
+    heads = np.flatnonzero(np.append(True, bits[1:] != bits[:-1])[: len(bits)])
     distinct, index = np.unique(bits[heads], return_inverse=True)
-    return distinct.view(np.float64), heads, index
-
-
-def _json_items(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The JSON text of each distinct bit pattern (:func:`_distinct`) of a
-    1-D float64 vector, ``NaN`` and ``Infinity`` included, as an object
-    vector ``cells``, and the inverse ``index``: ``cells.take(index)`` holds
-    ``[json.dumps(x) for x in values.tolist()]``.
-
-    A schedule settles along the chain, so 5e4 strengths mostly hold a few
-    dozen distinct floats in a few long runs.  The distinct values take
-    one C-encoder call, split at its item separator (no float's text holds
-    ``", "``), so a schedule that never settles (some recursive ones)
-    costs one bulk render and a sort of every run head.
-    """
-    distinct, heads, index = _distinct(values)
-    cells = np.array(json.dumps(distinct.tolist())[1:-1].split(", "), dtype=object)
-    return cells, np.repeat(index, np.diff(np.append(heads, len(values))))
+    return distinct.view(np.float64), np.repeat(index, np.diff(heads, append=len(bits)))
 
 
 def _text_runs(values: np.ndarray) -> list[int]:
@@ -376,12 +359,13 @@ def _json_value(value, pad: str) -> Iterator[str]:
 
     * a non-empty 1-D numpy vector is yielded ``_RENDER_BLOCK`` entries at
       a time, its items joined by the indented line break.  A float64 one
-      (a schedule of 1e5 strengths) renders each distinct value once, by
-      :func:`_json_items` over the whole vector, whose runs of equal bits
-      spare a settled schedule any sort but of the runs' heads, gathered
-      block by block; any other (counts, saturated positions) takes one
-      C-encoder call per block, so no Python int or item is held for more
-      than a block;
+      (a schedule of 1e5 strengths) renders each distinct bit pattern of
+      :func:`_distinct` once, ``NaN`` and ``Infinity`` included, in one
+      C-encoder call split at its item separator (no float's text holds
+      ``", "``), and each block gathers its items through the per-entry
+      index; any other (counts, saturated positions) takes one C-encoder
+      call per block, so no Python int or item is held for more than a
+      block;
     * a non-empty dict with string keys is rendered key by key;
     * a :class:`_Rows` table (simulate's ``per_position``, curve's
       ``rows``) is filled into one ``%r`` template per row by
@@ -397,14 +381,16 @@ def _json_value(value, pad: str) -> Iterator[str]:
     if type(value) is np.ndarray and value.ndim == 1:
         if len(value):
             sep = ",\n" + inner
-            cells, index = _json_items(value) if value.dtype == np.float64 else (None, None)
+            if value.dtype == np.float64:  # each distinct bit pattern's text, once
+                distinct, index = _distinct(value)
+                cells = np.array(json.dumps(distinct.tolist())[1:-1].split(", "), dtype=object)
             for start in range(0, len(value), _RENDER_BLOCK):
                 yield sep if start else "[\n" + inner
-                if cells is None:
+                if value.dtype == np.float64:
+                    yield sep.join(cells.take(index[start : start + _RENDER_BLOCK]).tolist())
+                else:
                     block = value[start : start + _RENDER_BLOCK].tolist()
                     yield json.dumps(block, separators=(sep, ": "))[1:-1]
-                else:
-                    yield sep.join(cells.take(index[start : start + _RENDER_BLOCK]).tolist())
             yield f"\n{pad}]"
             return
         value = value.tolist()
@@ -466,12 +452,10 @@ def _strengths_text(solution: OnlineSolution) -> Iterator[str]:
 
     The cells are a property of the schedule and are rendered once: its
     distinct strengths (:func:`_distinct`), their flags and one cell per
-    printed text and flag (:func:`_strength_cells`).  Each run of equal
-    bits maps to its cell, and neighbouring runs with one cell merge, so
-    a schedule that settles or drifts by ulps holds a few runs.  Each
-    block of ``_RENDER_BLOCK`` positions repeats the cells of the runs it
-    overlaps, and :func:`_strength_lines` gathers its lines from them; no
-    string is made per position, and no index repeated over the schedule.
+    printed text and flag (:func:`_strength_cells`).  The cell of each
+    position is gathered through the per-position index of
+    :func:`_distinct`, and :func:`_strength_lines` gathers each block of
+    ``_RENDER_BLOCK`` lines from its slice; no string is made per position.
     """
     schedule = solution.schedule
     strengths = schedule.strengths
@@ -480,17 +464,10 @@ def _strengths_text(solution: OnlineSolution) -> Iterator[str]:
         f"method={solution.method} success={_fmt(solution.success)}\n"
         "  j  strength          saturated\n"
     )
-    distinct, heads, runs = _distinct(strengths)
+    distinct, index = _distinct(strengths)
     table, cell = _strength_cells(distinct, _at_ceiling(distinct, schedule.overlap.c))
-    cells = cell[runs]
-    merged = np.flatnonzero(np.append(True, cells[1:] != cells[:-1]))  # runs of equal cells
-    heads, cells = heads[merged], cells[merged]
-    ends = np.append(heads[1:], len(strengths))
     for start in range(0, len(strengths), _RENDER_BLOCK):
-        stop = min(start + _RENDER_BLOCK, len(strengths))
-        lo, hi = ends.searchsorted(start, "right"), heads.searchsorted(stop)  # the runs it overlaps
-        lengths = np.minimum(ends[lo:hi], stop) - np.maximum(heads[lo:hi], start)
-        yield _strength_lines(start + 1, table, np.repeat(cells[lo:hi], lengths))
+        yield _strength_lines(start + 1, table, cell.take(index[start : start + _RENDER_BLOCK]))
 
 
 def cmd_strengths(args: argparse.Namespace) -> int:
@@ -550,21 +527,42 @@ def _check_run(n: int, trials: int, seed: int) -> None:
         raise ValueError(f"{steps} trial steps exceed the cap of {MAX_TRIAL_STEPS}")
 
 
-def _load_custom_schedule(path: str, n: int | None) -> list[float]:
-    """The checked strengths of the schedule file ``path``, ``n - 1`` if ``n`` is given."""
+def _load_custom_schedule(path: str, n: int | None) -> np.ndarray:
+    """The checked strengths of the schedule file ``path``, ``n - 1`` if
+    ``n`` is given, in a float64 vector of ``MAX_POSITIONS`` entries whose
+    pages are only touched as it fills.  The file is read ``_MAX_TOKEN``
+    characters at a time, and reading stops at the first token past the
+    cap or longer than ``_MAX_TOKEN``, so an endless source is rejected;
+    a token that is not a float is reported only if the cap holds."""
+    values, count, tail, error = np.empty(MAX_POSITIONS), 0, "", None
+    name = f"schedule file {path!r}"
     with open(path, "r", encoding="utf-8") as handle:
-        tokens = handle.read().split(maxsplit=MAX_POSITIONS)  # none converted past the cap
-    if len(tokens) > MAX_POSITIONS:
-        raise ValueError(f"schedule file {path!r} holds more than {MAX_POSITIONS} strengths")
-    values = [float(token) for token in tokens]
-    if len(values) < 1:
-        raise ValueError(f"schedule file {path!r} holds no strengths")
-    if n is not None and n != len(values) + 1:
+        while True:
+            chunk = handle.read(_MAX_TOKEN)
+            tokens = (tail + chunk).split()
+            tail = tokens.pop() if chunk and tokens and not chunk[-1].isspace() else ""
+            if max(map(len, [tail, *tokens[:1]])) > _MAX_TOKEN:
+                raise ValueError(f"{name} holds a token over {_MAX_TOKEN} characters")
+            if count + len(tokens) > MAX_POSITIONS:
+                raise ValueError(f"{name} holds more than {MAX_POSITIONS} strengths")
+            if error is None:
+                try:
+                    values[count : count + len(tokens)] = list(map(float, tokens))
+                except ValueError as exc:  # reported once the cap is known to hold
+                    error = exc
+            count += len(tokens)
+            if not chunk:
+                break
+    if error is not None:
+        raise error
+    if count < 1:
+        raise ValueError(f"{name} holds no strengths")
+    if n is not None and n != count + 1:
         raise ValueError(
-            f"--n {n} disagrees with the {len(values)} strengths in {path!r}"
-            f" (which imply n={len(values) + 1})"
+            f"--n {n} disagrees with the {count} strengths in {path!r}"
+            f" (which imply n={count + 1})"
         )
-    return values
+    return values[:count]
 
 
 def _select_strategy(args: argparse.Namespace) -> OnlineSolution:

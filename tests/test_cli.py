@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -41,7 +43,6 @@ from qcpd.cli import (
     _distinct,
     _dump_json,
     _fmt,
-    _json_items,
     _strength_cells,
     _strength_lines,
     _strengths_text,
@@ -844,6 +845,103 @@ class TestPositionCap:
         schedule.write_text("1.0 " * 12 + "\n")
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("chars", [5, 6, 9, 25, 64])
+    def test_custom_schedule_read_in_chunks(self, chars, tmp_path, monkeypatch):
+        # tokens and runs of whitespace straddle every chunk boundary; the
+        # strengths are float() of each token of str.split(), bit for bit
+        rng = np.random.default_rng(chars)
+        tokens = [repr(x) for x in rng.uniform(0.5, 2.0, 60).tolist()]
+        tokens += ["1", "2.", "1e0", "1_0.5"]
+        seps = [" ", "\n", "\t", "  \r\n ", "\u00a0", "\u2003\f"]
+        text = "".join(t + seps[i % len(seps)] for i, t in enumerate(tokens))
+        schedule = tmp_path / "schedule.txt"
+        schedule.write_text(text[:-1], encoding="utf-8")  # no separator after the last
+        monkeypatch.setattr(cli, "_MAX_TOKEN", chars)
+        if max(map(len, tokens)) > chars:
+            with pytest.raises(ValueError, match=f"holds a token over {chars} characters"):
+                cli._load_custom_schedule(str(schedule), None)
+            return
+        values = cli._load_custom_schedule(str(schedule), len(tokens) + 1)
+        assert values.tobytes() == np.array([float(t) for t in text.split()]).tobytes()
+
+    def test_custom_schedule_token_length_bound(self, tmp_path, capsys):
+        # a token of 4096 characters is read (this one is 1.0), one more is
+        # rejected; each straddles a chunk boundary
+        schedule = tmp_path / "schedule.txt"
+        argv = ["simulate", "--c", "0.4", "--strategy", "custom",
+                "--schedule", str(schedule), "--trials", "10", "--seed", "1"]
+        schedule.write_text("1.0 " + "0" * 4093 + "1.0 1.5\n")
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["strengths"] == [1.0, 1.0, 1.5]
+        schedule.write_text("1.0 " + "0" * 4094 + "1.0 1.5\n")
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"qcpd: error: schedule file {str(schedule)!r} holds a token over 4096 characters\n"
+        )
+
+    @pytest.mark.parametrize(
+        "token, reason",
+        [("1.0 ", f"more than {MAX_POSITIONS} strengths"), ("1", "a token over 4096 characters")],
+        ids=["over-cap", "overlong"],
+    )
+    def test_endless_schedule_source_is_rejected(self, token, reason, tmp_path):
+        # a FIFO whose writer never stops: the reader stops at the first
+        # token past the cap, or once one token grows past its bound
+        fifo = tmp_path / "schedule"
+        os.mkfifo(fifo)
+        source = f"with open({str(fifo)!r}, 'w') as f:\n    while True: f.write({token!r} * 4096)"
+        writer = subprocess.Popen([sys.executable, "-c", source], stderr=subprocess.DEVNULL)
+        try:
+            result = run_cli(
+                "simulate", "--c", "0.4", "--strategy", "custom", "--schedule", str(fifo),
+                "--trials", "1", "--seed", "1", timeout=60,
+            )
+        finally:
+            writer.kill()
+            writer.wait()
+        assert result.returncode == 1 and result.stdout == ""
+        assert reason in result.stderr
+
+    def test_endless_device_is_rejected(self):
+        result = run_cli(
+            "simulate", "--c", "0.4", "--strategy", "custom", "--schedule", "/dev/zero",
+            "--trials", "1", "--seed", "1", timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stderr == (
+            "qcpd: error: schedule file '/dev/zero' holds a token over 4096 characters\n"
+        )
+
+    def test_over_cap_schedule_file_peak_rss(self, tmp_path):
+        # 40 MB of strengths, 10 million against the cap of 3 million: the
+        # reader holds at most the cap's float64 vector, not the file's text
+        # and a string per token (301 MB when the file was read whole)
+        schedule = tmp_path / "schedule.txt"
+        schedule.write_bytes(b"1.0 " * 10_000_000)
+        # a child's ru_maxrss starts from the size of the process it was
+        # forked from, so a small interpreter starts the run and reports it
+        measure = (
+            "import os, subprocess, sys\n"
+            "child = subprocess.Popen(\n"
+            "    sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE\n"
+            ")\n"
+            "err = child.stderr.read().decode()\n"
+            "_, status, usage = os.wait4(child.pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, err, sep='\\n', end='')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", measure, sys.executable, "-W", "error", "-m", "qcpd.cli",
+             "simulate", "--c", "0.4", "--strategy", "custom", "--schedule", str(schedule),
+             "--trials", "1", "--seed", "1"],
+            capture_output=True, text=True, timeout=120,
+        )
+        code, maxrss_kb, err = result.stdout.split("\n", 2)
+        assert code == "1"
+        message = f"schedule file {str(schedule)!r} holds more than {MAX_POSITIONS} strengths"
+        assert err == f"qcpd: error: {message}\n"
+        assert int(maxrss_kb) / 1024 < 64, f"{int(maxrss_kb) / 1024:.1f} MB"
+
     def test_trial_steps_are_checked_before_the_schedule(self, monkeypatch, capsys):
         # 3e6 particles are within the position cap, but 1e4 trials of them
         # exceed the step cap; no schedule may be built for the run
@@ -1199,11 +1297,23 @@ class TestBulkFormatters:
 
     @settings(deadline=None, max_examples=300)
     @given(picks=st.lists(st.integers(0, len(_POOL_BITS) - 1), max_size=40))
-    def test_json_items_keeps_each_bit_pattern(self, picks):
+    def test_json_vector_encodes_each_bit_pattern_once(self, picks):
+        # the items of a float vector are gathered from one encoding of its
+        # distinct bit patterns: 0.0 and -0.0, and NaNs with different
+        # payloads, are each encoded, and no pattern twice
         vector = np.array(_POOL_BITS, dtype=np.uint64).view(np.float64)[picks]
-        cells, index = _json_items(vector)
-        assert cells.take(index).tolist() == [json.dumps(x) for x in vector.tolist()]
-        assert len(cells) == len(set(vector.view(np.int64).tolist())) or not len(vector)
+        encoded = []
+
+        def dumps(value, **kwargs):
+            if type(value) is list:
+                encoded.extend(value)
+            return json.dumps(value, **kwargs)
+
+        with mock.patch.object(cli, "json", SimpleNamespace(dumps=dumps)):
+            text = "".join(_dump_json({"strengths": vector}))
+        assert text == json.dumps({"strengths": vector.tolist()}, indent=2) + "\n"
+        bits = np.array(encoded, dtype=np.float64).view(np.int64).tolist()
+        assert sorted(bits) == sorted(set(vector.view(np.int64).tolist()))
 
     @settings(deadline=None, max_examples=300)
     @given(
@@ -1220,13 +1330,29 @@ class TestBulkFormatters:
         picks = [pick for pick, length in runs for _ in range(length)]
         vector = np.array(_POOL_BITS, dtype=np.uint64).view(np.float64)[picks]
         bits, index = np.unique(vector.view(np.int64), return_inverse=True)
-        distinct, heads, runs = _distinct(vector)
-        got = np.repeat(runs, np.diff(np.append(heads, len(vector))))
+        distinct, got = _distinct(vector)
         assert distinct.dtype == np.float64 and got.dtype == index.dtype
         assert distinct.tobytes() == bits.tobytes()
         assert got.tolist() == index.tolist()
-        # one run per maximal stretch of equal bits
-        assert heads.tolist() == [i for i in range(len(picks)) if i == 0 or picks[i] != picks[i - 1]]
+
+    @pytest.mark.parametrize(
+        "solution",
+        [
+            closed_form_strengths(50_001, 0.3),
+            closed_form_strengths(50_001, 0.02),
+            # a 2-cycle: 100 000 runs of one strength each, 72 distinct
+            optimize_strengths(100_001, 0.61),
+            # 49 996 distinct strengths, as the recursion drifts
+            recursive_strengths(50_001, 0.02),
+        ],
+        ids=["closed-settled", "closed-small-c", "numeric-2-cycle", "recursive-drifting"],
+    )
+    def test_distinct_on_each_schedule_shape(self, solution):
+        strengths = solution.schedule.strengths
+        bits, index = np.unique(strengths.view(np.int64), return_inverse=True)
+        distinct, got = _distinct(strengths)
+        assert distinct.tobytes() == bits.tobytes()
+        assert got.dtype == index.dtype and np.array_equal(got, index)
 
     @pytest.mark.parametrize(
         "argv",
@@ -1439,8 +1565,10 @@ class TestMemory:
             # report; the whole report (170 B a position, held twice while
             # it was joined) peaked at 395.6 B
             (("simulate", "--n", "20001", "--c", "0.4", "--trials", "1", "--seed", "1"), 20_000, 146),
-            # 35.1 B: the strength and profile vectors and one block of
-            # text; the joined text (28 B a position) peaked at 71.8 B
+            # 36.5 B: the strength and profile vectors, the index of each
+            # position's distinct strength and one block of text; walking
+            # the runs of equal bits instead of that index peaked at
+            # 35.1 B, the joined text (28 B a position) at 71.8 B
             (("strengths", "--n", "20001", "--c", "0.3"), 20_000, 38),
             # 88.6 B: the recursion's vectors, at their peak before any text
             # is rendered; no string per position, though the 19 996
