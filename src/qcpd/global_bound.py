@@ -13,6 +13,11 @@ Feasibility of an efficiency vector is the positivity of the leftover
 measurement operator, which for linearly independent pure states reduces
 to ``G - diag(gammas)`` being positive semidefinite, where ``G`` is the
 Gram matrix ``G[k][l] = c^|k-l|`` of the hypothesis states.
+
+The closed forms, these vectors and the online strengths
+``(1+c)/(1-(-c)^(n-j))``, take only the ``K`` powers of ``-c`` at each
+end of the chain that can still move them (:func:`_end_powers`) and are
+their constant between, so a chain costs O(K) ``pow`` calls.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Overlap, _check_n, _frozen_vector, _overlap
+from .core import Overlap, _check_n, _overlap
 
 #: minimum-eigenvalue tolerance: optimal vectors sit exactly on the
 #: feasibility boundary, so a strictly-zero test would be meaningless
@@ -59,38 +64,56 @@ def global_efficiencies(n: int, c: Overlap | float) -> np.ndarray:
     ``gamma_n(k) = (1 - c - (-c)^k - (-c)^{n-k+1}) / (1 + c)``.
     """
     n, cv = _check_n(n), _overlap(c)
-    return _frozen_vector(_tent_efficiencies(cv, _tent_powers(n, cv)))
+    gammas = _tent_efficiencies(cv, _end_powers(n, cv))
+    gammas.setflags(write=False)
+    return gammas
 
 
-def _tent_efficiencies(cv, powers: np.ndarray):
-    """The closed form of :func:`global_efficiencies` from the power table
-    ``powers = _tent_powers(n, cv)``, for one overlap ``cv``, or one vector
-    per row of an ``(R, 1)`` column of overlaps."""
-    return (1.0 - cv - powers[..., 1:] - powers[..., :0:-1]) / (1.0 + cv)
+def _end_widths(n: int, cs: np.ndarray) -> np.ndarray:
+    """Per overlap of ``cs``, the ``K`` of :func:`_end_powers`: the first
+    exponent past ``log(floor) / log(c)``, for the floor
+    ``min(1 - c, 1/16) * 2**-56``, a quarter of half an ulp of ``1 - c``,
+    or ``(n + 1) // 2``, which keeps every power, where that is smaller.
+    Rounding, of that crossing and of the powers, moves the first
+    ``np.power(-c, e)`` below the floor at most one from ``K``, so every
+    power past ``K`` is below it."""
+    floor = np.minimum(1.0 - cs, 0.0625) * 2.0**-56
+    with np.errstate(divide="ignore"):  # c = 0, and c = 1, whose -inf keeps every power
+        crossing = np.abs(np.log(floor) / np.log(cs))
+    return np.minimum(np.floor(crossing) + 1.0, (n + 1) // 2).astype(np.int64)
 
 
-def _tent_powers(n: int, cs) -> np.ndarray:
-    """``np.power(-c, e)`` for ``e = 0..n`` at an overlap ``cs`` or along an
-    ``(R, 1)`` column; past 64 exponents, 0.0 strictly between ``K`` and
-    ``n + 1 - K``, ``K`` the first exponent whose power is below
-    ``min(1 - c, 1/16) * 2**-56``, a quarter of half an ulp of ``1 - c``, in
-    every row.  The powers cut round away in ``1 ± (·)`` and ``1 - c - (·)``,
-    so this costs O(K) ``pow`` calls; the top ones stay, as ``1 - c - c^2``
-    and the like can cancel."""
-    top = 32
-    while True:
-        top = min(2 * top, n)
-        head = np.power(-cs, np.arange(top + 1))
-        if top == n:
-            return head
-        below = np.abs(head) < np.minimum(1.0 - cs, 0.0625) * 2.0**-56
-        if below[..., -1].all():
-            break
-    cut = int(below.argmax(axis=-1).max(initial=0))
-    head[..., cut + 1 : n + 1 - cut] = 0.0
-    rest = max(n + 1 - cut, top + 1)  # the first exponent past the head's
-    middle = np.zeros(head.shape[:-1] + (rest - top - 1,))
-    return np.concatenate([head, middle, np.power(-cs, np.arange(rest, n + 1))], axis=-1)
+def _end_powers(n: int, cs) -> tuple[int, np.ndarray]:
+    """``(n, powers)``: the powers of ``-c`` that can still move a closed
+    form of a chain of ``n``, at an overlap ``cs`` or along an ``(R, 1)``
+    column, in one masked ``np.power`` call.  ``powers[0, r, i]`` is
+    ``(-c)^(1+i)`` and ``powers[1, r, i]`` is ``(-c)^(n-i)`` for ``i`` below
+    row ``r``'s ``K`` (:func:`_end_widths`), else 0.0; ``W``, the last
+    axis, is the largest ``K``.  The powers between round away in
+    ``1 ± (·)`` and ``1 - c - (·)``; the top ones stay, as ``1 - c - c^2``
+    and the like can cancel.  Where ``K = (n + 1) // 2`` the two ends cover
+    every exponent, the middle one twice for odd ``n``."""
+    col = np.ravel(cs)
+    width = _end_widths(n, col)[:, None]
+    at = np.arange(width.max(initial=1))
+    powers = np.zeros((2, len(col), len(at)))
+    np.power(-col[:, None], np.abs(np.add.outer((1, -n), at))[:, None], out=powers, where=at < width)
+    return n, powers
+
+
+def _tent_efficiencies(cs, ends: tuple[int, np.ndarray]) -> np.ndarray:
+    """The closed form of :func:`global_efficiencies` from
+    ``ends = _end_powers(n, cs)``, for one overlap ``cs``, or one vector per
+    row of an ``(R, 1)`` column of overlaps: the constant
+    ``(1 - c)/(1 + c)`` between the end positions."""
+    n, powers = ends
+    out = np.empty(np.shape(cs)[:-1] + (n,))
+    top, low, high = powers.shape[2], 1.0 - cs, 1.0 + cs
+    out[..., top : n - top] = low / high
+    # positions k and n + 1 - k both read the powers at k and n + 1 - k
+    both = (low - powers - powers[::-1]) / high
+    out[..., :top], out[..., n - top :] = both[0], both[1, :, ::-1]
+    return out
 
 
 def global_success(n: int, c: Overlap | float) -> float:
@@ -113,16 +136,24 @@ def _primed_efficiencies(n: int, cv: float) -> np.ndarray:
     and stores both as exact zeros; at n = 3 they coincide: ``(1-c^2, 0, 1-c^2)``.
     The denominator ``1 + (-c)^(n-3)`` vanishes only at c = 1 with n even,
     where :func:`_scaled_gamma_two` is exactly 0 and the plain form applies.
+    The correction ``(-c)^|k-2| + (-c)^|n-k-1|`` reads the plain vector's
+    end powers, so it is 0.0 more than two positions past either end
+    window, where it rounds away.
     """
     gamma2 = _scaled_gamma_two(n, cv) / (1.0 + cv)
-    k = np.arange(1, n + 1)
-    gammas = _tent_efficiencies(cv, _tent_powers(n, cv)) - (
-        gamma2
-        * (np.power(-cv, np.abs(k - 2)) + np.power(-cv, np.abs(n - k - 1)))
-        / (1.0 + (-cv) ** (n - 3))
-    )
+    ends = _end_powers(n, cv)
+    gammas, powers = _tent_efficiencies(cv, ends), ends[1][:, 0]
+    width = powers.shape[1]
+    # the powers the correction reads, by exponent: 1.0 at 0, the end
+    # powers, and one 0.0 for every exponent between the ends
+    table = np.concatenate(([1.0], powers[0], [0.0], powers[1]))
+    k = np.concatenate((np.arange(1, min(width + 2, n) + 1), np.arange(max(n - 1 - width, 1), n + 1)))
+    e = np.abs([k - 2, n - 1 - k])
+    terms = table[np.where(e <= width, e, np.where(e > n - width, n - e + width + 2, width + 1))]
+    gammas[k - 1] -= gamma2 * (terms[0] + terms[1]) / (1.0 + (-cv) ** (n - 3))
     gammas[[1, n - 2]] = 0.0
-    return _frozen_vector(gammas)
+    gammas.setflags(write=False)
+    return gammas
 
 
 def _primed_success(n: int, cv: float) -> float:

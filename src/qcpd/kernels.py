@@ -161,12 +161,16 @@ def detection_profile(c, xs) -> np.ndarray:
     c = cs[:, None]
     np.multiply(xs, c, out=prof[:, :-1])
     cols = prof.T
-    cc, p0, pi = cs * cs, np.ones(len(cs)), np.zeros(len(cs))
-    # cols[j] holds c*x at position j + 1 until it is read, then p0 there
-    for j in range(xs.shape[1]):
-        pi = p0 * cols[j] + pi * cc
-        cols[j] = p0
-        p0 = 1.0 - pi
+    cc, ones, pi, p0 = cs * cs, np.ones(len(cs)), np.zeros(len(cs)), np.ones(len(cs))
+    # cols[j] holds c*x at position j + 1 until it is read, then p0 there.
+    # Each step works in place, pi*cc + p0*c*x adds the two products of
+    # p0*c*x + pi*cc in the other order, which IEEE addition allows, and
+    # ones - pi is 1.0 - pi without the scalar operand's per-call cost
+    for col in cols[:-1]:
+        pi *= cc
+        pi += p0 * col
+        col[...] = p0
+        np.subtract(ones, pi, out=p0)
     prof[:, -1] = p0
     change = np.divide(c, xs)
     prof[:, :-1] *= np.subtract(1.0, change, out=change)

@@ -18,7 +18,9 @@ Constructions:
   a chain costs O(unsettled positions) in Python.
 * :func:`closed_form_strengths` — that orbit while it never saturates
   (``c <= 1/2``): ``x(j) = (1+c)/(1-(-c)^(n-j))``, whose profile
-  reproduces the collective optimum exactly.
+  reproduces the collective optimum exactly.  It is computed at the last
+  ``K`` strengths and the first ``K - 1``, whose powers of ``-c``
+  ``global_bound._end_powers`` keeps, and is ``1 + c`` between them.
 * :func:`recursive_strengths` — the same schedule obtained by forward
   substitution from the target efficiencies (independent derivation path),
   filled alike from a strength that repeats between equal targets.
@@ -50,7 +52,7 @@ from .core import (
     check_strength,
     evaluate_strategy,
 )
-from .global_bound import _optimal_success, _tent_powers, global_efficiencies
+from .global_bound import _end_powers, _optimal_success, global_efficiencies
 
 #: relative slack when flagging a strength as sitting at the ceiling 1/c
 _SATURATION_SLACK = 1e-9
@@ -216,19 +218,30 @@ def _recursive_xs(cv: float, gammas: np.ndarray) -> np.ndarray:
     return xs
 
 
-def _closed_form_xs(cs, powers: np.ndarray):
-    """``(1+c)/(1-(-c)^(n-j))`` for ``j = 1..n-1`` from the power table
-    ``powers = _tent_powers(n, cs)``: one schedule at an overlap ``cs``, or
-    one row per overlap for a column ``cs``."""
-    return (1.0 + cs) / (1.0 - powers[..., -2:0:-1])
+def _closed_form_xs(cs, ends: tuple[int, np.ndarray], out=None) -> np.ndarray:
+    """``(1+c)/(1-(-c)^(n-j))`` for ``j = 1..n-1`` from
+    ``ends = _end_powers(n, cs)``: one schedule at an overlap ``cs``, or one
+    row per overlap for an ``(R, 1)`` column ``cs``, into ``out`` if given;
+    ``1 + c`` between the strengths whose power is an end power."""
+    n, powers = ends
+    if out is None:
+        out = np.empty(np.shape(cs)[:-1] + (n - 1,))
+    top, high = powers.shape[2], 1.0 + cs
+    out[..., top - 1 : n - 1 - top] = high
+    # strength j reads the power at n - j: the head's at the chain's end,
+    # the tail's but the first (exponent n) at its start
+    head, tail = high / (1.0 - powers)
+    out[..., n - 1 - top :], out[..., : top - 1] = head[:, ::-1], tail[:, 1:]
+    return out
 
 
 def _optimal_strengths(n: int, cv: float) -> np.ndarray:
     """The optimal schedule for a checked ``n`` and overlap ``cv``: the orbit
     of the map in :func:`optimize_strengths`, written into one float64
-    vector, or its closed form while ``c <= 1/2``, where it never saturates."""
+    vector, or its closed form while ``c <= 1/2``, where it never saturates,
+    from the O(K) end powers of :func:`global_bound._end_powers`."""
     if cv <= 0.5:
-        return _closed_form_xs(cv, _tent_powers(n, cv))
+        return _closed_form_xs(cv, _end_powers(n, cv))
     xs = np.full(n - 1, 1.0 / cv)
     s, prev = 1.0, None
     for j in range(n - 2, -1, -1):
@@ -393,8 +406,8 @@ def _exact_table(n: int, grid) -> np.ndarray:
     above 1/2 is the ``success`` of :func:`optimize_strengths`, evaluated
     once.  Block by block of at most :data:`_TABLE_BLOCK` strengths, the
     other rows are stacked, one schedule per row: the closed-form online
-    rows (one 2-D evaluation of :func:`_closed_form_xs`), then the fl rows,
-    then the sl rows; each block is one :func:`_stack_profiles` call, whose
+    rows (written into the block by one :func:`_closed_form_xs` call from
+    one ``_end_powers`` column), then the fl rows, then the sl rows; each block is one :func:`_stack_profiles` call, whose
     kernel picks the walk, and each row's mean is taken over the
     C-contiguous ``(rows, n)`` result:
     numpy sums pairwise only along the contiguous axis, so a column-major
@@ -416,7 +429,7 @@ def _exact_table(n: int, grid) -> np.ndarray:
         fixed = np.concatenate([np.minimum(1.0 + block, 1.0 / block), 1.0 / block])
         row_cs = np.concatenate([closed, block, block])
         xs = np.empty((len(row_cs), n - 1))
-        xs[: len(closed)] = _closed_form_xs(closed[:, None], _tent_powers(n, closed[:, None]))
+        _closed_form_xs(closed[:, None], _end_powers(n, closed[:, None]), out=xs[: len(closed)])
         xs[len(closed) :, :-1] = fixed[:, None]
         xs[len(closed) :, -1] = 1.0
         means = _stack_profiles(row_cs, xs).mean(axis=1)

@@ -44,10 +44,10 @@ from .core import (
 )
 from .global_bound import (
     PSD_TOL,
+    _end_powers,
     _gram_powers,
     _in_range,
     _tent_efficiencies,
-    _tent_powers,
     _unambiguous_spectra,
     critical_overlap,
     global_success,
@@ -147,13 +147,14 @@ class _Stack(NamedTuple):
 def _canonical_solutions() -> list[_Stack]:
     """Closed-form solutions on the canonical grid: ``n in 2..25`` by
     ``c in {0, 0.05, .., 0.5}``, one stack per ``n`` (264 cases), the
-    schedules and their targets from one power table per ``n``."""
+    schedules and their targets from one ``global_bound._end_powers`` call
+    per ``n``."""
     cs = np.array([float(round(c, 10)) for c in np.arange(0.0, 0.5001, 0.05)])
     stacks = []
     for n in range(2, 26):
-        powers = _tent_powers(n, cs[:, None])
-        xs = _closed_form_xs(cs[:, None], powers)
-        targets = _tent_efficiencies(cs[:, None], powers)
+        ends = _end_powers(n, cs[:, None])
+        xs = _closed_form_xs(cs[:, None], ends)
+        targets = _tent_efficiencies(cs[:, None], ends)
         stacks.append(_Stack(n, cs, xs, _stack_profiles(cs, xs), targets))
     return stacks
 
@@ -275,7 +276,7 @@ def gram_feasibility() -> SuiteResult:
                     np.linspace(threshold + 0.011, 0.99, _GRAM_SIDE),
                 )
             )
-            targets = _tent_efficiencies(cs[:, None], _tent_powers(n, cs[:, None]))
+            targets = _tent_efficiencies(cs[:, None], _end_powers(n, cs[:, None]))
             min_eigs, below_ok = _unambiguous_spectra(
                 _gram_powers(n, cs[:_GRAM_SIDE, None, None]), targets[:_GRAM_SIDE]
             )

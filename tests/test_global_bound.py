@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -16,15 +17,16 @@ from qcpd import (
     optimal_global,
     validate_unambiguous,
 )
-from qcpd import global_bound
+from qcpd import global_bound, kernels, online_opt
 from qcpd.global_bound import (
+    _end_powers,
+    _end_widths,
     _gram_powers,
     _optimal_success,
     _primed_efficiencies,
     _primed_success,
     _scaled_gamma_two,
     _tent_efficiencies,
-    _tent_powers,
     _unambiguous_spectra,
 )
 from qcpd.online_opt import _closed_form_xs
@@ -35,6 +37,7 @@ from oracles import (
     closed_form_xs_full,
     gamma_two_reference,
     global_efficiencies_direct,
+    primed_efficiencies_full,
     tent_efficiencies_full,
 )
 
@@ -361,7 +364,7 @@ class TestStackedFeasibility:
 
     def _stack(self, n):
         cs = self.CS[:, None]
-        return _gram_powers(n, cs[..., None]), _tent_efficiencies(cs, _tent_powers(n, cs))
+        return _gram_powers(n, cs[..., None]), _tent_efficiencies(cs, _end_powers(n, cs))
 
     def test_each_row_is_the_one_matrix_report_bit_for_bit(self):
         for n in (2, 5, 16, 31):
@@ -388,19 +391,20 @@ class TestStackedFeasibility:
             _unambiguous_spectra(grams, gammas)
 
 
-def _cutoff(c: float) -> int | None:
+def _cutoff(c: float, top: int = 200_000) -> int | None:
     """The first exponent whose power of ``-c`` lies below the floor
-    ``min(1 - c, 1/16) * 2**-56`` of ``_tent_powers``, if one is below 2e5."""
-    powers = np.abs(np.power(-c, np.arange(1, 200_001)))
+    ``min(1 - c, 1/16) * 2**-56`` of ``_end_widths``, if one is below ``top``."""
+    powers = np.abs(np.power(-c, np.arange(1, top + 1)))
     below = np.flatnonzero(powers < min(1.0 - c, 1 / 16) * 2.0**-56)
     return int(below[0]) + 1 if len(below) else None
 
 
 class TestPowerCutoff:
-    """The tent and the closed-form schedule from powers cut to 0.0 between
-    the exponents ``K`` and ``n + 1 - K``, against every power by
-    ``np.power``, bit for bit: at one overlap and along a column, with n on
-    both sides of ``2K``, where the cut first removes a power."""
+    """The tent, the closed-form schedule and the corrected vector from the
+    end powers of ``_end_powers``, with 0.0 for every power between the
+    exponents ``K`` and ``n + 1 - K``, against every power by ``np.power``,
+    bit for bit: at one overlap and along a column, with n on both sides
+    of ``2K``, where the cut first removes a power."""
 
     CS = [0.0, 5e-324, 1e-300, 1e-8, 0.1, 0.3, 0.5, float(GOLDEN),
           float(np.nextafter(GOLDEN, 1.0)), 0.7245, 0.9, 0.95, 0.9901, 0.995,
@@ -418,50 +422,115 @@ class TestPowerCutoff:
         with np.errstate(divide="ignore", invalid="ignore"):  # at c = 1
             for n, cs in cases:
                 # looked up at each call, so a mutant patched in is the one used
-                powers = global_bound._tent_powers(n, cs)
-                if _tent_efficiencies(cs, powers).tobytes() != tent_efficiencies_full(n, cs).tobytes():
+                ends = global_bound._end_powers(n, cs)
+                if _tent_efficiencies(cs, ends).tobytes() != tent_efficiencies_full(n, cs).tobytes():
                     bad.append(("tent", n, cs))
-                if _closed_form_xs(cs, powers).tobytes() != closed_form_xs_full(n, cs).tobytes():
+                if _closed_form_xs(cs, ends).tobytes() != closed_form_xs_full(n, cs).tobytes():
                     bad.append(("closed form", n, cs))
+                if np.ndim(cs) == 0 and n >= 3 and _scaled_gamma_two(n, cs) < 0.0:
+                    if _primed_efficiencies(n, cs).tobytes() != primed_efficiencies_full(n, cs).tobytes():
+                        bad.append(("primed", n, cs))
         return bad
 
     def _scalar_cases(self):
         return [(n, c) for c in self.CS for n in self._lengths(_cutoff(c))]
 
-    def _column_cases(self):
+    def _column(self, top):
         rng = np.random.default_rng(26)
+        return np.concatenate([[c for c in self.CS if c <= top], rng.uniform(0.0, top, 20)])
+
+    def _column_cases(self):
         cases = []
         for top in (0.5, 0.95):
-            col = np.concatenate([[c for c in self.CS if c <= top], rng.uniform(0.0, top, 20)])
+            col = self._column(top)
             k = max(filter(None, map(_cutoff, col.tolist())))
             cases += [(n, col[:, None]) for n in self._lengths(k)]
         return cases + [(n, np.empty((0, 1))) for n in (2, 300)]
 
     def test_scalar_overlaps_equal_the_full_powers(self):
-        assert self._mismatches(self._scalar_cases()) == []
+        cases = self._scalar_cases()
+        # the corrected vector is checked above the critical overlap too
+        assert sum(n >= 3 and _scaled_gamma_two(n, c) < 0.0 for n, c in cases) >= 60
+        assert self._mismatches(cases) == []
 
     def test_columns_equal_the_full_powers(self):
         assert self._mismatches(self._column_cases()) == []
 
+    def test_table_closed_rows_equal_the_full_powers(self, monkeypatch):
+        # the table's online rows up to 1/2 are written from the end powers
+        # straight into its stack: caught on their way into the kernel
+        stacks = []
+        stack_profiles = online_opt._stack_profiles
+
+        def spy(cs, xs):
+            stacks.append((cs.copy(), xs.copy()))
+            return stack_profiles(cs, xs)
+
+        monkeypatch.setattr(online_opt, "_stack_profiles", spy)
+        # no subnormal overlap: the sl rows' ceiling 1/c would overflow
+        grid = np.unique([c for c in self._column(0.5).tolist() if c == 0.0 or c >= 2.0**-1022])
+        ks = {_cutoff(c) for c in grid.tolist()}
+        lengths = sorted({2 * k + d for k in ks for d in (-1, 0, 1) if 2 * k + d >= 2} | {301, 1001})
+        assert {69, 70, 71, 121, 122, 123} <= set(lengths)
+        for n in lengths:
+            stacks.clear()
+            table = online_opt._exact_table(n, grid)
+            rows = 0
+            for cs, xs in stacks:
+                # every overlap is at most 1/2: a block holds its closed-form
+                # rows, then its fl and sl rows
+                closed = len(cs) // 3
+                assert xs[:closed].tobytes() == closed_form_xs_full(n, cs[:closed, None]).tobytes(), n
+                rows += closed
+            assert rows == len(grid) - 1  # the row at c = 0 is 1.0 without a schedule
+            online = [kernels.detection_profile(c, closed_form_xs_full(n, c)).mean() for c in grid[1:].tolist()]
+            assert table[2, 1:].tolist() == online, n
+
+    def test_widths_are_the_first_power_below_the_floor(self):
+        rng = np.random.default_rng(37)
+        cs = np.concatenate([[c for c in self.CS if c < 0.99], rng.uniform(0.0, 0.99, 200)])
+        for n in (2, 3, 70, 71, 1001, 10**6):
+            want = [min(_cutoff(c, 5_000), (n + 1) // 2) for c in cs.tolist()]
+            assert _end_widths(n, cs).tolist() == want, n
+        assert _end_widths(10**6, np.array([1.0, float(np.nextafter(1.0, 0.0))])).tolist() == [500_000] * 2
+
     def test_the_cut_starts_past_twice_the_cutoff(self):
         for c in (0.3, 0.5, 0.95, 0.999):
             k = _cutoff(c)
-            assert (_tent_powers(2 * k, c) != 0.0).all()
-            assert np.flatnonzero(_tent_powers(2 * k + 1, c) == 0.0).tolist() == [k + 1]
-        assert (_tent_powers(10_000, 1.0) != 0.0).all()
+            # n = 2K keeps every exponent, K at each end; n = 2K + 1 cuts K + 1
+            for n in (2 * k, 2 * k + 1):
+                head, tail = _end_powers(n, c)[1][:, 0]
+                assert head.tolist() == np.power(-c, np.arange(1, k + 1)).tolist()
+                assert tail.tolist() == np.power(-c, n - np.arange(k)).tolist()
+            assert _end_powers(10 * k, c)[1].shape == (2, 1, k)
+        assert _end_widths(10_000, np.array([1.0])).tolist() == [5_000]
 
     def test_a_cut_at_two_to_the_minus_50_fails(self, monkeypatch):
         # negative control: a mutant that cuts past the first power below
         # 2**-50 drops powers that still move 1 - c - (.) and 1 -+ (.)
         def mutant(n, cs):
-            powers = np.power(-np.asarray(cs, dtype=np.float64), np.arange(n + 1))
-            below = np.abs(powers) < 2.0**-50
-            if below[..., -1].all():
-                k = int(below.argmax(axis=-1).max(initial=0))
-                powers[..., k + 1 : n + 1 - k] = 0.0
-            return powers
+            below = np.abs(np.power(-cs[:, None], np.arange(1, n + 1))) < 2.0**-50
+            first = np.where(below.any(axis=1), below.argmax(axis=1) + 1, n)
+            return np.minimum(first, (n + 1) // 2)
 
-        monkeypatch.setattr(global_bound, "_tent_powers", mutant)
+        monkeypatch.setattr(global_bound, "_end_widths", mutant)
         bad = self._mismatches(self._scalar_cases())
-        assert {kind for kind, _, _ in bad} == {"tent", "closed form"}
+        assert {kind for kind, _, _ in bad} == {"tent", "closed form", "primed"}
         assert self._mismatches(self._column_cases()) != []
+
+    @pytest.mark.parametrize(
+        "build, c",
+        [(global_efficiencies, 0.3), (online_opt._optimal_strengths, 0.3), (_primed_efficiencies, 0.7)],
+        ids=["tent", "closed-form", "primed"],
+    )
+    def test_a_long_closed_form_peaks_at_its_output(self, build, c):
+        # one vector and O(K) end entries; a full power table, or a copy of
+        # the vector, would double the peak
+        build(10**6, c)
+        tracemalloc.start()
+        try:
+            out = build(10**6, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes, f"{peak / out.nbytes:.2f} times the output"

@@ -29,7 +29,7 @@ from qcpd import (
 from qcpd import online_opt, verification
 from qcpd.online_opt import best_online, fl_success_exact
 from qcpd.cli import build_curve
-from qcpd.global_bound import _tent_powers
+from qcpd.global_bound import _end_powers
 from qcpd.kernels import detection_profile
 from oracles import (
     GOLDEN,
@@ -139,7 +139,7 @@ class TestRecursive:
             (
                 float(np.max(np.abs(
                     online_opt._recursive_xs(c, global_efficiencies(n, c))
-                    - online_opt._closed_form_xs(c, _tent_powers(n, c))
+                    - online_opt._closed_form_xs(c, _end_powers(n, c))
                 ))),
                 n,
                 c,
