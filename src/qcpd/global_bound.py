@@ -17,7 +17,10 @@ Gram matrix ``G[k][l] = c^|k-l|`` of the hypothesis states.
 The closed forms, these vectors and the online strengths
 ``(1+c)/(1-(-c)^(n-j))``, take only the ``K`` powers of ``-c`` at each
 end of the chain that can still move them (:func:`_end_powers`) and are
-their constant between, so a chain costs O(K) ``pow`` calls.
+their constant between, so a chain costs O(K) ``pow`` calls.  Every power
+of ``-c`` comes from libm's ``pow``, the routine behind Python's ``**``
+and ``np.float_power``: numpy's own ``power`` takes a slower loop for a
+negative base, and rounds fewer of its powers correctly.
 """
 from __future__ import annotations
 
@@ -75,8 +78,8 @@ def _end_widths(n: int, cs: np.ndarray) -> np.ndarray:
     ``min(1 - c, 1/16) * 2**-56``, a quarter of half an ulp of ``1 - c``,
     or ``(n + 1) // 2``, which keeps every power, where that is smaller.
     Rounding, of that crossing and of the powers, moves the first
-    ``np.power(-c, e)`` below the floor at most one from ``K``, so every
-    power past ``K`` is below it."""
+    ``(-c) ** e`` below the floor at most one from ``K``, so every power
+    past ``K`` is below it."""
     floor = np.minimum(1.0 - cs, 0.0625) * 2.0**-56
     with np.errstate(divide="ignore"):  # c = 0, and c = 1, whose -inf keeps every power
         crossing = np.abs(np.log(floor) / np.log(cs))
@@ -86,7 +89,8 @@ def _end_widths(n: int, cs: np.ndarray) -> np.ndarray:
 def _end_powers(n: int, cs) -> tuple[int, np.ndarray]:
     """``(n, powers)``: the powers of ``-c`` that can still move a closed
     form of a chain of ``n``, at an overlap ``cs`` or along an ``(R, 1)``
-    column, in one masked ``np.power`` call.  ``powers[0, r, i]`` is
+    column, in one masked ``np.float_power`` call, libm's ``pow`` bit for
+    bit as Python's ``(-c) ** e`` is.  ``powers[0, r, i]`` is
     ``(-c)^(1+i)`` and ``powers[1, r, i]`` is ``(-c)^(n-i)`` for ``i`` below
     row ``r``'s ``K`` (:func:`_end_widths`), else 0.0; ``W``, the last
     axis, is the largest ``K``.  The powers between round away in
@@ -97,7 +101,7 @@ def _end_powers(n: int, cs) -> tuple[int, np.ndarray]:
     width = _end_widths(n, col)[:, None]
     at = np.arange(width.max(initial=1))
     powers = np.zeros((2, len(col), len(at)))
-    np.power(-col[:, None], np.abs(np.add.outer((1, -n), at))[:, None], out=powers, where=at < width)
+    np.float_power(-col[:, None], np.abs(np.add.outer((1, -n), at))[:, None], out=powers, where=at < width)
     return n, powers
 
 

@@ -2,7 +2,7 @@
 
 Both kernels are plain numpy.  The profile kernel walks one schedule on
 Python floats, filling each long run of equal strengths in bulk once its
-state settles, so a chain costs O(unsettled positions) in Python; a stack
+state cycles, so a chain costs O(unsettled positions) in Python; a stack
 of at least ``_STACK_ROWS`` schedules, one per row, goes through the
 recursion in lockstep on width-R row vectors, a narrower one row by row,
 each row bit for bit its schedule's own profile.
@@ -181,8 +181,12 @@ def _one_profile(c: float, xs: np.ndarray) -> np.ndarray:
     """One schedule's profile, each entry computed in a walk on Python floats
     (numpy's IEEE arithmetic, cheaper per step).  In a run of at least
     :data:`_SETTLE_RUN` equal strengths each step is one pure map of ``pi``:
-    once ``pi`` equals its value two steps back, the rest of the run
-    alternates between the last two entries and ``pi`` leaves it by parity."""
+    once ``pi`` repeats a value it took in the run, the rest of the run
+    repeats the entries since then, and ``pi`` leaves it by the phase of
+    that cycle.  Each step checks ``pi`` against its value two steps back,
+    which closes the 2-cycles of the slowest runs at once, and against an
+    anchor refreshed at doubling intervals, which closes a cycle of any
+    length."""
     cc, p0, pi, n = c * c, 1.0, 0.0, len(xs)
     runs = [(n, n)]  # (start, end) of each long run, and the end of the chain
     if n >= _SETTLE_RUN and (xs[_SETTLE_RUN - 1 :] == xs[: n + 1 - _SETTLE_RUN]).any():
@@ -197,17 +201,29 @@ def _one_profile(c: float, xs: np.ndarray) -> np.ndarray:
             pi = p0 * (c * x) + pi * cc
             p0 = 1.0 - pi
         x = float(xs[start]) if start < n else 1.0
-        cx, change, back, prev = c * x, 1.0 - c / x, None, None
-        for j in range(start, end):
-            walked.append(p0 * change)
-            back, prev = prev, pi
-            pi = p0 * cx + pi * cc
-            p0 = 1.0 - pi
-            if pi == back:
-                # pi entering j + 1 is that entering j - 1: fill by parity
-                prof[j + 1 : end : 2], prof[j + 2 : end : 2] = walked[-2], walked[-1]
-                pi, p0 = (prev, 1.0 - prev) if (end - j) % 2 == 0 else (pi, p0)
-                break
+        cx, change = c * x, 1.0 - c / x
+        j, width, back, prev = start, 2, None, None
+        while j < end:
+            anchor, mark = pi, j
+            for j in range(j, min(j + width, end)):
+                walked.append(p0 * change)
+                back, prev = prev, pi
+                pi = p0 * cx + pi * cc
+                p0 = 1.0 - pi
+                if pi == back or pi == anchor:
+                    break
+            else:
+                j, width = j + 1, 2 * width
+                continue
+            # pi entering j + 1 is that entering `first`: fill by phase
+            first = j - 1 if pi == back else mark
+            period = j + 1 - first
+            for i in range(period):
+                prof[j + 1 + i : end : period] = walked[first - done + i]
+            for _ in range((end - j - 1) % period):
+                pi = p0 * cx + pi * cc
+                p0 = 1.0 - pi
+            break
         prof[done : done + len(walked)] = walked
         done = end
     prof[n] = p0

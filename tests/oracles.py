@@ -26,8 +26,9 @@ from outside it:
   call shapes of ``kernels.detection_profile`` must match bit for bit;
 * :func:`tent_efficiencies_full`, :func:`closed_form_xs_full` and
   :func:`primed_efficiencies_full` are the closed forms with every power
-  of ``-c`` taken by ``np.power``, which the routes from the end powers of
-  ``global_bound._end_powers`` must match bit for bit;
+  of ``-c`` taken by libm's ``pow`` (``np.float_power``), which the routes
+  from the end powers of ``global_bound._end_powers`` must match bit for
+  bit;
 * :func:`recursive_xs_loop` and :func:`optimal_strengths_loop` are the
   forward substitution and the orbit of the optimal schedule walked to
   the last position, with no stop at a fixed point, which
@@ -376,26 +377,26 @@ def detection_profile_loop(c: float, xs) -> np.ndarray:
 
 def tent_efficiencies_full(n: int, cs) -> np.ndarray:
     """``(1 - c - (-c)^k - (-c)^(n-k+1)) / (1 + c)`` for ``k = 1..n``, at an
-    overlap or along an ``(R, 1)`` column, every power by ``np.power``."""
+    overlap or along an ``(R, 1)`` column, every power by ``np.float_power``."""
     k = np.arange(1, n + 1)
-    return (1.0 - cs - np.power(-cs, k) - np.power(-cs, n - k + 1)) / (1.0 + cs)
+    return (1.0 - cs - np.float_power(-cs, k) - np.float_power(-cs, n - k + 1)) / (1.0 + cs)
 
 
 def closed_form_xs_full(n: int, cs) -> np.ndarray:
     """``(1 + c) / (1 - (-c)^(n-j))`` for ``j = 1..n-1``, at an overlap or
-    along an ``(R, 1)`` column, every power by ``np.power``."""
-    return (1.0 + cs) / (1.0 - np.power(-cs, n - np.arange(1, n)))
+    along an ``(R, 1)`` column, every power by ``np.float_power``."""
+    return (1.0 + cs) / (1.0 - np.float_power(-cs, n - np.arange(1, n)))
 
 
 def primed_efficiencies_full(n: int, c: float) -> np.ndarray:
     """The corrected efficiency vector above the critical overlap, for
     ``n >= 3``: :func:`tent_efficiencies_full` less the tent
     ``(-c)^|k-2| + (-c)^|n-k-1|`` scaled by the position-2 efficiency over
-    ``1 + (-c)^(n-3)``, every power by ``np.power``; positions 2 and n-1
+    ``1 + (-c)^(n-3)``, every power by ``np.float_power``; positions 2 and n-1
     are exact zeros."""
     gamma2 = (1.0 - c - c * c - (-c) ** (n - 1)) / (1.0 + c)
     k = np.arange(1, n + 1)
-    tent = np.power(-c, np.abs(k - 2)) + np.power(-c, np.abs(n - k - 1))
+    tent = np.float_power(-c, np.abs(k - 2)) + np.float_power(-c, np.abs(n - k - 1))
     gammas = tent_efficiencies_full(n, c) - gamma2 * tent / (1.0 + (-c) ** (n - 3))
     gammas[[1, n - 2]] = 0.0
     return gammas

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -394,7 +396,7 @@ class TestStackedFeasibility:
 def _cutoff(c: float, top: int = 200_000) -> int | None:
     """The first exponent whose power of ``-c`` lies below the floor
     ``min(1 - c, 1/16) * 2**-56`` of ``_end_widths``, if one is below ``top``."""
-    powers = np.abs(np.power(-c, np.arange(1, top + 1)))
+    powers = np.abs(np.float_power(-c, np.arange(1, top + 1)))
     below = np.flatnonzero(powers < min(1.0 - c, 1 / 16) * 2.0**-56)
     return int(below[0]) + 1 if len(below) else None
 
@@ -402,7 +404,7 @@ def _cutoff(c: float, top: int = 200_000) -> int | None:
 class TestPowerCutoff:
     """The tent, the closed-form schedule and the corrected vector from the
     end powers of ``_end_powers``, with 0.0 for every power between the
-    exponents ``K`` and ``n + 1 - K``, against every power by ``np.power``,
+    exponents ``K`` and ``n + 1 - K``, against every power by ``np.float_power``,
     bit for bit: at one overlap and along a column, with n on both sides
     of ``2K``, where the cut first removes a power."""
 
@@ -500,8 +502,8 @@ class TestPowerCutoff:
             # n = 2K keeps every exponent, K at each end; n = 2K + 1 cuts K + 1
             for n in (2 * k, 2 * k + 1):
                 head, tail = _end_powers(n, c)[1][:, 0]
-                assert head.tolist() == np.power(-c, np.arange(1, k + 1)).tolist()
-                assert tail.tolist() == np.power(-c, n - np.arange(k)).tolist()
+                assert head.tolist() == np.float_power(-c, np.arange(1, k + 1)).tolist()
+                assert tail.tolist() == np.float_power(-c, n - np.arange(k)).tolist()
             assert _end_powers(10 * k, c)[1].shape == (2, 1, k)
         assert _end_widths(10_000, np.array([1.0])).tolist() == [5_000]
 
@@ -534,3 +536,48 @@ class TestPowerCutoff:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * out.nbytes, f"{peak / out.nbytes:.2f} times the output"
+
+
+class TestEndPowerRoutine:
+    """Every power of ``-c`` that ``_end_powers`` keeps is libm's ``pow``,
+    bit for bit Python's ``(-c) ** e``, at c = k/100, in the head and the
+    tail, at one overlap and along a column."""
+
+    # powers that libm rounds correctly and numpy's negative-base np.power
+    # one ulp off
+    ONE_ULP = [(0.35, 10), (0.7, 10), (0.93, 9), (0.55, 64)]
+    LENGTHS = [2, 3, 11, 12, 65, 66, 1001]
+
+    @staticmethod
+    def _mismatches():
+        cs = [k / 100 for k in range(101)]
+        bad = []
+        for n in TestEndPowerRoutine.LENGTHS:
+            widths = _end_widths(n, np.array(cs)).tolist()
+            # looked up at each call, so a mutant patched in is the one used
+            column = global_bound._end_powers(n, np.array(cs)[:, None])[1]
+            for c, k, powers in zip(cs, widths, column.swapaxes(0, 1)):
+                head = [(-c) ** e for e in range(1, k + 1)]
+                tail = [(-c) ** (n - i) for i in range(k)]
+                for got in (powers, global_bound._end_powers(n, c)[1][:, 0]):
+                    if got[0, :k].tolist() != head or got[1, :k].tolist() != tail:
+                        bad.append((n, c))
+        return bad
+
+    def test_the_kept_powers_are_python_powers(self):
+        assert self._mismatches() == []
+
+    @pytest.mark.parametrize("c, e", ONE_ULP)
+    def test_powers_that_numpy_rounds_one_ulp_off(self, c, e):
+        exact = float(Fraction(-c) ** e)  # correctly rounded
+        assert (-c) ** e == exact
+        assert abs(np.power(-c, e) - exact) == math.ulp(exact)
+        # in the head at a long chain, and second in the tail at n = e + 1
+        assert _end_powers(1001, c)[1][0, 0, e - 1] == exact
+        assert _end_powers(e + 1, c)[1][1, 0, 1] == exact
+
+    def test_numpy_negative_base_power_fails(self, monkeypatch):
+        # negative control: _end_powers through np.power
+        monkeypatch.setattr(np, "float_power", np.power)
+        bad = self._mismatches()
+        assert {(1001, c) for c, _ in self.ONE_ULP} <= set(bad)

@@ -206,8 +206,8 @@ class TestStackedProfile:
 
 class TestSettledProfile:
     """Schedules with long runs of equal strengths, where the one-schedule
-    walk stops at a settled state and fills the rest of the run, against the
-    position loop, bit for bit."""
+    walk stops once its state cycles and fills the rest of the run, against
+    the position loop or the walk to the end, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(settled_schedules())
@@ -255,6 +255,47 @@ class TestSettledProfile:
         for x in {1.0, min(1.0 + c, 1.0 / c) if c else 1.0, 1.0 / c if c else 2.0}:
             xs = np.append(np.full(3 * kernels._SETTLE_RUN + tail, x), 1.0)
             assert kernels.detection_profile(c, xs).tobytes() == detection_profile_loop(c, xs).tobytes()
+
+
+    @staticmethod
+    def _cycle(c, x):
+        """The length of the cycle that the map of ``pi`` under the strength
+        ``x`` ends in, from ``pi = 0``."""
+        pi = 0.0
+        for _ in range(200):
+            pi = (1.0 - pi) * (c * x) + pi * (c * c)
+        start, length = pi, 0
+        while True:
+            pi, length = (1.0 - pi) * (c * x) + pi * (c * c), length + 1
+            if pi == start:
+                return length
+
+    @pytest.mark.parametrize(
+        "c, cycle",
+        [(0.24, 1), (0.446, 2), (0.240268, 3), (0.408985, 3), (0.446152, 4), (0.494498, 4)],
+    )
+    def test_runs_that_end_in_any_cycle_equal_the_full_walk(self, c, cycle, monkeypatch):
+        # closed-form schedules, whose run at 1 + c ends in a fixed point or
+        # a 2-, 3- or 4-cycle, left at every phase of it
+        assert self._cycle(c, 1.0 + c) == cycle
+        chains = [online_opt._optimal_strengths(n, c) for n in (1_000, 1_001, 1_002, 1_003, 26_453)]
+        settled = [kernels.detection_profile(c, xs).tobytes() for xs in chains]
+        monkeypatch.setattr(kernels, "_SETTLE_RUN", 10**9)  # no run settles
+        assert settled == [kernels.detection_profile(c, xs).tobytes() for xs in chains]
+
+    def test_a_long_run_ending_in_a_three_cycle_peaks_at_its_output(self):
+        # the run stops walking once its 3-cycle closes: a walk to the end
+        # would hold a Python float per position, four times the output
+        c = 0.240268
+        xs = online_opt._optimal_strengths(10**6, c)
+        kernels.detection_profile(c, xs)
+        tracemalloc.start()
+        try:
+            out = kernels.detection_profile(c, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes, f"{peak / out.nbytes:.2f} times the output"
 
 
 class TestProfileAccuracy:
