@@ -19,8 +19,8 @@ The closed forms, these vectors and the online strengths
 end of the chain that can still move them (:func:`_end_powers`) and are
 their constant between, so a chain costs O(K) ``pow`` calls.  Every power
 of ``-c`` comes from libm's ``pow``, the routine behind Python's ``**``
-and ``np.float_power``: numpy's own ``power`` takes a slower loop for a
-negative base, and rounds fewer of its powers correctly.
+and ``np.float_power``; numpy's own ``power`` takes a slower loop for a
+negative base.
 """
 from __future__ import annotations
 
@@ -89,8 +89,8 @@ def _end_widths(n: int, cs: np.ndarray) -> np.ndarray:
 def _end_powers(n: int, cs) -> tuple[int, np.ndarray]:
     """``(n, powers)``: the powers of ``-c`` that can still move a closed
     form of a chain of ``n``, at an overlap ``cs`` or along an ``(R, 1)``
-    column, in one masked ``np.float_power`` call, libm's ``pow`` bit for
-    bit as Python's ``(-c) ** e`` is.  ``powers[0, r, i]`` is
+    column, in one masked ``np.float_power`` call: libm's ``pow``, bit for
+    bit Python's ``(-c) ** e``.  ``powers[0, r, i]`` is
     ``(-c)^(1+i)`` and ``powers[1, r, i]`` is ``(-c)^(n-i)`` for ``i`` below
     row ``r``'s ``K`` (:func:`_end_widths`), else 0.0; ``W``, the last
     axis, is the largest ``K``.  The powers between round away in

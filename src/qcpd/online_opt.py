@@ -295,8 +295,8 @@ def _run_length_probability(cv: float, x: float, k) -> np.ndarray:
     """Probability that the outcome after ``k`` default particles measured
     under constant scheduled strength ``x`` is inconclusive (vectorized in
     ``k >= 0``); the closed form of the two-state outcome recursion.  Its
-    base ``q`` is negative at fl's strength, so the powers come from libm's
-    ``pow``, as every other power of a negative base in qcpd does."""
+    base ``q`` is negative at fl's strength; the powers are libm's ``pow``,
+    as every negative-base power in qcpd is."""
     q = cv * cv - cv * x
     den = 1.0 + cv * x - cv * cv
     return cv * x * (1.0 - np.float_power(q, k)) / den

@@ -256,7 +256,6 @@ class TestSettledProfile:
             xs = np.append(np.full(3 * kernels._SETTLE_RUN + tail, x), 1.0)
             assert kernels.detection_profile(c, xs).tobytes() == detection_profile_loop(c, xs).tobytes()
 
-
     @staticmethod
     def _cycle(c, x):
         """The length of the cycle that the map of ``pi`` under the strength
