@@ -140,20 +140,17 @@ def _primed_efficiencies(n: int, cv: float) -> np.ndarray:
     and stores both as exact zeros; at n = 3 they coincide: ``(1-c^2, 0, 1-c^2)``.
     The denominator ``1 + (-c)^(n-3)`` vanishes only at c = 1 with n even,
     where :func:`_scaled_gamma_two` is exactly 0 and the plain form applies.
-    The correction ``(-c)^|k-2| + (-c)^|n-k-1|`` reads the plain vector's
-    end powers, so it is 0.0 more than two positions past either end
-    window, where it rounds away.
+    The correction ``(-c)^|k-2| + (-c)^|n-k-1|`` keeps only the exponents
+    of the plain vector's end powers, so it is 0.0 more than two positions
+    past either end window, where it rounds away.
     """
     gamma2 = _scaled_gamma_two(n, cv) / (1.0 + cv)
     ends = _end_powers(n, cv)
-    gammas, powers = _tent_efficiencies(cv, ends), ends[1][:, 0]
-    width = powers.shape[1]
-    # the powers the correction reads, by exponent: 1.0 at 0, the end
-    # powers, and one 0.0 for every exponent between the ends
-    table = np.concatenate(([1.0], powers[0], [0.0], powers[1]))
+    gammas, width = _tent_efficiencies(cv, ends), ends[1].shape[2]
     k = np.concatenate((np.arange(1, min(width + 2, n) + 1), np.arange(max(n - 1 - width, 1), n + 1)))
     e = np.abs([k - 2, n - 1 - k])
-    terms = table[np.where(e <= width, e, np.where(e > n - width, n - e + width + 2, width + 1))]
+    # the end powers' exponents, 0.0 for every exponent between the ends
+    terms = np.float_power(-cv, e, out=np.zeros(e.shape), where=(e <= width) | (e > n - width))
     gammas[k - 1] -= gamma2 * (terms[0] + terms[1]) / (1.0 + (-cv) ** (n - 3))
     gammas[[1, n - 2]] = 0.0
     gammas.setflags(write=False)

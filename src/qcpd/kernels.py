@@ -1,11 +1,12 @@
 """Numeric hot paths: detection-profile recursion and Monte Carlo trials.
 
 Both kernels are plain numpy.  The profile kernel walks one schedule on
-Python floats, filling each long run of equal strengths in bulk once its
-state cycles, so a chain costs O(unsettled positions) in Python; a stack
-of at least ``_STACK_ROWS`` schedules, one per row, goes through the
-recursion in lockstep on width-R row vectors, a narrower one row by row,
-each row bit for bit its schedule's own profile.
+Python floats, writing each entry through a memoryview of its result and
+filling each long run of equal strengths in bulk once its state cycles,
+so a chain costs O(unsettled positions) in Python and no memory beyond
+its result; a stack of at least ``_STACK_ROWS`` schedules, one per row,
+goes through the recursion in lockstep on width-R row vectors, a narrower
+one row by row, each row bit for bit its schedule's own profile.
 
 The Monte Carlo kernel draws every uniform
 from a counter-based generator keyed by ``(seed, trial, position)``, so
@@ -179,34 +180,35 @@ def detection_profile(c, xs) -> np.ndarray:
 
 def _one_profile(c: float, xs: np.ndarray) -> np.ndarray:
     """One schedule's profile, each entry computed in a walk on Python floats
-    (numpy's IEEE arithmetic, cheaper per step).  In a run of at least
-    :data:`_SETTLE_RUN` equal strengths each step is one pure map of ``pi``:
-    once ``pi`` repeats a value it took in the run, the rest of the run
-    repeats the entries since then, and ``pi`` leaves it by the phase of
-    that cycle.  Each step checks ``pi`` against its value two steps back,
-    which closes the 2-cycles of the slowest runs at once, and against an
-    anchor refreshed at doubling intervals, which closes a cycle of any
-    length."""
+    (numpy's IEEE arithmetic, cheaper per step) and written once through a
+    memoryview of the result.  In a run of at least :data:`_SETTLE_RUN`
+    equal strengths each step is one pure map of ``pi``: once ``pi``
+    repeats a value it took in the run, the rest of the run repeats the
+    entries since then, filled by phase from the result itself, and ``pi``
+    leaves it by the phase of that cycle.  Each step checks ``pi`` against
+    its value two steps back, which closes the 2-cycles of the slowest runs
+    at once, and against an anchor refreshed at doubling intervals, which
+    closes a cycle of any length."""
     cc, p0, pi, n = c * c, 1.0, 0.0, len(xs)
     runs = [(n, n)]  # (start, end) of each long run, and the end of the chain
     if n >= _SETTLE_RUN and (xs[_SETTLE_RUN - 1 :] == xs[: n + 1 - _SETTLE_RUN]).any():
         edges = np.concatenate(([0], np.flatnonzero(xs[1:] != xs[:-1]) + 1, [n]))
         long = np.flatnonzero(np.diff(edges) >= _SETTLE_RUN)
         runs[:0] = zip(edges[long].tolist(), edges[long + 1].tolist())
-    prof, done = np.empty(n + 1), 0
+    prof = np.empty(n + 1)
+    out, strengths, done = memoryview(prof), memoryview(xs), 0
     for start, end in runs:
-        walked = []
-        for x in xs[done:start].tolist():
-            walked.append(p0 * (1.0 - c / x))
+        for j, x in enumerate(strengths[done:start], done):
+            out[j] = p0 * (1.0 - c / x)
             pi = p0 * (c * x) + pi * cc
             p0 = 1.0 - pi
-        x = float(xs[start]) if start < n else 1.0
+        x = strengths[start] if start < n else 1.0
         cx, change = c * x, 1.0 - c / x
-        j, width, back, prev = start, 2, None, None
+        j, width, back, prev, done = start, 2, None, None, end
         while j < end:
             anchor, mark = pi, j
             for j in range(j, min(j + width, end)):
-                walked.append(p0 * change)
+                out[j] = p0 * change
                 back, prev = prev, pi
                 pi = p0 * cx + pi * cc
                 p0 = 1.0 - pi
@@ -219,14 +221,12 @@ def _one_profile(c: float, xs: np.ndarray) -> np.ndarray:
             first = j - 1 if pi == back else mark
             period = j + 1 - first
             for i in range(period):
-                prof[j + 1 + i : end : period] = walked[first - done + i]
+                prof[j + 1 + i : end : period] = out[first + i]
             for _ in range((end - j - 1) % period):
                 pi = p0 * cx + pi * cc
                 p0 = 1.0 - pi
             break
-        prof[done : done + len(walked)] = walked
-        done = end
-    prof[n] = p0
+    out[n] = p0
     return prof
 
 

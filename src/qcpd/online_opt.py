@@ -185,7 +185,8 @@ def _recursive_xs(cv: float, gammas: np.ndarray) -> np.ndarray:
             f"cannot solve for the first strength: 1 - target = {first_den!r}"
         )
     xs = np.empty(n - 1)
-    xs[0] = x = cv / first_den
+    strengths = memoryview(xs)
+    strengths[0] = x = cv / first_den
     k = 1
     while k < n - 1:
         for k in range(k, n - 1):
@@ -195,7 +196,7 @@ def _recursive_xs(cv: float, gammas: np.ndarray) -> np.ndarray:
                 # its target vanishes, so the step is vacuous (0 == 0) and
                 # takes the recursion's limit, the balanced strength
                 if abs(targets[k]) <= 1e-15:
-                    xs[k] = x = 1.0
+                    strengths[k] = x = 1.0
                     continue
                 raise OutOfValidityError(
                     "conclusive-run probability vanished during the recursion"
@@ -206,7 +207,7 @@ def _recursive_xs(cv: float, gammas: np.ndarray) -> np.ndarray:
                     f"no admissible strength solves position {k + 1} "
                     f"(denominator {frac!r})"
                 )
-            xs[k] = y = cv / frac
+            strengths[k] = y = cv / frac
             if y == x and targets[k - 1] == targets[k]:
                 # x is a fixed point until the target moves
                 end = k + 1 + int(np.argmax(np.append(gammas[k + 1 : n - 1] != targets[k], True)))
@@ -243,18 +244,18 @@ def _optimal_strengths(n: int, cv: float) -> np.ndarray:
     if cv <= 0.5:
         return _closed_form_xs(cv, _end_powers(n, cv))
     xs = np.full(n - 1, 1.0 / cv)
-    s, prev = 1.0, None
+    strengths, s, prev = memoryview(xs), 1.0, None
     for j in range(n - 2, -1, -1):
         back, prev = prev, s
         if s >= cv:
-            xs[j] = 1.0 / s
+            strengths[j] = 1.0 / s
             s = 1.0 - cv * s
         else:
             s = math.sqrt((1.0 - cv * cv) * (1.0 - s * s))
         if s == back:
             break
     if j:  # s entering j - 1 is that entering j + 1: it alternates from here
-        xs[(j - 1) % 2 : j : 2], xs[j % 2 : j : 2] = xs[j + 1], xs[j]
+        xs[(j - 1) % 2 : j : 2], xs[j % 2 : j : 2] = strengths[j + 1], strengths[j]
     return xs
 
 

@@ -126,6 +126,20 @@ class TestProfileBackends:
             prof = kernels.detection_profile(c, xs)
             assert np.all(prof >= -1e-15) and np.all(prof <= 1.0 + 1e-15)
 
+    def test_an_unsettled_walk_peaks_at_its_output(self):
+        # random strengths, no run to settle: each entry goes straight into
+        # the result, so the walk holds nothing per position beside it
+        c = 0.4
+        xs = c + kernels._uniforms(4, 0, 1, 200_000)[0] * (1.0 / c - c)
+        kernels.detection_profile(c, xs)
+        tracemalloc.start()
+        try:
+            out = kernels.detection_profile(c, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * out.nbytes, f"{peak / out.nbytes:.2f} times the output"
+
 
 class TestStackedProfile:
     """A stack of schedules against the one-schedule kernel, with ``==``."""
@@ -149,15 +163,24 @@ class TestStackedProfile:
 
     @pytest.mark.parametrize("n", [2, 3, 301, 4097])
     def test_both_shapes_equal_the_position_loop(self, n):
-        # the longest rows are each longer than 2 048 strengths
+        # the longest rows are each longer than 2 048 strengths; the walks
+        # read strided, Fortran-ordered and read-only strengths alike
         rng = np.random.default_rng(n)
         cs = rng.uniform(0.05, 0.95, 3)
         xs = rng.uniform(cs[:, None], 1.0 / cs[:, None], (3, n - 1))
         loop = [detection_profile_loop(c, x).tolist() for c, x in zip(cs.tolist(), xs)]
         assert [kernels.detection_profile(c, x).tolist() for c, x in zip(cs.tolist(), xs)] == loop
-        assert kernels.detection_profile(cs, xs).tolist() == loop
-        with lockstep():
-            assert kernels.detection_profile(cs, xs).tolist() == loop
+        for step in (-1, 3):
+            assert [kernels.detection_profile(c, x[::step]).tolist() for c, x in zip(cs.tolist(), xs)] == [
+                detection_profile_loop(c, x[::step]).tolist() for c, x in zip(cs.tolist(), xs)
+            ]
+        frozen = xs.copy()
+        frozen.setflags(write=False)
+        for stack in (xs, np.asfortranarray(xs), frozen):
+            assert kernels.detection_profile(cs, stack).tolist() == loop
+            with lockstep():
+                assert kernels.detection_profile(cs, stack).tolist() == loop
+        assert [kernels.detection_profile(c, x).tolist() for c, x in zip(cs.tolist(), frozen)] == loop
 
     @staticmethod
     def _peak_per_stack_byte(n, rows):
@@ -283,8 +306,9 @@ class TestSettledProfile:
         assert settled == [kernels.detection_profile(c, xs).tobytes() for xs in chains]
 
     def test_a_long_run_ending_in_a_three_cycle_peaks_at_its_output(self):
-        # the run stops walking once its 3-cycle closes: a walk to the end
-        # would hold a Python float per position, four times the output
+        # the run stops walking once its 3-cycle closes, and fills the rest
+        # from the result itself; test_a_long_run_ending_in_a_three_cycle_
+        # stores_few_entries checks that it settles
         c = 0.240268
         xs = online_opt._optimal_strengths(10**6, c)
         kernels.detection_profile(c, xs)
@@ -295,6 +319,33 @@ class TestSettledProfile:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * out.nbytes, f"{peak / out.nbytes:.2f} times the output"
+
+    def test_a_long_run_ending_in_a_three_cycle_stores_few_entries(self, monkeypatch):
+        # entries stored one at a time through the result's memoryview: a
+        # few dozen before the 3-cycle closes and the run fills in bulk, and
+        # every one of the 10**6 when no run settles
+        class CountingView:
+            stores = 0
+
+            def __init__(self, obj):
+                self._view = memoryview(obj)
+
+            def __getitem__(self, key):
+                return self._view[key]
+
+            def __setitem__(self, key, value):
+                CountingView.stores += 1
+                self._view[key] = value
+
+        c = 0.240268
+        xs = online_opt._optimal_strengths(10**6, c)
+        monkeypatch.setattr(kernels, "memoryview", CountingView, raising=False)
+        settled = kernels.detection_profile(c, xs)
+        assert CountingView.stores < 1_000, f"{CountingView.stores} entries stored one at a time"
+        CountingView.stores = 0
+        monkeypatch.setattr(kernels, "_SETTLE_RUN", 10**9)  # no run settles
+        assert kernels.detection_profile(c, xs).tobytes() == settled.tobytes()
+        assert CountingView.stores == 10**6
 
 
 class TestProfileAccuracy:
