@@ -50,9 +50,10 @@ from .verification import run_all
 
 CSV_HEADER = "c,p_global,p_online,p_fl,p_sl"
 _CSV_ROW = ",".join(["%.12g"] * 5) + "\n"
-#: a ``strengths`` text cell: the strength and its saturation flag, which
-#: follow the position's ``%3d`` and two spaces on each line
-_STRENGTH_CELL = "%-16.12g  %s"
+#: a ``strengths`` text cell: the strength's ``%.12g`` text and its
+#: saturation flag, which follow the position's ``%3d`` and two spaces on
+#: each line
+_STRENGTH_CELL = "%-16s  %s"
 #: lines per ``%`` call in :func:`_render_lines`, and per written block of
 #: :func:`_strengths_text` and of a vector in :func:`_json_value`
 _RENDER_BLOCK = 2048
@@ -113,10 +114,11 @@ def _render_lines(line: str, columns: Sequence[Sequence]) -> Iterator[str]:
         yield (line * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
 
 
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(values: np.ndarray, most: int | None = None) -> tuple[np.ndarray, np.ndarray] | None:
     """The distinct bit patterns of a 1-D float64 vector, as float64, and
     each entry's index into them: exactly
-    ``np.unique(values.view(np.int64), return_inverse=True)``.
+    ``np.unique(values.view(np.int64), return_inverse=True)``; or ``None``
+    when more than ``most`` patterns are distinct.
 
     The patterns are told apart as int64, so ``0.0`` and ``-0.0``, and
     NaNs with different payloads, stay apart and each keep their own text.
@@ -124,16 +126,24 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of each run of equal bits is sorted, and each head's index is repeated
     over its run.  A schedule settles into a few long runs, so 5e4
     strengths cost that pass, a sort of a few dozen heads and the repeat.
+    More than ``most`` heads are counted first, on a sorted copy, so a
+    vector of mostly distinct values builds no index.
     """
     bits = values.view(np.int64)
     heads = np.flatnonzero(np.append(True, bits[1:] != bits[:-1])[: len(bits)])
+    if most is not None and len(heads) > most:
+        ordered = bits[heads]
+        ordered.sort()
+        if np.count_nonzero(ordered[1:] != ordered[:-1]) >= most:
+            return None
+        del ordered
     distinct, index = np.unique(bits[heads], return_inverse=True)
     return distinct.view(np.float64), np.repeat(index, np.diff(heads, append=len(bits)))
 
 
-def _text_runs(values: np.ndarray) -> list[int]:
+def _text_runs(values: np.ndarray) -> tuple[list[int], list[str]]:
     """The first index of each run of equal ``%.12g`` text in ``values``,
-    positive finite floats in increasing order.
+    positive finite floats in increasing order, and that text.
 
     Correctly rounded formatting is monotone, so when both ends of a range
     print alike every value between them does too.  A range whose ends
@@ -159,7 +169,8 @@ def _text_runs(values: np.ndarray) -> list[int]:
         mid = (lo + hi) // 2
         texts[mid] = "%.12g" % values[mid]
         ranges += ((mid, hi), (lo, mid))
-    return starts
+    # the lower half is split first, so the starts come in order
+    return starts, [texts[start] for start in starts]
 
 
 def _strength_cells(distinct: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,24 +178,23 @@ def _strength_cells(distinct: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray
     a NUL-padded ``uint8`` table with one row per cell, and the row of each
     entry of ``distinct``, whose saturation flags are ``flags``.
 
-    ``distinct`` is sorted by bit pattern (:func:`_distinct`).  When it
-    holds only positive finite values that is float order, and it splits
-    into runs of equal ``%.12g`` text (:func:`_text_runs`); otherwise each
-    value is its own run.  Each text-and-flag pair of a run gets one cell
-    (``_STRENGTH_CELL``, its two leading spaces and the line break), all
-    rendered in one ``%`` call.
+    ``distinct`` holds the distinct strengths of a checked schedule
+    (:func:`_distinct`): positive finite floats, so their bit order is
+    float order, and they split into runs of equal ``%.12g`` text
+    (:func:`_text_runs`), which formats each text once.  Each text-and-flag
+    pair of a run gets one cell (``_STRENGTH_CELL``, its two leading
+    spaces and the line break), all filled in one ``%`` call.
     """
+    starts, texts = _text_runs(distinct)
     run = np.zeros(len(distinct), dtype=np.intp)
-    run[_text_runs(distinct) if 0.0 < distinct[0] and distinct[-1] < math.inf else slice(None)] = 1
-    run = np.cumsum(run)  # numbered from 1
-    key = 2 * run + flags
-    used = np.zeros(2 * run[-1] + 2, dtype=bool)
+    run[starts[1:]] = 1
+    key = 2 * np.cumsum(run) + flags  # runs numbered from 0
+    used = np.zeros(2 * len(starts), dtype=bool)
     used[key] = True
-    values = np.empty(len(used))
-    values[key] = distinct  # any value of a run prints its text
-    keys = np.flatnonzero(used)
+    keys = np.flatnonzero(used).tolist()
     cells = _render_lines(
-        "  " + _STRENGTH_CELL + "\n", (values[keys], np.where(keys % 2, "yes", "no"))
+        "  " + _STRENGTH_CELL + "\n",
+        ([texts[k >> 1] for k in keys], [("no", "yes")[k & 1] for k in keys]),
     )
     chars = np.frombuffer("".join(cells).encode(), np.uint8)
     ends = np.flatnonzero(chars == ord("\n")) + 1
@@ -354,18 +364,20 @@ def _json_value(value, pad: str) -> Iterator[str]:
     to its list of dicts, and every line after the first indented by
     ``pad``: the value as it appears nested at that depth, in blocks.
 
-    ``indent`` forces the pure-Python encoder, so three kinds of value are
-    rendered in bulk instead:
+    ``indent`` forces the pure-Python encoder, so a str, int, float, bool
+    or None, whose text is one line, goes through the C encoder, and three
+    kinds of value are rendered in bulk:
 
     * a non-empty 1-D numpy vector is yielded ``_RENDER_BLOCK`` entries at
       a time, its items joined by the indented line break.  A float64 one
-      (a schedule of 1e5 strengths) renders each distinct bit pattern of
+      with at most one distinct bit pattern in two entries (a schedule of
+      1e5 strengths that settles or cycles) renders each pattern of
       :func:`_distinct` once, ``NaN`` and ``Infinity`` included, in one
       C-encoder call split at its item separator (no float's text holds
       ``", "``), and each block gathers its items through the per-entry
-      index; any other (counts, saturated positions) takes one C-encoder
-      call per block, so no Python int or item is held for more than a
-      block;
+      index; any other (mostly distinct floats, counts, saturated
+      positions) takes one C-encoder call per block, so no Python number
+      or item is held for more than a block;
     * a non-empty dict with string keys is rendered key by key;
     * a :class:`_Rows` table (simulate's ``per_position``, curve's
       ``rows``) is filled into one ``%r`` template per row by
@@ -377,16 +389,22 @@ def _json_value(value, pad: str) -> Iterator[str]:
     re-indented; JSON escapes newlines inside strings, so every newline
     there is indentation.
     """
+    if isinstance(value, (str, int, float)) or value is None:
+        # one line, which the C encoder writes as the indenting one does
+        yield json.dumps(value)
+        return
     inner = pad + "  "
     if type(value) is np.ndarray and value.ndim == 1:
         if len(value):
             sep = ",\n" + inner
-            if value.dtype == np.float64:  # each distinct bit pattern's text, once
-                distinct, index = _distinct(value)
+            # at most one distinct bit pattern in two entries: each one's text, once
+            found = _distinct(value, len(value) // 2) if value.dtype == np.float64 else None
+            if found:
+                distinct, index = found
                 cells = np.array(json.dumps(distinct.tolist())[1:-1].split(", "), dtype=object)
             for start in range(0, len(value), _RENDER_BLOCK):
                 yield sep if start else "[\n" + inner
-                if value.dtype == np.float64:
+                if found:
                     yield sep.join(cells.take(index[start : start + _RENDER_BLOCK]).tolist())
                 else:
                     block = value[start : start + _RENDER_BLOCK].tolist()

@@ -64,14 +64,32 @@ def check_strength(c, x) -> None:
     1-based position.
     """
     xs = np.asarray(x, dtype=np.float64)
-    # + 0.0 turns an overlap of -0.0 into 0.0, whose ceiling is +inf
-    cs = np.asarray(c, dtype=np.float64) + 0.0
-    with np.errstate(divide="ignore", over="ignore"):
-        # inf at c == 0, where only x > 0 binds, and at subnormal c
-        ceiling = 1.0 / cs
+    if isinstance(c, float):
+        # one overlap, bounded in Python floats, which round as numpy's do;
+        # the ceiling is +inf at c = ±0.0 and at a subnormal c whose 1/c
+        # overflows
+        cs = float(c)
+        ceiling = 1.0 / cs if cs else math.inf
+        finite = math.isfinite(ceiling)
+        # NaN propagates to the smallest and the largest and fails below
+        low = np.minimum.reduce(xs, None, initial=math.inf)
+        high = np.maximum.reduce(xs, None, initial=-math.inf)
+        if (
+            low >= cs * (1.0 - REL_SLACK)
+            and high <= ceiling * (1.0 + REL_SLACK)
+            and (finite or (low > 0.0 and high < math.inf))
+        ):
+            return
+    else:
+        # + 0.0 turns an overlap of -0.0 into 0.0, whose ceiling is +inf
+        cs = np.asarray(c, dtype=np.float64) + 0.0
+        with np.errstate(divide="ignore", over="ignore"):
+            # inf at c == 0, where only x > 0 binds, and at subnormal c
+            ceiling = 1.0 / cs
+        finite = np.isfinite(ceiling).all()
     # NaN fails both comparisons
     ok = (xs >= cs * (1.0 - REL_SLACK)) & (xs <= ceiling * (1.0 + REL_SLACK))
-    if not np.isfinite(ceiling).all():
+    if not finite:
         # an infinite ceiling passes x = inf, and the floor 0 passes x = 0
         ok &= (xs > 0.0) & np.isfinite(xs)
     if ok.all():
@@ -93,12 +111,13 @@ def _check_probabilities(p: np.ndarray) -> None:
     """Raise ``ValueError`` unless every entry of ``p`` is a probability
     within :data:`EPSILON`; for a 2-D ``p`` (one profile per row) the error
     names the 1-based position within the row."""
-    bad = ~(np.isfinite(p) & (p >= -EPSILON) & (p <= 1.0 + EPSILON))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(
-            f"entry {k % p.shape[-1] + 1} = {p.flat[k].item()!r} is not a probability"
-        )
+    # NaN propagates to the smallest and the largest and fails both tests
+    low = np.minimum.reduce(p, None, initial=math.inf)
+    if low >= -EPSILON and np.maximum.reduce(p, None, initial=-math.inf) <= 1.0 + EPSILON:
+        return
+    # NaN fails both comparisons, and each infinity one of them
+    k = int(np.argmin((p >= -EPSILON) & (p <= 1.0 + EPSILON)))
+    raise ValueError(f"entry {k % p.shape[-1] + 1} = {p.flat[k].item()!r} is not a probability")
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,9 +149,10 @@ def _frozen_vector(values, dtype=np.float64) -> np.ndarray:
     """A read-only 1-D ``dtype`` copy of ``values``, which must be of that
     kind: numpy would truncate ``1.5`` to the int ``1`` and parse ``"3"``."""
     vec = np.array(values)
-    if not np.can_cast(vec.dtype, dtype, casting="same_kind"):
-        raise ValueError(f"expected {np.dtype(dtype)} values, got {vec.dtype}")
-    vec = vec.astype(dtype, copy=False)
+    if vec.dtype != dtype:
+        if not np.can_cast(vec.dtype, dtype, casting="same_kind"):
+            raise ValueError(f"expected {np.dtype(dtype)} values, got {vec.dtype}")
+        vec = vec.astype(dtype)
     if vec.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got {vec.ndim} dimensions")
     vec.setflags(write=False)
@@ -178,7 +198,8 @@ class DetectionProfile:
 
     @property
     def average(self) -> float:
-        return float(np.mean(self.per_position))
+        # np.mean's sum and division, without its Python wrapper
+        return float(np.add.reduce(self.per_position) / len(self.per_position))
 
 
 def evaluate_strategy(schedule: StrengthSchedule) -> DetectionProfile:

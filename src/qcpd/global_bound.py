@@ -123,8 +123,11 @@ def _tent_efficiencies(cs, ends: tuple[int, np.ndarray]) -> np.ndarray:
 def global_success(n: int, c: Overlap | float) -> float:
     """Mean of :func:`global_efficiencies` in closed form:
     ``(1-c)/(1+c) + (2c/n) * (1-(-c)^n) / (1+c)^2``."""
-    n = _check_n(n)
-    cv = _overlap(c)
+    return _global_success(_check_n(n), _overlap(c))
+
+
+def _global_success(n: int, cv: float) -> float:
+    """:func:`global_success` for a checked ``n`` and overlap ``cv``."""
     return (1.0 - cv) / (1.0 + cv) + (2.0 * cv / n) * (1.0 - (-cv) ** n) / (
         1.0 + cv
     ) ** 2
@@ -161,7 +164,7 @@ def _primed_success(n: int, cv: float) -> float:
     """Mean of :func:`_primed_efficiencies` in closed form, for the same
     arguments."""
     gamma2 = _scaled_gamma_two(n, cv) / (1.0 + cv)
-    return global_success(n, cv) - (2.0 / n) * gamma2**2 / (1.0 + (-cv) ** (n - 3))
+    return _global_success(n, cv) - (2.0 / n) * gamma2**2 / (1.0 + (-cv) ** (n - 3))
 
 
 def _scaled_gamma_two(n: int, cv: float) -> float:
@@ -221,12 +224,12 @@ def optimal_global(n: int, c: Overlap | float) -> tuple[np.ndarray, float]:
     cv = _overlap(c)
     if _scaled_gamma_two(n, cv) < 0.0:
         return _primed_efficiencies(n, cv), _primed_success(n, cv)
-    return global_efficiencies(n, cv), global_success(n, cv)
+    return global_efficiencies(n, cv), _global_success(n, cv)
 
 
 def _optimal_success(n: int, cv: float) -> float:
     """Success of :func:`optimal_global` without building a vector."""
-    return _primed_success(n, cv) if _scaled_gamma_two(n, cv) < 0.0 else global_success(n, cv)
+    return _primed_success(n, cv) if _scaled_gamma_two(n, cv) < 0.0 else _global_success(n, cv)
 
 
 def validate_unambiguous(gram: np.ndarray, gammas: np.ndarray) -> ValidityReport:

@@ -403,7 +403,8 @@ def _exact_table(n: int, grid) -> np.ndarray:
     :func:`fl_solution` and :func:`sl_solution`, each bit-identical to its
     row-by-row value.
 
-    The bound is :func:`_optimal_success`, row by row.  At ``c = 0`` every
+    The bound is :func:`_optimal_success`, row by row, on the grid's
+    overlaps, which are not checked again.  At ``c = 0`` every
     unambiguous measurement is conclusive, so each strategy succeeds with
     certainty (sl's ceiling ``1/c`` is vacuous there).  Each online row
     above 1/2 is the ``success`` of :func:`optimize_strengths`, evaluated
@@ -411,10 +412,11 @@ def _exact_table(n: int, grid) -> np.ndarray:
     other rows are stacked, one schedule per row: the closed-form online
     rows (written into the block by one :func:`_closed_form_xs` call from
     one ``_end_powers`` column), then the fl rows, then the sl rows; each block is one :func:`_stack_profiles` call, whose
-    kernel picks the walk, and each row's mean is taken over the
-    C-contiguous ``(rows, n)`` result:
-    numpy sums pairwise only along the contiguous axis, so a column-major
-    copy would change the last bit of most means.
+    kernel picks the walk, and each row's mean is taken as ``np.mean``
+    takes it, one ``np.add.reduce`` along the row divided by ``n``, over
+    the C-contiguous ``(rows, n)`` result: numpy sums pairwise only along
+    the contiguous axis, so a column-major copy would change the last bit
+    of most means.
     """
     table = np.empty((5, len(grid)))
     table[0] = grid
@@ -435,7 +437,7 @@ def _exact_table(n: int, grid) -> np.ndarray:
         _closed_form_xs(closed[:, None], _end_powers(n, closed[:, None]), out=xs[: len(closed)])
         xs[len(closed) :, :-1] = fixed[:, None]
         xs[len(closed) :, -1] = 1.0
-        means = _stack_profiles(row_cs, xs).mean(axis=1)
+        means = np.add.reduce(_stack_profiles(row_cs, xs), axis=1) / n
         out[0, lo : lo + len(closed)] = means[: len(closed)]
         out[1:, lo : lo + per_block] = means[len(closed) :].reshape(2, -1)
     return table

@@ -45,12 +45,12 @@ from .core import (
 from .global_bound import (
     PSD_TOL,
     _end_powers,
+    _global_success,
     _gram_powers,
     _in_range,
     _tent_efficiencies,
     _unambiguous_spectra,
     critical_overlap,
-    global_success,
 )
 from .kernels import _uniforms
 from .online_opt import _closed_form_xs, _recursive_xs
@@ -216,7 +216,7 @@ def central_equality(
             worst = _worst_entries(n, cs, np.abs(profiles - targets))
             # a row's mean over a C-contiguous stack is that of the row alone
             means = profiles.mean(axis=1)
-            mean_gaps = np.abs(means - [global_success(n, c) for c in cs.tolist()])
+            mean_gaps = np.abs(means - [_global_success(n, c) for c in cs.tolist()])
             yield _Cases(
                 n,
                 cs,

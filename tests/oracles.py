@@ -45,6 +45,10 @@ from outside it:
   per case and folding one ``(residual, case)`` pair per case with
   :func:`_suite`, which the stacked suites of ``verification.run_all``
   must match exactly;
+* :func:`check_strength_reference` and :func:`check_probabilities_reference`
+  are the admissibility and probability checks as numpy masks over every
+  entry, with an ``isfinite`` pass, the accept sets and messages that
+  ``core.check_strength`` and ``core._check_probabilities`` must keep;
 * :func:`_bisect_root` is the generic bisection that ``critical_overlap``
   must match bit for bit after a sign scan of the grid ``k/4096``;
 * :data:`GOLDEN` is the golden-ratio overlap ``(sqrt(5)-1)/2``, where the
@@ -82,7 +86,10 @@ from qcpd.kernels import (
 )
 from qcpd.core import (
     ENUMERATION_CAP,
+    EPSILON,
+    REL_SLACK,
     DetectionProfile,
+    InvalidMeasurementError,
     Overlap,
     StrengthSchedule,
     _check_n,
@@ -219,6 +226,55 @@ def coordinate_objective(
 
 #: absolute bracket width at which :func:`_bisect_root` stops, and its
 #: iteration budget
+def check_strength_reference(c, x, floor_ulps: int = 0) -> None:
+    """``core.check_strength`` as one numpy mask over every entry for a
+    scalar and a column overlap alike, with the bounds of 0-d arrays.  A
+    nonzero ``floor_ulps`` moves the floor ``c*(1 - REL_SLACK)`` by that
+    many ulps (``np.nextafter``), a reference that must disagree."""
+    xs = np.asarray(x, dtype=np.float64)
+    # + 0.0 turns an overlap of -0.0 into 0.0, whose ceiling is +inf
+    cs = np.asarray(c, dtype=np.float64) + 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        # inf at c == 0, where only x > 0 binds, and at subnormal c
+        ceiling = 1.0 / cs
+    floor = cs * (1.0 - REL_SLACK)
+    for _ in range(abs(floor_ulps)):
+        floor = np.nextafter(floor, math.copysign(math.inf, floor_ulps))
+    # NaN fails both comparisons
+    ok = (xs >= floor) & (xs <= ceiling * (1.0 + REL_SLACK))
+    if not np.isfinite(ceiling).all():
+        # an infinite ceiling passes x = inf, and the floor 0 passes x = 0
+        ok &= (xs > 0.0) & np.isfinite(xs)
+    if ok.all():
+        return
+    i = int(np.argmin(ok))
+    value = xs.flat[i].item()
+    cv = np.broadcast_to(cs, xs.shape).flat[i].item()
+    where = f"strength at position {i % xs.shape[-1] + 1}" if xs.ndim else "strength"
+    if not math.isfinite(value):
+        problem = "is not finite"
+    elif cv == 0.0:
+        problem = "must be positive when the overlap is 0"
+    else:
+        problem = f"outside the admissible interval [{cv!r}, {1.0 / cv!r}]"
+    raise InvalidMeasurementError(f"{where} = {value!r} {problem}")
+
+
+def check_probabilities_reference(p: np.ndarray, top_ulps: int = 0) -> None:
+    """``core._check_probabilities`` as an ``isfinite`` pass and two
+    comparisons over every entry.  A nonzero ``top_ulps`` moves the bound
+    ``1 + EPSILON`` by that many ulps, a reference that must disagree."""
+    top = 1.0 + EPSILON
+    for _ in range(abs(top_ulps)):
+        top = math.nextafter(top, math.copysign(math.inf, top_ulps))
+    bad = ~(np.isfinite(p) & (p >= -EPSILON) & (p <= top))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"entry {k % p.shape[-1] + 1} = {p.flat[k].item()!r} is not a probability"
+        )
+
+
 _ROOT_TOL = 1e-12
 _ROOT_MAX_ITER = 200
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qcpd import (
     InvalidMeasurementError,
@@ -23,13 +26,18 @@ from qcpd.cli import main
 from qcpd.online_opt import best_online
 from qcpd.core import (
     ENUMERATION_CAP,
+    EPSILON,
     REL_SLACK,
     DetectionProfile,
     _check_probabilities,
     _stack_profiles,
 )
 from conftest import schedules
-from oracles import enumerate_strategy_nested
+from oracles import (
+    check_probabilities_reference,
+    check_strength_reference,
+    enumerate_strategy_nested,
+)
 
 
 class TestValidation:
@@ -97,6 +105,122 @@ class TestValidation:
     def test_profile_rejects_out_of_range_entries(self):
         with pytest.raises(ValueError):
             DetectionProfile([1.5, 0.5])
+
+
+#: overlaps at which a bound of ``check_strength`` is degenerate: a signed
+#: zero, a subnormal whose 1/c overflows, a tiny normal one, 1/2, 1, NaN
+_EDGE_OVERLAPS = [0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, math.nan]
+
+
+def _outcome(check, *args):
+    """``None`` when ``check(*args)`` accepts, else the type and message
+    of the error it raises."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _strength_edges(c: float) -> list[float]:
+    """Strengths every check must treat alike at overlap ``c``: the
+    slacked floor ``c*(1 - REL_SLACK)`` and ceiling ``(1/c)*(1 + REL_SLACK)``
+    with their neighbours one ulp either side, and NaN, the infinities,
+    both zeros, a negative, a subnormal and 1."""
+    c += 0.0
+    floor = c * (1.0 - REL_SLACK)
+    top = (1.0 / c if c else math.inf) * (1.0 + REL_SLACK)
+    near = [math.nextafter(b, d) for b in (floor, top) for d in (-math.inf, math.inf)]
+    return [floor, top, *near, math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1.0]
+
+
+#: profile entries every check must treat alike: the bounds -EPSILON and
+#: 1 + EPSILON with their neighbours, NaN, the infinities and inner values
+_PROBABILITY_EDGES = [
+    b for bound in (-EPSILON, 1.0 + EPSILON)
+    for b in (math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf))
+] + [math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, 1.0]
+
+
+@st.composite
+def _strength_cases(draw):
+    """An overlap, scalar (a Python float or ``np.float64``) or a column
+    of one per row, and 0-d, 1-D or 2-D strengths drawn from the edges of
+    those overlaps and from any float."""
+    overlaps = st.one_of(st.sampled_from(_EDGE_OVERLAPS), st.floats(0.0, 1.0), st.floats())
+    shape = draw(st.sampled_from([(), (1,), (7,), (3, 4)]))
+    if len(shape) == 2 and draw(st.booleans()):
+        c = np.array([[draw(overlaps)] for _ in range(shape[0])])
+        pool = [x for cv in c[:, 0].tolist() for x in _strength_edges(cv)]
+    else:
+        c = draw(overlaps)
+        c = np.float64(c) if draw(st.booleans()) else c
+        pool = _strength_edges(float(c))
+    elements = st.one_of(st.sampled_from(pool), st.floats())
+    xs = draw(arrays(np.float64, shape, elements=elements))
+    return c, (xs.item() if not shape and draw(st.booleans()) else xs)
+
+
+def _edge_sweep():
+    """Every edge strength, alone and after an admissible one, at every
+    edge overlap and at 0.3 and 0.7."""
+    for c in [*_EDGE_OVERLAPS, 0.3, 0.7]:
+        for x in _strength_edges(c):
+            yield c, x
+            yield c, np.array([c if 0.0 < c <= 1.0 else 1.0, x])
+
+
+class TestLeanValidators:
+    """``check_strength`` and ``_check_probabilities`` take a few numpy
+    calls on their accept path; they accept exactly what the masks over
+    every entry of ``oracles`` accept, and raise the same messages."""
+
+    @settings(deadline=None, max_examples=500)
+    @given(case=_strength_cases())
+    @example(case=(5e-324, math.inf))  # infinite ceiling: x = inf fails
+    @example(case=(1e-300, math.nextafter(1e300 * (1.0 + REL_SLACK), math.inf)))
+    @example(case=(-0.0, np.array([[0.0, 1.0], [1.0, 2.0]])))
+    @example(case=(math.nan, np.zeros(0)))
+    def test_strengths_as_the_reference(self, case):
+        c, xs = case
+        assert _outcome(check_strength, c, xs) == _outcome(check_strength_reference, c, xs)
+
+    def test_every_edge_strength_as_the_reference(self):
+        for c, xs in _edge_sweep():
+            assert _outcome(check_strength, c, xs) == _outcome(check_strength_reference, c, xs), (c, xs)
+
+    @pytest.mark.parametrize("ulps", [-1, 1])
+    def test_a_floor_moved_by_one_ulp_disagrees(self, ulps):
+        # the negative control: the sweep above tells a floor one ulp
+        # lower or higher apart
+        moved = [
+            (c, xs) for c, xs in _edge_sweep()
+            if _outcome(check_strength, c, xs) != _outcome(check_strength_reference, c, xs, ulps)
+        ]
+        assert moved
+
+    @settings(deadline=None, max_examples=500)
+    @given(
+        p=arrays(
+            np.float64,
+            st.sampled_from([(0,), (1,), (6,), (3, 4)]),
+            elements=st.one_of(st.sampled_from(_PROBABILITY_EDGES), st.floats()),
+        )
+    )
+    def test_probabilities_as_the_reference(self, p):
+        assert _outcome(_check_probabilities, p) == _outcome(check_probabilities_reference, p)
+
+    @pytest.mark.parametrize("ulps", [0, -1, 1])
+    def test_every_edge_probability_as_the_reference(self, ulps):
+        # with the bound 1 + EPSILON moved by one ulp, the negative control,
+        # the reference must disagree on some edge
+        cases = [np.array([x]) for x in _PROBABILITY_EDGES]
+        cases += [np.array([[0.5, 0.5], [x, 0.5]]) for x in _PROBABILITY_EDGES]
+        moved = [
+            p for p in cases
+            if _outcome(_check_probabilities, p) != _outcome(check_probabilities_reference, p, ulps)
+        ]
+        assert bool(moved) == bool(ulps)
 
 
 class TestArrayModel:
@@ -204,6 +328,14 @@ class TestEvaluateStrategy:
         assert profile.average == pytest.approx(
             sum(profile.per_position) / 5, abs=1e-15
         )
+        # bit for bit np.mean, on either side of numpy's pairwise blocks;
+        # and a stack's row means as the curve table takes them
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 7, 8, 9, 127, 128, 129, 1000, 4097):
+            p = rng.random(size)
+            assert DetectionProfile(p).average.hex() == float(np.mean(p)).hex()
+            stack = rng.random((5, size))
+            assert (np.add.reduce(stack, axis=1) / size).tobytes() == stack.mean(axis=1).tobytes()
 
     @settings(deadline=None, max_examples=60)
     @given(schedule=schedules(max_n=8))
