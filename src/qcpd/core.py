@@ -66,17 +66,17 @@ def check_strength(c, x) -> None:
     xs = np.asarray(x, dtype=np.float64)
     if isinstance(c, float):
         # one overlap, bounded in Python floats, which round as numpy's do;
-        # the ceiling is +inf at c = ±0.0 and at a subnormal c whose 1/c
-        # overflows
+        # the slackened ceiling is +inf at c = ±0.0 and at a subnormal c
+        # whose 1/c, or 1/c with the slack, overflows
         cs = float(c)
-        ceiling = 1.0 / cs if cs else math.inf
+        ceiling = (1.0 / cs if cs else math.inf) * (1.0 + REL_SLACK)
         finite = math.isfinite(ceiling)
         # NaN propagates to the smallest and the largest and fails below
         low = np.minimum.reduce(xs, None, initial=math.inf)
         high = np.maximum.reduce(xs, None, initial=-math.inf)
         if (
             low >= cs * (1.0 - REL_SLACK)
-            and high <= ceiling * (1.0 + REL_SLACK)
+            and high <= ceiling
             and (finite or (low > 0.0 and high < math.inf))
         ):
             return
@@ -85,10 +85,11 @@ def check_strength(c, x) -> None:
         cs = np.asarray(c, dtype=np.float64) + 0.0
         with np.errstate(divide="ignore", over="ignore"):
             # inf at c == 0, where only x > 0 binds, and at subnormal c
-            ceiling = 1.0 / cs
+            # whose 1/c, or 1/c with the slack, overflows
+            ceiling = 1.0 / cs * (1.0 + REL_SLACK)
         finite = np.isfinite(ceiling).all()
     # NaN fails both comparisons
-    ok = (xs >= cs * (1.0 - REL_SLACK)) & (xs <= ceiling * (1.0 + REL_SLACK))
+    ok = (xs >= cs * (1.0 - REL_SLACK)) & (xs <= ceiling)
     if not finite:
         # an infinite ceiling passes x = inf, and the floor 0 passes x = 0
         ok &= (xs > 0.0) & np.isfinite(xs)

@@ -121,8 +121,10 @@ def _uniforms(seed: int, first: int, rows: int, cols: int) -> np.ndarray:
 _SETTLE_RUN = 128
 #: fewest schedules a stack walks in lockstep: a lockstep step costs a few
 #: numpy calls at any width, so a narrower stack walks row by row on Python
-#: floats.  On 2 cores a stack of settled closed-form, fl and sl rows breaks
-#: even at 12 rows for n = 31 and 18-27 for n = 301 (README, "Curve tables").
+#: floats.  On 2 cores a stack of settled closed-form, fl and sl rows broke
+#: even at 12 rows for n = 31 and 18-27 for n = 301.  Only ``verify``'s
+#: stacks still come here: the 25-row stacks of ``oracle_equivalence`` walk
+#: in lockstep, the 11-row canonical ones row by row.
 _STACK_ROWS = 20
 
 

@@ -47,8 +47,8 @@ from .core import (
     Overlap,
     StrengthSchedule,
     _check_n,
+    _check_probabilities,
     _overlap,
-    _stack_profiles,
     check_strength,
     evaluate_strategy,
 )
@@ -219,14 +219,13 @@ def _recursive_xs(cv: float, gammas: np.ndarray) -> np.ndarray:
     return xs
 
 
-def _closed_form_xs(cs, ends: tuple[int, np.ndarray], out=None) -> np.ndarray:
+def _closed_form_xs(cs, ends: tuple[int, np.ndarray]) -> np.ndarray:
     """``(1+c)/(1-(-c)^(n-j))`` for ``j = 1..n-1`` from
     ``ends = _end_powers(n, cs)``: one schedule at an overlap ``cs``, or one
-    row per overlap for an ``(R, 1)`` column ``cs``, into ``out`` if given;
-    ``1 + c`` between the strengths whose power is an end power."""
+    row per overlap for an ``(R, 1)`` column ``cs``; ``1 + c`` between the
+    strengths whose power is an end power."""
     n, powers = ends
-    if out is None:
-        out = np.empty(np.shape(cs)[:-1] + (n - 1,))
+    out = np.empty(np.shape(cs)[:-1] + (n - 1,))
     top, high = powers.shape[2], 1.0 + cs
     out[..., top - 1 : n - 1 - top] = high
     # strength j reads the power at n - j: the head's at the chain's end,
@@ -292,17 +291,6 @@ def optimize_strengths(n: int, c: Overlap | float) -> OnlineSolution:
 # benchmark strategy families
 # ---------------------------------------------------------------------------
 
-def _run_length_probability(cv: float, x: float, k) -> np.ndarray:
-    """Probability that the outcome after ``k`` default particles measured
-    under constant scheduled strength ``x`` is inconclusive (vectorized in
-    ``k >= 0``); the closed form of the two-state outcome recursion.  Its
-    base ``q`` is negative at fl's strength; the powers are libm's ``pow``,
-    as every negative-base power in qcpd is."""
-    q = cv * cv - cv * x
-    den = 1.0 + cv * x - cv * cv
-    return cv * x * (1.0 - np.float_power(q, k)) / den
-
-
 def _fl_strength(cv: float) -> float:
     """``1+c`` clipped to the ceiling ``1/c`` (1 at ``c = 0``): the clip
     binds beyond the golden-ratio overlap, where ``1+c > 1/c``."""
@@ -317,37 +305,43 @@ def fl_solution(n: int, c: Overlap | float) -> OnlineSolution:
     return _solution(n, cv, np.append(np.full(n - 2, _fl_strength(cv)), 1.0), "fixed-fl")
 
 
-def fl_success_exact(n: int, c: Overlap | float, x: float | None = None) -> float:
-    """Success probability of :func:`fl_solution` in closed form.
+def _constant_success(n: int, cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Success of the schedule ``(x, ..., x, 1)`` of ``n`` at each overlap
+    of ``cs`` with the strength in the same place of ``xs``, in closed form,
+    O(1) per entry, for finite checked strengths.
 
-    Sums the per-position efficiencies: the first two positions explicitly,
-    the bulk through the inconclusive-run probability, and the last two
-    positions through the balanced final measurement.  Must agree with the
-    profile evaluation to machine precision — the pair is a cross-check.
-    Not exported; the tests import it from here, and ``perfbench/gate.py``,
-    which passes the default strength explicitly, ``x=min(1.0 + c, 1.0 / c)``.
-    """
+    After ``k - 1`` conclusive-default steps at strength ``x`` the
+    inconclusive probability is ``pi_k = c*x * (1 - q^(k-1)) / (1 - q)``
+    with ``q = c*(c - x)``, so the first ``n - 2`` probabilities ``p0_k``
+    sum to ``((n-2)*(1-c)*(1+c) + c*x*g) / (1 - q)`` with the geometric sum
+    ``g = (1 - q^(n-2)) / (1 - q)``, each entry times the change factor
+    ``(x - c)/x``, and the balanced last two positions add
+    ``(1-c)*(2 - (1-c)*pi_(n-1))``.  Every sum is of positive terms, and
+    near ``c = 1`` the differences ``1 - c``, ``c - x`` and ``x - c`` are
+    exact (Sterbenz), where ``1 - c/x`` and ``1 - c*c`` would cancel; so
+    the mean keeps its relative accuracy there.  At ``n = 2`` it is
+    ``1 - c`` exactly.  The one power is libm's ``pow``."""
+    cx, q, low = cs * xs, cs * (cs - xs), 1.0 - cs
+    den = 1.0 - q
+    geometric = (1.0 - np.float_power(q, n - 2)) / den
+    run = cx * geometric  # pi_(n-1)
+    bulk = ((n - 2) * (low * (1.0 + cs)) + run) / den * ((xs - cs) / xs)
+    return (bulk + low * (2.0 - low * run)) / n
+
+
+def fl_success_exact(n: int, c: Overlap | float, x: float | None = None) -> float:
+    """Success probability of :func:`fl_solution` in closed form, or of the
+    constant strength ``x`` when given: the one-overlap call of
+    :func:`_constant_success`, which fills the curve table's fl and sl
+    columns, so it is their scalar route bit for bit.  Agrees with the
+    profile walk to machine precision.  Not exported; the tests import it
+    from here, and ``perfbench/gate.py``, which passes the default strength
+    explicitly, ``x=min(1.0 + c, 1.0 / c)``."""
     n = _check_n(n)
     cv = _overlap(c)
     xv = _fl_strength(cv) if x is None else float(x)
     check_strength(cv, xv)
-    total = 0.0
-    if n >= 3:
-        total += 1.0 - cv / xv
-    if n >= 4:
-        total += (1.0 - cv * xv) * (1.0 - cv / xv)
-    if n >= 5:
-        ks = np.arange(3, n - 1)
-        runs = _run_length_probability(cv, xv, ks - 2)
-        total += float(
-            np.sum(
-                (runs * (1.0 - cv * cv) + (1.0 - runs) * (1.0 - cv * xv))
-                * (1.0 - cv / xv)
-            )
-        )
-    tail_run = float(_run_length_probability(cv, xv, n - 2))
-    total += (1.0 - cv) * (2.0 - (1.0 - cv) * tail_run)
-    return total / n
+    return float(_constant_success(n, np.array([cv]), np.array([xv]))[0])
 
 
 def fl_success_asymptotic(c: Overlap | float) -> float:
@@ -391,53 +385,42 @@ def best_online(n: int, c: Overlap | float) -> OnlineSolution:
     return _solution(n, cv, _optimal_strengths(n, cv), method)
 
 
-#: most strengths one block of :func:`_exact_table` holds; the one bound
-#: on a profile-kernel stack and so on the working memory of a fine grid
-_TABLE_BLOCK = 1 << 15
-
-
 def _exact_table(n: int, grid) -> np.ndarray:
     """The exact curve table at the increasing overlaps ``grid`` in
     ``[0, 1]``: a ``(5, len(grid))`` array whose rows are ``c``, the
-    collective bound and the ``success`` of :func:`best_online`,
-    :func:`fl_solution` and :func:`sl_solution`, each bit-identical to its
-    row-by-row value.
+    collective bound and the success of :func:`best_online`,
+    :func:`fl_solution` and :func:`sl_solution`.
 
     The bound is :func:`_optimal_success`, row by row, on the grid's
-    overlaps, which are not checked again.  At ``c = 0`` every
+    overlaps, which are not checked again.  Up to ``c = 1/2`` the online
+    schedule reaches the bound, so its row is the bound's.  The fl and sl
+    rows are :func:`_constant_success` over the overlap column at their
+    strengths ``min(1+c, 1/c)`` and ``1/c``, checked as a schedule's are,
+    and are :func:`fl_success_exact` bit for bit.  At ``c = 0`` every
     unambiguous measurement is conclusive, so each strategy succeeds with
     certainty (sl's ceiling ``1/c`` is vacuous there).  Each online row
-    above 1/2 is the ``success`` of :func:`optimize_strengths`, evaluated
-    once.  Block by block of at most :data:`_TABLE_BLOCK` strengths, the
-    other rows are stacked, one schedule per row: the closed-form online
-    rows (written into the block by one :func:`_closed_form_xs` call from
-    one ``_end_powers`` column), then the fl rows, then the sl rows; each block is one :func:`_stack_profiles` call, whose
-    kernel picks the walk, and each row's mean is taken as ``np.mean``
-    takes it, one ``np.add.reduce`` along the row divided by ``n``, over
-    the C-contiguous ``(rows, n)`` result: numpy sums pairwise only along
-    the contiguous axis, so a column-major copy would change the last bit
-    of most means.
+    above 1/2 is the ``success`` of one :func:`optimize_strengths` call,
+    or, where that schedule is sl's, the sl row, so the two print alike.
+    No other row walks a profile.
     """
     table = np.empty((5, len(grid)))
     table[0] = grid
     table[1] = [_optimal_success(n, c) for c in table[0].tolist()]
     zero = int(table[0, :1].tolist() == [0.0])  # 1 when the grid starts at c = 0
-    table[2:, :zero] = 1.0
-    cs, out = table[0, zero:], table[2:, zero:]
-    low = int(np.searchsorted(cs, 0.5, side="right"))
-    for r, cv in enumerate(cs[low:].tolist(), start=low):
-        out[0, r] = optimize_strengths(n, cv).success
-    per_block = max(1, _TABLE_BLOCK // (3 * (n - 1)))
-    for lo in range(0, len(cs), per_block):
-        block = cs[lo : lo + per_block]
-        closed = block[: max(0, low - lo)]  # the block's closed-form online rows
-        fixed = np.concatenate([np.minimum(1.0 + block, 1.0 / block), 1.0 / block])
-        row_cs = np.concatenate([closed, block, block])
-        xs = np.empty((len(row_cs), n - 1))
-        _closed_form_xs(closed[:, None], _end_powers(n, closed[:, None]), out=xs[: len(closed)])
-        xs[len(closed) :, :-1] = fixed[:, None]
-        xs[len(closed) :, -1] = 1.0
-        means = np.add.reduce(_stack_profiles(row_cs, xs), axis=1) / n
-        out[0, lo : lo + len(closed)] = means[: len(closed)]
-        out[1:, lo : lo + per_block] = means[len(closed) :].reshape(2, -1)
+    table[3:, :zero] = 1.0
+    cs, fixed = table[0, zero:], table[3:, zero:]
+    fixed[1] = 1.0 / cs
+    np.minimum(1.0 + cs, fixed[1], out=fixed[0])
+    check_strength(cs[:, None], fixed.T)
+    fixed[:] = _constant_success(n, cs, fixed)
+    _check_probabilities(fixed)
+    low = int(np.searchsorted(table[0], 0.5, side="right"))
+    table[2, :low] = table[1, :low]
+    for r, cv in enumerate(table[0, low:].tolist(), start=low):
+        solution = optimize_strengths(n, cv)
+        # no strength but the last exceeds the ceiling 1/c: at their
+        # smallest, all of them are at it, and the schedule is sl's
+        ceiling = 1.0 / cv
+        sl = np.minimum.reduce(solution.schedule.strengths[:-1], initial=ceiling) == ceiling
+        table[2, r] = table[4, r] if sl else solution.success
     return table

@@ -235,13 +235,14 @@ def check_strength_reference(c, x, floor_ulps: int = 0) -> None:
     # + 0.0 turns an overlap of -0.0 into 0.0, whose ceiling is +inf
     cs = np.asarray(c, dtype=np.float64) + 0.0
     with np.errstate(divide="ignore", over="ignore"):
-        # inf at c == 0, where only x > 0 binds, and at subnormal c
-        ceiling = 1.0 / cs
+        # inf at c == 0, where only x > 0 binds, and at subnormal c whose
+        # 1/c, or 1/c with the slack, overflows
+        ceiling = 1.0 / cs * (1.0 + REL_SLACK)
     floor = cs * (1.0 - REL_SLACK)
     for _ in range(abs(floor_ulps)):
         floor = np.nextafter(floor, math.copysign(math.inf, floor_ulps))
     # NaN fails both comparisons
-    ok = (xs >= floor) & (xs <= ceiling * (1.0 + REL_SLACK))
+    ok = (xs >= floor) & (xs <= ceiling)
     if not np.isfinite(ceiling).all():
         # an infinite ceiling passes x = inf, and the floor 0 passes x = 0
         ok &= (xs > 0.0) & np.isfinite(xs)

@@ -51,7 +51,8 @@ from qcpd.cli import (
     build_parser,
     main,
 )
-from qcpd.online_opt import _exact_table, best_online
+from qcpd.core import EPSILON
+from qcpd.online_opt import _exact_table, best_online, fl_success_exact
 from oracles import GOLDEN, detection_profile_reference, optimal_success_fraction, z_score_reference
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -269,29 +270,61 @@ def row_by_row(n, c):
     )
 
 
+def is_sl(n, c):
+    """Whether the optimizer's schedule at ``c`` is sl's, bit for bit."""
+    optimized = optimize_strengths(n, c).schedule.strengths
+    return optimized.tobytes() == sl_solution(n, c).schedule.strengths.tobytes()
+
+
+def scalar_row(n, c):
+    """One exact curve row from each column's scalar production route: the
+    bound; the bound again up to 1/2, beyond it the optimizer's success, or
+    sl's where its schedule is sl's; and ``fl_success_exact`` at fl's
+    strength and at sl's ``1/c``."""
+    if c == 0.0:
+        return (0.0, 1.0, 1.0, 1.0, 1.0)
+    bound, sl = optimal_global(n, c)[1], fl_success_exact(n, c, x=1.0 / c)
+    if c <= 0.5:
+        online = bound
+    else:
+        online = sl if is_sl(n, c) else optimize_strengths(n, c).success
+    return (c, bound, online, fl_success_exact(n, c), sl)
+
+
+def edge_grid(n):
+    """Overlaps where the table's routes switch: 0, 1/2 and its neighbours,
+    fl's clip, the critical overlap and its neighbours, and 1."""
+    below, above = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+    overlaps = {0.0, 1e-300, 0.05, 0.3, below, 0.5, above, 0.7, 0.95, 1.0}
+    # where fl's clip switches: the last float with 1 + c < 1/c, the
+    # one with 1 + c == 1/c, and the golden ratio just above
+    overlaps |= {0.6180339887498947, 0.6180339887498948, GOLDEN}
+    cstar = critical_overlap(n)
+    if cstar is not None:
+        overlaps |= {np.nextafter(cstar, 0.0), cstar, np.nextafter(cstar, 1.0)}
+    return sorted(float(c) for c in overlaps)
+
+
 class TestExactTable:
-    """The stacked table against the row-by-row composition, with ``==``."""
+    """The table against each column's scalar route, with ``==``, and
+    against the profile walks of the public per-overlap functions within
+    ``TestConstantStrengthFamily``'s 1e-12."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 31, 301, 2001])
-    def test_edge_overlaps_match_row_by_row(self, n):
-        # at n = 2001 a block holds 5 overlaps, at most 15 schedules, so
-        # the table spans several blocks, each walked row by row
-        below, above = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
-        overlaps = {0.0, 1e-300, 0.05, 0.3, below, 0.5, above, 0.7, 0.95, 1.0}
-        # where fl's clip switches: the last float with 1 + c < 1/c, the
-        # one with 1 + c == 1/c, and the golden ratio just above
-        overlaps |= {0.6180339887498947, 0.6180339887498948, GOLDEN}
-        cstar = critical_overlap(n)
-        if cstar is not None:
-            overlaps |= {np.nextafter(cstar, 0.0), cstar, np.nextafter(cstar, 1.0)}
-        grid = sorted(float(c) for c in overlaps)
-        assert rows_of(_exact_table(n, grid)) == [row_by_row(n, c) for c in grid]
+    def test_edge_overlaps_match_the_scalar_routes(self, n):
+        grid = edge_grid(n)
+        table = rows_of(_exact_table(n, grid))
+        assert table == [scalar_row(n, c) for c in grid]
+        for got, walked in zip(table, (row_by_row(n, c) for c in grid)):
+            assert got == pytest.approx(walked, rel=0.0, abs=1e-12), (n, got[0])
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 31, 301])
-    def test_curve_with_endpoint_matches_row_by_row(self, n):
+    def test_curve_with_endpoint_matches_the_scalar_routes(self, n):
         table = build_curve(n=n, c_min=0.0, c_max=1.0, step=0.05, include_endpoint=True)
         rows = rows_of(table.columns)
-        assert rows == [row_by_row(n, c) for c, *_ in rows]
+        assert rows == [scalar_row(n, c) for c, *_ in rows]
+        for got in rows:
+            assert got == pytest.approx(row_by_row(n, got[0]), rel=0.0, abs=1e-12), (n, got[0])
         assert rows[-1][0] == 1.0
 
     def test_singular_endpoint_reports_a_zero_bound(self):
@@ -304,23 +337,36 @@ class TestExactTable:
         table = build_curve(n=6, c_min=0.9, c_max=1.0, step=0.05, include_endpoint=True)
         assert rows_of(table.columns)[-1] == (1.0, 0.0, 0.0, 0.0, 0.0)
 
-    @pytest.mark.parametrize("strengths", [5, 2 * 90, 4 * 90])
-    def test_block_boundaries_leave_the_table_unchanged(self, monkeypatch, strengths):
-        # n = 31 has 90 strengths per overlap: blocks of 1, 2 and 4 overlaps
-        n = 31
-        grid = [round(0.05 * i, 12) for i in range(1, 20)]
-        monkeypatch.setattr(online_opt, "_TABLE_BLOCK", strengths)
-        assert rows_of(_exact_table(n, grid)) == [row_by_row(n, c) for c in grid]
-
-    def test_each_row_is_evaluated_once(self, monkeypatch):
-        # 19 rows, 9 of them above 1/2: one profile row for each of the three
-        # strategy columns of a row, the online rows above 1/2 included.  The
-        # one block's 10 closed-form, 19 fl and 19 sl rows take one call.
+    def test_each_row_above_half_is_walked_once(self, monkeypatch):
+        # 19 rows, 9 of them above 1/2: one profile walk for each of those
+        # online rows, inside its optimize_strengths call, and none for any
+        # other row or column
         shapes = kernel_shapes(monkeypatch)
         table = build_curve(n=31, c_min=0.05, c_max=0.95, step=0.05)
         assert table.columns.shape == (5, 19)
-        assert sum(1 if len(s) == 1 else s[0] for s in shapes) == 3 * 19
-        assert sorted(shapes) == [(30,)] * 9 + [(48, 30)]
+        assert shapes == [(30,)] * 9
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 31, 301, 2001])
+    @pytest.mark.parametrize("grid", ["edge", "k/1000"])
+    def test_invariants(self, n, grid):
+        cs = edge_grid(n) if grid == "edge" else [round(k / 1000, 12) for k in range(1001)]
+        c, bound, online, fl, sl = _exact_table(n, cs)
+        up_to_half = c <= 0.5
+        assert online[up_to_half].tobytes() == bound[up_to_half].tobytes()
+        saturated = [r for r, cv in enumerate(cs) if cv > 0.5 and is_sl(n, cv)]
+        assert online[saturated].tobytes() == sl[saturated].tobytes()
+        # beyond c_s every schedule is sl's: the rows 0.689..1 at least
+        assert len(saturated) >= (312 if grid == "k/1000" else 3)
+        clipped = [r for r, cv in enumerate(cs) if cv > 0.0 and 1.0 + cv >= 1.0 / cv]
+        assert fl[clipped].tobytes() == sl[clipped].tobytes()
+        assert (fl <= online + EPSILON).all() and (sl <= online + EPSILON).all()
+
+    @pytest.mark.parametrize("c", [0.0, 1e-300, 0.3, 0.5, 0.7, 0.99, 0.999999, 1.0])
+    def test_two_positions_succeed_with_one_minus_c(self, c):
+        # n = 2 has no bulk: both closed forms are exactly 1 - c
+        assert fl_success_exact(2, c) == 1.0 - c
+        if c:
+            assert fl_success_exact(2, c, x=1.0 / c) == 1.0 - c
 
 
 def twelfth_digit_gap(cell: str, exact: Fraction) -> Fraction:
@@ -336,8 +382,8 @@ class TestDigitContract:
     lies within one unit in the 12th significant digit of the exact value
     at the double overlap, and so does ``p_online`` up to c = 1/2, where
     its exact value is the bound.  The bound is exact in ``fractions``; fl
-    and sl are the means of the 50-digit profiles of the schedules the
-    program walks."""
+    and sl are the means of the 50-digit profiles of the schedules
+    ``fl_solution`` and ``sl_solution`` build."""
 
     @pytest.mark.parametrize(
         "n",
@@ -361,6 +407,28 @@ class TestDigitContract:
             for name, value in exact.items():
                 cell = cells[CSV_HEADER.split(",").index(name)]
                 assert twelfth_digit_gap(cell, value) <= 1, (n, c, name, cell, float(value))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 31, 301])
+    def test_near_one_cells_hold_twelve_digits(self, n, capsys):
+        # c = 1 - 10^-k, k = 3..6: the fl and sl cells, and the online ones
+        # whose schedule is sl's, which print the sl cell.  The bound's
+        # cells are not held: at n = 3, c = 0.999999 its cell is 4.5 units
+        # off
+        for grid in (["0.999", "0.9999", "0.0009"], ["0.99999", "0.999999", "0.000009"]):
+            argv = ["curve", "--n", str(n), "--c-min", grid[0], "--c-max", grid[1], "--step", grid[2]]
+            assert main(argv) == 0
+            header, *lines = capsys.readouterr().out.splitlines()
+            assert [float(line.split(",")[0]) for line in lines] == [float(v) for v in grid[:2]]
+            for line in lines:
+                cells = dict(zip(header.split(","), line.split(",")))
+                c = float(cells["c"])
+                assert is_sl(n, c)
+                profile = detection_profile_reference(c, sl_solution(n, c).schedule.strengths)
+                sl = sum(map(Fraction, profile)) / n
+                profile = detection_profile_reference(c, fl_solution(n, c).schedule.strengths)
+                fl = sum(map(Fraction, profile)) / n
+                for name, value in (("p_online", sl), ("p_fl", fl), ("p_sl", sl)):
+                    assert twelfth_digit_gap(cells[name], value) <= 1, (n, c, name, cells[name], float(value))
 
 
 def kernel_shapes(monkeypatch) -> list[tuple[int, ...]]:

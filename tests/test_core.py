@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -198,6 +199,26 @@ class TestLeanValidators:
             if _outcome(check_strength, c, xs) != _outcome(check_strength_reference, c, xs, ulps)
         ]
         assert moved
+
+    def test_an_overflowing_slack_rejects_an_infinite_strength(self):
+        # from 1/c finite up to about (1 + REL_SLACK) times the smallest
+        # such c, 1/c is finite but the ceiling it is compared as, 1/c with
+        # the slack, overflows: an infinite strength must fail there too,
+        # on both paths, with no overflow warning
+        tiny = 5e-324
+        first = int(1.0 / sys.float_info.max / tiny) - 2
+        overlaps = [k * tiny for k in range(first, first + 1200)]
+        overflowing = [
+            c for c in overlaps if math.isfinite(1.0 / c) and not math.isfinite(1.0 / c * (1.0 + REL_SLACK))
+        ]
+        assert 1000 <= len(overflowing) < 1200 and overflowing[0] > overlaps[0]
+        for c in overflowing:
+            for cs, xs in ((c, math.inf), (np.float64(c), np.array([1.0, math.inf])), (np.array([[c]]), np.array([[math.inf]]))):
+                with pytest.raises(InvalidMeasurementError, match="= inf is not finite$"):
+                    check_strength(cs, xs)
+                assert _outcome(check_strength, cs, xs) == _outcome(check_strength_reference, cs, xs)
+            check_strength(c, 1.0 / c)
+            check_strength(np.array([[c]]), np.array([[1.0 / c]]))
 
     @settings(deadline=None, max_examples=500)
     @given(

@@ -19,7 +19,7 @@ from qcpd import (
     optimal_global,
     validate_unambiguous,
 )
-from qcpd import global_bound, kernels, online_opt
+from qcpd import global_bound, online_opt
 from qcpd.global_bound import (
     _end_powers,
     _end_widths,
@@ -458,35 +458,18 @@ class TestPowerCutoff:
     def test_columns_equal_the_full_powers(self):
         assert self._mismatches(self._column_cases()) == []
 
-    def test_table_closed_rows_equal_the_full_powers(self, monkeypatch):
-        # the table's online rows up to 1/2 are written from the end powers
-        # straight into its stack: caught on their way into the kernel
-        stacks = []
-        stack_profiles = online_opt._stack_profiles
-
-        def spy(cs, xs):
-            stacks.append((cs.copy(), xs.copy()))
-            return stack_profiles(cs, xs)
-
-        monkeypatch.setattr(online_opt, "_stack_profiles", spy)
-        # no subnormal overlap: the sl rows' ceiling 1/c would overflow
+    def test_table_online_rows_up_to_half_are_the_bound(self):
+        # up to 1/2 the online schedule reaches the bound, so the table
+        # prints the bound's column for it and builds no schedule there
+        # (no subnormal overlap: the sl rows' ceiling 1/c would overflow)
         grid = np.unique([c for c in self._column(0.5).tolist() if c == 0.0 or c >= 2.0**-1022])
         ks = {_cutoff(c) for c in grid.tolist()}
         lengths = sorted({2 * k + d for k in ks for d in (-1, 0, 1) if 2 * k + d >= 2} | {301, 1001})
         assert {69, 70, 71, 121, 122, 123} <= set(lengths)
         for n in lengths:
-            stacks.clear()
             table = online_opt._exact_table(n, grid)
-            rows = 0
-            for cs, xs in stacks:
-                # every overlap is at most 1/2: a block holds its closed-form
-                # rows, then its fl and sl rows
-                closed = len(cs) // 3
-                assert xs[:closed].tobytes() == closed_form_xs_full(n, cs[:closed, None]).tobytes(), n
-                rows += closed
-            assert rows == len(grid) - 1  # the row at c = 0 is 1.0 without a schedule
-            online = [kernels.detection_profile(c, closed_form_xs_full(n, c)).mean() for c in grid[1:].tolist()]
-            assert table[2, 1:].tolist() == online, n
+            assert table[2].tobytes() == table[1].tobytes(), n
+            assert table[1, 1:].tolist() == [global_success(n, c) for c in grid[1:].tolist()], n
 
     def test_widths_are_the_first_power_below_the_floor(self):
         rng = np.random.default_rng(37)

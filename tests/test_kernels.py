@@ -197,13 +197,13 @@ class TestStackedProfile:
         return peak / xs.nbytes
 
     @pytest.mark.parametrize("n", [31, 301, 4097])
-    def test_peak_memory_of_a_stack_at_the_table_block(self, n):
-        # a stack of the table's largest block holds its profiles and one
-        # array of change factors besides the caller's strengths; measured
-        # 2.5-2.6 times the strengths' bytes with numpy 2.4.  At n = 4097
-        # the block's 8 rows go row by row, 2.1 times.  A further copy of
-        # the whole stack (a transposed one, say) goes past 3.
-        ratio = self._peak_per_stack_byte(n, online_opt._TABLE_BLOCK // (n - 1))
+    def test_peak_memory_of_a_stack_of_32768_strengths(self, n):
+        # a stack of 2**15 strengths holds its profiles and one array of
+        # change factors besides the caller's strengths; measured 2.5-2.6
+        # times the strengths' bytes with numpy 2.4.  At n = 4097 its 8
+        # rows go row by row, 2.1 times.  A further copy of the whole stack
+        # (a transposed one, say) goes past 3.
+        ratio = self._peak_per_stack_byte(n, (1 << 15) // (n - 1))
         assert ratio <= 3, f"peak {ratio:.2f} times the stack"
 
     @pytest.mark.parametrize("n, rows", [(31, 17_476), (121, 8_738)])
