@@ -219,11 +219,17 @@ def _stack_profiles(cs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Profiles of the ``(R, n-1)`` stack ``xs``, one schedule per row at
     the overlap in the same row of the ``(R,)`` column ``cs``: the stacked
     twin of ``evaluate_strategy(StrengthSchedule(...))``, with its
-    admissibility and probability checks, and one kernel call, which picks
-    the walk.  Row by row bit-identical to it, and each row's mean over
-    the C-contiguous result to its ``average``."""
+    admissibility and probability checks each made once on the stack, and
+    one kernel walk per row into the ``(R, n)`` result.  Row by row
+    bit-identical to it, and each row's mean over the C-contiguous result
+    to its ``average``.  Raises ``ValueError`` unless ``cs`` holds one
+    overlap per row."""
+    if cs.shape != xs.shape[:1]:
+        raise ValueError(f"a stack of {len(xs)} schedules needs {len(xs)} overlaps, got shape {cs.shape}")
     check_strength(cs[:, None], xs)
-    profiles = kernels.detection_profile(cs, xs)
+    profiles = np.empty((len(xs), xs.shape[1] + 1))
+    for row, c, x in zip(profiles, cs.tolist(), xs):
+        row[:] = kernels.detection_profile(c, x)
     _check_probabilities(profiles)
     return profiles
 

@@ -1,12 +1,10 @@
 """Numeric hot paths: detection-profile recursion and Monte Carlo trials.
 
-Both kernels are plain numpy.  The profile kernel walks one schedule on
-Python floats, writing each entry through a memoryview of its result and
-filling each long run of equal strengths in bulk once its state cycles,
-so a chain costs O(unsettled positions) in Python and no memory beyond
-its result; a stack of at least ``_STACK_ROWS`` schedules, one per row,
-goes through the recursion in lockstep on width-R row vectors, a narrower
-one row by row, each row bit for bit its schedule's own profile.
+Both kernels are plain numpy.  The profile kernel walks one schedule,
+as the protocol measures one particle at a time, on Python floats,
+writing each entry through a memoryview of its result and filling each
+long run of equal strengths in bulk once its state cycles, so a chain
+costs O(unsettled positions) in Python and no memory beyond its result.
 
 The Monte Carlo kernel draws every uniform
 from a counter-based generator keyed by ``(seed, trial, position)``, so
@@ -117,80 +115,34 @@ def _uniforms(seed: int, first: int, rows: int, cols: int) -> np.ndarray:
 # kernel 1: detection profile (forward recursion over outcome probabilities)
 # ---------------------------------------------------------------------------
 
-#: shortest run of equal strengths that a one-schedule walk settles early
+#: shortest run of equal strengths that the walk settles early
 _SETTLE_RUN = 128
-#: fewest schedules a stack walks in lockstep: a lockstep step costs a few
-#: numpy calls at any width, so a narrower stack walks row by row on Python
-#: floats.  On 2 cores a stack of settled closed-form, fl and sl rows broke
-#: even at 12 rows for n = 31 and 18-27 for n = 301.  Only ``verify``'s
-#: stacks still come here: the 25-row stacks of ``oracle_equivalence`` walk
-#: in lockstep, the 11-row canonical ones row by row.
-_STACK_ROWS = 20
 
 
-def detection_profile(c, xs) -> np.ndarray:
+def detection_profile(c: float, xs) -> np.ndarray:
     """Per-position detection probabilities of the schedule ``xs``.
 
     ``xs[j-1]`` is the strength used at position j after a conclusive-0
     run; after an inconclusive outcome the next strength is pinned to c.
     Entry j is ``p0_j * (1 - c/x_j)`` and the last entry ``p0_n``, where
     ``p0 = 1 - pi`` and ``pi' = p0*(c*x) + pi*c^2`` from ``pi = 0``.
+    Raises ``ValueError`` for strengths that are not 1-D.
 
-    One schedule is a float ``c`` and a 1-D ``xs`` (:func:`_one_profile`);
-    a stack is a ``(R,)`` column of overlaps and an ``(R, n-1)`` array, one
-    schedule per row.  A stack of at least :data:`_STACK_ROWS` rows is
-    walked in lockstep over width-R columns of the result, which holds
-    ``c*x`` until ``p0`` replaces it; the caller bounds its size.  A
-    narrower one is walked row by row through :func:`_one_profile`.
-    Either way the ``(R, n)`` C-contiguous result equals the 1-D one row by
-    row, bit for bit.  Raises ``ValueError`` for ``xs`` of other than 1 or
-    2 dimensions, and for overlaps that are not one per row of a stack.
+    Each entry is computed in a walk on Python floats (numpy's IEEE
+    arithmetic, cheaper per step) and written once through a memoryview of
+    the result.  In a run of at least :data:`_SETTLE_RUN` equal strengths
+    each step is one pure map of ``pi``: once ``pi`` repeats a value it
+    took in the run, the rest of the run repeats the entries since then,
+    filled by phase from the result itself, and ``pi`` leaves it by the
+    phase of that cycle.  Each step checks ``pi`` against its value two
+    steps back, which closes the 2-cycles of the slowest runs at once, and
+    against an anchor refreshed at doubling intervals, which closes a cycle
+    of any length.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim == 1:
-        return _one_profile(float(c), xs)
-    if xs.ndim != 2:
-        raise ValueError(f"strengths must be 1-D or 2-D, got {xs.ndim} dimensions")
-    cs = np.asarray(c, dtype=np.float64)
-    if cs.shape != xs.shape[:1]:
-        raise ValueError(
-            f"a stack of {len(xs)} schedules needs {len(xs)} overlaps, got shape {cs.shape}"
-        )
-    prof = np.empty((len(xs), xs.shape[1] + 1))
-    if len(xs) < _STACK_ROWS:
-        for p, cv, x in zip(prof, cs.tolist(), xs):
-            p[:] = _one_profile(cv, x)
-        return prof
-    c = cs[:, None]
-    np.multiply(xs, c, out=prof[:, :-1])
-    cols = prof.T
-    cc, ones, pi, p0 = cs * cs, np.ones(len(cs)), np.zeros(len(cs)), np.ones(len(cs))
-    # cols[j] holds c*x at position j + 1 until it is read, then p0 there.
-    # Each step works in place, pi*cc + p0*c*x adds the two products of
-    # p0*c*x + pi*cc in the other order, which IEEE addition allows, and
-    # ones - pi is 1.0 - pi without the scalar operand's per-call cost
-    for col in cols[:-1]:
-        pi *= cc
-        pi += p0 * col
-        col[...] = p0
-        np.subtract(ones, pi, out=p0)
-    prof[:, -1] = p0
-    change = np.divide(c, xs)
-    prof[:, :-1] *= np.subtract(1.0, change, out=change)
-    return prof
-
-
-def _one_profile(c: float, xs: np.ndarray) -> np.ndarray:
-    """One schedule's profile, each entry computed in a walk on Python floats
-    (numpy's IEEE arithmetic, cheaper per step) and written once through a
-    memoryview of the result.  In a run of at least :data:`_SETTLE_RUN`
-    equal strengths each step is one pure map of ``pi``: once ``pi``
-    repeats a value it took in the run, the rest of the run repeats the
-    entries since then, filled by phase from the result itself, and ``pi``
-    leaves it by the phase of that cycle.  Each step checks ``pi`` against
-    its value two steps back, which closes the 2-cycles of the slowest runs
-    at once, and against an anchor refreshed at doubling intervals, which
-    closes a cycle of any length."""
+    if xs.ndim != 1:
+        raise ValueError(f"strengths must be 1-D, got {xs.ndim} dimensions")
+    c = float(c)
     cc, p0, pi, n = c * c, 1.0, 0.0, len(xs)
     runs = [(n, n)]  # (start, end) of each long run, and the end of the chain
     if n >= _SETTLE_RUN and (xs[_SETTLE_RUN - 1 :] == xs[: n + 1 - _SETTLE_RUN]).any():

@@ -388,7 +388,7 @@ def best_online(n: int, c: Overlap | float) -> OnlineSolution:
 def _exact_table(n: int, grid) -> np.ndarray:
     """The exact curve table at the increasing overlaps ``grid`` in
     ``[0, 1]``: a ``(5, len(grid))`` array whose rows are ``c``, the
-    collective bound and the success of :func:`best_online`,
+    collective bound and the success of the optimal online schedule,
     :func:`fl_solution` and :func:`sl_solution`.
 
     The bound is :func:`_optimal_success`, row by row, on the grid's

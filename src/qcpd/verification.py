@@ -14,7 +14,8 @@ each other rather than against hard-coded numbers:
 
 Each suite checks one stack per chain length rather than one validated
 object per case: a column of overlaps with one schedule per row, checked
-and walked by one ``core._stack_profiles`` call, enumerated by one
+by one ``core._stack_profiles`` call, which walks each row as
+``evaluate_strategy`` walks one schedule, enumerated by one
 ``_path_profiles`` call, and held against the broadcast efficiency and
 Gram formulas with one batched eigensolve of the rows whose eigenvalue is
 read.  Only ``recursion_agreement`` runs its forward substitution one case

@@ -7,6 +7,10 @@ from outside it:
 * :func:`optimize_strengths_backward` is the backward optimizer as a pass
   over the tail sums ``(A, B)`` with a rational argmax per position, which
   the one-variable map of ``optimize_strengths`` must match to a few ulps;
+* :func:`backward_sums` is the same pass over any given schedule, whose
+  ``A_1/n`` every profile mean must match, and whose increments per
+  position, once the optimal schedule's orbit settles, must match the
+  large-``n`` limit ``cli`` prints as ``p_online``;
 * :func:`coordinate_objective` restricts the success probability to one
   strength, ``alpha + beta*x + delta/x`` (:class:`RationalCoefficients`),
   the form the backward optimizer maximizes;
@@ -22,8 +26,8 @@ from outside it:
   a time, multiplying out each path probability on its own, the route
   ``enumerate_strategy`` must match bit for bit;
 * :func:`detection_profile_loop` is the profile recursion as one Python
-  loop over positions, each factor computed where it is used, which both
-  call shapes of ``kernels.detection_profile`` must match bit for bit;
+  loop over positions, each factor computed where it is used, which
+  ``kernels.detection_profile`` must match bit for bit;
 * :func:`tent_efficiencies_full`, :func:`closed_form_xs_full` and
   :func:`primed_efficiencies_full` are the closed forms with every power
   of ``-c`` taken by libm's ``pow`` (``np.float_power``), which the routes
@@ -35,8 +39,8 @@ from outside it:
   ``online_opt._recursive_xs`` and ``online_opt._optimal_strengths`` must
   match bit for bit;
 * :func:`detection_profile_reference` is the profile recursion in
-  50-digit ``decimal`` arithmetic, the reference both call shapes of
-  ``kernels.detection_profile`` are bounded against;
+  50-digit ``decimal`` arithmetic, the reference
+  ``kernels.detection_profile`` is bounded against;
 * :func:`simulate_counts_forward` is the Monte Carlo kernel as a forward
   walk over every position before the change point, which the backward
   walk of ``kernels.simulate_counts`` must match count for count;
@@ -121,10 +125,24 @@ from qcpd.verification import (
 
 def _push_head(cv: float, y: float, a: float, b: float) -> tuple[float, float]:
     """Prepend strength ``y`` to a tail whose entries sum to ``a + b*pi``:
-    the head adds ``(1-pi)*w`` with ``w = 1 - c/y`` and hands the tail the
-    inconclusive probability ``c*y + pi*(c^2 - c*y)``."""
-    w = 1.0 - cv / y
-    return w + a + b * cv * y, -w + b * (cv * cv - cv * y)
+    the head adds ``(1-pi)*(1 - c/y)`` and hands the tail the inconclusive
+    probability ``(1-pi)*c*y + pi*c^2``, so the sums become
+    ``(a + t) + (b*c^2 - t)*pi`` with ``t = 1 - c/y + c*b*y``."""
+    t = 1.0 - cv / y + cv * b * y
+    return a + t, b * cv * cv - t
+
+
+def backward_sums(c: float, xs) -> list[float]:
+    """The backward evaluation of a schedule: ``A`` of the tail sums
+    ``A + B*pi`` from ``(1, -1)`` after the last particle, after each
+    strength of ``xs`` taken from the last to the first.  The last one is
+    ``A_1``, and ``A_1/n`` the schedule's success, a second route to the
+    mean of its forward profile."""
+    a, b, sums = 1.0, -1.0, []
+    for y in reversed(np.asarray(xs, dtype=np.float64).tolist()):
+        a, b = _push_head(c, y, a, b)
+        sums.append(a)
+    return sums
 
 
 def _argmax_rational(beta: float, delta: float, lo: float, hi: float) -> float:

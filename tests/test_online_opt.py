@@ -33,6 +33,7 @@ from qcpd.global_bound import _end_powers
 from qcpd.kernels import detection_profile
 from oracles import (
     GOLDEN,
+    backward_sums,
     coordinate_objective,
     optimal_strengths_loop,
     optimal_strengths_reference,
@@ -547,7 +548,8 @@ class TestLargeChainLaw:
     """The optimizer against the asymptotic table's ``p_online``,
     ``fl_success_asymptotic``: the law ``n * p_n = n * L + K`` holds with
     ``L`` that limit, in every regime and at the golden ratio, where the
-    orbit converges slowest."""
+    orbit converges slowest; and each settled position adds ``L`` to the
+    backward pass's tail sums, on a grid of 999 overlaps."""
 
     def test_asymptotic_table_prints_the_constant_strength_limit(self):
         table = build_curve(2, 0.01, 0.99, 0.01, asymptotic=True)
@@ -563,6 +565,38 @@ class TestLargeChainLaw:
         if c <= 0.5:
             # from the closed form of global_success, which online attains
             assert large == pytest.approx(2 * c / (1 + c) ** 2, abs=1e-8)
+
+    #: widest gap of a settled increment to the limit: measured worst
+    #: 7.22e-15 (c = 0.016), half an ulp of an A in [64, 128)
+    SETTLED_TOL = 8e-15
+    GRID = [k / 1000 for k in range(1, 1000)]
+
+    @staticmethod
+    def _settled_increments(grid) -> list[float]:
+        """What each of the first two positions of the optimal schedule of
+        n = 120 adds to the backward pass's ``A``, on average.  A strength
+        depends only on its distance from the end, and the orbit settles
+        into a fixed point or a 2-cycle well within 120 steps (within 77
+        on 2 000 overlaps above 1/2, and geometrically at rate c up to
+        1/2), so those two add a fixed amount per position."""
+        increments = []
+        for c in grid:
+            sums = backward_sums(c, optimize_strengths(120, c).schedule.strengths)
+            increments.append((sums[-1] - sums[-3]) / 2)
+        return increments
+
+    def test_each_settled_position_adds_the_table_limit(self):
+        limits = [fl_success_asymptotic(c) for c in self.GRID]
+        gaps = np.abs(np.subtract(self._settled_increments(self.GRID), limits))
+        assert gaps.max() <= self.SETTLED_TOL
+
+    def test_each_settled_position_is_not_the_saturated_limit(self):
+        # negative control: below the golden ratio the sl limit is below
+        # the true one, by 8.4e-10 at c = 0.618
+        grid = [c for c in self.GRID if c < GOLDEN]
+        limits = [sl_success_asymptotic(c) for c in grid]
+        gaps = np.abs(np.subtract(self._settled_increments(grid), limits))
+        assert gaps.min() > self.SETTLED_TOL
 
     @pytest.mark.parametrize("c", [0.3, 0.55, 0.6, 0.618])
     def test_saturated_limit_fails_below_the_golden_ratio(self, c):

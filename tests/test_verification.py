@@ -153,13 +153,14 @@ def test_run_all_walks_one_stack_per_chain_length_per_call(monkeypatch):
 
     monkeypatch.setattr(kernels, "detection_profile", counted)
     # 25 random schedules for each n = 2..12, then the 11 canonical
-    # overlaps for each n = 2..25: 11 + 24 kernel calls, each on a stack
-    stacks = [(25, n - 1) for n in range(2, 13)] + [(11, n - 1) for n in range(2, 26)]
+    # overlaps for each n = 2..25: one kernel call per row, 275 + 264 = 539
+    rows = [(n - 1,) for n in range(2, 13) for _ in range(25)]
+    rows += [(n - 1,) for n in range(2, 26) for _ in range(11)]
     for _ in range(2):
         # a second call recomputes every stack: nothing outlives a call
         calls.clear()
         verification.run_all(n_max=12)
-        assert calls == stacks
+        assert calls == rows
 
 
 def test_peak_memory_of_run_all_at_the_enumeration_cap():
