@@ -18,7 +18,7 @@ no matter how trials are chunked, ordered, or parallelised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,16 +52,16 @@ class TrialResult:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class SimulationReport:
-    """Aggregate counts from a batch of independent trials;
-    ``detections_per_position`` is a read-only int64 copy of the counts."""
+    """Counts from a batch of independent trials, as a read-only int64
+    copy, and the ``empirical_success`` and ``stderr`` derived from them."""
 
     n: int
     c: float
     trials: int
     seed: int
     detections_per_position: np.ndarray
-    empirical_success: float
-    stderr: float
+    empirical_success: float = field(init=False)
+    stderr: float = field(init=False)
     mismatched_detections: int
 
     def __post_init__(self) -> None:
@@ -76,10 +76,11 @@ class SimulationReport:
         total = int(counts.sum())
         if total > self.trials:
             raise ValueError("counts sum exceeds the number of trials")
-        if self.empirical_success != total / self.trials:
-            raise ValueError("empirical_success does not match the counts")
         if self.mismatched_detections < 0:
             raise ValueError("mismatched_detections must be non-negative")
+        p = total / self.trials
+        object.__setattr__(self, "empirical_success", p)
+        object.__setattr__(self, "stderr", math.sqrt(p * (1.0 - p) / self.trials))
 
 
 def simulate_trial(
@@ -141,14 +142,11 @@ def run_experiment(
     counts, wrong = kernels.simulate_counts(
         schedule.overlap.c, schedule.strengths, int(trials), int(seed)
     )
-    success = int(counts.sum()) / trials
     return SimulationReport(
         n=schedule.n,
         c=schedule.overlap.c,
         trials=int(trials),
         seed=int(seed),
         detections_per_position=counts,
-        empirical_success=success,
-        stderr=math.sqrt(success * (1.0 - success) / trials),
         mismatched_detections=int(wrong),
     )

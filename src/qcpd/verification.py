@@ -21,9 +21,9 @@ Gram formulas with one batched eigensolve of the rows whose eigenvalue is
 read.  Only ``recursion_agreement`` runs its forward substitution one case
 at a time, as that is the route it checks.  A suite yields one
 :class:`_Cases` per stack, every case's residual in one array, and
-:func:`_fold` takes the worst of them, building a case dict for the
-reported case only.  The result is that of the one-case loops
-(``run_all_per_case`` in ``tests/oracles.py``, which a test holds equal).
+:func:`_fold` takes the worst of them in order, a NaN worst of all, so a
+NaN fails its suite.  The one-case loops (``run_all_per_case`` in
+``tests/oracles.py``, held equal by a test) fold through it too.
 The CLI's ``verify`` subcommand renders the results and sets the exit
 code.  The fault-injection mode deliberately perturbs one strength so the
 harness can demonstrate that a broken schedule is actually caught.
@@ -31,7 +31,7 @@ harness can demonstrate that a broken schedule is actually caught.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -72,14 +72,17 @@ _FAULT_FACTOR = 1.001
 
 @dataclass(frozen=True, slots=True)
 class SuiteResult:
-    """Outcome of one consistency suite."""
+    """Outcome of one consistency suite; ``passed`` is derived."""
 
     name: str
-    passed: bool
+    passed: bool = field(init=False)
     max_residual: float
     threshold: float
     cases: int
     worst_case: dict | None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", self.max_residual <= self.threshold)
 
 
 class _Cases(NamedTuple):
@@ -98,28 +101,26 @@ def _case(n: int, c: float, position: int | None) -> dict:
 
 
 def _fold(name: str, threshold: float, stacks: Iterable[_Cases]) -> SuiteResult:
-    """Fold the stacks, in order, into a :class:`SuiteResult`.
+    """Fold the stacks' rows, in order, into a :class:`SuiteResult`.
 
-    Every row counts as a case.  A stack's worst row is its first largest
-    residual, and it replaces the worst so far only when strictly larger,
-    so on a tie the earlier case is reported.  The reported case alone
-    becomes a dict.  ``passed`` is ``max_residual <= threshold``.
+    Every row counts as a case.  The worst is the first residual above
+    every earlier one, a NaN counting as worse than any number, so on a
+    tie the earlier case is reported and the first NaN stays.  The
+    reported case alone becomes a dict.
     """
     worst, at, cases = 0.0, None, 0
     for rows in stacks:
         cases += rows.residuals.size
-        if rows.residuals.size == 0:
-            continue
-        i = int(rows.residuals.argmax())
-        if rows.residuals[i] > worst:
-            worst, at = float(rows.residuals[i]), (rows, i)
+        for i, residual in enumerate(rows.residuals.tolist()):
+            # a kept NaN is final; "not <=" takes a first NaN too
+            if worst == worst and not residual <= worst:
+                worst, at = residual, (rows, i)
     worst_case = None
     if at is not None:
         rows, i = at
         worst_case = _case(rows.n, float(rows.cs[i]), int(rows.positions[i]) or None)
     return SuiteResult(
         name=name,
-        passed=worst <= threshold,
         max_residual=worst,
         threshold=threshold,
         cases=cases,
@@ -129,7 +130,7 @@ def _fold(name: str, threshold: float, stacks: Iterable[_Cases]) -> SuiteResult:
 
 def _worst_entries(n: int, cs: np.ndarray, gaps: np.ndarray) -> _Cases:
     """Each row's largest entrywise gap and its position, the first on a
-    tie."""
+    tie or the first NaN."""
     return _Cases(n, cs, gaps.max(axis=1), gaps.argmax(axis=1) + 1)
 
 
@@ -222,7 +223,8 @@ def central_equality(
                 n,
                 cs,
                 np.maximum(worst.residuals, mean_gaps),
-                np.where(worst.residuals >= mean_gaps, worst.positions, 0),
+                # a NaN entry keeps its position
+                np.where(mean_gaps > worst.residuals, 0, worst.positions),
             )
 
     return _fold("central_equality", CENTRAL_TOL, stacks())
@@ -263,9 +265,9 @@ def gram_feasibility() -> SuiteResult:
     residual is the worst eigenvalue deficit, or 1.0 if an efficiency is
     not a probability.  Above it the range check must already fail: the
     residual is 0.0 if it does and 1.0 if it passes, with no eigensolve.
-    The suite stops at the first failing case.  Odd lengths 5..31 only, to
-    keep eigen-solves few; even lengths 6..30 have thresholds too and meet
-    the same criteria.
+    The suite stops at the first failing case, NaN included.  Odd lengths
+    5..31 only, to keep eigen-solves few; even lengths 6..30 have
+    thresholds too and meet the same criteria.
     """
 
     def stacks() -> Iterator[_Cases]:
@@ -287,11 +289,10 @@ def gram_feasibility() -> SuiteResult:
                     np.where(_in_range(targets[_GRAM_SIDE:]), 1.0, 0.0),
                 )
             )
-            failed = residuals > GRAM_TOL
-            stop = bool(failed.any())
-            cut = int(failed.argmax()) + 1 if stop else cs.size
+            failed = np.flatnonzero(~(residuals <= GRAM_TOL))  # a NaN fails
+            cut = int(failed[0]) + 1 if failed.size else cs.size
             yield _Cases(n, cs[:cut], residuals[:cut], np.zeros(cut, dtype=np.int64))
-            if stop:
+            if failed.size:
                 return
 
     return _fold("gram_feasibility", GRAM_TOL, stacks())

@@ -46,9 +46,9 @@ from outside it:
   walk of ``kernels.simulate_counts`` must match count for count;
 * :func:`run_all_per_case` runs the four ``verify`` suites one case at a
   time, building one validated schedule, profile and feasibility report
-  per case and folding one ``(residual, case)`` pair per case with
-  :func:`_suite`, which the stacked suites of ``verification.run_all``
-  must match exactly;
+  per case and folding each case as a one-row stack with
+  ``verification._fold``, which the stacked suites of
+  ``verification.run_all`` must match exactly;
 * :func:`check_strength_reference` and :func:`check_probabilities_reference`
   are the admissibility and probability checks as numpy masks over every
   entry, with an ``isfinite`` pass, the accept sets and messages that
@@ -71,7 +71,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -119,7 +119,8 @@ from qcpd.verification import (
     ORACLE_TOL,
     RECURSION_TOL,
     SuiteResult,
-    _case,
+    _Cases,
+    _fold,
 )
 
 
@@ -659,35 +660,16 @@ def detection_profile_reference(c: float, xs) -> list[Decimal]:
         return prof
 
 
-_Pair = tuple[float, dict | None]
+def _one_case(n: int, c: float, residual: float, position: int | None) -> _Cases:
+    """One case as a one-row stack, ``position`` 0 where it is ``None``."""
+    return _Cases(n, np.array([c]), np.array([residual]), np.array([position or 0]))
 
 
-def _suite(name: str, threshold: float, results: Iterable[_Pair]) -> SuiteResult:
-    """Fold ``(residual, case)`` pairs, in order, into a ``SuiteResult``.
-
-    Every pair counts as a case.  Only a strictly larger residual replaces
-    the worst, so on a tie the earlier case is reported.  ``passed`` is
-    ``max_residual <= threshold``.
-    """
-    worst, worst_case, cases = 0.0, None, 0
-    for residual, case in results:
-        cases += 1
-        if residual > worst:
-            worst, worst_case = residual, case
-    return SuiteResult(
-        name=name,
-        passed=worst <= threshold,
-        max_residual=worst,
-        threshold=threshold,
-        cases=cases,
-        worst_case=worst_case,
-    )
-
-
-def _worst_entry(n: int, c: float, gaps: np.ndarray) -> _Pair:
-    """The largest of the entrywise ``gaps`` and its 1-based position."""
+def _worst_entry(n: int, c: float, gaps: np.ndarray) -> _Cases:
+    """The largest of the entrywise ``gaps`` and its 1-based position, the
+    first on a tie or the first NaN."""
     j = int(np.argmax(gaps))
-    return float(gaps[j]), _case(n, c, j + 1)
+    return _one_case(n, c, float(gaps[j]), j + 1)
 
 
 def run_all_per_case(
@@ -731,8 +713,9 @@ def run_all_per_case(
             gaps = np.abs(profile.per_position - global_efficiencies(n, c))
             mean_gap = abs(profile.average - global_success(n, c))
             j = int(np.argmax(gaps))
-            position = j + 1 if gaps[j] >= mean_gap else None
-            yield max(float(gaps[j]), mean_gap), _case(n, c, position)
+            # a NaN entry keeps its position
+            position = None if mean_gap > gaps[j] else j + 1
+            yield _one_case(n, c, float(np.maximum(gaps[j], mean_gap)), position)
 
     def recursion():
         for solution in solutions:
@@ -756,13 +739,13 @@ def run_all_per_case(
                         residual = max(0.0, -report.min_eigenvalue)
                     else:
                         residual = 1.0
-                    yield residual, _case(n, c, None)
-                    if residual > GRAM_TOL:
+                    yield _one_case(n, c, residual, None)
+                    if not residual <= GRAM_TOL:
                         return
 
     return [
-        _suite("oracle_equivalence", ORACLE_TOL, oracle()),
-        _suite("central_equality", CENTRAL_TOL, central()),
-        _suite("recursion_agreement", RECURSION_TOL, recursion()),
-        _suite("gram_feasibility", GRAM_TOL, gram()),
+        _fold("oracle_equivalence", ORACLE_TOL, oracle()),
+        _fold("central_equality", CENTRAL_TOL, central()),
+        _fold("recursion_agreement", RECURSION_TOL, recursion()),
+        _fold("gram_feasibility", GRAM_TOL, gram()),
     ]

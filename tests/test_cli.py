@@ -30,7 +30,7 @@ from qcpd import (
     sl_solution,
     validate_unambiguous,
 )
-from qcpd import cli, kernels, online_opt, optimize_strengths
+from qcpd import cli, kernels, online_opt, optimize_strengths, verification
 from qcpd.cli import (
     _CSV_ROW,
     CSV_HEADER,
@@ -618,6 +618,26 @@ class TestVerify:
         assert "central_equality" in result.stderr
         # the failing case is reported with its parameters
         assert "n=" in result.stderr and "c=" in result.stderr
+
+    def test_a_nan_row_does_not_hide_a_failing_one(self, monkeypatch, capsys):
+        recursive = verification._recursive_xs
+
+        def faulted(c, gammas):
+            xs = recursive(c, gammas)
+            if c == 0.05:
+                return np.full_like(xs, np.nan)
+            return xs * 1.01 if c == 0.1 else xs
+
+        monkeypatch.setattr(verification, "_recursive_xs", faulted)
+        code = main(["verify"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert json.loads(out)["passed"] is False
+        # the NaN is the worst residual, reported at its first case
+        assert err == (
+            "verification failed: recursion_agreement max residual nan > 1e-10"
+            " at n=2 c=0.05 position=1\n"
+        )
 
     @pytest.mark.parametrize("n_max", ["1", "40"])
     def test_n_max_outside_the_oracle_range_is_exit_one(self, n_max):

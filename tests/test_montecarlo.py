@@ -16,7 +16,7 @@ from qcpd import (
     run_experiment,
 )
 from qcpd.montecarlo import SimulationReport, TrialResult, simulate_trial
-from qcpd.online_opt import best_online, fl_solution
+from qcpd.online_opt import best_online, fl_solution, sl_solution
 
 
 def _schedule(n, c, xs=None):
@@ -39,21 +39,62 @@ class TestTypes:
             SimulationReport(
                 n=2, c=0.5, trials=5, seed=0,
                 detections_per_position=(4, 3),  # sums past trials
-                empirical_success=1.0, stderr=0.0, mismatched_detections=0,
-            )
-        with pytest.raises(ValueError):
-            SimulationReport(
-                n=2, c=0.5, trials=5, seed=0,
-                detections_per_position=(1, 1),
-                empirical_success=0.9,  # does not equal 2/5
-                stderr=0.0, mismatched_detections=0,
+                mismatched_detections=0,
             )
         with pytest.raises(ValueError):
             SimulationReport(
                 n=3, c=0.5, trials=5, seed=0,
                 detections_per_position=(1, 1),  # wrong length
-                empirical_success=0.4, stderr=0.0, mismatched_detections=0,
+                mismatched_detections=0,
             )
+
+    @pytest.mark.parametrize(
+        "trials, counts, mismatched, message",
+        [
+            (5, (-1, 2), 0, "counts must be non-negative"),
+            (0, (0, 0), 0, "trials must be >= 1"),
+            (5, (1, 1), -1, "mismatched_detections must be non-negative"),
+        ],
+    )
+    def test_bad_counts_are_rejected(self, trials, counts, mismatched, message):
+        with pytest.raises(ValueError, match=message):
+            SimulationReport(
+                n=2, c=0.5, trials=trials, seed=0,
+                detections_per_position=counts, mismatched_detections=mismatched,
+            )
+
+    def test_the_summary_is_derived_from_the_counts(self):
+        report = SimulationReport(
+            n=2, c=0.5, trials=5, seed=0,
+            detections_per_position=(1, 1), mismatched_detections=0,
+        )
+        assert (report.empirical_success, report.stderr) == (0.4, math.sqrt(0.4 * 0.6 / 5))
+        with pytest.raises(TypeError):
+            SimulationReport(
+                n=2, c=0.5, trials=5, seed=0, detections_per_position=(1, 1),
+                empirical_success=0.4, mismatched_detections=0,
+            )
+
+    @pytest.mark.parametrize(
+        "strategy, n, success, stderr",
+        [
+            # run_experiment's values before the summary was derived, at
+            # c = 0.4, 3000 trials and seed 100*i + n for the i-th strategy
+            ("online", 2, 0.6106666666666667, 0.008902300992606516),
+            ("online", 31, 0.44366666666666665, 0.009070585345969604),
+            ("online", 256, 0.445, 0.00907331251528349),
+            ("fl", 2, 0.601, 0.008940525711612265),
+            ("fl", 31, 0.43366666666666664, 0.009048017994546078),
+            ("fl", 256, 0.421, 0.009014044597182776),
+            ("sl", 2, 0.6036666666666667, 0.008930345686146425),
+            ("sl", 31, 0.4083333333333333, 0.008973985034944476),
+            ("sl", 256, 0.373, 0.00882932613510227),
+        ],
+    )
+    def test_the_derived_summary_is_bit_identical(self, strategy, n, success, stderr):
+        i, build = {"online": (0, best_online), "fl": (1, fl_solution), "sl": (2, sl_solution)}[strategy]
+        report = run_experiment(build(n, 0.4).schedule, 3000, seed=100 * i + n)
+        assert (report.empirical_success, report.stderr) == (success, stderr)
 
     @pytest.mark.parametrize("counts", [(1.5, 0), ("3", 0), (1.0, 0), (2**70, 0)])
     def test_non_integer_counts_are_rejected(self, counts):
@@ -61,15 +102,14 @@ class TestTypes:
         with pytest.raises(ValueError, match="expected int64 values"):
             SimulationReport(
                 n=2, c=0.5, trials=5, seed=0,
-                detections_per_position=counts,
-                empirical_success=0.2, stderr=0.0, mismatched_detections=0,
+                detections_per_position=counts, mismatched_detections=0,
             )
 
     def test_counts_are_a_read_only_int64_copy(self):
         counts = np.array([1, 2, 0])
         report = SimulationReport(
             n=3, c=0.5, trials=5, seed=0, detections_per_position=counts,
-            empirical_success=0.6, stderr=0.0, mismatched_detections=0,
+            mismatched_detections=0,
         )
         counts[0] = 5
         held = report.detections_per_position
@@ -81,6 +121,11 @@ class TestTypes:
         report = run_experiment(_schedule(4, 0.4), 2_000, seed=5)
         payload = asdict(report)
         assert list(payload) == [field.name for field in fields(report)]
+        # the derived fields keep their place, so the JSON keys keep their order
+        assert list(payload) == [
+            "n", "c", "trials", "seed", "detections_per_position",
+            "empirical_success", "stderr", "mismatched_detections",
+        ]
         assert payload["n"] == 4 and payload["trials"] == 2_000
         assert payload["detections_per_position"].dtype == np.int64
         assert sum(payload["detections_per_position"]) <= 2_000

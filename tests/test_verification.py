@@ -1,22 +1,23 @@
 """The fold of per-stack residuals, the stacked suites against their
-one-case-at-a-time oracle and its pair fold, and negative controls: each
-consistency suite fails when one of its inputs is perturbed by a small
-factor."""
+one-case-at-a-time oracle, and negative controls: each consistency suite
+fails when one of its inputs is perturbed by a small factor or is NaN."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qcpd import kernels, verification
-from oracles import _suite, run_all_per_case
+from oracles import run_all_per_case
 
 
 def _assert_caught(result):
     assert result.passed is False
-    assert result.max_residual > result.threshold
+    # a NaN residual is caught too
+    assert not result.max_residual <= result.threshold
 
 
 def _scale_profiles(monkeypatch):
@@ -208,33 +209,34 @@ def test_a_chain_lengths_cases_do_not_depend_on_n_max(seed, monkeypatch):
     assert drawn[8:16] == drawn[:8]
 
 
-class TestSuiteHarness:
-    """The pair fold of ``run_all_per_case``, one ``(residual, case)`` pair
-    per case."""
-
-    def test_every_pair_counts_and_the_earlier_tie_is_kept(self):
-        pairs = [(0.0, "a"), (2.0, "b"), (1.0, "c"), (2.0, "d")]
-        result = _suite("demo", 2.0, iter(pairs))
-        assert (result.name, result.cases) == ("demo", 4)
-        assert (result.max_residual, result.worst_case) == (2.0, "b")
-        assert result.passed is True
-
-    def test_a_residual_above_the_threshold_fails(self):
-        result = _suite("demo", 1.0, [(1.5, "a")])
-        assert (result.passed, result.max_residual, result.worst_case) == (False, 1.5, "a")
-
-    def test_no_pairs_pass_with_no_worst_case(self):
-        result = _suite("demo", 1e-9, [])
-        assert (result.passed, result.max_residual, result.cases) == (True, 0.0, 0)
-        assert result.worst_case is None
-
-
 def _cases(n, residuals, positions=None):
     residuals = np.array(residuals, dtype=np.float64)
     cs = np.linspace(0.1, 0.2, residuals.size)
     if positions is None:
         positions = np.arange(1, residuals.size + 1)
     return verification._Cases(n, cs, residuals, np.array(positions, dtype=np.int64))
+
+
+class TestSuiteHarness:
+    """The fold over one-row stacks, one per case, as ``run_all_per_case``
+    uses it."""
+
+    def test_every_case_counts_and_the_earlier_tie_is_kept(self):
+        stacks = [_cases(n, [r]) for n, r in [(2, 0.0), (3, 2.0), (4, 1.0), (5, 2.0)]]
+        result = verification._fold("demo", 2.0, stacks)
+        assert (result.name, result.cases) == ("demo", 4)
+        assert result.max_residual == 2.0
+        assert result.worst_case == {"n": 3, "c": 0.1, "position": 1}
+        assert result.passed is True
+
+    def test_a_residual_above_the_threshold_fails(self):
+        result = verification._fold("demo", 1.0, [_cases(2, [1.5])])
+        assert (result.passed, result.max_residual, result.worst_case["n"]) == (False, 1.5, 2)
+
+    def test_no_cases_pass_with_no_worst_case(self):
+        result = verification._fold("demo", 1e-9, [])
+        assert (result.passed, result.max_residual, result.cases) == (True, 0.0, 0)
+        assert result.worst_case is None
 
 
 class TestFold:
@@ -267,21 +269,42 @@ class TestFold:
         assert result.worst_case is None
         assert verification._fold("demo", 1e-9, []).cases == 0
 
-    def test_the_pair_fold_agrees_on_random_stacks(self):
+    def test_a_nan_is_worse_than_any_residual(self):
+        stack = _cases(4, [np.nan, 5.0])
+        result = verification._fold("demo", 1.0, [stack])
+        assert (result.passed, result.cases) == (False, 2)
+        assert math.isnan(result.max_residual)
+        assert result.worst_case == {"n": 4, "c": float(stack.cs[0]), "position": 1}
+
+    def test_the_worst_is_the_first_largest_or_the_first_nan_on_random_stacks(self):
         rng = np.random.default_rng(5)
+        drawn = [0.0, 0.5, 1.0, 1.5, np.nan]
         for _ in range(200):
-            # few distinct values, so ties within and across stacks are common
-            stacks = [
-                _cases(n, rng.integers(0, 4, size=rng.integers(0, 5)) / 2.0)
-                for n in range(2, 2 + int(rng.integers(0, 5)))
-            ]
-            pairs = [
-                (float(r), verification._case(s.n, float(c), int(p)))
+            # few distinct values, so ties within and across stacks are
+            # common, and one in five a NaN; position 0 is no single entry's
+            stacks = []
+            for n in range(2, 2 + int(rng.integers(0, 5))):
+                size = int(rng.integers(0, 5))
+                stacks.append(_cases(n, rng.choice(drawn, size), rng.integers(0, 3, size)))
+            rows = [
+                (r, {"n": s.n, "c": c, "position": p or None})
                 for s in stacks
-                for r, c, p in zip(s.residuals, s.cs, s.positions)
+                for r, c, p in zip(s.residuals.tolist(), s.cs.tolist(), s.positions.tolist())
             ]
-            expected = _suite("demo", 0.5, pairs)
-            assert verification._fold("demo", 0.5, stacks) == expected
+            nans = [row for row in rows if math.isnan(row[0])]
+            positive = [row for row in rows if row[0] > 0.0]
+            if nans:
+                worst, case = nans[0]
+            elif positive:
+                # max keeps the first of equal keys
+                worst, case = max(positive, key=lambda row: row[0])
+            else:
+                worst, case = 0.0, None
+            result = verification._fold("demo", 0.5, stacks)
+            assert result.cases == len(rows)
+            assert result.worst_case == case
+            assert np.array_equal(result.max_residual, worst, equal_nan=True)
+            assert result.passed is (worst <= 0.5)
 
     def test_run_all_builds_a_case_dict_for_the_reported_cases_only(self, monkeypatch):
         built = []
@@ -296,9 +319,10 @@ class TestFold:
         assert built == [tuple(r.worst_case.values()) for r in results]
 
 
-@pytest.mark.parametrize("row, cases", [(2, 13), (9, 20)])
-def test_gram_feasibility_stops_at_the_first_failing_case(row, cases, monkeypatch):
+@pytest.mark.parametrize("row, cases, nan", [(2, 13, False), (9, 20, False), (2, 13, True)])
+def test_gram_feasibility_stops_at_the_first_failing_case(row, cases, nan, monkeypatch):
     efficiencies = verification._tent_efficiencies
+    eigvalsh = np.linalg.eigvalsh
 
     def faulted(cs, powers):
         vec = efficiencies(cs, powers)
@@ -307,9 +331,20 @@ def test_gram_feasibility_stops_at_the_first_failing_case(row, cases, monkeypatc
             vec[row] = vec[row] * 1.001 if row < 5 else 0.5
         return vec
 
-    monkeypatch.setattr(verification, "_tent_efficiencies", faulted)
+    def nan_eigenvalue(a, *args, **kwargs):
+        eigs = eigvalsh(a, *args, **kwargs)
+        if np.shape(a)[-1] == 7:
+            eigs[row, 0] = np.nan
+        return eigs
+
+    if nan:
+        # global_bound looks the solver up as np.linalg.eigvalsh at each call
+        monkeypatch.setattr(verification.np.linalg, "eigvalsh", nan_eigenvalue)
+    else:
+        monkeypatch.setattr(verification, "_tent_efficiencies", faulted)
     result = verification.gram_feasibility()
     _assert_caught(result)
+    assert math.isnan(result.max_residual) is nan
     # all ten cases of n = 5, then those of n = 7 up to the faulted row
     assert result.cases == cases
     threshold = verification.critical_overlap(7)
