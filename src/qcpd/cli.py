@@ -76,11 +76,10 @@ MAX_CURVE_ROWS = 100_000
 MAX_TRIAL_STEPS = 10**10
 MAX_TRIALS = 10**8
 
-#: most strength positions one request may hold: ``n - 1`` for ``strengths``
-#: and ``simulate``, ``rows * (n - 1)`` for an exact ``curve``; a grid of
-#: ``MAX_CURVE_ROWS`` rows at the default ``n = 31`` just fits.  Larger
-#: requests are rejected before any schedule is built.
-MAX_POSITIONS = MAX_CURVE_ROWS * 30
+#: most strength positions one request may hold: ``n - 1`` for
+#: ``strengths``, ``simulate`` and an exact ``curve``, whose rows build no
+#: schedule.  Larger requests are rejected before any schedule is built.
+MAX_POSITIONS = 3_000_000
 
 #: longest token a ``--schedule`` file may hold, far above any float's text
 _MAX_TOKEN = 4096
@@ -307,7 +306,7 @@ def build_curve(
     if span >= MAX_CURVE_ROWS:
         raise ValueError(f"{span + 1:.4g} grid rows exceed the cap of {MAX_CURVE_ROWS}")
     if not asymptotic:
-        _check_positions((int(span) + 1) * (n - 1))
+        _check_positions(n - 1)
     grid = []
     for i in range(int(span) + 1):
         c = round(c_min + i * step, 12)

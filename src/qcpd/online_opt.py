@@ -28,8 +28,13 @@ Constructions:
   families: constant strength ``min(1+c, 1/c)`` (asymptotically optimal
   below the critical overlap) and fully saturated strength ``1/c``.
 
-The backward pass in its ``(A, B)`` form, its one-strength objective and
-the paper's saturation constants are test oracles, in ``tests/oracles.py``.
+The curve table's online rows above 1/2 come from :func:`_online_row`:
+that orbit again, carrying the tail sums ``(A, B)`` of the backward pass
+instead of writing a schedule, so a row costs O(settle steps) at any
+``n``; the forward profile walk of :func:`optimize_strengths` is its check
+(``verify``'s ``backward_value`` suite).  The backward optimizer over
+``(A, B)``, its one-strength objective and the paper's saturation
+constants are test oracles, in ``tests/oracles.py``.
 
 :func:`_exact_table` builds the exact curve table; its docstring describes
 how.
@@ -258,6 +263,52 @@ def _optimal_strengths(n: int, cv: float) -> np.ndarray:
     return xs
 
 
+def _online_row(n: int, cv: float) -> tuple[float, bool]:
+    """The optimal online success at a checked overlap ``cv`` above 1/2,
+    and whether the optimal schedule is sl's, with no schedule built.
+
+    Runs the orbit of :func:`_optimal_strengths` with its float operations,
+    pushing each strength ``y``, from the last, onto the tail sums
+    ``A + B*pi`` from ``(1, -1)``: ``t = 1 - c/y + c*B*y``, ``A += t`` and
+    ``B = B*c^2 - t``; the success is ``A/n``.  The schedule is sl's when
+    every strength after the first pushed, the balanced last one, is
+    ``1/c``.  Each step is one pure map of ``(s, B)``: once that state
+    repeats an anchor refreshed at doubling intervals, the increments of
+    ``A`` repeat with the cycle's period, so whole periods are added at once,
+    the leftover steps are walked, and a row costs O(settle steps) at any
+    ``n``.
+    """
+    ceiling, low, steps = 1.0 / cv, 1.0 - cv * cv, n - 1
+    s, a, b, sl, j, width = 1.0, 1.0, -1.0, True, 0, 2
+    while j < steps:
+        s0, b0, mark, cycle = s, b, j, 0.0
+        for j in range(j, min(j + width, steps)):
+            if s >= cv:
+                y = 1.0 / s
+                s = 1.0 - cv * s
+                if y != ceiling and j:
+                    sl = False
+            else:
+                y = ceiling
+                s = math.sqrt(low * (1.0 - s * s))
+            t = 1.0 - cv / y + cv * b * y
+            a += t
+            cycle += t
+            b = b * cv * cv - t
+            if s == s0 and b == b0:
+                break
+        else:
+            j, width = j + 1, 2 * width
+            continue
+        # the state after step j is that before step `mark`, which it first
+        # repeats here: add the whole cycles, then walk the fewer steps left
+        # in one window, which cannot repeat it again
+        whole, rest = divmod(steps - j - 1, j + 1 - mark)
+        a += whole * cycle
+        steps, j, width = j + 1 + rest, j + 1, steps
+    return a / n, sl
+
+
 def optimize_strengths(n: int, c: Overlap | float) -> OnlineSolution:
     """Optimal online schedule at every overlap, in O(n).
 
@@ -399,9 +450,10 @@ def _exact_table(n: int, grid) -> np.ndarray:
     and are :func:`fl_success_exact` bit for bit.  At ``c = 0`` every
     unambiguous measurement is conclusive, so each strategy succeeds with
     certainty (sl's ceiling ``1/c`` is vacuous there).  Each online row
-    above 1/2 is the ``success`` of one :func:`optimize_strengths` call,
-    or, where that schedule is sl's, the sl row, so the two print alike.
-    No other row walks a profile.
+    above 1/2 is :func:`_online_row`'s backward pass, or, where the optimal
+    schedule is sl's, the sl row, so the two print alike; the column is
+    checked as the fl and sl rows are.  No row builds a schedule or walks
+    a profile, so a row costs O(1) in ``n`` once its orbit settles.
     """
     table = np.empty((5, len(grid)))
     table[0] = grid
@@ -417,10 +469,7 @@ def _exact_table(n: int, grid) -> np.ndarray:
     low = int(np.searchsorted(table[0], 0.5, side="right"))
     table[2, :low] = table[1, :low]
     for r, cv in enumerate(table[0, low:].tolist(), start=low):
-        solution = optimize_strengths(n, cv)
-        # no strength but the last exceeds the ceiling 1/c: at their
-        # smallest, all of them are at it, and the schedule is sl's
-        ceiling = 1.0 / cv
-        sl = np.minimum.reduce(solution.schedule.strengths[:-1], initial=ceiling) == ceiling
-        table[2, r] = table[4, r] if sl else solution.success
+        success, sl = _online_row(n, cv)
+        table[2, r] = table[4, r] if sl else success
+    _check_probabilities(table[2, low:])
     return table

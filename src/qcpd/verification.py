@@ -1,6 +1,6 @@
 """Cross-module consistency suites.
 
-Four independent computations of the same quantities are compared against
+Five independent computations of the same quantities are compared against
 each other rather than against hard-coded numbers:
 
 * ``oracle_equivalence`` — the O(n) forward recursion against brute-force
@@ -11,6 +11,9 @@ each other rather than against hard-coded numbers:
   schedule against the closed form.
 * ``gram_feasibility`` — the efficiency vector against the positivity
   check on either side of the critical overlap.
+* ``backward_value`` — the curve table's online rows above 1/2, each a
+  backward pass over the optimal orbit, against the mean of the forward
+  profile walk of ``optimize_strengths``.
 
 Each suite checks one stack per chain length rather than one validated
 object per case: a column of overlaps with one schedule per row, checked
@@ -18,15 +21,16 @@ by one ``core._stack_profiles`` call, which walks each row as
 ``evaluate_strategy`` walks one schedule, enumerated by one
 ``_path_profiles`` call, and held against the broadcast efficiency and
 Gram formulas with one batched eigensolve of the rows whose eigenvalue is
-read.  Only ``recursion_agreement`` runs its forward substitution one case
-at a time, as that is the route it checks.  A suite yields one
-:class:`_Cases` per stack, every case's residual in one array, and
-:func:`_fold` takes the worst of them in order, a NaN worst of all, so a
-NaN fails its suite.  The one-case loops (``run_all_per_case`` in
-``tests/oracles.py``, held equal by a test) fold through it too.
-The CLI's ``verify`` subcommand renders the results and sets the exit
-code.  The fault-injection mode deliberately perturbs one strength so the
-harness can demonstrate that a broken schedule is actually caught.
+read.  Only ``recursion_agreement`` runs its forward substitution, and
+``backward_value`` its forward walks, one case at a time, as those are
+the routes they check.  A suite yields one :class:`_Cases` per stack,
+every case's residual in one array, and :func:`_fold` takes the worst of
+them in order, a NaN worst of all, so a NaN fails its suite.  The
+one-case loops (``run_all_per_case`` in ``tests/oracles.py``, held equal
+by a test) fold through it too.  The CLI's ``verify`` subcommand renders
+the results and sets the exit code.  The fault-injection mode
+deliberately perturbs one strength so the harness can demonstrate that a
+broken schedule is actually caught.
 """
 
 from __future__ import annotations
@@ -54,11 +58,15 @@ from .global_bound import (
     critical_overlap,
 )
 from .kernels import _uniforms
-from .online_opt import _closed_form_xs, _recursive_xs
+from .online_opt import _closed_form_xs, _exact_table, _recursive_xs, optimize_strengths
 
 ORACLE_TOL = 1e-12
 CENTRAL_TOL = 1e-10
 RECURSION_TOL = 1e-10
+#: largest gap, relative to the forward walk, of an online row above 1/2;
+#: measured 7.8e-16 on the suite's cases, and 1.5e-15 on the 1 316 rows
+#: that are not sl's of nine chain lengths from 2 to 3001 at c = k/1000
+BACKWARD_TOL = 1e-12
 #: the eigenvalue tolerance of the feasibility check itself, so a case
 #: fails the suite exactly when ``validate_unambiguous`` rejects it
 GRAM_TOL = PSD_TOL
@@ -67,6 +75,13 @@ GRAM_TOL = PSD_TOL
 _SCHEDULES_PER_N = 25
 #: overlaps per side of the critical overlap in :func:`gram_feasibility`
 _GRAM_SIDE = 5
+#: chain lengths and overlaps of :func:`backward_value`: just above 1/2,
+#: the golden ratio, just below the total saturation point c_s and at it
+#: (every optimal schedule is sl's from there on), 0.9 and 0.99
+_BACKWARD_NS = (2, 3, 5, 31, 301)
+_BACKWARD_CS = np.array(
+    [0.5000000000000001, 0.6180339887498949, 0.68889, 0.6888921825343459, 0.9, 0.99]
+)
 _FAULT_FACTOR = 1.001
 
 
@@ -263,11 +278,12 @@ def gram_feasibility() -> SuiteResult:
 
     Below the critical overlap the vector must pass the full check: the
     residual is the worst eigenvalue deficit, or 1.0 if an efficiency is
-    not a probability.  Above it the range check must already fail: the
-    residual is 0.0 if it does and 1.0 if it passes, with no eigensolve.
-    The suite stops at the first failing case, NaN included.  Odd lengths
-    5..31 only, to keep eigen-solves few; even lengths 6..30 have
-    thresholds too and meet the same criteria.
+    not a probability, or NaN if one is not finite, a row kept out of the
+    eigensolve.  Above it the range check must already fail: the residual
+    is 0.0 if it does and 1.0 if it passes or an efficiency is not finite,
+    with no eigensolve.  The suite stops at the first failing case, NaN
+    included.  Odd lengths 5..31 only, to keep eigen-solves few; even
+    lengths 6..30 have thresholds too and meet the same criteria.
     """
 
     def stacks() -> Iterator[_Cases]:
@@ -280,15 +296,16 @@ def gram_feasibility() -> SuiteResult:
                 )
             )
             targets = _tent_efficiencies(cs[:, None], _end_powers(n, cs[:, None]))
+            finite = np.isfinite(targets).all(axis=1)
+            solved = finite & (np.arange(cs.size) < _GRAM_SIDE)
             min_eigs, below_ok = _unambiguous_spectra(
-                _gram_powers(n, cs[:_GRAM_SIDE, None, None]), targets[:_GRAM_SIDE]
+                _gram_powers(n, cs[solved, None, None]), targets[solved]
             )
-            residuals = np.concatenate(
-                (
-                    np.where(below_ok, np.maximum(0.0, -min_eigs), 1.0),
-                    np.where(_in_range(targets[_GRAM_SIDE:]), 1.0, 0.0),
-                )
-            )
+            # a NaN fails the range check, as the rows above must: so a
+            # non-finite row reads 1.0 above, and NaN below, unsolved
+            residuals = np.where(_in_range(targets) | ~finite, 1.0, 0.0)
+            residuals[:_GRAM_SIDE] = np.nan
+            residuals[solved] = np.where(below_ok, np.maximum(0.0, -min_eigs), 1.0)
             failed = np.flatnonzero(~(residuals <= GRAM_TOL))  # a NaN fails
             cut = int(failed[0]) + 1 if failed.size else cs.size
             yield _Cases(n, cs[:cut], residuals[:cut], np.zeros(cut, dtype=np.int64))
@@ -296,6 +313,27 @@ def gram_feasibility() -> SuiteResult:
                 return
 
     return _fold("gram_feasibility", GRAM_TOL, stacks())
+
+
+def backward_value() -> SuiteResult:
+    """The curve table's online rows above 1/2 vs. the forward walk.
+
+    Each row of ``online_opt._exact_table`` above 1/2 is the backward pass
+    of ``online_opt._online_row``, or the sl row where the optimal schedule
+    is sl's; its residual is its gap, relative to the walk, to the mean of
+    the forward profile that ``optimize_strengths`` walks over the optimal
+    schedule, with no position.  Chain lengths 2, 3, 5, 31 and 301 at six
+    overlaps each (30 cases).
+    """
+
+    def stacks() -> Iterator[_Cases]:
+        for n in _BACKWARD_NS:
+            online = _exact_table(n, _BACKWARD_CS)[2]
+            walked = np.array([optimize_strengths(n, c).success for c in _BACKWARD_CS.tolist()])
+            gaps = np.abs(online - walked) / walked
+            yield _Cases(n, _BACKWARD_CS, gaps, np.zeros(gaps.size, dtype=np.int64))
+
+    return _fold("backward_value", BACKWARD_TOL, stacks())
 
 
 def run_all(
@@ -314,4 +352,5 @@ def run_all(
         central_equality(solutions, inject_fault=inject_fault),
         recursion_agreement(solutions),
         gram_feasibility(),
+        backward_value(),
     ]

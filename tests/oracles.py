@@ -110,10 +110,21 @@ from qcpd.global_bound import (
     validate_unambiguous,
 )
 from qcpd.montecarlo import _uniform
-from qcpd.online_opt import OnlineSolution, _recursive_xs, _solution, closed_form_strengths
+from qcpd.online_opt import (
+    OnlineSolution,
+    _online_row,
+    _recursive_xs,
+    _solution,
+    closed_form_strengths,
+    fl_success_exact,
+    optimize_strengths,
+)
 from qcpd.verification import (
+    _BACKWARD_CS,
+    _BACKWARD_NS,
     _FAULT_FACTOR,
     _SCHEDULES_PER_N,
+    BACKWARD_TOL,
     CENTRAL_TOL,
     GRAM_TOL,
     ORACLE_TOL,
@@ -675,11 +686,13 @@ def _worst_entry(n: int, c: float, gaps: np.ndarray) -> _Cases:
 def run_all_per_case(
     n_max: int = 8, seed: int = 0, inject_fault: bool = False
 ) -> list[SuiteResult]:
-    """The four ``verify`` suites of ``verification.run_all``, one case at a
+    """The five ``verify`` suites of ``verification.run_all``, one case at a
     time: a ``StrengthSchedule`` and both profile routes per random
-    schedule, a ``closed_form_strengths`` solution per grid point and a
-    ``validate_unambiguous`` report per feasibility case, each case yielded
-    in the stacked suites' order.  Each random schedule draws its own
+    schedule, a ``closed_form_strengths`` solution per grid point, a
+    ``validate_unambiguous`` report per feasibility case and each online
+    row's scalar route, ``_online_row`` or ``fl_success_exact`` at sl's
+    ``1/c``, per backward case, each case yielded in the stacked suites'
+    order.  Each random schedule draws its own
     uniforms through the scalar ``montecarlo._uniform``: case ``i`` of
     chain length ``n`` on stream ``(n - 2)*25 + i``, the overlap at counter
     0 and the strengths at counters ``1..n-1``."""
@@ -732,9 +745,13 @@ def run_all_per_case(
                 (False, np.linspace(threshold + 0.011, 0.99, 5)),
             ):
                 for c in grid.tolist():
-                    report = validate_unambiguous(build_gram(n, c), global_efficiencies(n, c))
+                    gammas = global_efficiencies(n, c)
+                    finite = bool(np.isfinite(gammas).all())
+                    report = validate_unambiguous(build_gram(n, c), gammas) if finite else None
                     if not below:
-                        residual = 1.0 if report.gamma_range_ok else 0.0
+                        residual = 1.0 if not finite or report.gamma_range_ok else 0.0
+                    elif not finite:
+                        residual = math.nan
                     elif report.gamma_range_ok:
                         residual = max(0.0, -report.min_eigenvalue)
                     else:
@@ -743,9 +760,18 @@ def run_all_per_case(
                     if not residual <= GRAM_TOL:
                         return
 
+    def backward():
+        for n in _BACKWARD_NS:
+            for c in _BACKWARD_CS.tolist():
+                success, sl = _online_row(n, c)
+                online = fl_success_exact(n, c, x=1.0 / c) if sl else success
+                walked = optimize_strengths(n, c).success
+                yield _one_case(n, c, abs(online - walked) / walked, None)
+
     return [
         _fold("oracle_equivalence", ORACLE_TOL, oracle()),
         _fold("central_equality", CENTRAL_TOL, central()),
         _fold("recursion_agreement", RECURSION_TOL, recursion()),
         _fold("gram_feasibility", GRAM_TOL, gram()),
+        _fold("backward_value", BACKWARD_TOL, backward()),
     ]

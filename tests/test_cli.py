@@ -52,7 +52,7 @@ from qcpd.cli import (
     main,
 )
 from qcpd.core import EPSILON
-from qcpd.online_opt import _exact_table, best_online, fl_success_exact
+from qcpd.online_opt import _exact_table, _online_row, best_online, fl_success_exact
 from oracles import GOLDEN, detection_profile_reference, optimal_success_fraction, z_score_reference
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -278,16 +278,17 @@ def is_sl(n, c):
 
 def scalar_row(n, c):
     """One exact curve row from each column's scalar production route: the
-    bound; the bound again up to 1/2, beyond it the optimizer's success, or
-    sl's where its schedule is sl's; and ``fl_success_exact`` at fl's
-    strength and at sl's ``1/c``."""
+    bound; the bound again up to 1/2, beyond it ``_online_row``'s backward
+    pass, or sl's where the optimal schedule is sl's; and
+    ``fl_success_exact`` at fl's strength and at sl's ``1/c``."""
     if c == 0.0:
         return (0.0, 1.0, 1.0, 1.0, 1.0)
     bound, sl = optimal_global(n, c)[1], fl_success_exact(n, c, x=1.0 / c)
     if c <= 0.5:
         online = bound
     else:
-        online = sl if is_sl(n, c) else optimize_strengths(n, c).success
+        success, saturated = _online_row(n, c)
+        online = sl if saturated else success
     return (c, bound, online, fl_success_exact(n, c), sl)
 
 
@@ -337,14 +338,19 @@ class TestExactTable:
         table = build_curve(n=6, c_min=0.9, c_max=1.0, step=0.05, include_endpoint=True)
         assert rows_of(table.columns)[-1] == (1.0, 0.0, 0.0, 0.0, 0.0)
 
-    def test_each_row_above_half_is_walked_once(self, monkeypatch):
-        # 19 rows, 9 of them above 1/2: one profile walk for each of those
-        # online rows, inside its optimize_strengths call, and none for any
-        # other row or column
+    def test_no_row_walks_a_profile_or_builds_a_schedule(self, monkeypatch):
+        # 19 rows, 9 of them above 1/2: the online rows there are backward
+        # passes, so no row or column calls the optimizer or the kernel
         shapes = kernel_shapes(monkeypatch)
+
+        def forbidden(*args):
+            raise AssertionError("the table built a schedule")
+
+        monkeypatch.setattr(online_opt, "optimize_strengths", forbidden)
+        monkeypatch.setattr(online_opt, "StrengthSchedule", forbidden)
         table = build_curve(n=31, c_min=0.05, c_max=0.95, step=0.05)
         assert table.columns.shape == (5, 19)
-        assert shapes == [(30,)] * 9
+        assert shapes == []
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 31, 301, 2001])
     @pytest.mark.parametrize("grid", ["edge", "k/1000"])
@@ -355,6 +361,14 @@ class TestExactTable:
         assert online[up_to_half].tobytes() == bound[up_to_half].tobytes()
         saturated = [r for r, cv in enumerate(cs) if cv > 0.5 and is_sl(n, cv)]
         assert online[saturated].tobytes() == sl[saturated].tobytes()
+        # the backward pass flags a row as sl's exactly where the
+        # optimizer's schedule is: none of its strengths but the last
+        # below the ceiling 1/c
+        above = [cv for cv in cs if cv > 0.5]
+        tails = [optimize_strengths(n, cv).schedule.strengths[:-1] for cv in above]
+        assert [_online_row(n, cv)[1] for cv in above] == [
+            np.minimum.reduce(xs, initial=1.0 / cv) == 1.0 / cv for cv, xs in zip(above, tails)
+        ]
         # beyond c_s every schedule is sl's: the rows 0.689..1 at least
         assert len(saturated) >= (312 if grid == "k/1000" else 3)
         clipped = [r for r, cv in enumerate(cs) if cv > 0.0 and 1.0 + cv >= 1.0 / cv]
@@ -603,6 +617,7 @@ class TestVerify:
             "central_equality",
             "recursion_agreement",
             "gram_feasibility",
+            "backward_value",
         }
         central = next(
             s for s in payload["suites"] if s["name"] == "central_equality"
@@ -868,14 +883,14 @@ class TestSimulate:
 
 class TestPositionCap:
     """At most ``MAX_POSITIONS`` strength positions per request: ``n - 1``
-    for ``strengths`` and ``simulate``, ``rows * (n - 1)`` for an exact
-    ``curve``, checked before any schedule is built."""
+    for ``strengths``, ``simulate`` and an exact ``curve``, checked before
+    any schedule is built; a curve's row count does not enter it."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ("strengths", "--n", "1000000000", "--c", "0.3"),
-            ("curve", "--n", "1000000"),
+            ("curve", "--n", "3000002"),
             ("simulate", "--n", "10000000000", "--c", "0.4", "--trials", "1", "--seed", "1"),
         ],
         ids=["strengths", "curve", "simulate"],
@@ -892,9 +907,9 @@ class TestPositionCap:
         [
             (("strengths", "--n", "13", "--c", "0.3"), True),
             (("strengths", "--n", "14", "--c", "0.3"), False),
-            (("curve", "--n", "5", "--c-max", "0.2", "--step", "0.1"), True),
-            (("curve", "--n", "6", "--c-max", "0.2", "--step", "0.1"), False),
-            (("curve", "--n", "6", "--c-max", "0.2", "--step", "0.1", "--asymptotic"), True),
+            (("curve", "--n", "13", "--c-max", "0.9", "--step", "0.1"), True),
+            (("curve", "--n", "14", "--c-max", "0.2", "--step", "0.1"), False),
+            (("curve", "--n", "14", "--c-max", "0.2", "--step", "0.1", "--asymptotic"), True),
             (("simulate", "--n", "13", "--c", "0.4", "--trials", "10", "--seed", "1"), True),
             (("simulate", "--n", "14", "--c", "0.4", "--trials", "10", "--seed", "1"), False),
         ],
@@ -1043,13 +1058,30 @@ class TestPositionCap:
         assert main(argv) == 1
         assert str(MAX_TRIAL_STEPS) in capsys.readouterr().err
 
-    def test_full_size_grid_at_the_default_length_fits(self, monkeypatch):
-        # the largest grid the row cap allows (1e5 rows), at n = 31, is
-        # exactly at the position cap
+    def test_full_size_grid_at_the_longest_chain_fits(self, monkeypatch):
+        # the largest grid the row cap allows (1e5 rows) fits at the longest
+        # chain the position cap allows, and one particle more does not
         monkeypatch.setattr(cli, "_exact_table", lambda n, grid: np.empty((5, 0)))
-        build_curve(31, 0.0, 0.999999, 1e-5)
+        build_curve(MAX_POSITIONS + 1, 0.0, 0.999999, 1e-5)
         with pytest.raises(ValueError, match="strength positions"):
-            build_curve(32, 0.0, 0.999999, 1e-5)
+            build_curve(MAX_POSITIONS + 2, 0.0, 0.999999, 1e-5)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("curve", "--n", "1000000"),
+            ("curve", "--n", "3000000", "--c-min", "0.5", "--c-max", "0.9", "--step", "0.1"),
+        ],
+    )
+    def test_exact_curve_of_a_long_chain_is_accepted(self, argv, capsys):
+        # no row walks a schedule, so the rows times the chain may pass
+        # the position cap: 1e8 and 1.5e7 positions here
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+        assert len(rows) == (100 if argv[2] == "1000000" else 5)
+        for c, bound, online, fl, sl in rows:
+            assert 0.0 <= sl <= online <= bound <= 1.0 and fl <= online, c
 
 
 class TestTopLevel:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import sys
 from decimal import Decimal
 
 import numpy as np
@@ -27,7 +29,7 @@ from qcpd import (
     sl_success_asymptotic,
 )
 from qcpd import online_opt, verification
-from qcpd.online_opt import best_online, fl_success_exact
+from qcpd.online_opt import _online_row, best_online, fl_success_exact
 from qcpd.cli import build_curve
 from qcpd.global_bound import _end_powers
 from qcpd.kernels import detection_profile
@@ -604,6 +606,73 @@ class TestLargeChainLaw:
         # the offset grows with n
         small, large = _offsets(c, sl_success_asymptotic(c))
         assert small != pytest.approx(large, abs=1e-8)
+
+
+def _lines_run(fn, *args) -> int:
+    """How many lines of ``fn``'s own code one call ``fn(*args)`` runs."""
+    code, lines = fn.__code__, [0]
+
+    def local(frame, event, arg):
+        lines[0] += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return lines[0]
+
+
+class TestOnlineRow:
+    """The curve table's backward pass above 1/2 against the backward sums
+    and the forward walk of the optimizer's schedule, and its settling."""
+
+    GRID = [0.5 + k / 1000 for k in range(1, 500)]
+    #: near 1/2, near the golden ratio and near 1, where orbits settle slowest
+    EDGES = [
+        math.nextafter(0.5, 1.0), 0.5 + 1e-9, 0.5 + 1e-6, 0.6180339887498947,
+        GOLDEN, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12, math.nextafter(1.0, 0.0), 1.0,
+    ]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_a_short_chain_is_its_schedules_backward_sums_bit_for_bit(self, n):
+        # a cycle that closes before the chain ends adds no whole period
+        # here, so every step is walked as backward_sums walks it
+        for c in self.GRID + self.EDGES:
+            sums = backward_sums(c, optimize_strengths(n, c).schedule.strengths)
+            assert _online_row(n, c)[0] == sums[-1] / n, c
+
+    @pytest.mark.parametrize("n", [6, 31, 301, 3001])
+    def test_matches_the_forward_walk_where_the_table_prints_it(self, n):
+        # on sl rows the table prints p_sl instead: near 1 both walks
+        # cancel in 1 - c/x, and differ there by up to 5e-10
+        for c in self.GRID + self.EDGES:
+            success, sl = _online_row(n, c)
+            if not sl:
+                walked = optimize_strengths(n, c).success
+                assert success == pytest.approx(walked, rel=5e-14, abs=0.0), c
+
+    def test_every_row_settles_within_a_bounded_number_of_steps(self):
+        # the same lines run at n = 10^6 and 10^12: every orbit closes a
+        # cycle before either chain ends; at most 1 481 lines measured on
+        # these rows (c = 0.601), where walking every step would run millions
+        for c in self.GRID + self.EDGES:
+            lines = _lines_run(_online_row, 10**6, c)
+            assert 0 < lines <= 3000, c
+            assert lines == _lines_run(_online_row, 10**12, c), c
+
+    @pytest.mark.parametrize("c", [0.5000000000000001, 0.55, 0.618, GOLDEN, 0.7, 0.9, 0.99])
+    def test_whole_periods_keep_the_large_chain_law(self, c):
+        # n * (p_n - L) at n = 10^6 from whole periods equals the forward
+        # walk's at n = 10^4, as TestLargeChainLaw's offsets do
+        limit = fl_success_asymptotic(c)
+        walked = _offsets(c, limit)[1]
+        assert 10**6 * (_online_row(10**6, c)[0] - limit) == pytest.approx(walked, abs=1e-8)
 
 
 class TestBestOnline:

@@ -10,8 +10,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcpd import kernels, verification
+from qcpd import cli, kernels, online_opt, verification
 from oracles import run_all_per_case
+
+SUITES = [
+    "oracle_equivalence",
+    "central_equality",
+    "recursion_agreement",
+    "gram_feasibility",
+    "backward_value",
+]
 
 
 def _assert_caught(result):
@@ -73,6 +81,32 @@ def _negative_efficiency(monkeypatch):
     monkeypatch.setattr(verification, "_tent_efficiencies", lowered)
 
 
+def _nan_efficiency_row(row):
+    def patch(monkeypatch):
+        efficiencies = verification._tent_efficiencies
+
+        def with_nan(cs, powers):
+            # only gram_feasibility's stack at n = 7: 2 * _GRAM_SIDE rows
+            vec = efficiencies(cs, powers)
+            if vec.shape == (2 * verification._GRAM_SIDE, 7):
+                vec[row, 3] = np.nan
+            return vec
+
+        monkeypatch.setattr(verification, "_tent_efficiencies", with_nan)
+
+    return patch
+
+
+def _scale_online_rows(monkeypatch):
+    online_row = online_opt._online_row
+
+    def scaled(n, cv):
+        success, sl = online_row(n, cv)
+        return success * (1.0 + 1e-9), sl
+
+    monkeypatch.setattr(online_opt, "_online_row", scaled)
+
+
 def test_oracle_equivalence_catches_a_scaled_profile(monkeypatch):
     _scale_profiles(monkeypatch)
     _assert_caught(verification.oracle_equivalence(n_max=4))
@@ -121,12 +155,57 @@ def test_gram_feasibility_catches_a_range_only_fault(monkeypatch):
     assert result.worst_case == {"n": 5, "c": 0.05, "position": None}
 
 
+def test_gram_feasibility_fails_a_nan_efficiency_above_the_critical_overlap(monkeypatch):
+    # row 7 of n = 7 lies above the critical overlap, where a NaN fails the
+    # range check as the suite wants: the row must still read 1.0
+    _nan_efficiency_row(7)(monkeypatch)
+    result = verification.gram_feasibility()
+    _assert_caught(result)
+    assert result.max_residual == 1.0
+    assert result.worst_case == {"n": 7, "c": result.worst_case["c"], "position": None}
+    assert result.worst_case["c"] > verification.critical_overlap(7)
+
+
+def test_a_nan_efficiency_below_the_critical_overlap_fails_verify(monkeypatch, capsys):
+    # row 2 of n = 7 goes to the eigensolve unless it is kept out: a NaN
+    # residual, and verify exits 2 naming the suite
+    _nan_efficiency_row(2)(monkeypatch)
+    result = verification.gram_feasibility()
+    _assert_caught(result)
+    assert math.isnan(result.max_residual)
+    assert result.worst_case["n"] == 7
+    assert cli.main(["verify"]) == 2
+    assert "verification failed: gram_feasibility max residual nan" in capsys.readouterr().err
+
+
+def test_backward_value_catches_a_scaled_online_row(monkeypatch):
+    _scale_online_rows(monkeypatch)
+    result = verification.backward_value()
+    _assert_caught(result)
+    # sl rows print p_sl and are untouched: n = 2 and 3 have no other rows
+    assert result.max_residual == pytest.approx(1e-9, rel=1e-3)
+    assert result.worst_case["n"] >= 5
+
+
+#: each control and the suites it must fail; every other suite must pass
 NEGATIVE_CONTROLS = {
-    "scaled_profiles": _scale_profiles,
-    "scaled_enumerations": _scale_enumerations,
-    "scaled_recursive_schedules": _scale_recursive_schedules,
-    "scaled_efficiencies": _scale_efficiencies,
-    "negative_efficiency": _negative_efficiency,
+    "scaled_profiles": (
+        _scale_profiles,
+        {"oracle_equivalence", "central_equality", "backward_value"},
+    ),
+    "scaled_enumerations": (_scale_enumerations, {"oracle_equivalence"}),
+    "scaled_recursive_schedules": (_scale_recursive_schedules, {"recursion_agreement"}),
+    "scaled_efficiencies": (
+        _scale_efficiencies,
+        {"central_equality", "recursion_agreement", "gram_feasibility"},
+    ),
+    "negative_efficiency": (
+        _negative_efficiency,
+        {"central_equality", "recursion_agreement", "gram_feasibility"},
+    ),
+    "nan_efficiency_above": (_nan_efficiency_row(7), {"gram_feasibility"}),
+    "nan_efficiency_below": (_nan_efficiency_row(2), {"gram_feasibility"}),
+    "scaled_online_rows": (_scale_online_rows, {"backward_value"}),
 }
 
 
@@ -135,11 +214,15 @@ NEGATIVE_CONTROLS = {
     [(None, False), (None, True), *((name, False) for name in NEGATIVE_CONTROLS)],
 )
 def test_passed_means_residual_within_threshold(control, inject_fault, monkeypatch):
-    # clean, under the CLI's self-test fault, and under each control above
+    # clean, under the CLI's self-test fault, and under each control above:
+    # exactly the suites a fault reaches fail
+    failing = {"central_equality"} if inject_fault else set()
     if control is not None:
-        NEGATIVE_CONTROLS[control](monkeypatch)
+        patch, failing = NEGATIVE_CONTROLS[control]
+        patch(monkeypatch)
     results = verification.run_all(n_max=4, inject_fault=inject_fault)
-    assert len(results) == 4
+    assert [result.name for result in results] == SUITES
+    assert {result.name for result in results if not result.passed} == failing
     for result in results:
         assert result.passed == (result.max_residual <= result.threshold), result
 
@@ -154,9 +237,12 @@ def test_run_all_walks_one_stack_per_chain_length_per_call(monkeypatch):
 
     monkeypatch.setattr(kernels, "detection_profile", counted)
     # 25 random schedules for each n = 2..12, then the 11 canonical
-    # overlaps for each n = 2..25: one kernel call per row, 275 + 264 = 539
+    # overlaps for each n = 2..25: one kernel call per row, 275 + 264 = 539;
+    # then backward_value's forward walks, six overlaps at each of its five
+    # chain lengths: 569 in all
     rows = [(n - 1,) for n in range(2, 13) for _ in range(25)]
     rows += [(n - 1,) for n in range(2, 26) for _ in range(11)]
+    rows += [(n - 1,) for n in (2, 3, 5, 31, 301) for _ in range(6)]
     for _ in range(2):
         # a second call recomputes every stack: nothing outlives a call
         calls.clear()
