@@ -60,37 +60,20 @@ def check_strength(c, x) -> None:
 
     ``x`` is a scalar, a 1-D array of strengths, or a 2-D array holding one
     schedule per row; ``c`` is one overlap or, for a 2-D ``x``, a column of
-    per-row overlaps.  For an array the error names the first offending
-    1-based position.
+    per-row overlaps.  Either shape is checked by the same mask over every
+    entry.  For an array the error names the first offending 1-based
+    position.
     """
     xs = np.asarray(x, dtype=np.float64)
-    if isinstance(c, float):
-        # one overlap, bounded in Python floats, which round as numpy's do;
-        # the slackened ceiling is +inf at c = ±0.0 and at a subnormal c
+    # + 0.0 turns an overlap of -0.0 into 0.0, whose ceiling is +inf
+    cs = np.asarray(c, dtype=np.float64) + 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        # inf at c == 0, where only x > 0 binds, and at subnormal c
         # whose 1/c, or 1/c with the slack, overflows
-        cs = float(c)
-        ceiling = (1.0 / cs if cs else math.inf) * (1.0 + REL_SLACK)
-        finite = math.isfinite(ceiling)
-        # NaN propagates to the smallest and the largest and fails below
-        low = np.minimum.reduce(xs, None, initial=math.inf)
-        high = np.maximum.reduce(xs, None, initial=-math.inf)
-        if (
-            low >= cs * (1.0 - REL_SLACK)
-            and high <= ceiling
-            and (finite or (low > 0.0 and high < math.inf))
-        ):
-            return
-    else:
-        # + 0.0 turns an overlap of -0.0 into 0.0, whose ceiling is +inf
-        cs = np.asarray(c, dtype=np.float64) + 0.0
-        with np.errstate(divide="ignore", over="ignore"):
-            # inf at c == 0, where only x > 0 binds, and at subnormal c
-            # whose 1/c, or 1/c with the slack, overflows
-            ceiling = 1.0 / cs * (1.0 + REL_SLACK)
-        finite = np.isfinite(ceiling).all()
+        ceiling = 1.0 / cs * (1.0 + REL_SLACK)
     # NaN fails both comparisons
     ok = (xs >= cs * (1.0 - REL_SLACK)) & (xs <= ceiling)
-    if not finite:
+    if not np.isfinite(ceiling).all():
         # an infinite ceiling passes x = inf, and the floor 0 passes x = 0
         ok &= (xs > 0.0) & np.isfinite(xs)
     if ok.all():

@@ -258,9 +258,11 @@ def coordinate_objective(
 #: iteration budget
 def check_strength_reference(c, x, floor_ulps: int = 0) -> None:
     """``core.check_strength`` as one numpy mask over every entry for a
-    scalar and a column overlap alike, with the bounds of 0-d arrays.  A
-    nonzero ``floor_ulps`` moves the floor ``c*(1 - REL_SLACK)`` by that
-    many ulps (``np.nextafter``), a reference that must disagree."""
+    scalar and a column overlap alike, with the bounds of 0-d arrays: the
+    one accept rule it has, kept here so that a faster path for one
+    overlap cannot return without matching it.  A nonzero ``floor_ulps``
+    moves the floor ``c*(1 - REL_SLACK)`` by that many ulps
+    (``np.nextafter``), a reference that must disagree."""
     xs = np.asarray(x, dtype=np.float64)
     # + 0.0 turns an overlap of -0.0 into 0.0, whose ceiling is +inf
     cs = np.asarray(c, dtype=np.float64) + 0.0

@@ -444,6 +444,22 @@ class TestDigitContract:
                 for name, value in (("p_online", sl), ("p_fl", fl), ("p_sl", sl)):
                     assert twelfth_digit_gap(cells[name], value) <= 1, (n, c, name, cells[name], float(value))
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the profile kernel's 1 - c/x cancels on strengths near 1/c; "
+        "ROADMAP item 3's (x - c)/x form must make this pass",
+    )
+    @pytest.mark.parametrize("n, c", [(31, "0.99999999"), (5, "0.9999999")])
+    def test_near_one_numeric_success_holds_twelve_digits(self, n, c, capsys):
+        # the success line of ``strengths --method numeric`` against the
+        # 50-digit mean of the schedule it prints: 178 units off at n = 31
+        # and 80 at n = 5
+        assert main(["strengths", "--n", str(n), "--c", c, "--method", "numeric"]) == 0
+        cell = capsys.readouterr().out.split("success=")[1].split()[0]
+        profile = detection_profile_reference(float(c), optimize_strengths(n, float(c)).schedule.strengths)
+        exact = sum(map(Fraction, profile)) / n
+        assert twelfth_digit_gap(cell, exact) <= 1, (n, c, cell, float(exact))
+
 
 def kernel_shapes(monkeypatch) -> list[tuple[int, ...]]:
     """The shape of the strengths of every later profile-kernel call."""

@@ -25,6 +25,7 @@ from qcpd import (
 )
 from qcpd import kernels
 from qcpd.cli import main
+from qcpd.montecarlo import SimulationReport
 from qcpd.online_opt import best_online
 from qcpd.core import (
     ENUMERATION_CAP,
@@ -175,9 +176,11 @@ def _edge_sweep():
 
 
 class TestLeanValidators:
-    """``check_strength`` and ``_check_probabilities`` take a few numpy
-    calls on their accept path; they accept exactly what the masks over
-    every entry of ``oracles`` accept, and raise the same messages."""
+    """``check_strength`` is one mask over every entry for one overlap and
+    for a column alike, and ``_check_probabilities`` takes a few numpy
+    calls on its accept path; they accept exactly what the masks of
+    ``oracles`` accept, and raise the same messages, so a second accept
+    path for one overlap would have to match them ulp for ulp."""
 
     @settings(deadline=None, max_examples=500)
     @given(case=_strength_cases())
@@ -207,7 +210,7 @@ class TestLeanValidators:
         # from 1/c finite up to about (1 + REL_SLACK) times the smallest
         # such c, 1/c is finite but the ceiling it is compared as, 1/c with
         # the slack, overflows: an infinite strength must fail there too,
-        # on both paths, with no overflow warning
+        # for a scalar and a column overlap alike, with no overflow warning
         tiny = 5e-324
         first = int(1.0 / sys.float_info.max / tiny) - 2
         overlaps = [k * tiny for k in range(first, first + 1200)]
@@ -262,6 +265,26 @@ class TestArrayModel:
         schedule = StrengthSchedule(n=4, strengths=source, overlap=Overlap(0.3))
         source[1] = 9.0
         assert schedule.strengths.tolist() == [1.0, 1.2, 1.0]
+
+    def test_accepted_kinds_are_cast_to_the_stored_dtype(self):
+        # ints become float64 strengths and profiles, int32 counts int64;
+        # float counts are not of the int kind and still raise
+        schedule = StrengthSchedule(n=3, strengths=[1, 2], overlap=Overlap(0.5))
+        profile = DetectionProfile([1, 0])
+        report = SimulationReport(
+            n=2, c=0.5, trials=5, seed=0,
+            detections_per_position=np.array([2, 1], dtype=np.int32), mismatched_detections=0,
+        )
+        assert schedule.strengths.dtype == np.float64 and schedule.strengths.tolist() == [1.0, 2.0]
+        assert not schedule.strengths.flags.writeable
+        assert profile.per_position.dtype == np.float64 and profile.per_position.tolist() == [1.0, 0.0]
+        assert report.detections_per_position.dtype == np.int64
+        assert report.detections_per_position.tolist() == [2, 1]
+        with pytest.raises(ValueError, match="expected int64 values, got float64"):
+            SimulationReport(
+                n=2, c=0.5, trials=5, seed=0,
+                detections_per_position=np.array([2.0, 1.0]), mismatched_detections=0,
+            )
 
     def test_schedule_must_be_one_dimensional(self):
         with pytest.raises(ValueError, match="1-D"):
